@@ -226,33 +226,64 @@ class BasisResult(list):
         self.warning = warning
 
 
+def _smallest_singular(B, k):
+    """The k smallest singular values of B (ascending), their right
+    singular vectors (columns) and the largest singular value.
+
+    They are the eigenpairs of the Hermitian normal operator N = B^H B,
+    found by ARPACK in shift-invert mode about a tiny negative shift, so
+    that N - sigma I stays positive definite when the kernel is exact.
+    ARPACK needs k < n - 1; smaller problems take a dense eigh of N.
+    The start vector is fixed, so repeated calls agree.
+    """
+    N = (B.conj().T @ B).tocsc()
+    n = N.shape[0]
+    if k >= n - 1:
+        lam, vecs = np.linalg.eigh(N.toarray())
+        lam_max = lam[-1]
+        lam, vecs = lam[:k], vecs[:, :k]
+    else:
+        sigma = -1e-10 * float(np.max(np.abs(N.diagonal())))
+        v0 = np.ones(n, dtype=complex)
+        try:
+            lam, vecs = spla.eigsh(N, k, sigma=sigma, which="LM", v0=v0)
+            lam_max = spla.eigsh(N, 1, which="LA", v0=v0,
+                                 return_eigenvectors=False)[0]
+        except spla.ArpackNoConvergence as exc:
+            lam = np.sort(exc.eigenvalues.real)
+            raise IndeterminateKernelError(
+                f"shift-invert eigensolve did not converge: {exc}",
+                singular_values=np.sqrt(np.maximum(lam, 0.0)).tolist(),
+            ) from exc
+        except (spla.ArpackError, RuntimeError) as exc:
+            raise LinearSolveError(f"shift-invert eigensolve failed: {exc}") from exc
+        order = np.argsort(lam)
+        lam, vecs = lam[order], vecs[:, order]
+    s = np.sqrt(np.maximum(lam, 0.0))
+    return s, vecs, float(np.sqrt(max(lam_max, 0.0)))
+
+
 def holomorphic_basis(dbar, expected_dim=None, gap_floor=10.0, max_dim=24):
     """Orthonormal basis (area-weighted) of the numerical dbar kernel.
 
     The kernel is detected by the largest ratio of consecutive singular
     values of the metric-normalized operator among the smallest few; a
     ratio below gap_floor raises an indeterminate-kernel error carrying
-    the singular values.
+    the singular values.  Each basis section's phase is fixed by making
+    its largest-modulus value real and positive.
     """
     mesh = dbar.mesh
     w_in, w_out = dbar.weights()
     B = sp.diags(np.sqrt(w_out)) @ dbar.matrix @ sp.diags(1.0 / np.sqrt(w_in))
-    Bd = B.toarray()
-    _, svals, Vh = np.linalg.svd(Bd, full_matrices=True)
-    V = mesh.n_vertices
-    s = np.zeros(V)
-    s[: len(svals)] = svals
-    s = s[::-1]  # ascending
-    Vh = Vh[::-1]
-    upper = min(max_dim, V - 1)
-    floor = max(s[0], 1e-14 * s[-1])
-    ratios = s[1 : upper + 1] / np.maximum(s[:upper], 1e-14 * s[-1])
+    upper = min(max_dim, mesh.n_vertices - 1)
+    s, vecs, s_max = _smallest_singular(B, upper + 1)
+    ratios = s[1:] / np.maximum(s[:-1], 1e-14 * s_max)
     d = int(np.argmax(ratios)) + 1
     gap = float(ratios[d - 1])
     if gap < gap_floor:
         raise IndeterminateKernelError(
             f"no singular-value gap >= {gap_floor} (best {gap:.2f})",
-            singular_values=s[: upper + 1].tolist(),
+            singular_values=s.tolist(),
         )
     warning = None
     if expected_dim is not None and d != expected_dim:
@@ -260,12 +291,13 @@ def holomorphic_basis(dbar, expected_dim=None, gap_floor=10.0, max_dim=24):
     l = 0 if dbar.bundle is None else dbar.bundle.degree
     sections = []
     for i in range(d):
-        # right singular vectors are the conjugated rows of Vh
-        vals = np.conj(Vh[i]) / np.sqrt(w_in)
+        vals = vecs[:, i] / np.sqrt(w_in)
+        peak = vals[np.argmax(np.abs(vals))]
+        vals = vals * (np.conj(peak) / abs(peak))
         res = dbar(vals)
         sec = DiscreteSection((dbar.m, dbar.n), vals, degree_l=l, dbar_residual=res)
         sections.append(sec)
-    return BasisResult(sections, s[: upper + 1], gap, warning)
+    return BasisResult(sections, s, gap, warning)
 
 
 def class_is_trivial(mesh, beta, metric_u, dbar, tol=1e-3):

@@ -17,7 +17,12 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from . import bundles, germsolve, higgs, hypmesh, invariants, moduli
-from .errors import EqminError, InvalidParameterError
+from .errors import (
+    EqminError,
+    IndeterminateKernelError,
+    InvalidParameterError,
+    NonConvergenceError,
+)
 
 __all__ = ["RunConfig", "run", "sweep", "main"]
 
@@ -37,7 +42,7 @@ class RunConfig:
     """
 
     genus: int = 2
-    resolution: int = 3
+    resolution: int = 4
     target: str = "rh4"
     l: int = 1
     data_spec: str = "zero"
@@ -51,8 +56,8 @@ class RunConfig:
     def validate(self):
         if self.genus < 2:
             raise InvalidParameterError("genus must be at least 2")
-        if self.resolution < 0:
-            raise InvalidParameterError("resolution must be non-negative")
+        if self.resolution < 1:
+            raise InvalidParameterError("resolution must be at least 1")
         if self.target not in ("rh3", "rh4"):
             raise InvalidParameterError("target must be rh3 or rh4")
         if self.target == "rh4" and abs(self.l) >= 2 * (self.genus - 1):
@@ -328,6 +333,10 @@ def run(cfg, write_files=True, stages=("solve", "invariants", "higgs")):
             "error": type(exc).__name__,
             "message": str(exc),
         }
+        if isinstance(exc, IndeterminateKernelError):
+            report["failed_at"]["singular_values"] = exc.singular_values
+        if isinstance(exc, NonConvergenceError):
+            report["failed_at"]["trace"] = exc.trace
     if write_files:
         with open(os.path.join(cfg.output_dir, "report.json"), "w") as fh:
             json.dump(report, fh, indent=2, default=str)

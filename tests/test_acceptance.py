@@ -269,3 +269,22 @@ def test_criterion_10_class_triviality(mesh_r3, basis_K2_r3):
     ok = trivial and resid < class_tol and (not nontrivial_ok) and margin >= 10.0
     _line(10, ok, "class-triviality oracle",
           f"coboundary residual={resid:.1e}, holomorphic margin={margin:.0f}x tol")
+
+
+def test_criterion_11_genus3_cohomology_dimensions():
+    # g=3, r=4: for every admissible degree l in -3..3 and both twists,
+    # the dbar kernel of K^2 L^{+-1} has the Riemann-Roch dimension
+    # 6 +- l with a singular-value gap >= 10 (l = 0 is the one bundle K^2)
+    mesh = hypmesh.build_surface(3, 4)
+    ok = True
+    detail = []
+    for l in range(-3, 4):
+        L = bundles.make_line_bundle(mesh, l)
+        for n in (1,) if l == 0 else (1, -1):
+            dim = 6 + n * l
+            dbar = bundles.dbar_operator(mesh, L, 2, n)
+            basis = bundles.holomorphic_basis(dbar, expected_dim=dim, gap_floor=10.0)
+            ok = ok and len(basis) == dim and basis.gap_ratio >= 10.0
+            detail.append(f"l={l:+d},n={n:+d}: dim {len(basis)}, gap {basis.gap_ratio:.1f}")
+    _line(11, ok, "genus-3 dbar kernel dims = Riemann-Roch with 10x gaps",
+          "; ".join(detail))

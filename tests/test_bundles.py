@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from eqmin import bundles, germsolve, hypmesh
 from eqmin.errors import IndeterminateKernelError, InvalidParameterError, ShapeError
@@ -50,6 +51,59 @@ def test_no_gap_reported_with_singular_values(mesh_r2):
     with pytest.raises(IndeterminateKernelError) as err:
         bundles.holomorphic_basis(dbar)
     assert err.value.singular_values is not None
+
+
+def _dense_oracle(dbar, max_dim=24):
+    """Kernel search by a dense SVD of the weighted operator: the ascending
+    smallest singular values, the detected dimension and gap, and the
+    kernel projector in the weighted coordinates."""
+    w_in, w_out = dbar.weights()
+    B = sp.diags(np.sqrt(w_out)) @ dbar.matrix @ sp.diags(1.0 / np.sqrt(w_in))
+    _, svals, Vh = np.linalg.svd(B.toarray())
+    s = svals[::-1][: max_dim + 1]
+    ratios = s[1:] / np.maximum(s[:-1], 1e-14 * svals[0])
+    d = int(np.argmax(ratios)) + 1
+    X = np.conj(Vh[::-1][:d]).T
+    return s, d, float(ratios[d - 1]), X @ X.conj().T
+
+
+@pytest.mark.parametrize("name, n", [("K2", 0), ("K2L", 1), ("K2Linv", -1)])
+def test_kernel_search_matches_dense_svd(mesh_r3, name, n):
+    L = bundles.make_line_bundle(mesh_r3, 1) if n else None
+    dbar = bundles.dbar_operator(mesh_r3, L, 2, n)
+    s_ref, d_ref, gap_ref, P_ref = _dense_oracle(dbar)
+    # K^2 L^-1 has gap 8.7 at r=3; the floor is lowered so both searches
+    # report their dimension and gap
+    basis = bundles.holomorphic_basis(dbar, gap_floor=1.0)
+    s = np.asarray(basis.singular_values)
+    assert np.max(np.abs(s - s_ref) / s_ref) < 1e-8
+    assert len(basis) == d_ref
+    assert basis.gap_ratio == pytest.approx(gap_ref, rel=1e-8)
+    w_in, _ = dbar.weights()
+    X = np.stack([sec.values * np.sqrt(w_in) for sec in basis], axis=1)
+    assert np.max(np.abs(X @ X.conj().T - P_ref)) < 1e-8
+
+
+def test_small_mesh_kernel_search_matches_dense_svd():
+    # V = 14 is too small for ARPACK's k < V - 1, so the dense eigh runs
+    mesh = hypmesh.build_surface(2, 1)
+    dbar = bundles.dbar_operator(mesh, None, 2, 0)
+    s_ref = _dense_oracle(dbar)[0]
+    with pytest.raises(IndeterminateKernelError) as err:
+        bundles.holomorphic_basis(dbar)
+    s = np.asarray(err.value.singular_values)
+    assert len(s) == mesh.n_vertices
+    assert np.allclose(s, s_ref, rtol=1e-8, atol=1e-12 * s_ref[-1])
+
+
+def test_basis_is_deterministic(mesh_r3, basis_K2_r3):
+    dbar = bundles.dbar_operator(mesh_r3, None, 2, 0)
+    again = bundles.holomorphic_basis(dbar, expected_dim=3)
+    assert np.array_equal(again.singular_values, basis_K2_r3.singular_values)
+    for a, b in zip(basis_K2_r3, again):
+        assert np.array_equal(a.values, b.values)
+        peak = a.values[np.argmax(np.abs(a.values))]
+        assert peak.real > 0 and abs(peak.imag) <= 1e-12 * peak.real
 
 
 def test_basis_residuals_small(mesh_r3, basis_K2_r3):

@@ -5,6 +5,7 @@ import os
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from eqmin.cli import RunConfig, main, run, sweep
 from eqmin.errors import InvalidParameterError
@@ -21,6 +22,8 @@ def test_config_validation():
         RunConfig(target="rh4", genus=2, l=2).validate()
     with pytest.raises(InvalidParameterError):
         RunConfig(solver_tol=-1.0).validate()
+    with pytest.raises(InvalidParameterError):
+        RunConfig(resolution=0).validate()
     RunConfig().validate()
 
 
@@ -48,9 +51,60 @@ def test_failed_run_writes_partial_report(tmp_path):
     cfg = RunConfig(genus=2, resolution=2, target="rh3", data_spec="basis:0:0.5",
                     output_dir=str(tmp_path))
     rep = run(cfg)
-    assert rep["failed_at"]["stage"] == "bundles"
+    failed = rep["failed_at"]
+    assert failed["stage"] == "bundles"
     assert "mesh" in rep
-    assert os.path.exists(tmp_path / "report.json")
+    # the record carries the error payload: the smallest singular values
+    assert failed["error"] == "IndeterminateKernelError"
+    s = failed["singular_values"]
+    assert len(s) == 25 and s == sorted(s)
+    with open(tmp_path / "report.json") as fh:
+        assert json.load(fh)["failed_at"]["singular_values"] == s
+
+
+def test_failed_at_carries_newton_trace(tmp_path):
+    cfg = RunConfig(genus=2, resolution=2, target="rh3",
+                    data_spec="manufactured:0.1", max_iter=1,
+                    output_dir=str(tmp_path))
+    rep = run(cfg, stages=("solve",))
+    failed = rep["failed_at"]
+    assert failed["stage"] == "germsolve"
+    assert failed["error"] == "NonConvergenceError"
+    assert [row[0] for row in failed["trace"]] == [0, 1]
+
+
+def test_smallest_mesh_fails_at_bundles(tmp_path):
+    # resolution 1 has V = 14 vertices, fewer than the kernel search's
+    # 25 singular values
+    cfg = RunConfig(genus=2, resolution=1, target="rh3", data_spec="basis:0:0.1",
+                    output_dir=str(tmp_path))
+    failed = run(cfg)["failed_at"]
+    assert failed["stage"] == "bundles"
+    assert failed["error"] == "IndeterminateKernelError"
+    assert len(failed["singular_values"]) == 14
+
+
+def _arpack_no_convergence(*args, **kwargs):
+    raise spla.ArpackNoConvergence("no convergence", np.array([]), np.array([]))
+
+
+def _singular_factor(*args, **kwargs):
+    raise RuntimeError("Factor is exactly singular")
+
+
+@pytest.mark.parametrize("fail, error", [
+    (_arpack_no_convergence, "IndeterminateKernelError"),
+    (_singular_factor, "LinearSolveError"),
+])
+def test_eigensolver_failure_ends_in_report(tmp_path, monkeypatch, fail, error):
+    # r=3 is the smallest resolution whose K^2 kernel search succeeds
+    monkeypatch.setattr(spla, "eigsh", fail)
+    cfg = RunConfig(genus=2, resolution=3, target="rh3", data_spec="basis:0:0.1",
+                    output_dir=str(tmp_path))
+    failed = run(cfg)["failed_at"]
+    assert failed["stage"] == "bundles"
+    assert failed["error"] == error
+    assert "eigensolve" in failed["message"]
 
 
 def test_bad_data_spec_rejected(tmp_path):
@@ -105,6 +159,14 @@ def test_basis_command(capsys):
     assert code == 0
     out = json.loads(capsys.readouterr().out)
     assert out["K2"]["detected"] == 3
+
+
+def test_default_basis_command_matches_riemann_roch(capsys):
+    assert main(["basis"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    for key, dim in (("K2L", 4), ("K2Linv", 2)):
+        assert out[key]["detected"] == dim
+        assert out[key]["gap_ratio"] >= 10.0
 
 
 def test_verify_command_zero_data(tmp_path, capsys):
