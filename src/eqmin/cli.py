@@ -91,13 +91,16 @@ def _parse_spec(spec):
 
 
 def _basis_for(mesh, L, n_weight):
-    """Holomorphic basis of K^2 L^{n_weight} with its expected dimension."""
+    """Holomorphic basis of K^2 L^{n_weight} and its bundle_dims entry
+    (detected and Riemann-Roch dimension, gap ratio)."""
     g = mesh.genus
     l = 0 if L is None else L.degree
     expected = 3 * (g - 1) + n_weight * l
     dbar = bundles.dbar_operator(mesh, L, 2, n_weight)
     basis = bundles.holomorphic_basis(dbar, expected_dim=expected)
-    return basis, expected
+    dims = {"detected": len(basis), "expected": expected,
+            "gap_ratio": basis.gap_ratio}
+    return basis, dims
 
 
 def _prepare_data(cfg, mesh, report):
@@ -116,11 +119,8 @@ def _prepare_data(cfg, mesh, report):
             t = germsolve.manufactured_forcing(mesh, u_star)
             extra["u_star"] = u_star
             return germsolve.GermData3(mesh, t_field=t), extra
-        basis, expected = _basis_for(mesh, None, 0)
-        report["bundle_dims"] = {
-            "K2": {"detected": len(basis), "expected": expected,
-                   "gap_ratio": basis.gap_ratio},
-        }
+        basis, dims = _basis_for(mesh, None, 0)
+        report["bundle_dims"] = {"K2": dims}
         if kind == "basis":
             i, amp = int(args[0]), float(args[1])
             q = bundles.DiscreteSection((2, 0), amp * basis[i].values,
@@ -146,18 +146,11 @@ def _prepare_data(cfg, mesh, report):
     L = bundles.make_line_bundle(mesh, cfg.l)
     if kind == "zero":
         return germsolve.GermData4(mesh, L, None, None), extra
-    basis2, exp2 = _basis_for(mesh, L, -1)
-    report["bundle_dims"] = {
-        "K2Linv": {"detected": len(basis2), "expected": exp2,
-                   "gap_ratio": basis2.gap_ratio},
-    }
+    basis2, dims2 = _basis_for(mesh, L, -1)
+    report["bundle_dims"] = {"K2Linv": dims2}
     basis1 = None
     if kind == "random" or (kind == "basis" and len(args) >= 4):
-        basis1, exp1 = _basis_for(mesh, L, 1)
-        report["bundle_dims"]["K2L"] = {
-            "detected": len(basis1), "expected": exp1,
-            "gap_ratio": basis1.gap_ratio,
-        }
+        basis1, report["bundle_dims"]["K2L"] = _basis_for(mesh, L, 1)
 
     def scaled(basis, i, amp, weight):
         sec = basis[i]
@@ -278,6 +271,16 @@ def _write_plot_csv(path, mesh, rep):
             ])
 
 
+def _failure_record(stage, exc):
+    """failed_at record of a stage that raised exc, with the error payload."""
+    record = {"stage": stage, "error": type(exc).__name__, "message": str(exc)}
+    if isinstance(exc, IndeterminateKernelError):
+        record["singular_values"] = exc.singular_values
+    if isinstance(exc, NonConvergenceError):
+        record["trace"] = exc.trace
+    return record
+
+
 def run(cfg, write_files=True, stages=("solve", "invariants", "higgs")):
     """Execute the pipeline; returns the report dict.
 
@@ -318,6 +321,7 @@ def run(cfg, write_files=True, stages=("solve", "invariants", "higgs")):
         if "invariants" in stages:
             stage = "invariants"
             rep = invariants.compute_invariants(data, sol)
+            report["solution"]["polish"] = sol.polish
             report["invariants"] = rep.to_dict()
             report["invariants"]["superminimal"] = invariants.superminimal_test(rep)
             if write_files:
@@ -328,15 +332,7 @@ def run(cfg, write_files=True, stages=("solve", "invariants", "higgs")):
             stage = "higgs"
             _higgs_and_moduli(cfg, data, sol, report)
     except EqminError as exc:
-        report["failed_at"] = {
-            "stage": stage,
-            "error": type(exc).__name__,
-            "message": str(exc),
-        }
-        if isinstance(exc, IndeterminateKernelError):
-            report["failed_at"]["singular_values"] = exc.singular_values
-        if isinstance(exc, NonConvergenceError):
-            report["failed_at"]["trace"] = exc.trace
+        report["failed_at"] = _failure_record(stage, exc)
     if write_files:
         with open(os.path.join(cfg.output_dir, "report.json"), "w") as fh:
             json.dump(report, fh, indent=2, default=str)
@@ -401,6 +397,15 @@ def sweep(cfg, axis, values, write_files=True):
     return rows, reports
 
 
+def _basis_dims(cfg, mesh):
+    """bundle_dims entries of every bundle the configured target uses."""
+    if cfg.target == "rh3":
+        return {"K2": _basis_for(mesh, None, 0)[1]}
+    L = bundles.make_line_bundle(mesh, cfg.l)
+    return {key: _basis_for(mesh, L, w)[1]
+            for key, w in (("K2L", 1), ("K2Linv", -1))}
+
+
 def _add_config_args(p):
     # defaults live on RunConfig; a flag given on the command line
     # overrides the config file, which overrides the dataclass default
@@ -448,23 +453,21 @@ def main(argv=None):
     args = ap.parse_args(argv)
     cfg = _config_from_args(args)
 
-    if args.command == "mesh-info":
-        mesh = hypmesh.build_surface(cfg.genus, cfg.resolution)
-        print(json.dumps(_mesh_info(mesh), indent=2))
-        return 0
-    if args.command == "basis":
-        mesh = hypmesh.build_surface(cfg.genus, cfg.resolution)
-        out = {}
-        if cfg.target == "rh3":
-            basis, exp = _basis_for(mesh, None, 0)
-            out["K2"] = {"detected": len(basis), "expected": exp,
-                         "gap_ratio": basis.gap_ratio}
-        else:
-            L = bundles.make_line_bundle(mesh, cfg.l)
-            for key, w in (("K2L", 1), ("K2Linv", -1)):
-                basis, exp = _basis_for(mesh, L, w)
-                out[key] = {"detected": len(basis), "expected": exp,
-                            "gap_ratio": basis.gap_ratio}
+    if args.command in ("mesh-info", "basis"):
+        stage = "config"
+        try:
+            cfg.validate()
+            stage = "mesh"
+            mesh = hypmesh.build_surface(cfg.genus, cfg.resolution)
+            if args.command == "mesh-info":
+                out = _mesh_info(mesh)
+            else:
+                stage = "bundles"
+                out = _basis_dims(cfg, mesh)
+        except EqminError as exc:
+            print(json.dumps({"failed_at": _failure_record(stage, exc)},
+                             indent=2, default=str))
+            return 1
         print(json.dumps(out, indent=2))
         return 0
     if args.command == "sweep":

@@ -112,7 +112,8 @@ class GermSolution:
     u and w come from the cotangent-Laplacian Newton solve and make the
     integrated identities exact.  u_smooth and w_smooth, when present, are
     the collocation-polished representatives used for derivative-based
-    pointwise diagnostics (see polish_solution).
+    pointwise diagnostics, and polish is the record of how they were
+    obtained (see polish_solution).
     """
 
     def __init__(self, u, w=None, newton_trace=None, converged=False):
@@ -122,6 +123,7 @@ class GermSolution:
         self.converged = converged
         self.u_smooth = None
         self.w_smooth = None
+        self.polish = None
 
 
 def manufactured_forcing(mesh, u_star):
@@ -260,6 +262,28 @@ def solve_gauss_ricci4(data, tol=1e-10, max_iter=30):
     return GermSolution(u=x[:V], w=x[V:], newton_trace=trace, converged=ok)
 
 
+# Polish steps after the first solve their normal equations by CG to this
+# relative residual, within this many iterations (3-4 are used at r=4).
+_PCG_RTOL = 1e-12
+_PCG_MAXITER = 25
+
+
+def _preconditioned_cg(N, rhs, lu):
+    """Solve N x = rhs by conjugate gradients preconditioned with the LU
+    factorization of a nearby matrix.  Returns (x, iterations), with x None
+    when CG did not reach _PCG_RTOL."""
+    iterations = 0
+
+    def count(_):
+        nonlocal iterations
+        iterations += 1
+
+    M = spla.LinearOperator(N.shape, matvec=lu.solve, dtype=float)
+    x, info = spla.cg(N, rhs, rtol=_PCG_RTOL, maxiter=_PCG_MAXITER, M=M,
+                      callback=count)
+    return (x if info == 0 else None), iterations
+
+
 def polish_solution(data, sol, iterations=4, damping=0.03):
     """Damped collocation polish of a converged solution for pointwise
     diagnostics.
@@ -276,6 +300,16 @@ def polish_solution(data, sol, iterations=4, damping=0.03):
     fields.  The corrected fields differ from the originals by O(h^2) and
     are stored on the solution as u_smooth / w_smooth; the original fields
     are untouched.
+
+    Between steps only the diagonal reaction terms of the Jacobian move,
+    by O(h^2), so the normal matrix is LU-factored once and each later
+    step solves its own normal equations by conjugate gradients
+    preconditioned with that factorization.  When CG does not reach its
+    tolerance the current matrix is factored and solved directly, and its
+    factorization preconditions the remaining steps.  sol.polish records
+    each step (weighted collocation residual before and after, accepted
+    line-search fraction, CG iterations, 0 for a direct solve) and the
+    number of factorizations.
     """
     mesh = data.mesh
     V = mesh.n_vertices
@@ -328,23 +362,46 @@ def polish_solution(data, sol, iterations=4, damping=0.03):
     def wnorm(R):
         return float(np.sqrt(np.sum(aa * R**2)))
 
+    lu = None
+    steps = []
+    factorizations = 0
+    R = resid(x)
     for _ in range(iterations):
-        R = resid(x)
         J = jac(x)
         N = (J.T @ W @ J).tocsc()
         N = N + damping * sp.diags(np.abs(N.diagonal()) + 1e-300)
-        try:
-            step = spla.splu(N).solve(-(J.T @ (aa * R)))
-        except Exception as exc:
-            raise LinearSolveError(f"polish solve failed: {exc}") from exc
+        rhs = -(J.T @ (aa * R))
+        step = None
+        if lu is not None:
+            step, cg_iterations = _preconditioned_cg(N, rhs, lu)
+        if step is None:
+            lu = None  # release the old factors before making new ones
+            try:
+                lu = spla.splu(N)
+                step = lu.solve(rhs)
+            except Exception as exc:
+                raise LinearSolveError(f"polish solve failed: {exc}") from exc
+            factorizations += 1
+            cg_iterations = 0
         base = wnorm(R)
+        after = base
+        accepted = 0.0
         frac = 1.0
         while frac > 1e-4:
             x_try = x + frac * step
-            if wnorm(resid(x_try)) < base:
-                x = x_try
+            R_try = resid(x_try)
+            n_try = wnorm(R_try)
+            if n_try < base:
+                x, R, after, accepted = x_try, R_try, n_try, frac
                 break
             frac *= 0.5
+        steps.append({
+            "residual_before": base,
+            "residual_after": after,
+            "step_fraction": accepted,
+            "cg_iterations": cg_iterations,
+        })
+    sol.polish = {"steps": steps, "factorizations": factorizations}
 
     if isinstance(data, GermData3):
         sol.u_smooth = x[:V]

@@ -202,6 +202,7 @@ class SurfaceMesh:
 
     def __init__(self, **kw):
         self.__dict__.update(kw)
+        self._fd_laplacians = {}
 
     @property
     def n_vertices(self):
@@ -287,7 +288,16 @@ class SurfaceMesh:
         weakly consistent at irregular vertices).  The weighted and
         unweighted variants are genuinely different discretizations and
         serve as independent oracles for one another.
+
+        Each (order, weighted) variant is assembled once and kept on the
+        mesh; callers share the returned matrix and must not modify it.
         """
+        key = (order, bool(weighted))
+        if key not in self._fd_laplacians:
+            self._fd_laplacians[key] = self._assemble_fd_laplacian(order, weighted)
+        return self._fd_laplacians[key]
+
+    def _assemble_fd_laplacian(self, order, weighted):
         V = self.n_vertices
         lam2 = conformal_factor(self.vertices) ** 2
         rows, cols, vals = [], [], []

@@ -186,7 +186,7 @@ def frame_equation_residuals(data, sol):
     return out
 
 
-def compute_invariants(data, sol, identity_scale=None):
+def compute_invariants(data, sol):
     """Full invariant report for a converged germ solution."""
     _require_converged(sol)
     mesh = data.mesh

@@ -161,6 +161,41 @@ def test_basis_command(capsys):
     assert out["K2"]["detected"] == 3
 
 
+def test_basis_command_reports_undetected_kernel(capsys):
+    # rh4, l=1 at r=3: the K^2 L^-1 gap is 8.71, below the floor of 10
+    assert main(["basis", "--resolution", "3"]) == 1
+    failed = json.loads(capsys.readouterr().out)["failed_at"]
+    assert failed["stage"] == "bundles"
+    assert failed["error"] == "IndeterminateKernelError"
+    assert "8.71" in failed["message"]
+    s = failed["singular_values"]
+    assert len(s) == 25 and s == sorted(s)
+    assert abs(s[2] / s[1] - 8.71) < 0.005
+
+
+def test_mesh_info_command_rejects_bad_config(capsys):
+    assert main(["mesh-info", "--resolution", "0"]) == 1
+    failed = json.loads(capsys.readouterr().out)["failed_at"]
+    assert failed["stage"] == "config"
+    assert failed["error"] == "InvalidParameterError"
+    assert "resolution" in failed["message"]
+
+
+def test_report_records_polish(tmp_path):
+    cfg = RunConfig(genus=2, resolution=3, target="rh3", data_spec="basis:0:0.4",
+                    output_dir=str(tmp_path))
+    stages = ("solve", "invariants")
+    rep = run(cfg, write_files=False, stages=stages)
+    polish = rep["solution"]["polish"]
+    assert polish["factorizations"] == 1
+    assert [s["cg_iterations"] > 0 for s in polish["steps"]] == [False] + [True] * 3
+    for step in polish["steps"]:
+        assert step["residual_after"] < step["residual_before"]
+        assert step["step_fraction"] == 1.0
+    # the record is deterministic, like the rest of the report
+    assert run(cfg, write_files=False, stages=stages)["solution"]["polish"] == polish
+
+
 def test_default_basis_command_matches_riemann_roch(capsys):
     assert main(["basis"]) == 0
     out = json.loads(capsys.readouterr().out)

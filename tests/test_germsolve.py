@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from eqmin import bundles, germsolve, hypmesh
 from eqmin.errors import InvalidParameterError
@@ -96,3 +97,85 @@ def test_polish_stays_close_and_reduces_collocation(mesh_r3, basis_K2_r3):
         return float(np.sqrt(np.sum(mesh_r3.vertex_areas * r**2)))
 
     assert colloc(sol.u_smooth) < 0.5 * colloc(sol.u)
+
+
+@pytest.fixture(scope="module", params=["rh3", "rh4"])
+def solved_r3(request, mesh_r3, basis_K2_r3):
+    """A converged r=3 solution: rh3 data, or rh4 data with l=0 and both
+    sections."""
+    if request.param == "rh3":
+        data = germsolve.GermData3(mesh_r3, q=basis_K2_r3[0])
+        return data, germsolve.solve_gauss3(data, tol=1e-11)
+    L = bundles.make_line_bundle(mesh_r3, 0)
+    theta1 = make_section(mesh_r3, L, 2, 1, 0.3 * basis_K2_r3[0].values)
+    theta2 = make_section(mesh_r3, L, 2, -1, 0.5 * basis_K2_r3[1].values)
+    data = germsolve.GermData4(mesh_r3, L, theta1, theta2)
+    return data, germsolve.solve_gauss_ricci4(data, tol=1e-11)
+
+
+def _fresh(u, w):
+    return germsolve.GermSolution(u=u, w=w, converged=True)
+
+
+def _smoothed(sol):
+    """The polished fields as one vector: u, then w when present."""
+    return np.concatenate([sol.u_smooth] + ([sol.w_smooth] if sol.w is not None else []))
+
+
+def _factor_every_step(data, sol, steps=4):
+    """Reference polish: one-step polishes chained from the previous
+    smoothed fields, so every step factors its own normal matrix."""
+    u, w = sol.u, sol.w
+    for _ in range(steps):
+        one = germsolve.polish_solution(data, _fresh(u, w), iterations=1)
+        u, w = one.u_smooth, one.w_smooth
+    return _smoothed(one)
+
+
+@pytest.fixture
+def count_splu(monkeypatch):
+    calls = []
+    splu = spla.splu
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", counting)
+    return calls
+
+
+def test_polish_factors_once_and_matches_factor_every_step(solved_r3, count_splu):
+    data, sol = solved_r3
+    ref = _factor_every_step(data, sol)
+    del count_splu[:]
+    polished = germsolve.polish_solution(data, _fresh(sol.u, sol.w))
+    assert len(count_splu) == 1
+    assert np.max(np.abs(_smoothed(polished) - ref)) < 1e-10
+    record = polished.polish
+    assert record["factorizations"] == 1
+    steps = record["steps"]
+    assert len(steps) == 4
+    assert steps[0]["cg_iterations"] == 0
+    assert all(0 < s["cg_iterations"] <= 10 for s in steps[1:])
+    for s in steps:
+        assert s["step_fraction"] == 1.0
+        assert s["residual_after"] < s["residual_before"]
+    for prev, nxt in zip(steps, steps[1:]):
+        assert nxt["residual_before"] == prev["residual_after"]
+
+
+def test_polish_refactors_when_cg_fails(solved_r3, count_splu, monkeypatch):
+    data, sol = solved_r3
+    ref = _factor_every_step(data, sol)
+
+    def no_convergence(A, b, **kwargs):
+        return np.zeros_like(b), kwargs["maxiter"]
+
+    monkeypatch.setattr(spla, "cg", no_convergence)
+    del count_splu[:]
+    polished = germsolve.polish_solution(data, _fresh(sol.u, sol.w))
+    assert len(count_splu) == 4
+    assert np.max(np.abs(_smoothed(polished) - ref)) < 1e-10
+    assert polished.polish["factorizations"] == 4
+    assert [s["cg_iterations"] for s in polished.polish["steps"]] == [0] * 4

@@ -64,6 +64,27 @@ def test_fd_laplacian_annihilates_constants(mesh_r3):
         assert np.max(np.abs(B @ ones)) < 1e-8
 
 
+def test_fd_laplacian_assembled_once_per_variant(mesh_r2, monkeypatch):
+    calls = []
+    assemble = hypmesh.SurfaceMesh._assemble_fd_laplacian
+
+    def counting(self, order, weighted):
+        calls.append((order, weighted))
+        return assemble(self, order, weighted)
+
+    monkeypatch.setattr(hypmesh.SurfaceMesh, "_assemble_fd_laplacian", counting)
+    mesh = hypmesh.build_surface(2, 2)
+    Bu = mesh.fd_laplacian_matrix(order=4, weighted=False)
+    Bw = mesh.fd_laplacian_matrix(order=4, weighted=True)
+    assert mesh.fd_laplacian_matrix(order=4, weighted=False) is Bu
+    assert mesh.fd_laplacian_matrix(order=4, weighted=True) is Bw
+    assert Bu is not Bw
+    assert calls == [(4, False), (4, True)]
+    # the memo lives on the mesh instance, not in a module-level cache
+    assert mesh_r2.fd_laplacian_matrix(order=4, weighted=False) is not Bu
+    assert abs(mesh_r2.fd_laplacian_matrix(order=4, weighted=False) - Bu).max() == 0.0
+
+
 def test_fd_variants_agree_on_smooth_field(mesh_r3, basis_K2_r3):
     # squared-norm density of a holomorphic differential is a smooth
     # deck-invariant field; the two independent patch-fit discretizations
