@@ -110,8 +110,11 @@ class DiscreteSection:
 
     @staticmethod
     def load(path, mesh=None):
-        with open(path) as fh:
-            data = json.load(fh)
+        try:
+            with open(path) as fh:
+                data = json.load(fh)
+        except (OSError, ValueError) as exc:
+            raise InvalidParameterError(f"cannot read section file {path!r}: {exc}") from exc
         if mesh is not None and data["mesh_hash"]:
             if data["mesh_hash"] != mesh_fingerprint(mesh):
                 raise ShapeError("section was saved for a different mesh")

@@ -68,6 +68,9 @@ class RunConfig:
             raise InvalidParameterError("solver tol must be positive")
         if self.max_iter < 1:
             raise InvalidParameterError("max_iter must be positive")
+        kind, _ = _check_data_spec(self.data_spec)
+        if kind == "manufactured" and self.target != "rh3":
+            raise InvalidParameterError("manufactured data is a 3-space solver check")
         return self
 
 
@@ -90,6 +93,43 @@ def _parse_spec(spec):
     return parts[0], parts[1:]
 
 
+# data spec kind -> (admissible argument counts, type of each argument;
+# None for a path)
+_SPEC_ARGS = {
+    "zero": ((0,), ()),
+    "basis": ((2, 4), (int, float, int, float)),
+    "random": ((1,), (float,)),
+    "file": ((1, 2), (None, None)),
+    "manufactured": ((1,), (float,)),
+}
+
+
+def _check_data_spec(spec):
+    """Check a data spec's kind, argument count and numeric fields (basis
+    indices are range-checked once the basis exists); returns (kind, args)."""
+    kind, args = _parse_spec(spec)
+    if kind not in _SPEC_ARGS:
+        raise InvalidParameterError(f"unrecognized data spec {spec!r}")
+    counts, types = _SPEC_ARGS[kind]
+    if len(args) not in counts:
+        raise InvalidParameterError(
+            f"data spec {spec!r}: {kind} takes "
+            f"{' or '.join(map(str, counts))} arguments, got {len(args)}"
+        )
+    for arg, typ in zip(args, types):
+        if typ is None:
+            continue
+        try:
+            val = typ(arg)
+        except ValueError:
+            raise InvalidParameterError(
+                f"data spec {spec!r}: {arg!r} is not {'an integer' if typ is int else 'a number'}"
+            ) from None
+        if not np.isfinite(val) or (typ is int and val < 0):
+            raise InvalidParameterError(f"data spec {spec!r}: {arg!r} out of range")
+    return kind, args
+
+
 def _basis_for(mesh, L, n_weight):
     """Holomorphic basis of K^2 L^{n_weight} and its bundle_dims entry
     (detected and Riemann-Roch dimension, gap ratio)."""
@@ -103,14 +143,37 @@ def _basis_for(mesh, L, n_weight):
     return basis, dims
 
 
+def _scaled_section(basis, i, amp, weight, l):
+    """amp times basis element i, as a section of K^2 L^weight."""
+    if not 0 <= i < len(basis):
+        raise InvalidParameterError(
+            f"basis index {i} outside the {len(basis)}-dimensional basis"
+        )
+    sec = basis[i]
+    return bundles.DiscreteSection((2, weight), amp * sec.values, degree_l=l,
+                                   dbar_residual=amp * sec.dbar_residual)
+
+
+def _random_section(basis, rng, amp, weight, l):
+    """A combination of the basis with seeded complex Gaussian
+    coefficients of total norm amp."""
+    coef = rng.standard_normal(len(basis)) + 1j * rng.standard_normal(len(basis))
+    coef *= amp / np.linalg.norm(coef)
+    vals = sum(c * b.values for c, b in zip(coef, basis))
+    res = sum(c * b.dbar_residual for c, b in zip(coef, basis))
+    return bundles.DiscreteSection((2, weight), vals, degree_l=l, dbar_residual=res)
+
+
 def _prepare_data(cfg, mesh, report):
-    """Build germ data from the config; returns (data, extra_report_bits)."""
+    """Build germ data from the validated config; returns (data,
+    extra_report_bits)."""
     kind, args = _parse_spec(cfg.data_spec)
-    if kind not in ("zero", "basis", "random", "file", "manufactured"):
-        raise InvalidParameterError(f"unrecognized data spec {cfg.data_spec!r}")
-    if kind == "manufactured" and cfg.target != "rh3":
-        raise InvalidParameterError("manufactured data is a 3-space solver check")
     extra = {"data_spec": cfg.data_spec}
+    if kind in ("basis", "random"):
+        extra["amplitude"] = float(args[1] if kind == "basis" else args[0])
+    if kind == "random":
+        rng = np.random.default_rng(cfg.seed)
+        extra.update({"rng": "numpy default_rng", "seed": cfg.seed})
     if cfg.target == "rh3":
         if kind == "zero":
             return germsolve.GermData3(mesh), extra
@@ -122,26 +185,12 @@ def _prepare_data(cfg, mesh, report):
         basis, dims = _basis_for(mesh, None, 0)
         report["bundle_dims"] = {"K2": dims}
         if kind == "basis":
-            i, amp = int(args[0]), float(args[1])
-            q = bundles.DiscreteSection((2, 0), amp * basis[i].values,
-                                        dbar_residual=amp * basis[i].dbar_residual)
-            extra["amplitude"] = amp
-            return germsolve.GermData3(mesh, q=q), extra
-        if kind == "random":
-            amp = float(args[0])
-            rng = np.random.default_rng(cfg.seed)
-            coef = rng.standard_normal(len(basis)) + 1j * rng.standard_normal(len(basis))
-            coef *= amp / np.linalg.norm(coef)
-            vals = sum(c * b.values for c, b in zip(coef, basis))
-            res = sum(c * b.dbar_residual for c, b in zip(coef, basis))
-            q = bundles.DiscreteSection((2, 0), vals, dbar_residual=res)
-            extra.update({"rng": "numpy default_rng", "seed": cfg.seed,
-                          "amplitude": amp})
-            return germsolve.GermData3(mesh, q=q), extra
-        if kind == "file":
+            q = _scaled_section(basis, int(args[0]), float(args[1]), 0, 0)
+        elif kind == "random":
+            q = _random_section(basis, rng, float(args[0]), 0, 0)
+        else:
             q = bundles.DiscreteSection.load(args[0], mesh=mesh)
-            return germsolve.GermData3(mesh, q=q), extra
-        raise InvalidParameterError(f"unrecognized data spec {cfg.data_spec!r}")
+        return germsolve.GermData3(mesh, q=q), extra
 
     L = bundles.make_line_bundle(mesh, cfg.l)
     if kind == "zero":
@@ -149,47 +198,22 @@ def _prepare_data(cfg, mesh, report):
     basis2, dims2 = _basis_for(mesh, L, -1)
     report["bundle_dims"] = {"K2Linv": dims2}
     basis1 = None
-    if kind == "random" or (kind == "basis" and len(args) >= 4):
+    if kind == "random" or (kind == "basis" and len(args) == 4):
         basis1, report["bundle_dims"]["K2L"] = _basis_for(mesh, L, 1)
 
-    def scaled(basis, i, amp, weight):
-        sec = basis[i]
-        return bundles.DiscreteSection(
-            (2, weight), amp * sec.values, degree_l=cfg.l,
-            dbar_residual=amp * sec.dbar_residual,
-        )
-
     if kind == "basis":
-        i, amp = int(args[0]), float(args[1])
-        theta2 = scaled(basis2, i, amp, -1)
+        theta2 = _scaled_section(basis2, int(args[0]), float(args[1]), -1, cfg.l)
         theta1 = None
-        if len(args) >= 4:
-            j, amp1 = int(args[2]), float(args[3])
-            theta1 = scaled(basis1, j, amp1, 1)
-        extra["amplitude"] = amp
-        return germsolve.GermData4(mesh, L, theta1, theta2), extra
-    if kind == "random":
+        if len(args) == 4:
+            theta1 = _scaled_section(basis1, int(args[2]), float(args[3]), 1, cfg.l)
+    elif kind == "random":
         amp = float(args[0])
-        rng = np.random.default_rng(cfg.seed)
-
-        def draw(basis, weight):
-            coef = rng.standard_normal(len(basis)) + 1j * rng.standard_normal(len(basis))
-            coef *= amp / np.linalg.norm(coef)
-            vals = sum(c * b.values for c, b in zip(coef, basis))
-            res = sum(c * b.dbar_residual for c, b in zip(coef, basis))
-            return bundles.DiscreteSection((2, weight), vals, degree_l=cfg.l,
-                                           dbar_residual=res)
-
-        theta1 = draw(basis1, 1) if len(basis1) else None
-        theta2 = draw(basis2, -1) if len(basis2) else None
-        extra.update({"rng": "numpy default_rng", "seed": cfg.seed,
-                      "amplitude": amp})
-        return germsolve.GermData4(mesh, L, theta1, theta2), extra
-    if kind == "file":
+        theta1 = _random_section(basis1, rng, amp, 1, cfg.l) if len(basis1) else None
+        theta2 = _random_section(basis2, rng, amp, -1, cfg.l) if len(basis2) else None
+    else:
         theta2 = bundles.DiscreteSection.load(args[0], mesh=mesh)
         theta1 = bundles.DiscreteSection.load(args[1], mesh=mesh) if len(args) > 1 else None
-        return germsolve.GermData4(mesh, L, theta1, theta2), extra
-    raise InvalidParameterError(f"unrecognized data spec {cfg.data_spec!r}")
+    return germsolve.GermData4(mesh, L, theta1, theta2), extra
 
 
 def _class_flag(norm, class_tol):
@@ -287,12 +311,13 @@ def run(cfg, write_files=True, stages=("solve", "invariants", "higgs")):
     Stage failures are recorded under failed_at and the partial report is
     still written (and returned).
     """
-    cfg.validate()
     if write_files:
         os.makedirs(cfg.output_dir, exist_ok=True)
     report = {"config_echo": asdict(cfg)}
-    stage = "mesh"
+    stage = "config"
     try:
+        cfg.validate()
+        stage = "mesh"
         mesh = hypmesh.build_surface(cfg.genus, cfg.resolution)
         report["mesh"] = _mesh_info(mesh)
         stage = "bundles"
@@ -356,7 +381,7 @@ def sweep(cfg, axis, values, write_files=True):
         elif axis == "l":
             c.l = int(val)
         else:
-            kind, args = _parse_spec(c.data_spec)
+            kind, args = _check_data_spec(c.data_spec)
             if kind not in ("basis", "random"):
                 raise InvalidParameterError(
                     f"axis {axis} needs a basis or random data spec"
@@ -473,7 +498,11 @@ def main(argv=None):
     if args.command == "sweep":
         values = [float(v) if "." in v or "e" in v else int(v)
                   for v in args.values.split(",")]
-        rows, _ = sweep(cfg, args.axis, values)
+        try:
+            rows, _ = sweep(cfg, args.axis, values)
+        except InvalidParameterError as exc:
+            print(json.dumps({"failed_at": _failure_record("config", exc)}, indent=2))
+            return 1
         for row in rows:
             print(json.dumps(row, default=str))
         return 0

@@ -41,6 +41,7 @@ __all__ = [
     "GermData3",
     "GermData4",
     "GermSolution",
+    "CurvatureEquations",
     "t_density",
     "manufactured_forcing",
     "solve_gauss3",
@@ -137,6 +138,92 @@ def manufactured_forcing(mesh, u_star):
     return np.full(mesh.n_vertices, t)
 
 
+class CurvatureEquations:
+    """The Gauss (and Ricci) equations of germ data as Delta_h x = f(x).
+
+    The state x is u for GermData3 and (u, w) stacked for GermData4.  The
+    reaction terms are written through the squared gamma-norms of the
+    second fundamental form:
+
+        f_u = -1 + e^{2u} (1 + ||II||^2)
+        f_w = rho_0 - e^{2u} (||theta_2||^2 - ||theta_1||^2)
+
+    so that the curvatures kappa_gamma = e^{-2u}(-1 - Delta_h u) and
+    kappa_perp = e^{-2u}(rho_0 - Delta_h w) satisfy the Gauss equation
+    kappa_gamma = -1 - ||II||^2 and the Ricci equation
+    kappa_perp = ||theta_2||^2 - ||theta_1||^2 exactly at a solution.
+    """
+
+    def __init__(self, data):
+        self.data = data
+        self.coupled = isinstance(data, GermData4)
+
+    def fields(self, x):
+        """(u, w) of a state vector; w is None for the scalar equation."""
+        if not self.coupled:
+            return x, None
+        V = self.data.mesh.n_vertices
+        return x[:V], x[V:]
+
+    def norms(self, u, w=None):
+        """(||II||^2, ||theta_1||^2, ||theta_2||^2) in the induced metric;
+        the theta norms are None for the scalar equation."""
+        em4u = _exp(-4.0 * u)
+        if not self.coupled:
+            return em4u * self.data.t, None, None
+        th1 = em4u * _exp(2.0 * w) * self.data.t1
+        th2 = em4u * _exp(-2.0 * w) * self.data.t2
+        return th1 + th2, th1, th2
+
+    def curvatures(self, u, lap_u, lap_w=None):
+        """(kappa_gamma, kappa_perp) from the Laplacians of the fields;
+        kappa_perp is None for the scalar equation."""
+        em2u = _exp(-2.0 * u)
+        kappa_gamma = em2u * (-1.0 - lap_u)
+        if not self.coupled:
+            return kappa_gamma, None
+        return kappa_gamma, em2u * (self.data.rho0 - lap_w)
+
+    def f(self, u, w=None):
+        """Reaction terms [f_u] or [f_u, f_w]."""
+        ii, th1, th2 = self.norms(u, w)
+        e2u = _exp(2.0 * u)
+        f_u = -1.0 + e2u * (1.0 + ii)
+        if not self.coupled:
+            return [f_u]
+        return [f_u, self.data.rho0 - e2u * (th2 - th1)]
+
+    def df(self, u, w=None):
+        """Diagonals of the Jacobian blocks: df[i][j] = d f_i / d x_j."""
+        ii, th1, th2 = self.norms(u, w)
+        e2u2 = 2.0 * _exp(2.0 * u)
+        d_uu = e2u2 * (1.0 - ii)
+        if not self.coupled:
+            return [[d_uu]]
+        kp = th2 - th1
+        return [[d_uu, -e2u2 * kp], [e2u2 * kp, e2u2 * ii]]
+
+    def system(self, lap, weight):
+        """Residual x -> lap x - weight f(x), lap acting on each field, and
+        its Jacobian x -> CSR matrix, as a pair of callables."""
+
+        def residual(x):
+            xs = self.fields(x)
+            return np.concatenate(
+                [lap @ y - weight * fy for y, fy in zip(xs, self.f(*xs))]
+            )
+
+        lap_x = sp.block_diag([lap] * (2 if self.coupled else 1), format="csr")
+
+        def jacobian(x):
+            df = self.df(*self.fields(x))
+            return lap_x - sp.bmat(
+                [[sp.diags(weight * d) for d in row] for row in df], format="csr"
+            )
+
+        return residual, jacobian
+
+
 def _newton(x0, residual, jacobian, areas, tol, max_iter):
     """Damped Newton with halving line search on the weighted residual norm.
 
@@ -186,27 +273,13 @@ def _newton(x0, residual, jacobian, areas, tol, max_iter):
     )
 
 
-def solve_gauss3(data, tol=1e-10, max_iter=30, source=None):
-    """Solve the scalar curvature equation for u on the given data.
-
-    source, when provided, is added to the right-hand side:
-    Delta_h u = -1 + e^{2u} + e^{-2u} t - source.
-    """
+def solve_gauss3(data, tol=1e-10, max_iter=30):
+    """Solve the scalar curvature equation for u on the given data."""
     mesh = data.mesh
     if tol <= 0:
         raise InvalidParameterError("tol must be positive")
-    S = laplacian(mesh)
     a = mesh.vertex_areas
-    t = data.t
-    src = np.zeros_like(a) if source is None else np.asarray(source, dtype=float)
-
-    def residual(u):
-        return S @ u + a * (1.0 - _exp(2.0 * u) - _exp(-2.0 * u) * t + src)
-
-    def jacobian(u):
-        d = a * (-2.0 * _exp(2.0 * u) + 2.0 * _exp(-2.0 * u) * t)
-        return S + sp.diags(d)
-
+    residual, jacobian = CurvatureEquations(data).system(laplacian(mesh), a)
     u0 = np.zeros(mesh.n_vertices)
     u, trace, ok = _newton(u0, residual, jacobian, a, tol, max_iter)
     return GermSolution(u=u, newton_trace=trace, converged=ok)
@@ -218,13 +291,12 @@ def solve_gauss_ricci4(data, tol=1e-10, max_iter=30):
     if tol <= 0:
         raise InvalidParameterError("tol must be positive")
     V = mesh.n_vertices
-    S = laplacian(mesh)
     a = mesh.vertex_areas
-    t1, t2, rho0 = data.t1, data.t2, data.rho0
 
-    if np.max(t1) == 0.0 and np.max(t2) == 0.0:
+    if np.max(data.t1) == 0.0 and np.max(data.t2) == 0.0:
         # w decouples into Delta_h w = rho0, solvable only for l = 0 where
         # w is an arbitrary constant (fixed to 0); u solves the scalar case
+        # (the coupled Jacobian is singular here: its ww block is S)
         if data.L.degree != 0:
             raise InvalidParameterError(
                 "zero sections are incompatible with a nonzero degree"
@@ -237,25 +309,7 @@ def solve_gauss_ricci4(data, tol=1e-10, max_iter=30):
             converged=sol.converged,
         )
 
-    def residual(x):
-        u, w = x[:V], x[V:]
-        P = _exp(2.0 * w) * t1 + _exp(-2.0 * w) * t2
-        Q = _exp(-2.0 * w) * t2 - _exp(2.0 * w) * t1
-        R1 = S @ u + a * (1.0 - _exp(2.0 * u) - _exp(-2.0 * u) * P)
-        R2 = S @ w + a * (-rho0 + _exp(-2.0 * u) * Q)
-        return np.concatenate([R1, R2])
-
-    def jacobian(x):
-        u, w = x[:V], x[V:]
-        e2u, em2u = _exp(2.0 * u), _exp(-2.0 * u)
-        P = _exp(2.0 * w) * t1 + _exp(-2.0 * w) * t2
-        Q = _exp(-2.0 * w) * t2 - _exp(2.0 * w) * t1
-        Juu = S + sp.diags(a * (-2.0 * e2u + 2.0 * em2u * P))
-        Juw = sp.diags(a * em2u * 2.0 * Q)
-        Jwu = sp.diags(a * (-2.0 * em2u) * Q)
-        Jww = S + sp.diags(a * em2u * (-2.0) * P)
-        return sp.bmat([[Juu, Juw], [Jwu, Jww]], format="csc")
-
+    residual, jacobian = CurvatureEquations(data).system(laplacian(mesh), a)
     x0 = np.zeros(2 * V)
     aa = np.concatenate([a, a])
     x, trace, ok = _newton(x0, residual, jacobian, aa, tol, max_iter)
@@ -311,52 +365,12 @@ def polish_solution(data, sol, iterations=4, damping=0.03):
     line-search fraction, CG iterations, 0 for a direct solve) and the
     number of factorizations.
     """
-    mesh = data.mesh
-    V = mesh.n_vertices
-    a = mesh.vertex_areas
-    C = mesh.fd_laplacian_matrix(order=4, weighted=True)
-
-    if isinstance(data, GermData3):
-        t = data.t
-
-        def resid(x):
-            u = x[:V]
-            return C @ u - (-1.0 + _exp(2.0 * u) + _exp(-2.0 * u) * t)
-
-        def jac(x):
-            u = x[:V]
-            return (C + sp.diags(-2.0 * _exp(2.0 * u) + 2.0 * _exp(-2.0 * u) * t)).tocsr()
-
-        x = sol.u.copy()
-        aa = a
-    else:
-        t1, t2, rho0 = data.t1, data.t2, data.rho0
-
-        def resid(x):
-            u, w = x[:V], x[V:]
-            e2w, em2w = _exp(2.0 * w), _exp(-2.0 * w)
-            em2u = _exp(-2.0 * u)
-            P = e2w * t1 + em2w * t2
-            Q = em2w * t2 - e2w * t1
-            R1 = C @ u - (-1.0 + _exp(2.0 * u) + em2u * P)
-            R2 = C @ w - (rho0 - em2u * Q)
-            return np.concatenate([R1, R2])
-
-        def jac(x):
-            u, w = x[:V], x[V:]
-            e2u, em2u = _exp(2.0 * u), _exp(-2.0 * u)
-            e2w, em2w = _exp(2.0 * w), _exp(-2.0 * w)
-            P = e2w * t1 + em2w * t2
-            Q = em2w * t2 - e2w * t1
-            J11 = C + sp.diags(-2.0 * e2u + 2.0 * em2u * P)
-            J12 = sp.diags(2.0 * em2u * Q)
-            J21 = sp.diags(-2.0 * em2u * Q)
-            J22 = C + sp.diags(-2.0 * em2u * P)
-            return sp.bmat([[J11, J12], [J21, J22]], format="csr")
-
-        x = np.concatenate([sol.u, sol.w if sol.w is not None else np.zeros(V)])
-        aa = np.concatenate([a, a])
-
+    a = data.mesh.vertex_areas
+    eqs = CurvatureEquations(data)
+    C = data.mesh.fd_laplacian_matrix(order=4, weighted=True)
+    resid, jac = eqs.system(C, 1.0)
+    x = np.concatenate([sol.u, sol.w] if eqs.coupled else [sol.u])
+    aa = np.concatenate([a, a]) if eqs.coupled else a
     W = sp.diags(aa)
 
     def wnorm(R):
@@ -402,10 +416,5 @@ def polish_solution(data, sol, iterations=4, damping=0.03):
             "cg_iterations": cg_iterations,
         })
     sol.polish = {"steps": steps, "factorizations": factorizations}
-
-    if isinstance(data, GermData3):
-        sol.u_smooth = x[:V]
-    else:
-        sol.u_smooth = x[:V]
-        sol.w_smooth = x[V:]
+    sol.u_smooth, sol.w_smooth = eqs.fields(x)
     return sol

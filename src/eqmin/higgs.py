@@ -79,7 +79,7 @@ class HiggsAssembly:
     K^{-1} -> V, and Q_V the constant block pairing.
     """
 
-    def __init__(self, n, mesh, L, blocks, phi, scale_history=None):
+    def __init__(self, n, mesh, L, blocks, phi):
         self.n = int(n)
         if self.n not in (3, 4):
             raise InvalidParameterError("n must be 3 or 4")
@@ -91,7 +91,6 @@ class HiggsAssembly:
         self.phi = np.asarray(phi, dtype=complex)
         if self.phi.shape != (len(self.block_names),):
             raise ShapeError("phi must be a block column vector")
-        self.scale_history = list(scale_history or [])
         self._check_structure()
 
     # ---- structural invariants ----------------------------------------
@@ -132,19 +131,6 @@ class HiggsAssembly:
         if self.n == 3:
             return (self.blocks.get(("W", "K")),)
         return (self.blocks.get(("Linv", "K")), self.blocks.get(("L", "K")))
-
-    def diag_dbar(self, name):
-        """The dbar operator of a diagonal summand, assembled on demand."""
-        table = {
-            "Kinv": (-1, 0),
-            "K": (1, 0),
-            "one": (0, 0),
-            "W": (0, 0),
-            "L": (0, 1),
-            "Linv": (0, -1),
-        }
-        m, n = table[name]
-        return dbar_operator(self.mesh, self.L if n != 0 else None, m, n)
 
     def export_blocks(self):
         """Manifest of every structurally nonzero block with its bundle type."""
@@ -251,14 +237,7 @@ def gauge_scale(asm, lam):
     if lam == 0:
         raise InvalidParameterError("gauge scale must be nonzero")
     blocks = {key: val / lam for key, val in asm.blocks.items()}
-    return HiggsAssembly(
-        asm.n,
-        asm.mesh,
-        asm.L,
-        blocks,
-        lam * asm.phi,
-        scale_history=asm.scale_history + [complex(lam)],
-    )
+    return HiggsAssembly(asm.n, asm.mesh, asm.L, blocks, lam * asm.phi)
 
 
 def cx_lift(asm, a):
@@ -280,10 +259,7 @@ def cx_lift(asm, a):
             blocks[key] = val / a
         else:
             blocks[key] = val
-    return HiggsAssembly(
-        asm.n, asm.mesh, asm.L, blocks, asm.phi.copy(),
-        scale_history=asm.scale_history,
-    )
+    return HiggsAssembly(asm.n, asm.mesh, asm.L, blocks, asm.phi.copy())
 
 
 def shear_gauge(asm, psi_L, psi_Linv=None):
@@ -316,10 +292,7 @@ def shear_gauge(asm, psi_L, psi_Linv=None):
         if psi_Linv is not None:
             d1 = dbar_operator(mesh, asm.L, -1, -1)
             shift(("Linv", "K"), ("Kinv", "L"), d1(psi_Linv))
-    return HiggsAssembly(
-        asm.n, asm.mesh, asm.L, blocks, asm.phi.copy(),
-        scale_history=asm.scale_history,
-    )
+    return HiggsAssembly(asm.n, asm.mesh, asm.L, blocks, asm.phi.copy())
 
 
 def hodge_flag(asm, tol=1e-8):

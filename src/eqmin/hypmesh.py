@@ -43,11 +43,8 @@ __all__ = [
     "build_domain",
     "build_surface",
     "laplacian",
-    "geometric_laplacian",
     "integrate",
     "restrict_field",
-    "save_mesh",
-    "load_mesh",
 ]
 
 _GAUSS_N = 16
@@ -222,62 +219,55 @@ class SurfaceMesh:
     def total_area(self):
         return float(np.sum(self.face_area))
 
-    def conformal_factor_at_vertices(self):
-        return conformal_factor(self.vertices)
-
     def mesh_size(self):
         """Max hyperbolic edge length."""
         return float(self.max_edge_length)
 
-    def vertex_field(self, fn):
-        """Evaluate a callable of the chart coordinate on class representatives."""
-        return np.array([fn(z) for z in self.vertices])
+    def _patch_design(self, v, order):
+        """Least-squares design of the polynomial fit on vertex v's patch:
+        (classes, chart coords, basis matrix A, outer-ring weights, scale).
+
+        The patch is centered on v and scaled to unit radius; the monomials
+        up to the given order enter while the patch has enough points.
+        The weights downweight the outer ring for a smaller fit-error
+        constant.
+        """
+        cls, coords = self.vertex_patch[v]
+        zc = coords - self.vertices[v]
+        scale = np.max(np.abs(zc))
+        zc = zc / scale
+        x, y = zc.real, zc.imag
+        terms = [np.ones_like(x), x, y, x * x, x * y, y * y]
+        if order >= 3 and len(x) >= 12:
+            terms += [x**3, x * x * y, x * y * y, y**3]
+        if order >= 4 and len(x) >= 18:
+            terms += [x**4, x**3 * y, x * x * y * y, x * y**3, y**4]
+        r = np.abs(zc)
+        wts = 1.0 / (1.0 + (r / max(np.median(r), 1e-30)) ** 4)
+        wts[r == 0.0] = 1.0
+        return cls, coords, np.stack(terms, axis=1), wts, scale
 
     def fd_fit(self, field, order=4, chart_term=None):
-        """Least-squares polynomial fit of a scalar vertex field on each
-        vertex patch; returns (d/dx, d/dy, flat laplacian) at the vertices.
+        """Flat Laplacian at the vertices of a weighted least-squares
+        polynomial fit of a scalar vertex field on each vertex patch.
 
         chart_term, when given, is a callable of the chart coordinate whose
         value is added to the class values at the patch points (for fields
         like log of the conformal factor that are chart expressions rather
-        than invariant scalars).  These are chart derivatives; divide the
-        flat laplacian by lambda^2 for the Laplace-Beltrami operator.
+        than invariant scalars).  These are chart derivatives; divide by
+        lambda^2 for the Laplace-Beltrami operator.
         """
         field = np.asarray(field, dtype=float)
-        V = self.n_vertices
-        gx = np.zeros(V)
-        gy = np.zeros(V)
-        lap = np.zeros(V)
-        for v in range(V):
-            cls, coords = self.vertex_patch[v]
-            zc = coords - self.vertices[v]
-            scale = np.max(np.abs(zc))
-            zc = zc / scale
-            x, y = zc.real, zc.imag
-            cols = [np.ones_like(x), x, y, x * x, x * y, y * y]
-            if order >= 3 and len(x) >= 12:
-                cols += [x**3, x * x * y, x * y * y, y**3]
-            if order >= 4 and len(x) >= 18:
-                cols += [x**4, x**3 * y, x * x * y * y, x * y**3, y**4]
-            A = np.stack(cols, axis=1)
+        lap = np.zeros(self.n_vertices)
+        for v in range(self.n_vertices):
+            cls, coords, A, wts, scale = self._patch_design(v, order)
             vals = field[cls]
             if chart_term is not None:
                 vals = vals + chart_term(coords)
-            # downweight the outer ring for a smaller fit-error constant
-            wts = 1.0 / (1.0 + (np.abs(zc) / max(np.median(np.abs(zc)), 1e-30)) ** 4)
-            wts[np.abs(zc) == 0.0] = 1.0
             sw = np.sqrt(wts)
             coef, *_ = np.linalg.lstsq(A * sw[:, None], vals * sw, rcond=None)
-            gx[v] = coef[1] / scale
-            gy[v] = coef[2] / scale
             lap[v] = 2.0 * (coef[3] + coef[5]) / scale**2
-        return gx, gy, lap
-
-    def fd_laplacian_h(self, field, order=4, chart_term=None):
-        """Hyperbolic Laplacian of a scalar field via local polynomial fits."""
-        _, _, flat = self.fd_fit(field, order=order, chart_term=chart_term)
-        lam2 = conformal_factor(self.vertices) ** 2
-        return flat / lam2
+        return lap
 
     def fd_laplacian_matrix(self, order=4, weighted=True):
         """Sparse hyperbolic-Laplacian matrix assembled from the patch fits.
@@ -302,25 +292,8 @@ class SurfaceMesh:
         lam2 = conformal_factor(self.vertices) ** 2
         rows, cols, vals = [], [], []
         for v in range(V):
-            cls, coords = self.vertex_patch[v]
-            zc = coords - self.vertices[v]
-            scale = np.max(np.abs(zc))
-            zc = zc / scale
-            x, y = zc.real, zc.imag
-            terms = [np.ones_like(x), x, y, x * x, x * y, y * y]
-            if order >= 3 and len(x) >= 12:
-                terms += [x**3, x * x * y, x * y * y, y**3]
-            if order >= 4 and len(x) >= 18:
-                terms += [x**4, x**3 * y, x * x * y * y, x * y**3, y**4]
-            A = np.stack(terms, axis=1)
-            if weighted:
-                wts = 1.0 / (
-                    1.0 + (np.abs(zc) / max(np.median(np.abs(zc)), 1e-30)) ** 4
-                )
-                wts[np.abs(zc) == 0.0] = 1.0
-                wts = np.maximum(wts, 0.1)
-            else:
-                wts = np.ones_like(x)
+            cls, _, A, wts, scale = self._patch_design(v, order)
+            wts = np.maximum(wts, 0.1) if weighted else np.ones_like(wts)
             sw = np.sqrt(wts)
             P = np.linalg.pinv(A * sw[:, None])
             row = 2.0 * (P[3] + P[5]) * sw / (scale**2 * lam2[v])
@@ -715,13 +688,6 @@ def laplacian(mesh):
     return S
 
 
-def geometric_laplacian(mesh):
-    """Callable u -> Delta_h u (lumped mass), plus the underlying matrices."""
-    S = laplacian(mesh)
-    Minv = sp.diags(1.0 / mesh.vertex_areas)
-    return Minv @ S
-
-
 def integrate(mesh, field, conformal_factor_u=None):
     """Lumped-mass integral of a vertex field against the hyperbolic area
     element, or against e^{2u} v_h when a conformal factor u is supplied.
@@ -742,39 +708,3 @@ def integrate(mesh, field, conformal_factor_u=None):
             raise ShapeError("conformal factor length mismatch")
         w = w * np.exp(2.0 * u)
     return float(np.sum(field * w))
-
-
-def save_mesh(mesh, path):
-    """Write the defining mesh data as structured text (JSON)."""
-    import json
-
-    dom = mesh.domain
-    data = {
-        "genus": mesh.genus,
-        "resolution": mesh.resolution,
-        "vertices": [[f"{z.real:.17g}", f"{z.imag:.17g}"] for z in mesh.vertices],
-        "faces": mesh.faces.tolist(),
-        "identifications": {
-            str(s): p for s, (p, _) in dom.side_map.items()
-        },
-        "pairing_coefficients": [
-            [f"{g.a.real:.17g}", f"{g.a.imag:.17g}", f"{g.b.real:.17g}", f"{g.b.imag:.17g}"]
-            for g in dom.side_pairings
-        ],
-    }
-    with open(path, "w") as fh:
-        json.dump(data, fh)
-
-
-def load_mesh(path):
-    """Rebuild a mesh from a saved file (deterministic reconstruction),
-    validating the stored vertex coordinates."""
-    import json
-
-    with open(path) as fh:
-        data = json.load(fh)
-    mesh = build_surface(int(data["genus"]), int(data["resolution"]))
-    stored = np.array([float(a) + 1j * float(b) for a, b in data["vertices"]])
-    if len(stored) != mesh.n_vertices or np.max(np.abs(stored - mesh.vertices)) > 1e-12:
-        raise ShapeError("stored mesh does not match deterministic reconstruction")
-    return mesh

@@ -24,7 +24,7 @@ import numpy as np
 
 from .bundles import tensor_weight
 from .errors import ShapeError, StaleSolutionError
-from .germsolve import GermData3, GermData4, polish_solution
+from .germsolve import CurvatureEquations, GermData4, polish_solution
 from .hypmesh import integrate, laplacian
 from .mobius import conformal_factor
 
@@ -101,26 +101,6 @@ def _require_converged(sol):
         raise StaleSolutionError("solution did not converge; refusing to report")
 
 
-def _gamma_norms(data, sol):
-    """Squared gamma-norms of the second-fundamental-form components."""
-    em4u = np.exp(-4.0 * sol.u)
-    if isinstance(data, GermData3):
-        return em4u * data.t, None, None
-    e2w = np.exp(2.0 * sol.w)
-    th1 = em4u * e2w * data.t1
-    th2 = em4u * data.t2 / e2w
-    return th1 + th2, th1, th2
-
-
-def _smooth_fields(data, sol):
-    """Polished pointwise representatives of the solved fields (cached)."""
-    if sol.u_smooth is None:
-        polish_solution(data, sol)
-    if isinstance(data, GermData3):
-        return sol.u_smooth, None
-    return sol.u_smooth, sol.w_smooth
-
-
 def _codazzi_norm(mesh, sec):
     """Metric-normalized L2 norm of the dbar residual of a K^2-type
     section (zero when no residual is attached)."""
@@ -133,12 +113,53 @@ def _codazzi_norm(mesh, sec):
     return float(num / max(den, 1e-300))
 
 
-class _SmoothedSolution:
-    """Adapter presenting the polished fields through the gamma-norm helper."""
+def _quartic_norm_sq(ii_sq, th1_sq, th2_sq):
+    """||U4||^2: 4 ||theta_1||^2 ||theta_2||^2, or ||II||^4 in 3-space."""
+    return ii_sq**2 if th1_sq is None else 4.0 * th1_sq * th2_sq
 
-    def __init__(self, u, w):
-        self.u = u
-        self.w = w
+
+def _polished(eqs, sol):
+    """The polished fields (polish_solution, cached on sol), their
+    gamma-norms, and their curvatures under the unweighted patch-fit
+    Laplacian, which is independent of both the solver operator and the
+    polish operator."""
+    if sol.u_smooth is None:
+        polish_solution(eqs.data, sol)
+    u, w = sol.u_smooth, sol.w_smooth
+    B = eqs.data.mesh.fd_laplacian_matrix(order=4, weighted=False)
+    curv = eqs.curvatures(u, B @ u, None if w is None else B @ w)
+    return u, eqs.norms(u, w), curv
+
+
+def _frame_residuals(data, u, norms, kappa_perp):
+    """The frame-equation residuals of frame_equation_residuals, given the
+    polished u with its gamma-norms and patch-fit kappa_perp."""
+    mesh = data.mesh
+
+    # log s^2 = 2u + log(lambda^2 / 2) is a chart expression
+    def log_lam(z):
+        return np.log(conformal_factor(z) ** 2 / 2.0)
+
+    lap_logs2 = mesh.fd_fit(2.0 * u, chart_term=log_lam)
+    lam2 = conformal_factor(mesh.vertices) ** 2
+    s2 = np.exp(2.0 * u) * lam2 / 2.0
+    ddbar_logs2 = 0.25 * lap_logs2  # del delbar = (1/4) flat laplacian
+
+    ii_sq, th1_sq, th2_sq = norms
+    # -s^{-2} del delbar log s^2 + s^{-4} ||II(Z,Z)||^2 + 1, where the
+    # frame-scale norm is ||II(Z,Z)||^2 = s^4 ||II||^2_gamma
+    out = {}
+    out["gauss_frame"] = float(np.max(np.abs(-ddbar_logs2 / s2 + ii_sq + 1.0)))
+
+    if isinstance(data, GermData4):
+        out["ricci_frame"] = float(np.max(np.abs(kappa_perp - (th2_sq - th1_sq))))
+        out["codazzi_frame"] = max(
+            _codazzi_norm(mesh, data.theta1), _codazzi_norm(mesh, data.theta2)
+        )
+    else:
+        out["ricci_frame"] = 0.0
+        out["codazzi_frame"] = _codazzi_norm(mesh, data.q)
+    return out
 
 
 def frame_equation_residuals(data, sol):
@@ -152,65 +173,32 @@ def frame_equation_residuals(data, sol):
     Codazzi line as the dbar residual of the holomorphic data.
     """
     _require_converged(sol)
-    mesh = data.mesh
-    u, w = _smooth_fields(data, sol)
-    sol_s = _SmoothedSolution(u, w)
-
-    # log s^2 = 2u + log(lambda^2 / 2) is a chart expression
-    def log_lam(z):
-        return np.log(conformal_factor(z) ** 2 / 2.0)
-
-    _, _, lap_logs2 = mesh.fd_fit(2.0 * u, chart_term=log_lam)
-    lam2 = conformal_factor(mesh.vertices) ** 2
-    s2 = np.exp(2.0 * u) * lam2 / 2.0
-    ddbar_logs2 = 0.25 * lap_logs2  # del delbar = (1/4) flat laplacian
-
-    ii_sq, th1_sq, th2_sq = _gamma_norms(data, sol_s)
-    # -s^{-2} del delbar log s^2 + s^{-4} ||II(Z,Z)||^2 + 1, where the
-    # frame-scale norm is ||II(Z,Z)||^2 = s^4 ||II||^2_gamma
-    out = {}
-    out["gauss_frame"] = float(np.max(np.abs(-ddbar_logs2 / s2 + ii_sq + 1.0)))
-
-    if isinstance(data, GermData4):
-        B = mesh.fd_laplacian_matrix(order=4, weighted=False)
-        lap_w = B @ w
-        kp_fd = np.exp(-2.0 * u) * (data.rho0 - lap_w)
-        kp_alg = th2_sq - th1_sq
-        out["ricci_frame"] = float(np.max(np.abs(kp_fd - kp_alg)))
-        out["codazzi_frame"] = max(
-            _codazzi_norm(mesh, data.theta1), _codazzi_norm(mesh, data.theta2)
-        )
-    else:
-        out["ricci_frame"] = 0.0
-        out["codazzi_frame"] = _codazzi_norm(mesh, data.q)
-    return out
+    u, norms, (_, kappa_perp) = _polished(CurvatureEquations(data), sol)
+    return _frame_residuals(data, u, norms, kappa_perp)
 
 
 def compute_invariants(data, sol):
     """Full invariant report for a converged germ solution."""
     _require_converged(sol)
     mesh = data.mesh
-    u = sol.u
+    eqs = CurvatureEquations(data)
+    u, w = sol.u, sol.w
     g = mesh.genus
     S = laplacian(mesh)
     a = mesh.vertex_areas
-    lap_u = (S @ u) / a
-    em2u = np.exp(-2.0 * u)
-    kappa_gamma = em2u * (-1.0 - lap_u)
+    kappa_gamma, kappa_perp = eqs.curvatures(
+        u, (S @ u) / a, None if w is None else (S @ w) / a
+    )
 
-    ii_sq, th1_sq, th2_sq = _gamma_norms(data, sol)
-    n = 4 if isinstance(data, GermData4) else 3
+    ii_sq, th1_sq, th2_sq = eqs.norms(u, w)
+    u4_sq = _quartic_norm_sq(ii_sq, th1_sq, th2_sq)
+    n = 4 if eqs.coupled else 3
     if n == 4:
         l = data.L.degree
-        lap_w = (S @ sol.w) / a
-        kappa_perp = em2u * (data.rho0 - lap_w)
-        u4_sq = 4.0 * th1_sq * th2_sq
         # exact by zero column sums of the cotangent matrix
-        euler = float(np.sum(data.rho0 * a - S @ sol.w)) / (2.0 * math.pi)
+        euler = float(np.sum(data.rho0 * a - S @ w)) / (2.0 * math.pi)
     else:
         l = 0
-        kappa_perp = None
-        u4_sq = ii_sq**2
         euler = 0.0
 
     area = integrate(mesh, 1.0, conformal_factor_u=u)
@@ -227,26 +215,14 @@ def compute_invariants(data, sol):
     # pointwise curvature identity via the independent finite-difference
     # oracle: (kappa_perp)^2 = (1 + kappa_gamma)^2 - ||U4||^2, evaluated at
     # the polished representatives with the unweighted patch-fit Laplacian
-    u_s, w_s = _smooth_fields(data, sol)
-    B = mesh.fd_laplacian_matrix(order=4, weighted=False)
-    em2u_s = np.exp(-2.0 * u_s)
-    kg_fd = em2u_s * (-1.0 - B @ u_s)
-    if n == 4:
-        kp_fd = em2u_s * (data.rho0 - B @ w_s)
-        ii_s, th1_s, th2_s = _gamma_norms(data, _SmoothedSolution(u_s, w_s))
-        u4_s = 4.0 * th1_s * th2_s
-    else:
-        kp_fd = np.zeros_like(u_s)
-        ii_s, _, _ = _gamma_norms(data, _SmoothedSolution(u_s, None))
-        u4_s = ii_s**2
+    u_s, norms_s, (kg_fd, kp_fd) = _polished(eqs, sol)
+    u4_s = _quartic_norm_sq(*norms_s)
+    kp_sq = 0.0 if kp_fd is None else kp_fd**2
     residuals["kappaperp_identity"] = float(
-        np.max(np.abs(kp_fd**2 - (1.0 + kg_fd) ** 2 + u4_s))
+        np.max(np.abs(kp_sq - (1.0 + kg_fd) ** 2 + u4_s))
     )
 
-    frame = frame_equation_residuals(data, sol)
-    residuals["ricci_frame"] = frame["ricci_frame"]
-    residuals["codazzi_frame"] = frame["codazzi_frame"]
-    residuals["gauss_frame"] = frame["gauss_frame"]
+    residuals.update(_frame_residuals(data, u_s, norms_s, kp_fd))
 
     u4_sup = float(np.max(np.sqrt(np.abs(u4_sq))))
     ii_sup = float(np.max(ii_sq))

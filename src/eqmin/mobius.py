@@ -93,9 +93,6 @@ class Mobius:
         b = self.a * other.b + self.b * np.conj(other.a)
         return Mobius(a, b)
 
-    def is_identity(self, tol=1e-12):
-        return abs(self.b) < tol and abs(self.a.imag) < tol and abs(abs(self.a) - 1.0) < tol
-
     def __repr__(self):
         return f"Mobius(a={self.a!r}, b={self.b!r})"
 

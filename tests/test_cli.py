@@ -219,3 +219,46 @@ def test_config_file_with_flag_override(tmp_path, capsys):
     assert code == 0
     out = json.loads(capsys.readouterr().out)
     assert out["resolution"] == 1
+
+
+def test_invalid_config_ends_in_report():
+    rep = run(RunConfig(resolution=0, data_spec="zero"), write_files=False)
+    failed = rep["failed_at"]
+    assert failed["stage"] == "config"
+    assert failed["error"] == "InvalidParameterError"
+    assert "mesh" not in rep
+
+
+def test_sweep_continues_past_invalid_value():
+    # l=2 is outside |l| < 2(g-1) at g=2; the sweep still reports both
+    cfg = RunConfig(target="rh4", resolution=2, data_spec="zero")
+    rows, reports = sweep(cfg, "l", [0, 2], write_files=False)
+    assert [row["failed_at"] for row in rows] == [None, "config"]
+    assert reports[0]["moduli"]["verdict"] is not None
+
+
+@pytest.mark.parametrize("spec, stage", [
+    ("basis:0", "config"),
+    ("basis:x:0.4", "config"),
+    ("random:abc", "config"),
+    ("basis:9:0.4", "bundles"),
+    ("file:missing.json", "bundles"),
+    ("file:not_json.txt", "bundles"),
+])
+def test_malformed_data_spec_ends_in_report(tmp_path, monkeypatch, spec, stage):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "not_json.txt").write_text("not json")
+    cfg = RunConfig(genus=2, resolution=3, target="rh3", data_spec=spec)
+    failed = run(cfg, write_files=False)["failed_at"]
+    assert failed["stage"] == stage
+    assert failed["error"] == "InvalidParameterError"
+
+
+def test_sweep_command_reports_malformed_spec(tmp_path, capsys):
+    code = main(["sweep", "--target", "rh3", "--resolution", "2",
+                 "--data", "basis:0", "--axis", "amplitude", "--values", "0.1",
+                 "--output-dir", str(tmp_path)])
+    assert code == 1
+    failed = json.loads(capsys.readouterr().out)["failed_at"]
+    assert failed["stage"] == "config"
+    assert failed["error"] == "InvalidParameterError"

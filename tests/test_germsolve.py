@@ -99,6 +99,36 @@ def test_polish_stays_close_and_reduces_collocation(mesh_r3, basis_K2_r3):
     assert colloc(sol.u_smooth) < 0.5 * colloc(sol.u)
 
 
+@pytest.mark.parametrize("target", ["rh3", "rh4"])
+def test_system_jacobian_matches_finite_differences(mesh_r2, target):
+    # arbitrary positive data and fields of size ~0.3: the equations do not
+    # need holomorphic data, and a sign error in any block shows here
+    rng = np.random.default_rng(7)
+    V = mesh_r2.n_vertices
+
+    def section(weight):
+        vals = rng.standard_normal(V) + 1j * rng.standard_normal(V)
+        return bundles.DiscreteSection((2, weight), 0.5 * vals, degree_l=1)
+
+    if target == "rh3":
+        data = germsolve.GermData3(mesh_r2, q=section(0))
+    else:
+        L = bundles.make_line_bundle(mesh_r2, 1)
+        data = germsolve.GermData4(mesh_r2, L, section(1), section(-1))
+    eqs = germsolve.CurvatureEquations(data)
+    residual, jacobian = eqs.system(hypmesh.laplacian(mesh_r2), mesh_r2.vertex_areas)
+    x = 0.3 * rng.standard_normal(2 * V if eqs.coupled else V)
+    J = jacobian(x)
+    assert J.format == "csr"
+    h = 1e-6
+    J_fd = np.empty(J.shape)
+    for k in range(len(x)):
+        e = np.zeros_like(x)
+        e[k] = h
+        J_fd[:, k] = (residual(x + e) - residual(x - e)) / (2.0 * h)
+    assert np.max(np.abs(J.toarray() - J_fd)) < 1e-6 * np.max(np.abs(J_fd))
+
+
 @pytest.fixture(scope="module", params=["rh3", "rh4"])
 def solved_r3(request, mesh_r3, basis_K2_r3):
     """A converged r=3 solution: rh3 data, or rh4 data with l=0 and both
@@ -179,3 +209,17 @@ def test_polish_refactors_when_cg_fails(solved_r3, count_splu, monkeypatch):
     assert np.max(np.abs(_smoothed(polished) - ref)) < 1e-10
     assert polished.polish["factorizations"] == 4
     assert [s["cg_iterations"] for s in polished.polish["steps"]] == [0] * 4
+
+
+def test_system_residual_is_the_newton_residual(solved_r3, mesh_r3):
+    data, sol = solved_r3
+    a = mesh_r3.vertex_areas
+    eqs = germsolve.CurvatureEquations(data)
+    residual, _ = eqs.system(hypmesh.laplacian(mesh_r3), a)
+    if eqs.coupled:
+        R = residual(np.concatenate([sol.u, sol.w]))
+        aa = np.concatenate([a, a])
+    else:
+        R = residual(sol.u)
+        aa = a
+    assert float(np.sqrt(np.sum(R**2 / aa))) == sol.newton_trace[-1][1]

@@ -101,12 +101,3 @@ def test_fd_variants_agree_on_smooth_field(mesh_r3, basis_K2_r3):
     # sense: total integrals of the Laplacian vanish
     S = hypmesh.laplacian(mesh_r3)
     assert abs(float(np.sum(S @ t))) < 1e-9
-
-
-def test_mesh_save_load_roundtrip(tmp_path, mesh_r2):
-    path = tmp_path / "mesh.npz"
-    hypmesh.save_mesh(mesh_r2, str(path))
-    back = hypmesh.load_mesh(str(path))
-    assert back.n_vertices == mesh_r2.n_vertices
-    assert np.allclose(back.vertices, mesh_r2.vertices)
-    assert np.array_equal(back.faces, mesh_r2.faces)
