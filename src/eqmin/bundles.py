@@ -37,6 +37,7 @@ __all__ = [
     "BasisResult",
     "make_line_bundle",
     "dbar_operator",
+    "stencil_read",
     "holomorphic_basis",
     "class_is_trivial",
     "tensor_weight",
@@ -178,6 +179,16 @@ class DbarOperator:
         return num / max(den, 1e-300)
 
 
+def stencil_read(mesh, m, n, transition_scale):
+    """Read factors of K^m L^n class values at the F x 6 stencil points:
+    class value -> chart value at the point (frame change for K), parallel
+    transported to the face centroid along the chart segment (unitary
+    gauge for L, with the bundle's transition scale)."""
+    return mesh.stencil_kderiv ** (-m) * np.exp(
+        1j * n * transition_scale * (mesh.stencil_gshift - mesh.stencil_omega)
+    )
+
+
 def dbar_operator(mesh, L, m, n):
     """Assemble the discrete dbar on sections of K^m L^n.
 
@@ -191,11 +202,7 @@ def dbar_operator(mesh, L, m, n):
     zeta = mesh.stencil_coord - mesh.face_centroid[:, None]
     scale = np.max(np.abs(zeta), axis=1, keepdims=True)
     zs = zeta / scale
-    # read factor: class value -> chart value at the stencil point,
-    # parallel transported to the centroid along the chart segment
-    read = mesh.stencil_kderiv ** (-m) * np.exp(
-        1j * n * c * (mesh.stencil_gshift - mesh.stencil_omega)
-    )
+    read = stencil_read(mesh, m, n, c)
     A = np.stack(
         [
             np.ones_like(zs),

@@ -68,9 +68,14 @@ class RunConfig:
             raise InvalidParameterError("solver tol must be positive")
         if self.max_iter < 1:
             raise InvalidParameterError("max_iter must be positive")
-        kind, _ = _check_data_spec(self.data_spec)
+        kind, args = _check_data_spec(self.data_spec)
         if kind == "manufactured" and self.target != "rh3":
             raise InvalidParameterError("manufactured data is a 3-space solver check")
+        one_section = _SPEC_ARGS[kind][0][0]
+        if self.target == "rh3" and kind in ("basis", "file") and len(args) > one_section:
+            raise InvalidParameterError(
+                f"data spec {self.data_spec!r}: the 3-space target takes one section"
+            )
         return self
 
 
@@ -367,19 +372,35 @@ def run(cfg, write_files=True, stages=("solve", "invariants", "higgs")):
 _SWEEP_AXES = ("resolution", "amplitude", "l", "basis_index")
 
 
+def _axis_values(axis, values):
+    """The sweep values (numbers or strings) as numbers of the axis's
+    type: float for amplitude, int for the other axes."""
+    typ = float if axis == "amplitude" else int
+    try:
+        nums = np.array(values, dtype=float)
+        ok = np.all(np.isfinite(nums)) and (typ is float or np.all(nums == np.round(nums)))
+    except (TypeError, ValueError):
+        ok = False
+    if not ok:
+        raise InvalidParameterError(f"sweep values {values!r} on axis {axis} are not "
+                                    f"{'integers' if typ is int else 'finite numbers'}")
+    return [typ(x) for x in nums]
+
+
 def sweep(cfg, axis, values, write_files=True):
     """One run per axis value; returns (rows, reports) and writes the
     aggregate CSV.  Individual failures are recorded per row."""
     if axis not in _SWEEP_AXES:
         raise InvalidParameterError(f"sweep axis must be one of {_SWEEP_AXES}")
+    values = _axis_values(axis, values)
     rows = []
     reports = []
     for val in values:
         c = RunConfig(**asdict(cfg))
         if axis == "resolution":
-            c.resolution = int(val)
+            c.resolution = val
         elif axis == "l":
-            c.l = int(val)
+            c.l = val
         else:
             kind, args = _check_data_spec(c.data_spec)
             if kind not in ("basis", "random"):
@@ -388,15 +409,15 @@ def sweep(cfg, axis, values, write_files=True):
                 )
             if axis == "amplitude":
                 if kind == "basis":
-                    args[1] = repr(float(val))
+                    args[1] = repr(val)
                     if len(args) >= 4:
-                        args[3] = repr(float(val))
+                        args[3] = repr(val)
                 else:
-                    args[0] = repr(float(val))
+                    args[0] = repr(val)
             else:
                 if kind != "basis":
                     raise InvalidParameterError("basis_index needs a basis spec")
-                args[0] = str(int(val))
+                args[0] = str(val)
             c.data_spec = ":".join([kind] + args)
         if write_files:
             c.output_dir = os.path.join(cfg.output_dir, f"{axis}_{val}")
@@ -496,10 +517,8 @@ def main(argv=None):
         print(json.dumps(out, indent=2))
         return 0
     if args.command == "sweep":
-        values = [float(v) if "." in v or "e" in v else int(v)
-                  for v in args.values.split(",")]
         try:
-            rows, _ = sweep(cfg, args.axis, values)
+            rows, _ = sweep(cfg, args.axis, args.values.split(","))
         except InvalidParameterError as exc:
             print(json.dumps({"failed_at": _failure_record("config", exc)}, indent=2))
             return 1

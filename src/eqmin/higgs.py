@@ -17,7 +17,7 @@ Kinv with K, L with Linv (W with itself for n = 3), and one with itself.
 
 import numpy as np
 
-from .bundles import dbar_operator
+from .bundles import dbar_operator, stencil_read
 from .errors import InvalidParameterError, ShapeError, StaleSolutionError
 from .germsolve import GermData3, GermData4
 from .mobius import conformal_factor
@@ -42,9 +42,7 @@ def section_at_faces(mesh, m, n, transition_scale, values):
     face chart at the centroid (frame change for K, parallel transport in
     the unitary gauge for L).
     """
-    read = mesh.stencil_kderiv[:, :3] ** (-m) * np.exp(
-        1j * n * transition_scale * (mesh.stencil_gshift[:, :3] - mesh.stencil_omega[:, :3])
-    )
+    read = stencil_read(mesh, m, n, transition_scale)[:, :3]
     vals = np.asarray(values, dtype=complex)[mesh.stencil_class[:, :3]]
     return np.mean(read * vals, axis=1)
 

@@ -113,7 +113,6 @@ class FundamentalDomain:
         )
         # side_map[s] = (partner side, Mobius mapping side s onto the partner)
         self.side_map = {}
-        self.side_pairings = []
         v = self.polygon_vertices
         for i in range(genus):
             for kk in (0, 1):
@@ -123,7 +122,6 @@ class FundamentalDomain:
                 g = Mobius.from_two_points(
                     v[s], v[(s + 1) % k], v[(sp_ + 1) % k], v[sp_]
                 )
-                self.side_pairings.append(g)
                 self.side_map[s] = (sp_, g)
                 self.side_map[sp_] = (s, g.inv())
 
@@ -183,17 +181,15 @@ class SurfaceMesh:
     Attributes (all numpy arrays unless noted):
       vertices        complex[V], class representative chart coordinates
       faces           int[F, 3], vertex class ids, counter-clockwise
-      face_chart      complex[F, 3], corner coordinates in the face chart
-      face_kderiv     complex[F, 3], chart derivative of the class -> chart map
-      face_gshift     float[F, 3], L-cocycle accumulator per corner
       face_area       float[F], hyperbolic triangle areas (angle defect)
-      face_angles     float[F, 3]
       face_cot        float[F, 3], cotangents of the angles
       face_centroid   complex[F]
       vertex_areas    float[V], lumped dual areas
       edges           int[E, 2]
       edge_tau        float[E], unit-curvature transport angle along edge
+      face_edge(_sign) int[F, 3], edge opposite each corner (and direction)
       stencil_*       six-point extension stencil per face (see dbar assembly)
+      copy_class, class_root_copy  vertex copies of the polygon <-> classes
       vertex_patch    per-vertex (classes, chart coords) for local fits
     """
 
@@ -342,7 +338,16 @@ def _refine(vertices, faces, boundary_side):
     return vertices, new_faces, new_boundary
 
 
-def build_surface(genus, resolution, max_vertices=400_000, min_angle_deg=10.0):
+# vertex budget and triangle-quality floor of build_surface
+_MAX_VERTICES = 400_000
+_MIN_ANGLE_DEG = 10.0
+# vertices per block of the patch search; bounds the memory of its chains
+_PATCH_BLOCK = 64
+# the two other corners of a face, by corner
+_OTHER_CORNERS = np.array([[1, 2], [0, 2], [0, 1]])
+
+
+def build_surface(genus, resolution):
     """Triangulate the closed genus-g surface at the given refinement level.
 
     The base mesh is the fan triangulation of the regular 4g-gon from its
@@ -354,89 +359,19 @@ def build_surface(genus, resolution, max_vertices=400_000, min_angle_deg=10.0):
     if resolution < 1:
         raise InvalidParameterError(f"resolution must be >= 1, got {resolution}")
     est_vertices = 4 * genus * 4**resolution // 2 + 2
-    if est_vertices > max_vertices:
+    if est_vertices > _MAX_VERTICES:
         raise ResourceBudgetError(
             f"resolution {resolution} needs ~{est_vertices} vertices, "
-            f"budget is {max_vertices}"
+            f"budget is {_MAX_VERTICES}"
         )
     dom = FundamentalDomain(genus)
-    k = dom.n_sides
-    verts = [0.0 + 0.0j] + list(dom.polygon_vertices)
-    faces = [(0, 1 + j, 1 + (j + 1) % k) for j in range(k)]
-    boundary = {}
-    for j in range(k):
-        u, v = 1 + j, 1 + (j + 1) % k
-        boundary[(min(u, v), max(u, v))] = j
-    for _ in range(resolution):
-        verts, faces, boundary = _refine(verts, faces, boundary)
-    verts = np.array(verts)
-    faces = np.array(faces, dtype=int)
-
-    # --- glue boundary vertices ---------------------------------------
-    side_vertices = {s: set() for s in range(k)}
-    for (u, v), s in boundary.items():
-        side_vertices[s].add(u)
-        side_vertices[s].add(v)
-    uf = _UnionFind(len(verts))
-    cocycle_base = {}
-    for s in range(k):
-        sp_, sigma = dom.side_map[s]
-        if s > sp_:
-            continue
-        p0, p1 = dom.side_endpoints(s)
-        base = hyp_midpoint(p0, p1)
-        cocycle_base[s] = base
-        targets = np.array(sorted(side_vertices[sp_]))
-        tz = verts[targets]
-        for u in sorted(side_vertices[s]):
-            zu = verts[u]
-            zi = sigma(zu)
-            j = int(np.argmin(np.abs(tz - zi)))
-            if abs(tz[j] - zi) > 1e-8:
-                raise MeshQualityError(
-                    f"side gluing mismatch on side {s}: {abs(tz[j]-zi):.2e}"
-                )
-            g_uw = _segment_cocycle(sigma, base, zu)
-            uf.union(u, int(targets[j]), sigma, g_uw)
-
-    # cocycle defects must be multiples of the total area 4 pi (g-1)
-    period = 4.0 * math.pi * (genus - 1)
-    defect = 0.0
-    for d in uf.defects:
-        d_mod = d - period * round(d / period)
-        defect = max(defect, abs(d_mod))
-    if defect > 1e-7:
-        raise MeshQualityError(f"line-bundle cocycle defect {defect:.2e}")
-
-    # class numbering
-    n_copies = len(verts)
-    root_of = np.empty(n_copies, dtype=int)
-    copy_T = [None] * n_copies
-    copy_G = np.zeros(n_copies)
-    for i in range(n_copies):
-        r, T, G = uf.find(i)
-        root_of[i] = r
-        copy_T[i] = T
-        copy_G[i] = G
-    roots = sorted(set(root_of.tolist()))
-    class_of_root = {r: c for c, r in enumerate(roots)}
-    cls = np.array([class_of_root[r] for r in root_of])
-    class_coord = np.array([verts[r] for r in roots])
-
-    F = len(faces)
-    face_cls = cls[faces]
-    face_chart = verts[faces]
-    face_kderiv = np.empty((F, 3), dtype=complex)
-    face_gshift = np.empty((F, 3))
-    for i in range(F):
-        for a in range(3):
-            copy = faces[i, a]
-            zroot = verts[root_of[copy]]
-            face_kderiv[i, a] = copy_T[copy].deriv(zroot)
-            face_gshift[i, a] = copy_G[copy]
+    verts, faces, bnd, bnd_side = _triangulate(dom, resolution)
+    copy_class, roots, copy_T, copy_kderiv, copy_G, match = _glue(dom, verts, bnd, bnd_side)
+    class_coord = verts[roots]
 
     # --- metric data ---------------------------------------------------
-    z0, z1, z2 = face_chart[:, 0], face_chart[:, 1], face_chart[:, 2]
+    face_cls = copy_class[faces]
+    z0, z1, z2 = verts[faces[:, 0]], verts[faces[:, 1]], verts[faces[:, 2]]
     l0 = hyp_dist(z1, z2)
     l1 = hyp_dist(z2, z0)
     l2 = hyp_dist(z0, z1)
@@ -449,218 +384,254 @@ def build_surface(genus, resolution, max_vertices=400_000, min_angle_deg=10.0):
         bad = int(np.argmin(face_area))
         raise MeshQualityError(f"face {bad} has non-positive area")
     min_angle = math.degrees(float(np.min(face_angles)))
-    if min_angle < min_angle_deg:
+    if min_angle < _MIN_ANGLE_DEG:
         raise MeshQualityError(
             f"triangle quality floor violated: min angle {min_angle:.2f} deg"
         )
-    face_cot = 1.0 / np.tan(face_angles)
     face_centroid = (z0 + z1 + z2) / 3.0
-
-    V = len(class_coord)
-    vertex_areas = np.zeros(V)
+    vertex_areas = np.zeros(len(roots))
     np.add.at(vertex_areas, face_cls.ravel(), np.repeat(face_area / 3.0, 3))
 
-    # --- edges ---------------------------------------------------------
-    # edges are identified at the copy level: a boundary edge and its
-    # image under the side pairing share one canonical key, so multiple
-    # quotient edges between the same vertex classes stay distinct
-    partner_edge = {}
-    for (u, v), s in boundary.items():
-        sp_, g = dom.side_map[s]
-        if s < sp_:
-            continue
-        targets = np.array(sorted(side_vertices[sp_]))
-        tz = verts[targets]
-        pu = int(targets[np.argmin(np.abs(tz - g(verts[u])))])
-        pv = int(targets[np.argmin(np.abs(tz - g(verts[v])))])
-        partner_edge[(min(u, v), max(u, v))] = (min(pu, pv), max(pu, pv))
-
-    def canon(cu, cv):
-        key = (cu, cv) if cu < cv else (cv, cu)
-        return partner_edge.get(key, key)
-
-    edge_index = {}
-    edge_faces = []
-    for i in range(F):
-        for a in range(3):
-            cu, cv = int(faces[i, (a + 1) % 3]), int(faces[i, (a + 2) % 3])
-            key = canon(cu, cv)
-            if key not in edge_index:
-                edge_index[key] = len(edge_faces)
-                edge_faces.append([])
-            edge_faces[edge_index[key]].append((i, a))
-    if any(len(fl) != 2 for fl in edge_faces):
-        raise MeshQualityError("some edges are not shared by exactly 2 faces")
-
-    # per-edge data: class endpoints (directed as seen from the first
-    # adjacent face) and the unit-curvature transport angle edge_tau, so
-    # that exp(i c edge_tau) moves a value in the class frame at the tail
-    # to the class frame at the head
-    E = len(edge_faces)
-    edges = np.empty((E, 2), dtype=int)
-    seg_a = np.empty(E, dtype=complex)
-    seg_b = np.empty(E, dtype=complex)
-    tau_shift = np.zeros(E)
-    for e, fl in enumerate(edge_faces):
-        i, a = fl[0]
-        tu, tv = (a + 1) % 3, (a + 2) % 3
-        edges[e] = (face_cls[i, tu], face_cls[i, tv])
-        seg_a[e] = face_chart[i, tu]
-        seg_b[e] = face_chart[i, tv]
-        tau_shift[e] = face_gshift[i, tu] - face_gshift[i, tv]
-    edge_tau = tau_shift - _segment_omega0(seg_a, seg_b)
-
-    # face -> edge incidence with orientation: face_edge[i, a] is the edge
-    # opposite corner a, face_edge_sign[i, a] = +1 when the stored edge
-    # direction agrees with the face's counter-clockwise traversal
-    face_edge = np.empty((F, 3), dtype=int)
-    face_edge_sign = np.empty((F, 3), dtype=int)
-    for e, fl in enumerate(edge_faces):
-        # both faces traverse the edge counter-clockwise, hence in opposite
-        # directions; the first adjacent face defined the stored direction
-        for rank, (i, a) in enumerate(fl):
-            face_edge[i, a] = e
-            face_edge_sign[i, a] = 1 if rank == 0 else -1
-
-    # --- six-point dbar stencil ----------------------------------------
-    stencil_class = np.empty((F, 6), dtype=int)
-    stencil_coord = np.empty((F, 6), dtype=complex)
-    stencil_kderiv = np.empty((F, 6), dtype=complex)
-    stencil_gshift = np.empty((F, 6))
-    stencil_class[:, :3] = face_cls
-    stencil_coord[:, :3] = face_chart
-    stencil_kderiv[:, :3] = face_kderiv
-    stencil_gshift[:, :3] = face_gshift
-    for i in range(F):
-        for a in range(3):
-            fl = edge_faces[face_edge[i, a]]
-            j, b = fl[1] if fl[0] == (i, a) else fl[0]
-            # express the opposite corner of face j in the chart of face i
-            copy_pair_i = {int(faces[i, (a + 1) % 3]), int(faces[i, (a + 2) % 3])}
-            copy_pair_j = {int(faces[j, (b + 1) % 3]), int(faces[j, (b + 2) % 3])}
-            if copy_pair_i == copy_pair_j:
-                stencil_class[i, 3 + a] = face_cls[j, b]
-                stencil_coord[i, 3 + a] = face_chart[j, b]
-                stencil_kderiv[i, 3 + a] = face_kderiv[j, b]
-                stencil_gshift[i, 3 + a] = face_gshift[j, b]
-            else:
-                # the neighbour face sits across a side pairing; find the
-                # pairing sig that carries face i's edge copies onto face j's
-                zi1 = verts[faces[i, (a + 1) % 3]]
-                zj = verts[[faces[j, (b + 1) % 3], faces[j, (b + 2) % 3]]]
-                hit = None
-                for s, (sp_, _) in dom.side_map.items():
-                    if s > sp_:
-                        continue
-                    sigma = dom.side_map[s][1]
-                    for direct, sig in ((True, sigma), (False, sigma.inv())):
-                        if np.min(np.abs(zj - sig(zi1))) < 1e-8:
-                            hit = (s, sigma, direct, sig)
-                            break
-                    if hit:
-                        break
-                if hit is None:
-                    raise MeshQualityError("failed to resolve cross-side stencil")
-                s, sigma, direct, sig = hit
-                sig_inv = sig.inv()
-                zo = complex(verts[faces[j, b]])
-                znew = sig_inv(zo)
-                # cocycle of sig at znew: f(sig z) = exp(i c G_sig(z)) f(z)
-                if direct:
-                    g_sig = _segment_cocycle(sigma, cocycle_base[s], znew)
-                else:
-                    # G of the inverse map: G_{sig}(y) = -G_sigma(sig(y))
-                    g_sig = -_segment_cocycle(sigma, cocycle_base[s], zo)
-                zroot = verts[root_of[faces[j, b]]]
-                Tnew = sig_inv * copy_T[faces[j, b]]
-                stencil_class[i, 3 + a] = face_cls[j, b]
-                stencil_coord[i, 3 + a] = znew
-                stencil_kderiv[i, 3 + a] = Tnew.deriv(zroot)
-                stencil_gshift[i, 3 + a] = copy_G[faces[j, b]] - g_sig
-    cen6 = np.repeat(face_centroid[:, None], 6, axis=1)
-    stencil_omega = _segment_omega0(stencil_coord, cen6)
-
-    # --- vertex patches for local polynomial fits ----------------------
-    incident = [[] for _ in range(V)]
-    for i in range(F):
-        for a in range(3):
-            incident[int(face_cls[i, a])].append((i, a))
-    vertex_patch = []
-    for vtx in range(V):
-        # collect chart chains into vtx's chart over the two-ring; a face
-        # reachable along several chains keeps every distinct image (they
-        # differ by deck transformations near the side pairings), and each
-        # class then keeps its closest position
-        chains = {}
-
-        def _add_chain(i, M):
-            key = complex(np.round(M(face_centroid[i]), 10))
-            lst = chains.setdefault(i, [])
-            for _, k in lst:
-                if k == key:
-                    return False
-            lst.append((M, key))
-            return True
-
-        ring1 = []
-        for (i, a) in incident[vtx]:
-            M = copy_T[faces[i, a]].inv()
-            if _add_chain(i, M):
-                ring1.append((i, a, M))
-        for (i, a, Mi) in ring1:
-            for b in range(3):
-                if b == a:
-                    continue
-                u = int(face_cls[i, b])
-                to_u_chart = Mi * copy_T[faces[i, b]]  # u rep chart -> vtx chart
-                for (j, bj) in incident[u]:
-                    _add_chain(j, to_u_chart * copy_T[faces[j, bj]].inv())
-        best = {}
-        zc = class_coord[vtx]
-        for i, lst in chains.items():
-            for M, _ in lst:
-                for t in range(6):
-                    c = int(stencil_class[i, t])
-                    z = M(stencil_coord[i, t])
-                    d = abs(z - zc)
-                    if c not in best or d < best[c][1]:
-                        best[c] = (z, d)
-        best[vtx] = (zc, 0.0)
-        cls_list = np.array(sorted(best), dtype=int)
-        coord_list = np.array([best[c][0] for c in cls_list])
-        vertex_patch.append((cls_list, coord_list))
-
-    mesh = SurfaceMesh(
+    edge_data, twin, side = _edges(dom, verts, faces, bnd, bnd_side, match, copy_class, copy_G)
+    stencil = _stencil(dom, verts, faces, twin, side, copy_class, copy_T, copy_kderiv,
+                       copy_G, class_coord, face_centroid)
+    return SurfaceMesh(
         genus=genus,
         resolution=resolution,
-        domain=dom,
         vertices=class_coord,
         faces=face_cls,
-        face_chart=face_chart,
-        face_kderiv=face_kderiv,
-        face_gshift=face_gshift,
         face_area=face_area,
-        face_angles=face_angles,
-        face_cot=face_cot,
+        face_cot=1.0 / np.tan(face_angles),
         face_centroid=face_centroid,
         vertex_areas=vertex_areas,
-        edges=edges,
-        edge_tau=edge_tau,
-        face_edge=face_edge,
-        face_edge_sign=face_edge_sign,
-        stencil_class=stencil_class,
+        max_edge_length=float(np.max(np.concatenate([l0, l1, l2]))),
+        **edge_data,
+        **stencil,
+        copy_class=copy_class,
+        class_root_copy=roots,
+        vertex_patch=_patches(faces, copy_class, copy_T, face_centroid,
+                              stencil["stencil_class"], stencil["stencil_coord"], class_coord),
+    )
+
+
+def _triangulate(dom, resolution):
+    """Copy-level triangulation of the polygon: vertex copies, faces of
+    copies (counter-clockwise), and the boundary edges as (smaller, larger)
+    copy pairs with the polygon side of each."""
+    k = dom.n_sides
+    verts = [0.0 + 0.0j] + list(dom.polygon_vertices)
+    faces = [(0, 1 + j, 1 + (j + 1) % k) for j in range(k)]
+    boundary = {}
+    for j in range(k):
+        u, v = 1 + j, 1 + (j + 1) % k
+        boundary[(min(u, v), max(u, v))] = j
+    for _ in range(resolution):
+        verts, faces, boundary = _refine(verts, faces, boundary)
+    return (np.array(verts), np.array(faces, dtype=int),
+            np.array(list(boundary)), np.array(list(boundary.values())))
+
+
+def _glue(dom, verts, bnd, bnd_side):
+    """Glue the boundary copies by the side pairings and number the classes.
+
+    This is the one place that decides which copies a pairing glues:
+    match[s, u] = w records that copy u on side s is glued to copy w on
+    the partner side, in both directions (-1 for copies off side s).
+    Returns each copy's class, the root copy of each class, and per copy
+    the chart map from its root (Mobius), that map's derivative at the
+    root, the L-cocycle accumulator, and match.
+    """
+    n = len(verts)
+    uf = _UnionFind(n)
+    match = np.full((dom.n_sides, n), -1)
+    for s in range(dom.n_sides):
+        sp_, sigma = dom.side_map[s]
+        if s > sp_:
+            continue
+        base = hyp_midpoint(*dom.side_endpoints(s))
+        src = np.unique(bnd[bnd_side == s])
+        targets = np.unique(bnd[bnd_side == sp_])
+        dist = np.abs(verts[targets][None, :] - sigma(verts[src])[:, None])
+        nearest = np.argmin(dist, axis=1)
+        mismatch = np.max(dist[np.arange(len(src)), nearest])
+        if mismatch > 1e-8:
+            raise MeshQualityError(f"side gluing mismatch on side {s}: {mismatch:.2e}")
+        dst = targets[nearest]
+        match[s, src] = dst
+        match[sp_, dst] = src
+        for u, w in zip(src.tolist(), dst.tolist()):
+            uf.union(u, w, sigma, _segment_cocycle(sigma, base, verts[u]))
+
+    # cocycle defects must be multiples of the total area 4 pi (g-1)
+    period = 4.0 * math.pi * (dom.genus - 1)
+    d = np.array(uf.defects)
+    defect = np.max(np.abs(d - period * np.round(d / period)), initial=0.0)
+    if defect > 1e-7:
+        raise MeshQualityError(f"line-bundle cocycle defect {defect:.2e}")
+
+    root_of = np.empty(n, dtype=int)
+    copy_T = [None] * n
+    copy_kderiv = np.empty(n, dtype=complex)
+    copy_G = np.zeros(n)
+    for i in range(n):
+        r, T, G = uf.find(i)
+        root_of[i] = r
+        copy_T[i] = T
+        copy_kderiv[i] = T.deriv(verts[r])
+        copy_G[i] = G
+    roots, copy_class = np.unique(root_of, return_inverse=True)
+    return copy_class, roots, copy_T, copy_kderiv, copy_G, match
+
+
+def _edges(dom, verts, faces, bnd, bnd_side, match, copy_class, copy_G):
+    """Quotient edges and their face incidence, from the half-edges.
+
+    Half-edge h = 3 i + a is face i's edge opposite corner a.  Edges are
+    identified at the copy level: a boundary edge on the upper side of a
+    pairing takes the key of its match image, so several quotient edges
+    between the same vertex classes stay distinct.  The first half-edge
+    of an edge fixes its direction; face_edge_sign is -1 on the second.
+    edge_tau is the unit-curvature transport angle along the edge, so that
+    exp(i c edge_tau) moves a value in the class frame at the tail to the
+    class frame at the head.  Returns those mesh fields, each half-edge's
+    twin (the other half-edge of its edge) and its polygon side (-1
+    inside the polygon).
+    """
+    n = len(verts)
+    tail = faces[:, [1, 2, 0]].ravel()
+    head = faces[:, [2, 0, 1]].ravel()
+    key = np.minimum(tail, head) * n + np.maximum(tail, head)
+    bnd_key = bnd[:, 0] * n + bnd[:, 1]
+    order = np.argsort(bnd_key)
+    row = order[np.minimum(np.searchsorted(bnd_key[order], key), len(order) - 1)]
+    side = np.where(bnd_key[row] == key, bnd_side[row], -1)
+    partner = np.array([dom.side_map[s][0] for s in range(dom.n_sides)])
+    upper = np.flatnonzero((side >= 0) & (side > partner[side]))
+    image = match[side[upper], np.stack([tail[upper], head[upper]])]
+    key[upper] = image.min(axis=0) * n + image.max(axis=0)
+
+    _, face_edge, counts = np.unique(key, return_inverse=True, return_counts=True)
+    if np.any(counts != 2):
+        raise MeshQualityError("some edges are not shared by exactly 2 faces")
+    first, second = np.argsort(face_edge, kind="stable").reshape(-1, 2).T
+    twin = np.empty_like(face_edge)
+    twin[first], twin[second] = second, first
+    sign = np.ones_like(face_edge)
+    sign[second] = -1
+    edge_data = dict(
+        edges=copy_class[np.stack([tail[first], head[first]], axis=1)],
+        edge_tau=copy_G[tail[first]] - copy_G[head[first]]
+        - _segment_omega0(verts[tail[first]], verts[head[first]]),
+        face_edge=face_edge.reshape(-1, 3),
+        face_edge_sign=sign.reshape(-1, 3),
+    )
+    return edge_data, twin, side
+
+
+def _stencil(dom, verts, faces, twin, side, copy_class, copy_T, copy_kderiv, copy_G,
+             class_coord, face_centroid):
+    """Six-point dbar stencil: slots 0-2 hold face i's corners, slot 3 + a
+    the far corner of the neighbour across the edge opposite corner a,
+    expressed in face i's chart."""
+    corners = np.concatenate([faces, faces.ravel()[twin].reshape(-1, 3)], axis=1)
+    stencil_coord = verts[corners]
+    stencil_kderiv = copy_kderiv[corners]
+    stencil_gshift = copy_G[corners]
+    # a neighbour across a side pairing is carried into face i's chart by
+    # the inverse of the pairing sig of the edge's side
+    for h in np.flatnonzero(side != side[twin]).tolist():
+        i, a = divmod(h, 3)
+        s = int(side[h])
+        sp_, sig = dom.side_map[s]
+        sig_inv = sig.inv()
+        c = corners[i, 3 + a]
+        zo = complex(verts[c])
+        znew = sig_inv(zo)
+        # cocycle of sig at znew: f(sig z) = exp(i c G_sig(z)) f(z)
+        if s < sp_:
+            g_sig = _segment_cocycle(sig, hyp_midpoint(*dom.side_endpoints(s)), znew)
+        else:
+            # G of the inverse map: G_sig(y) = -G_sigma(sig(y))
+            sigma = dom.side_map[sp_][1]
+            g_sig = -_segment_cocycle(sigma, hyp_midpoint(*dom.side_endpoints(sp_)), zo)
+        stencil_coord[i, 3 + a] = znew
+        stencil_kderiv[i, 3 + a] = (sig_inv * copy_T[c]).deriv(class_coord[copy_class[c]])
+        stencil_gshift[i, 3 + a] = copy_G[c] - g_sig
+    cen6 = np.repeat(face_centroid[:, None], 6, axis=1)
+    return dict(
+        stencil_class=copy_class[corners],
         stencil_coord=stencil_coord,
         stencil_kderiv=stencil_kderiv,
         stencil_gshift=stencil_gshift,
-        stencil_omega=stencil_omega,
-        copy_class=cls,
-        class_root_copy=np.array(roots, dtype=int),
-        min_angle_deg=min_angle,
-        max_edge_length=float(np.max(np.concatenate([l0, l1, l2]))),
-        cocycle_defect=defect,
-        vertex_patch=vertex_patch,
+        stencil_omega=_segment_omega0(stencil_coord, cen6),
     )
-    return mesh
+
+
+def _mobius_mul(p, q):
+    """p o q for disk automorphisms given as coefficient arrays (a, b), as
+    Mobius.__mul__ without the normalisation."""
+    return p[0] * q[0] + p[1] * np.conj(q[1]), p[0] * q[1] + p[1] * np.conj(q[0])
+
+
+def _mobius_apply(p, z):
+    return (p[0] * z + p[1]) / (np.conj(p[1]) * z + np.conj(p[0]))
+
+
+def _patches(faces, copy_class, copy_T, face_centroid, stencil_class, stencil_coord,
+             class_coord):
+    """Per-vertex (classes, chart coordinates) for the local polynomial fits.
+
+    The chart of face j enters vertex v's chart along each chain v -> face
+    i incident to v -> another corner u of i -> face j incident to u.  A
+    face keeps every distinct image (they differ by deck transformations
+    near the side pairings), and each class keeps its stencil-point image
+    closest to v.  Built in blocks of _PATCH_BLOCK vertices.
+    """
+    V = len(class_coord)
+    # each corner's chart map from its class chart, as Mobius coefficients
+    corner_a = np.array([T.a for T in copy_T])[faces].ravel()
+    corner_b = np.array([T.b for T in copy_T])[faces].ravel()
+    corner_cls = copy_class[faces].ravel()
+    incident = np.argsort(corner_cls, kind="stable")
+    start = np.searchsorted(corner_cls[incident], np.arange(V + 1))
+    patches = []
+    for v0 in range(0, V, _PATCH_BLOCK):
+        v1 = min(v0 + _PATCH_BLOCK, V)
+        # ring 1: corner p of face i at v; chart of i -> chart of v
+        p = incident[start[v0]:start[v1]]
+        m1 = (np.conj(corner_a[p]), -corner_b[p])
+        # ring 2: each other corner q of face i, of class u, and each corner
+        # r at u; chart of r's face -> chart of u -> chart of v
+        q = ((p - p % 3)[:, None] + _OTHER_CORNERS[p % 3]).ravel()
+        to_u = _mobius_mul((np.repeat(m1[0], 2), np.repeat(m1[1], 2)), (corner_a[q], corner_b[q]))
+        u = corner_cls[q]
+        deg = start[u + 1] - start[u]
+        rep = np.repeat(np.arange(len(u)), deg)
+        r = incident[start[u][rep] + np.arange(len(rep)) - np.repeat(np.cumsum(deg) - deg, deg)]
+        m2 = _mobius_mul((to_u[0][rep], to_u[1][rep]), (np.conj(corner_a[r]), -corner_b[r]))
+        vtx = np.concatenate([corner_cls[p], np.repeat(corner_cls[p], 2)[rep]])
+        face = np.concatenate([p // 3, r // 3])
+        chain = (np.concatenate([m1[0], m2[0]]), np.concatenate([m1[1], m2[1]]))
+        # one chain per (vertex, face, centroid image): the first one built
+        key = np.round(_mobius_apply(chain, face_centroid[face]), 10)
+        _, first = np.unique(
+            np.stack([vtx, face, key.real, key.imag], axis=1), axis=0, return_index=True
+        )
+        keep = np.sort(first)
+        vtx, face = vtx[keep], face[keep]
+        z = _mobius_apply((chain[0][keep, None], chain[1][keep, None]), stencil_coord[face])
+        dist = np.abs(z - class_coord[vtx][:, None]).ravel()
+        vtx, cls, z = np.repeat(vtx, 6), stencil_class[face].ravel(), z.ravel()
+        # the closest image per (vertex, class); v itself sits at its class
+        # coordinate
+        order = np.lexsort((dist, cls, vtx))
+        vtx, cls, z = vtx[order], cls[order], z[order]
+        best = np.r_[True, (vtx[1:] != vtx[:-1]) | (cls[1:] != cls[:-1])]
+        vtx, cls, z = vtx[best], cls[best], z[best]
+        z[cls == vtx] = class_coord[vtx[cls == vtx]]
+        bounds = np.searchsorted(vtx, np.arange(v0, v1 + 1))
+        patches += [(cls[lo:hi], z[lo:hi]) for lo, hi in zip(bounds[:-1], bounds[1:])]
+    return patches
 
 
 def laplacian(mesh):

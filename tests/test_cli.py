@@ -244,6 +244,8 @@ def test_sweep_continues_past_invalid_value():
     ("basis:9:0.4", "bundles"),
     ("file:missing.json", "bundles"),
     ("file:not_json.txt", "bundles"),
+    ("basis:0:0.4:1:0.3", "config"),
+    ("file:p1:p2", "config"),
 ])
 def test_malformed_data_spec_ends_in_report(tmp_path, monkeypatch, spec, stage):
     monkeypatch.chdir(tmp_path)
@@ -262,3 +264,14 @@ def test_sweep_command_reports_malformed_spec(tmp_path, capsys):
     failed = json.loads(capsys.readouterr().out)["failed_at"]
     assert failed["stage"] == "config"
     assert failed["error"] == "InvalidParameterError"
+
+
+@pytest.mark.parametrize("axis, values", [("l", "a,b"), ("resolution", "3.5")])
+def test_sweep_command_rejects_bad_values(tmp_path, capsys, axis, values):
+    code = main(["sweep", "--target", "rh3", "--resolution", "2", "--data", "zero",
+                 "--axis", axis, "--values", values, "--output-dir", str(tmp_path)])
+    assert code == 1
+    failed = json.loads(capsys.readouterr().out)["failed_at"]
+    assert failed["stage"] == "config"
+    assert failed["error"] == "InvalidParameterError"
+    assert not list(tmp_path.iterdir())

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from eqmin import hypmesh
-from eqmin.errors import InvalidParameterError
+from eqmin.errors import InvalidParameterError, MeshQualityError, ResourceBudgetError
+from eqmin.mobius import hyp_dist
 
 
 def test_domain_angle_sum_closes():
@@ -34,6 +35,54 @@ def test_total_area_matches_gauss_bonnet(mesh_r2, mesh_r3):
 def test_invalid_genus_rejected():
     with pytest.raises(InvalidParameterError):
         hypmesh.build_surface(1, 2)
+
+
+def test_resolution_over_budget_rejected_before_building(monkeypatch):
+    def fail(*args):
+        raise AssertionError("the mesh build started")
+
+    monkeypatch.setattr(hypmesh, "FundamentalDomain", fail)
+    with pytest.raises(ResourceBudgetError):
+        hypmesh.build_surface(2, 9)
+
+
+def test_min_angle_floor_enforced(monkeypatch):
+    # every hyperbolic triangle has an angle below 60 degrees
+    monkeypatch.setattr(hypmesh, "_MIN_ANGLE_DEG", 60.0)
+    with pytest.raises(MeshQualityError):
+        hypmesh.build_surface(2, 1)
+
+
+@pytest.mark.parametrize("genus, resolution", [(2, 2), (3, 2), (2, 3)])
+def test_stencil_neighbours_are_congruent(genus, resolution):
+    # slot 3 + a of face i is the far corner of the neighbour j across the
+    # edge opposite corner a, carried into face i's chart by an isometry:
+    # it keeps the neighbour's distances to the shared edge's endpoints
+    # and the neighbour's corner class
+    mesh = hypmesh.build_surface(genus, resolution)
+    F = mesh.n_faces
+    half = np.argsort(mesh.face_edge.ravel(), kind="stable").reshape(-1, 2)
+    twin = np.empty(3 * F, dtype=int)
+    twin[half[:, 0]], twin[half[:, 1]] = half[:, 1], half[:, 0]
+    i, a = np.divmod(np.arange(3 * F), 3)
+    j, b = np.divmod(twin, 3)
+    coord, cls = mesh.stencil_coord, mesh.stencil_class
+    assert np.array_equal(cls[:, :3], mesh.faces)
+    assert np.array_equal(cls[i, 3 + a], mesh.faces[j, b])
+    # the two faces traverse the shared edge in opposite directions
+    for ends_i, ends_j in (((a + 1) % 3, (b + 2) % 3), ((a + 2) % 3, (b + 1) % 3)):
+        d_i = hyp_dist(coord[i, 3 + a], coord[i, ends_i])
+        d_j = hyp_dist(coord[j, b], coord[j, ends_j])
+        assert np.max(np.abs(d_i - d_j)) < 1e-12
+
+
+def test_vertex_patches_hold_vertex_and_one_ring(mesh_r2):
+    mesh = mesh_r2
+    for v, (cls, coords) in enumerate(mesh.vertex_patch):
+        assert np.all(np.diff(cls) > 0)
+        assert coords[np.searchsorted(cls, v)] == mesh.vertices[v]
+        ring = np.unique(mesh.faces[np.any(mesh.faces == v, axis=1)])
+        assert np.all(np.isin(ring, cls))
 
 
 def test_laplacian_row_sums_vanish(mesh_r3):
