@@ -365,7 +365,7 @@ def run(cfg, write_files=True, stages=("solve", "invariants", "higgs")):
         report["failed_at"] = _failure_record(stage, exc)
     if write_files:
         with open(os.path.join(cfg.output_dir, "report.json"), "w") as fh:
-            json.dump(report, fh, indent=2, default=str)
+            json.dump(report, fh, indent=2)
     return report
 
 
@@ -376,6 +376,8 @@ def _axis_values(axis, values):
     """The sweep values (numbers or strings) as numbers of the axis's
     type: float for amplitude, int for the other axes."""
     typ = float if axis == "amplitude" else int
+    if len(values) == 0:
+        raise InvalidParameterError(f"sweep on axis {axis} has no values")
     try:
         nums = np.array(values, dtype=float)
         ok = np.all(np.isfinite(nums)) and (typ is float or np.all(nums == np.round(nums)))
@@ -511,8 +513,7 @@ def main(argv=None):
                 stage = "bundles"
                 out = _basis_dims(cfg, mesh)
         except EqminError as exc:
-            print(json.dumps({"failed_at": _failure_record(stage, exc)},
-                             indent=2, default=str))
+            print(json.dumps({"failed_at": _failure_record(stage, exc)}, indent=2))
             return 1
         print(json.dumps(out, indent=2))
         return 0
@@ -523,7 +524,7 @@ def main(argv=None):
             print(json.dumps({"failed_at": _failure_record("config", exc)}, indent=2))
             return 1
         for row in rows:
-            print(json.dumps(row, default=str))
+            print(json.dumps(row))
         return 0
 
     stages = {
@@ -533,7 +534,7 @@ def main(argv=None):
         "verify": ("solve", "invariants", "higgs"),
     }[args.command]
     report = run(cfg, stages=stages)
-    print(json.dumps(report, indent=2, default=str))
+    print(json.dumps(report, indent=2))
     if "failed_at" in report:
         return 1
     if args.command == "verify":

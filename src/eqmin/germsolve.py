@@ -238,7 +238,7 @@ def _newton(x0, residual, jacobian, areas, tol, max_iter):
     x = x0.copy()
     R = residual(x)
     nrm = norm(R)
-    trace = [(0, nrm, 1.0)]
+    trace = [[0, nrm, 1.0]]
     for it in range(1, max_iter + 1):
         if nrm <= tol:
             return x, trace, True
@@ -263,7 +263,7 @@ def _newton(x0, residual, jacobian, areas, tol, max_iter):
                     f"line search stagnated at iteration {it}", trace=trace
                 )
         x, R, nrm = x_try, R_try, n_try
-        trace.append((it, nrm, step))
+        trace.append([it, nrm, step])
     if nrm <= tol:
         return x, trace, True
     raise NonConvergenceError(
@@ -367,7 +367,7 @@ def polish_solution(data, sol, iterations=4, damping=0.03):
     """
     a = data.mesh.vertex_areas
     eqs = CurvatureEquations(data)
-    C = data.mesh.fd_laplacian_matrix(order=4, weighted=True)
+    C = data.mesh.fd_laplacian_matrix(weighted=True)
     resid, jac = eqs.system(C, 1.0)
     x = np.concatenate([sol.u, sol.w] if eqs.coupled else [sol.u])
     aa = np.concatenate([a, a]) if eqs.coupled else a

@@ -190,12 +190,14 @@ class SurfaceMesh:
       face_edge(_sign) int[F, 3], edge opposite each corner (and direction)
       stencil_*       six-point extension stencil per face (see dbar assembly)
       copy_class, class_root_copy  vertex copies of the polygon <-> classes
-      vertex_patch    per-vertex (classes, chart coords) for local fits
+      patch_class, patch_coord, patch_ptr  vertex patches for the local
+                      fits, flat: vertex v's patch is [ptr[v]:ptr[v+1]]
     """
 
     def __init__(self, **kw):
         self.__dict__.update(kw)
         self._fd_laplacians = {}
+        self._patch_fit = None
 
     @property
     def n_vertices(self):
@@ -219,31 +221,14 @@ class SurfaceMesh:
         """Max hyperbolic edge length."""
         return float(self.max_edge_length)
 
-    def _patch_design(self, v, order):
-        """Least-squares design of the polynomial fit on vertex v's patch:
-        (classes, chart coords, basis matrix A, outer-ring weights, scale).
+    def _fit_rows(self):
+        """Laplacian-of-fit rows of the three patch-fit weightings (raw,
+        clamped, unit), computed once per mesh by _patch_fit_rows."""
+        if self._patch_fit is None:
+            self._patch_fit = _patch_fit_rows(self.vertices, self.patch_coord, self.patch_ptr)
+        return self._patch_fit
 
-        The patch is centered on v and scaled to unit radius; the monomials
-        up to the given order enter while the patch has enough points.
-        The weights downweight the outer ring for a smaller fit-error
-        constant.
-        """
-        cls, coords = self.vertex_patch[v]
-        zc = coords - self.vertices[v]
-        scale = np.max(np.abs(zc))
-        zc = zc / scale
-        x, y = zc.real, zc.imag
-        terms = [np.ones_like(x), x, y, x * x, x * y, y * y]
-        if order >= 3 and len(x) >= 12:
-            terms += [x**3, x * x * y, x * y * y, y**3]
-        if order >= 4 and len(x) >= 18:
-            terms += [x**4, x**3 * y, x * x * y * y, x * y**3, y**4]
-        r = np.abs(zc)
-        wts = 1.0 / (1.0 + (r / max(np.median(r), 1e-30)) ** 4)
-        wts[r == 0.0] = 1.0
-        return cls, coords, np.stack(terms, axis=1), wts, scale
-
-    def fd_fit(self, field, order=4, chart_term=None):
+    def fd_fit(self, field, chart_term=None):
         """Flat Laplacian at the vertices of a weighted least-squares
         polynomial fit of a scalar vertex field on each vertex patch.
 
@@ -253,19 +238,12 @@ class SurfaceMesh:
         than invariant scalars).  These are chart derivatives; divide by
         lambda^2 for the Laplace-Beltrami operator.
         """
-        field = np.asarray(field, dtype=float)
-        lap = np.zeros(self.n_vertices)
-        for v in range(self.n_vertices):
-            cls, coords, A, wts, scale = self._patch_design(v, order)
-            vals = field[cls]
-            if chart_term is not None:
-                vals = vals + chart_term(coords)
-            sw = np.sqrt(wts)
-            coef, *_ = np.linalg.lstsq(A * sw[:, None], vals * sw, rcond=None)
-            lap[v] = 2.0 * (coef[3] + coef[5]) / scale**2
-        return lap
+        vals = np.asarray(field, dtype=float)[self.patch_class]
+        if chart_term is not None:
+            vals = vals + chart_term(self.patch_coord)
+        return np.add.reduceat(self._fit_rows()["raw"] * vals, self.patch_ptr[:-1])
 
-    def fd_laplacian_matrix(self, order=4, weighted=True):
+    def fd_laplacian_matrix(self, weighted=True):
         """Sparse hyperbolic-Laplacian matrix assembled from the patch fits.
 
         Rows are the Laplacian-of-fit functionals, so the operator is
@@ -275,28 +253,20 @@ class SurfaceMesh:
         unweighted variants are genuinely different discretizations and
         serve as independent oracles for one another.
 
-        Each (order, weighted) variant is assembled once and kept on the
-        mesh; callers share the returned matrix and must not modify it.
+        Each variant is assembled once and kept on the mesh; callers share
+        the returned matrix and must not modify it.
         """
-        key = (order, bool(weighted))
+        key = bool(weighted)
         if key not in self._fd_laplacians:
-            self._fd_laplacians[key] = self._assemble_fd_laplacian(order, weighted)
+            self._fd_laplacians[key] = self._assemble_fd_laplacian(key)
         return self._fd_laplacians[key]
 
-    def _assemble_fd_laplacian(self, order, weighted):
+    def _assemble_fd_laplacian(self, weighted):
         V = self.n_vertices
         lam2 = conformal_factor(self.vertices) ** 2
-        rows, cols, vals = [], [], []
-        for v in range(V):
-            cls, _, A, wts, scale = self._patch_design(v, order)
-            wts = np.maximum(wts, 0.1) if weighted else np.ones_like(wts)
-            sw = np.sqrt(wts)
-            P = np.linalg.pinv(A * sw[:, None])
-            row = 2.0 * (P[3] + P[5]) * sw / (scale**2 * lam2[v])
-            rows.extend([v] * len(cls))
-            cols.extend(cls.tolist())
-            vals.extend(row.tolist())
-        return sp.csr_matrix((vals, (rows, cols)), shape=(V, V))
+        rows = self._fit_rows()["clamped" if weighted else "unit"]
+        vals = rows / np.repeat(lam2, np.diff(self.patch_ptr))
+        return sp.csr_matrix((vals, self.patch_class, self.patch_ptr), shape=(V, V))
 
 
 def restrict_field(fine, coarse, field):
@@ -409,8 +379,8 @@ def build_surface(genus, resolution):
         **stencil,
         copy_class=copy_class,
         class_root_copy=roots,
-        vertex_patch=_patches(faces, copy_class, copy_T, face_centroid,
-                              stencil["stencil_class"], stencil["stencil_coord"], class_coord),
+        **_patches(faces, copy_class, copy_T, face_centroid,
+                   stencil["stencil_class"], stencil["stencil_coord"], class_coord),
     )
 
 
@@ -579,7 +549,9 @@ def _mobius_apply(p, z):
 
 def _patches(faces, copy_class, copy_T, face_centroid, stencil_class, stencil_coord,
              class_coord):
-    """Per-vertex (classes, chart coordinates) for the local polynomial fits.
+    """Vertex patches for the local polynomial fits: the classes and chart
+    coordinates of every vertex's patch, flat and in vertex order, with the
+    offsets of each vertex's slice.
 
     The chart of face j enters vertex v's chart along each chain v -> face
     i incident to v -> another corner u of i -> face j incident to u.  A
@@ -594,7 +566,7 @@ def _patches(faces, copy_class, copy_T, face_centroid, stencil_class, stencil_co
     corner_cls = copy_class[faces].ravel()
     incident = np.argsort(corner_cls, kind="stable")
     start = np.searchsorted(corner_cls[incident], np.arange(V + 1))
-    patches = []
+    classes, coords, sizes = [], [], []
     for v0 in range(0, V, _PATCH_BLOCK):
         v1 = min(v0 + _PATCH_BLOCK, V)
         # ring 1: corner p of face i at v; chart of i -> chart of v
@@ -629,9 +601,53 @@ def _patches(faces, copy_class, copy_T, face_centroid, stencil_class, stencil_co
         best = np.r_[True, (vtx[1:] != vtx[:-1]) | (cls[1:] != cls[:-1])]
         vtx, cls, z = vtx[best], cls[best], z[best]
         z[cls == vtx] = class_coord[vtx[cls == vtx]]
-        bounds = np.searchsorted(vtx, np.arange(v0, v1 + 1))
-        patches += [(cls[lo:hi], z[lo:hi]) for lo, hi in zip(bounds[:-1], bounds[1:])]
-    return patches
+        classes.append(cls)
+        coords.append(z)
+        sizes.append(np.bincount(vtx - v0, minlength=v1 - v0))
+    return dict(
+        patch_class=np.concatenate(classes),
+        patch_coord=np.concatenate(coords),
+        patch_ptr=np.concatenate([[0], np.cumsum(np.concatenate(sizes))]),
+    )
+
+
+def _patch_fit_rows(vertices, patch_coord, patch_ptr):
+    """Laplacian-of-fit rows of the flat vertex patches for the raw,
+    clamped (at 0.1) and unit weights, batched by patch size.
+
+    A patch is centered on its vertex and scaled to unit radius; the fit
+    is quartic on 18 or more points, cubic on 12 or more, else quadratic.
+    With sqrt(w) A = Q R, the row of the fit's flat Laplacian
+    2 (c_xx + c_yy) / scale^2 is 2 (Q z) sqrt(w) / scale^2, R^T z = e_xx + e_yy.
+    """
+    size = np.diff(patch_ptr)
+    zc = patch_coord - np.repeat(vertices, size)
+    rows = {key: np.empty(len(zc)) for key in ("raw", "clamped", "unit")}
+    for n in np.unique(size).tolist():
+        idx = patch_ptr[:-1][size == n][:, None] + np.arange(n)
+        z = zc[idx]
+        scale = np.max(np.abs(z), axis=1)
+        z = z / scale[:, None]
+        x, y = z.real, z.imag
+        terms = [np.ones_like(x), x, y, x * x, x * y, y * y]
+        if n >= 12:
+            terms += [x**3, x * x * y, x * y * y, y**3]
+        if n >= 18:
+            terms += [x**4, x**3 * y, x * x * y * y, x * y**3, y**4]
+        A = np.stack(terms, axis=-1)
+        # downweight the outer ring for a smaller fit-error constant
+        r = np.abs(z)
+        raw = 1.0 / (1.0 + (r / np.maximum(np.median(r, axis=1), 1e-30)[:, None]) ** 4)
+        raw[r == 0.0] = 1.0
+        e = np.zeros(len(terms))
+        e[[3, 5]] = 1.0
+        for key, w in (("raw", raw), ("clamped", np.maximum(raw, 0.1)),
+                       ("unit", np.ones_like(raw))):
+            sw = np.sqrt(w)
+            Q, R = np.linalg.qr(A * sw[..., None])
+            zr = np.linalg.solve(np.swapaxes(R, 1, 2), e)
+            rows[key][idx] = 2.0 * (Q @ zr[..., None])[..., 0] * sw / scale[:, None] ** 2
+    return rows
 
 
 def laplacian(mesh):

@@ -126,7 +126,7 @@ def _polished(eqs, sol):
     if sol.u_smooth is None:
         polish_solution(eqs.data, sol)
     u, w = sol.u_smooth, sol.w_smooth
-    B = eqs.data.mesh.fd_laplacian_matrix(order=4, weighted=False)
+    B = eqs.data.mesh.fd_laplacian_matrix(weighted=False)
     curv = eqs.curvatures(u, B @ u, None if w is None else B @ w)
     return u, eqs.norms(u, w), curv
 

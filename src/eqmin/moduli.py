@@ -247,4 +247,4 @@ def classes_proportional(beta1, beta2, weights=None, tol=1e-6):
     b2 = np.asarray(beta2, dtype=complex)
     w = 1.0 if weights is None else np.asarray(weights)
     inner = np.sum(w * b1 * np.conj(b2))
-    return 1.0 - abs(inner) / (n1 * n2) < tol
+    return bool(1.0 - abs(inner) / (n1 * n2) < tol)

@@ -73,6 +73,22 @@ def test_failed_at_carries_newton_trace(tmp_path):
     assert [row[0] for row in failed["trace"]] == [0, 1]
 
 
+@pytest.mark.parametrize("kw", [
+    dict(resolution=3, target="rh3", data_spec="basis:0:0.4"),
+    # proportional classes at l=0: the class flags hold a bool
+    dict(resolution=3, target="rh4", l=0, data_spec="basis:0:0.3:0:0.3"),
+    # failures carrying singular values and a Newton trace
+    dict(resolution=2, target="rh3", data_spec="basis:0:0.5"),
+    dict(resolution=2, target="rh3", data_spec="manufactured:0.1", max_iter=1),
+], ids=["rh3", "rh4-l0", "failed-kernel", "failed-newton"])
+def test_report_file_equals_returned_report(tmp_path, kw):
+    rep = run(RunConfig(genus=2, output_dir=str(tmp_path), **kw))
+    with open(tmp_path / "report.json") as fh:
+        assert json.load(fh) == rep
+    if kw["target"] == "rh4":
+        assert rep["moduli"]["class_flags"]["proportional"] is True
+
+
 def test_smallest_mesh_fails_at_bundles(tmp_path):
     # resolution 1 has V = 14 vertices, fewer than the kernel search's
     # 25 singular values
@@ -135,6 +151,14 @@ def test_sweep_axis_validated(tmp_path):
     cfg = RunConfig(output_dir=str(tmp_path))
     with pytest.raises(InvalidParameterError):
         sweep(cfg, "banana", [1, 2])
+
+
+def test_empty_sweep_rejected(tmp_path):
+    cfg = RunConfig(genus=2, resolution=2, target="rh3", data_spec="basis:0:0.1",
+                    output_dir=str(tmp_path))
+    with pytest.raises(InvalidParameterError):
+        sweep(cfg, "amplitude", [])
+    assert not os.listdir(tmp_path)
 
 
 def test_resolution_sweep_aggregates(tmp_path):

@@ -90,7 +90,7 @@ def test_polish_stays_close_and_reduces_collocation(mesh_r3, basis_K2_r3):
     germsolve.polish_solution(data, sol)
     assert sol.u_smooth is not None
     assert np.max(np.abs(sol.u_smooth - sol.u)) < 0.05
-    C = mesh_r3.fd_laplacian_matrix(order=4, weighted=True)
+    C = mesh_r3.fd_laplacian_matrix(weighted=True)
 
     def colloc(u):
         r = C @ u - (-1.0 + np.exp(2.0 * u) + np.exp(-2.0 * u) * data.t)

@@ -7,7 +7,7 @@ import pytest
 
 from eqmin import hypmesh
 from eqmin.errors import InvalidParameterError, MeshQualityError, ResourceBudgetError
-from eqmin.mobius import hyp_dist
+from eqmin.mobius import conformal_factor, hyp_dist
 
 
 def test_domain_angle_sum_closes():
@@ -78,7 +78,10 @@ def test_stencil_neighbours_are_congruent(genus, resolution):
 
 def test_vertex_patches_hold_vertex_and_one_ring(mesh_r2):
     mesh = mesh_r2
-    for v, (cls, coords) in enumerate(mesh.vertex_patch):
+    ptr = mesh.patch_ptr
+    for v in range(mesh.n_vertices):
+        cls = mesh.patch_class[ptr[v]:ptr[v + 1]]
+        coords = mesh.patch_coord[ptr[v]:ptr[v + 1]]
         assert np.all(np.diff(cls) > 0)
         assert coords[np.searchsorted(cls, v)] == mesh.vertices[v]
         ring = np.unique(mesh.faces[np.any(mesh.faces == v, axis=1)])
@@ -109,29 +112,92 @@ def test_restrict_field_constant(mesh_r2, mesh_r3):
 def test_fd_laplacian_annihilates_constants(mesh_r3):
     ones = np.ones(mesh_r3.n_vertices)
     for weighted in (True, False):
-        B = mesh_r3.fd_laplacian_matrix(order=4, weighted=weighted)
+        B = mesh_r3.fd_laplacian_matrix(weighted=weighted)
         assert np.max(np.abs(B @ ones)) < 1e-8
 
 
 def test_fd_laplacian_assembled_once_per_variant(mesh_r2, monkeypatch):
     calls = []
+    passes = []
     assemble = hypmesh.SurfaceMesh._assemble_fd_laplacian
+    fit_rows = hypmesh._patch_fit_rows
 
-    def counting(self, order, weighted):
-        calls.append((order, weighted))
-        return assemble(self, order, weighted)
+    def counting(self, weighted):
+        calls.append(weighted)
+        return assemble(self, weighted)
+
+    def counting_rows(*args):
+        passes.append(args)
+        return fit_rows(*args)
 
     monkeypatch.setattr(hypmesh.SurfaceMesh, "_assemble_fd_laplacian", counting)
+    monkeypatch.setattr(hypmesh, "_patch_fit_rows", counting_rows)
     mesh = hypmesh.build_surface(2, 2)
-    Bu = mesh.fd_laplacian_matrix(order=4, weighted=False)
-    Bw = mesh.fd_laplacian_matrix(order=4, weighted=True)
-    assert mesh.fd_laplacian_matrix(order=4, weighted=False) is Bu
-    assert mesh.fd_laplacian_matrix(order=4, weighted=True) is Bw
+    Bu = mesh.fd_laplacian_matrix(weighted=False)
+    Bw = mesh.fd_laplacian_matrix(weighted=True)
+    assert mesh.fd_laplacian_matrix(weighted=False) is Bu
+    assert mesh.fd_laplacian_matrix(weighted=True) is Bw
     assert Bu is not Bw
-    assert calls == [(4, False), (4, True)]
+    assert calls == [False, True]
+    # one batched design and QR pass serves both matrices and fd_fit
+    mesh.fd_fit(np.ones(mesh.n_vertices))
+    assert len(passes) == 1
     # the memo lives on the mesh instance, not in a module-level cache
-    assert mesh_r2.fd_laplacian_matrix(order=4, weighted=False) is not Bu
-    assert abs(mesh_r2.fd_laplacian_matrix(order=4, weighted=False) - Bu).max() == 0.0
+    assert mesh_r2.fd_laplacian_matrix(weighted=False) is not Bu
+    assert abs(mesh_r2.fd_laplacian_matrix(weighted=False) - Bu).max() == 0.0
+
+
+def _per_vertex_patch_fits(mesh, field, chart_term):
+    """Reference for the batched patch-fit pass: one least-squares design
+    per vertex, the matrix rows by pinv (weights clamped at 0.1, or unit)
+    and the fit by lstsq (raw weights)."""
+    V = mesh.n_vertices
+    lam2 = conformal_factor(mesh.vertices) ** 2
+    mats = {True: np.zeros((V, V)), False: np.zeros((V, V))}
+    fit = np.zeros(V)
+    ptr = mesh.patch_ptr
+    for v in range(V):
+        cls = mesh.patch_class[ptr[v]:ptr[v + 1]]
+        coords = mesh.patch_coord[ptr[v]:ptr[v + 1]]
+        zc = coords - mesh.vertices[v]
+        scale = np.max(np.abs(zc))
+        zc = zc / scale
+        x, y = zc.real, zc.imag
+        terms = [np.ones_like(x), x, y, x * x, x * y, y * y]
+        if len(x) >= 12:
+            terms += [x**3, x * x * y, x * y * y, y**3]
+        if len(x) >= 18:
+            terms += [x**4, x**3 * y, x * x * y * y, x * y**3, y**4]
+        A = np.stack(terms, axis=1)
+        r = np.abs(zc)
+        wts = 1.0 / (1.0 + (r / max(np.median(r), 1e-30)) ** 4)
+        wts[r == 0.0] = 1.0
+        sw = np.sqrt(wts)
+        vals = field[cls] + chart_term(coords)
+        coef, *_ = np.linalg.lstsq(A * sw[:, None], vals * sw, rcond=None)
+        fit[v] = 2.0 * (coef[3] + coef[5]) / scale**2
+        for weighted in (True, False):
+            sw = np.sqrt(np.maximum(wts, 0.1) if weighted else np.ones_like(wts))
+            P = np.linalg.pinv(A * sw[:, None])
+            mats[weighted][v, cls] = 2.0 * (P[3] + P[5]) * sw / (scale**2 * lam2[v])
+    return mats, fit
+
+
+@pytest.mark.parametrize("genus, resolution", [(2, 1), (2, 2), (3, 2), (2, 3)])
+def test_batched_patch_fits_match_per_vertex_fits(genus, resolution):
+    # r=1 patches have 14 points (cubic fits); the others mix size groups
+    mesh = hypmesh.build_surface(genus, resolution)
+
+    def log_lam(z):
+        return np.log(conformal_factor(z) ** 2 / 2.0)
+
+    field = np.random.default_rng(0).standard_normal(mesh.n_vertices)
+    mats, fit = _per_vertex_patch_fits(mesh, field, log_lam)
+    for weighted, ref in mats.items():
+        B = mesh.fd_laplacian_matrix(weighted=weighted).toarray()
+        assert np.max(np.abs(B - ref)) <= 1e-12 * np.max(np.abs(ref))
+    got = mesh.fd_fit(field, chart_term=log_lam)
+    assert np.max(np.abs(got - fit)) <= 1e-12 * np.max(np.abs(fit))
 
 
 def test_fd_variants_agree_on_smooth_field(mesh_r3, basis_K2_r3):
@@ -141,8 +207,8 @@ def test_fd_variants_agree_on_smooth_field(mesh_r3, basis_K2_r3):
     from eqmin.germsolve import t_density
 
     t = t_density(mesh_r3, basis_K2_r3[0].values)
-    Bw = mesh_r3.fd_laplacian_matrix(order=4, weighted=True)
-    Bu = mesh_r3.fd_laplacian_matrix(order=4, weighted=False)
+    Bw = mesh_r3.fd_laplacian_matrix(weighted=True)
+    Bu = mesh_r3.fd_laplacian_matrix(weighted=False)
     lw, lu = Bw @ t, Bu @ t
     scale = np.max(np.abs(lu))
     assert np.max(np.abs(lw - lu)) < 0.1 * scale
