@@ -41,6 +41,8 @@ __all__ = [
     "holomorphic_basis",
     "class_is_trivial",
     "tensor_weight",
+    "dbar_weights",
+    "relative_dbar_norm",
 ]
 
 
@@ -116,11 +118,22 @@ class DiscreteSection:
                 data = json.load(fh)
         except (OSError, ValueError) as exc:
             raise InvalidParameterError(f"cannot read section file {path!r}: {exc}") from exc
+        if not isinstance(data, dict) or not {"m", "n", "l", "mesh_hash", "values"} <= set(data):
+            raise InvalidParameterError(
+                f"section file {path!r} is not an object with keys m, n, l, mesh_hash, values"
+            )
         if mesh is not None and data["mesh_hash"]:
             if data["mesh_hash"] != mesh_fingerprint(mesh):
                 raise ShapeError("section was saved for a different mesh")
-        values = np.array([float(a) + 1j * float(b) for a, b in data["values"]])
-        return DiscreteSection((data["m"], data["n"]), values, degree_l=data["l"])
+        try:
+            values = np.array([float(a) + 1j * float(b) for a, b in data["values"]])
+            bundle_type, degree_l = (int(data["m"]), int(data["n"])), int(data["l"])
+        except (TypeError, ValueError) as exc:
+            raise InvalidParameterError(f"section file {path!r}: {exc}") from exc
+        if mesh is not None and len(values) != mesh.n_vertices:
+            raise InvalidParameterError(f"section file {path!r} holds {len(values)} values "
+                                        f"for {mesh.n_vertices} vertices")
+        return DiscreteSection(bundle_type, values, degree_l=degree_l)
 
 
 def tensor_weight(z, m, u=None):
@@ -145,38 +158,36 @@ class DbarOperator:
     def __call__(self, values):
         return self.matrix @ np.asarray(values, dtype=complex)
 
-    def weights(self, u_vertex=None):
-        """Area-weighted norms: (w_in at vertices, w_out at faces).
-
-        w_in weighs |f|^2 for f in K^m L^n; w_out weighs the |dbar f|^2
-        face values, which live in K^m L^n tensor conj(K).
-        """
-        mesh = self.mesh
-        if u_vertex is None:
-            w_in = mesh.vertex_areas * tensor_weight(mesh.vertices, self.m)
-            w_out = mesh.face_area * tensor_weight(mesh.face_centroid, self.m + 1)
-        else:
-            u_vertex = np.asarray(u_vertex, dtype=float)
-            u_face = u_vertex[mesh.faces].mean(axis=1)
-            w_in = (
-                mesh.vertex_areas
-                * np.exp(2.0 * u_vertex)
-                * tensor_weight(mesh.vertices, self.m, u=u_vertex)
-            )
-            w_out = (
-                mesh.face_area
-                * np.exp(2.0 * u_face)
-                * tensor_weight(mesh.face_centroid, self.m + 1, u=u_face)
-            )
-        return w_in, w_out
-
-    def residual_norm(self, values, u_vertex=None):
+    def residual_norm(self, values):
         """Weighted L2 norm of dbar(values), normalized by the section norm."""
-        w_in, w_out = self.weights(u_vertex)
-        r = self(values)
-        num = np.sqrt(np.sum(w_out * np.abs(r) ** 2))
-        den = np.sqrt(np.sum(w_in * np.abs(values) ** 2))
-        return num / max(den, 1e-300)
+        return relative_dbar_norm(self.mesh, self.m, self(values), values)
+
+
+def dbar_weights(mesh, m, u_vertex=None):
+    """Area-weighted norms for sections of K^m L^n: (w_in at vertices,
+    w_out at faces), in the background metric or, given u_vertex, in the
+    metric e^{2u} h.
+
+    w_in weighs |f|^2 for f in K^m L^n; w_out weighs the |dbar f|^2 face
+    values, which live in K^m L^n tensor conj(K).
+    """
+    if u_vertex is None:
+        return (mesh.vertex_areas * tensor_weight(mesh.vertices, m),
+                mesh.face_area * tensor_weight(mesh.face_centroid, m + 1))
+    u = np.asarray(u_vertex, dtype=float)
+    u_face = u[mesh.faces].mean(axis=1)
+    return (mesh.vertex_areas * np.exp(2.0 * u) * tensor_weight(mesh.vertices, m, u=u),
+            mesh.face_area * np.exp(2.0 * u_face)
+            * tensor_weight(mesh.face_centroid, m + 1, u=u_face))
+
+
+def relative_dbar_norm(mesh, m, dbar_values, values):
+    """Background-weighted L2 norm of the dbar face values of a K^m L^n
+    section, normalized by the section's own norm."""
+    w_in, w_out = dbar_weights(mesh, m)
+    num = np.sqrt(np.sum(w_out * np.abs(dbar_values) ** 2))
+    den = np.sqrt(np.sum(w_in * np.abs(values) ** 2))
+    return num / max(den, 1e-300)
 
 
 def stencil_read(mesh, m, n, transition_scale):
@@ -283,7 +294,7 @@ def holomorphic_basis(dbar, expected_dim=None, gap_floor=10.0, max_dim=24):
     its largest-modulus value real and positive.
     """
     mesh = dbar.mesh
-    w_in, w_out = dbar.weights()
+    w_in, w_out = dbar_weights(mesh, dbar.m)
     B = sp.diags(np.sqrt(w_out)) @ dbar.matrix @ sp.diags(1.0 / np.sqrt(w_in))
     upper = min(max_dim, mesh.n_vertices - 1)
     s, vecs, s_max = _smallest_singular(B, upper + 1)
@@ -323,7 +334,7 @@ def class_is_trivial(mesh, beta, metric_u, dbar, tol=1e-3):
     beta = np.asarray(beta, dtype=complex)
     if beta.shape[0] != mesh.n_faces:
         raise ShapeError("beta must be a face field")
-    w_in, w_out = dbar.weights(metric_u)
+    w_in, w_out = dbar_weights(dbar.mesh, dbar.m, metric_u)
     M = dbar.matrix
     W = sp.diags(w_out)
     lhs = (M.conj().T @ W @ M).tocsc()

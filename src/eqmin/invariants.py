@@ -22,7 +22,7 @@ import math
 
 import numpy as np
 
-from .bundles import tensor_weight
+from .bundles import relative_dbar_norm
 from .errors import ShapeError, StaleSolutionError
 from .germsolve import CurvatureEquations, GermData4, polish_solution
 from .hypmesh import integrate, laplacian
@@ -106,11 +106,8 @@ def _codazzi_norm(mesh, sec):
     section (zero when no residual is attached)."""
     if sec is None or sec.dbar_residual is None:
         return 0.0
-    w_out = mesh.face_area * tensor_weight(mesh.face_centroid, 3)
-    w_in = mesh.vertex_areas * tensor_weight(mesh.vertices, 2)
-    num = np.sqrt(np.sum(w_out * np.abs(sec.dbar_residual) ** 2))
-    den = np.sqrt(np.sum(w_in * np.abs(sec.values) ** 2))
-    return float(num / max(den, 1e-300))
+    return float(relative_dbar_norm(mesh, sec.bundle_type[0], sec.dbar_residual,
+                                    sec.values))
 
 
 def _quartic_norm_sq(ii_sq, th1_sq, th2_sq):

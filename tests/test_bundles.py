@@ -57,7 +57,7 @@ def _dense_oracle(dbar, max_dim=24):
     """Kernel search by a dense SVD of the weighted operator: the ascending
     smallest singular values, the detected dimension and gap, and the
     kernel projector in the weighted coordinates."""
-    w_in, w_out = dbar.weights()
+    w_in, w_out = bundles.dbar_weights(dbar.mesh, dbar.m)
     B = sp.diags(np.sqrt(w_out)) @ dbar.matrix @ sp.diags(1.0 / np.sqrt(w_in))
     _, svals, Vh = np.linalg.svd(B.toarray())
     s = svals[::-1][: max_dim + 1]
@@ -79,7 +79,7 @@ def test_kernel_search_matches_dense_svd(mesh_r3, name, n):
     assert np.max(np.abs(s - s_ref) / s_ref) < 1e-8
     assert len(basis) == d_ref
     assert basis.gap_ratio == pytest.approx(gap_ref, rel=1e-8)
-    w_in, _ = dbar.weights()
+    w_in, _ = bundles.dbar_weights(dbar.mesh, dbar.m)
     X = np.stack([sec.values * np.sqrt(w_in) for sec in basis], axis=1)
     assert np.max(np.abs(X @ X.conj().T - P_ref)) < 1e-8
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
+from eqmin.bundles import DiscreteSection
 from eqmin.cli import RunConfig, main, run, sweep
 from eqmin.errors import InvalidParameterError
 
@@ -245,12 +246,46 @@ def test_config_file_with_flag_override(tmp_path, capsys):
     assert out["resolution"] == 1
 
 
-def test_invalid_config_ends_in_report():
-    rep = run(RunConfig(resolution=0, data_spec="zero"), write_files=False)
+@pytest.mark.parametrize("kw", [
+    dict(resolution=0),
+    dict(genus=2.5),
+    dict(resolution=1.5),
+    dict(max_iter=2.5),
+    # a negative tolerance would count every extension class as nonzero
+    dict(class_tol=-1.0),
+    dict(solver_tol=float("nan")),
+    dict(seed=-1, target="rh3", data_spec="random:0.3"),
+], ids=["resolution-0", "genus-float", "resolution-float", "max_iter-float",
+        "class_tol-negative", "solver_tol-nan", "seed-negative"])
+def test_invalid_config_ends_in_report(kw):
+    rep = run(RunConfig(**{"data_spec": "zero", **kw}), write_files=False)
     failed = rep["failed_at"]
     assert failed["stage"] == "config"
     assert failed["error"] == "InvalidParameterError"
+    assert next(iter(kw)) in failed["message"]
     assert "mesh" not in rep
+
+
+_SUBCOMMAND_ARGS = {
+    "mesh-info": [], "basis": [], "solve": [], "invariants": [],
+    "classify": [], "verify": [], "sweep": ["--axis", "l", "--values", "0"],
+}
+
+
+@pytest.mark.parametrize("content", [
+    None, "not json", json.dumps({"identity_scale": 1.0}), json.dumps([1, 2]),
+], ids=["missing", "not-json", "unknown-key", "list"])
+def test_bad_config_file_ends_in_report(tmp_path, capsys, content):
+    path = tmp_path / "cfg.json"
+    if content is not None:
+        path.write_text(content)
+    for command, extra in _SUBCOMMAND_ARGS.items():
+        argv = [command, "--config", str(path), "--output-dir", str(tmp_path / "out")]
+        assert main(argv + extra) == 1
+        failed = json.loads(capsys.readouterr().out)["failed_at"]
+        assert failed["stage"] == "config"
+        assert failed["error"] == "InvalidParameterError"
+    assert not (tmp_path / "out").exists()
 
 
 def test_sweep_continues_past_invalid_value():
@@ -270,10 +305,21 @@ def test_sweep_continues_past_invalid_value():
     ("file:not_json.txt", "bundles"),
     ("basis:0:0.4:1:0.3", "config"),
     ("file:p1:p2", "config"),
+    ("file:object.json", "bundles"),
+    ("file:list.json", "bundles"),
+    ("file:short.json", "bundles"),
+    ("file:k2l.json", "bundles"),
 ])
-def test_malformed_data_spec_ends_in_report(tmp_path, monkeypatch, spec, stage):
+def test_malformed_data_spec_ends_in_report(tmp_path, monkeypatch, mesh_r3, spec, stage):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "not_json.txt").write_text("not json")
+    (tmp_path / "object.json").write_text("{}")
+    (tmp_path / "list.json").write_text("[1, 2]")
+    # saved without a mesh hash: too short for the mesh, or a section of
+    # K^2 L at l=1 where the 3-space target reads K^2
+    V = mesh_r3.n_vertices
+    DiscreteSection((2, 0), np.ones(5)).save("short.json")
+    DiscreteSection((2, 1), np.ones(V), degree_l=1).save("k2l.json")
     cfg = RunConfig(genus=2, resolution=3, target="rh3", data_spec=spec)
     failed = run(cfg, write_files=False)["failed_at"]
     assert failed["stage"] == stage
@@ -299,3 +345,17 @@ def test_sweep_command_rejects_bad_values(tmp_path, capsys, axis, values):
     assert failed["stage"] == "config"
     assert failed["error"] == "InvalidParameterError"
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("target, spec, axis, values, swept", [
+    ("rh4", "basis:0:0.1:1:0.1", "amplitude", [0.2, 0.5],
+     ["basis:0:0.2:1:0.2", "basis:0:0.5:1:0.5"]),
+    ("rh3", "random:0.1", "amplitude", [0.2, 0.5], ["random:0.2", "random:0.5"]),
+    ("rh4", "basis:0:0.1:1:0.3", "basis_index", [1, 2],
+     ["basis:1:0.1:1:0.3", "basis:2:0.1:1:0.3"]),
+], ids=["basis-amplitude", "random-amplitude", "basis-index"])
+def test_sweep_rewrites_spec_slots(target, spec, axis, values, swept):
+    # r=1 fails fast at the kernel search; the echo is written first
+    cfg = RunConfig(target=target, resolution=1, data_spec=spec)
+    _, reports = sweep(cfg, axis, values, write_files=False)
+    assert [rep["config_echo"]["data_spec"] for rep in reports] == swept

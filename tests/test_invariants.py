@@ -94,3 +94,10 @@ def test_frame_equations_small_on_smooth_solution(rh3_report):
     assert frame["gauss_frame"] < 0.2
     # holomorphic input: the codazzi line sits at stencil truncation level
     assert frame["codazzi_frame"] < 0.1
+
+
+def test_codazzi_frame_is_the_dbar_residual_norm(rh3_report, mesh_r3):
+    # one weighted-norm formula serves the invariants and the operator
+    data, _, rep = rh3_report
+    dbar = bundles.dbar_operator(mesh_r3, None, 2, 0)
+    assert rep.residuals["codazzi_frame"] == dbar.residual_norm(data.q.values)
