@@ -94,11 +94,10 @@ class RunConfig:
 
 
 # The bundles of each target's holomorphic data, in data spec order: the
-# bundle_dims key, the power n of L in the section's bundle K^2 L^n, and
-# the name of the extension class that is read in K^-1 L^n.
+# bundle_dims key and the power n of L in the section's bundle K^2 L^n.
 _TARGET_BUNDLES = {
-    "rh3": (("K2", 0, "beta"),),
-    "rh4": (("K2Linv", -1, "beta1"), ("K2L", 1, "beta2")),
+    "rh3": (("K2", 0),),
+    "rh4": (("K2Linv", -1), ("K2L", 1)),
 }
 
 
@@ -199,7 +198,7 @@ def _prepare_data(cfg, spec, mesh, report):
         # with sections, the others only when the spec draws from them
         bases = []
         n_bases = len(slots) if kind == "random" or len(args) == 4 else 1
-        for key, n, _ in slots[:n_bases]:
+        for key, n in slots[:n_bases]:
             basis, dims = _basis_for(mesh, L, n)
             report.setdefault("bundle_dims", {})[key] = dims
             bases.append(basis)
@@ -257,24 +256,25 @@ def _higgs_and_moduli(cfg, data, sol, report):
         dev = max(dev, float(np.max(np.abs(roundtrip.blocks[key] - val))) / ref)
     checks["gauge_roundtrip_rel"] = dev
     flags, norms, mesh = {}, {}, data.mesh
-    for (_, n, name), beta in zip(_TARGET_BUNDLES[cfg.target], asm.beta_blocks()):
-        norms[name] = 0.0
+    # each class is read in K^-1 L^k, the bundle of Hom(K, W summand)
+    for cls, beta in zip(asm.classes, asm.beta_blocks()):
+        norm = 0.0
         if beta is not None:
-            d = bundles.dbar_operator(mesh, asm.L, -1, n)
-            norms[name] = bundles.class_is_trivial(mesh, beta, sol.u, d, tol=cfg.class_tol)[1]
-        flags[name] = beta is not None and _class_flag(norms[name], cfg.class_tol)
+            d = bundles.dbar_operator(mesh, asm.L, -1, cls.k)
+            norm = bundles.class_is_trivial(mesh, beta, sol.u, d, tol=cfg.class_tol)[1]
+        norms[cls.name] = norm
+        flags[cls.name] = beta is not None and _class_flag(norm, cfg.class_tol)
     if asm.n == 3:
-        checks["beta_harmonic_norm"] = norms["beta"]
+        (checks["beta_harmonic_norm"],) = norms.values()
     else:
         checks["hodge_flag"] = higgs.hodge_flag(asm)
         checks["beta_harmonic_norms"] = norms
-        if cfg.l == 0 and flags["beta1"] and flags["beta2"]:
+        if cfg.l == 0 and all(flags.values()):
             flags["proportional"] = moduli.classes_proportional(
                 *asm.beta_blocks(), weights=mesh.face_area
             )
     report["higgs_checks"] = checks
-    desc = moduli.classify(cfg.genus, asm.n, cfg.l if asm.n == 4 else 0,
-                           class_flags=flags)
+    desc = moduli.classify(cfg.genus, asm.n, cfg.l, class_flags=flags)
     report["moduli"] = desc.to_dict()
     return asm, desc
 
@@ -306,17 +306,29 @@ def _failure_record(stage, exc):
     return record
 
 
+def _make_output_dir(path):
+    """Create the output directory; a path that is not a string or cannot
+    be made a directory is a config error."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except (OSError, TypeError, ValueError) as exc:
+        raise InvalidParameterError(f"cannot create output_dir {path!r}: {exc}") from exc
+
+
 def run(cfg, write_files=True, stages=("solve", "invariants", "higgs")):
     """Execute the pipeline; returns the report dict.
 
     Stage failures are recorded under failed_at and the partial report is
-    still written (and returned).
+    still written (and returned), unless the output directory itself
+    cannot be made.
     """
-    if write_files:
-        os.makedirs(cfg.output_dir, exist_ok=True)
     report = {"config_echo": asdict(cfg)}
     stage = "config"
+    made_dir = False
     try:
+        if write_files:
+            _make_output_dir(cfg.output_dir)
+            made_dir = True
         spec = cfg.validate()
         stage = "mesh"
         mesh = hypmesh.build_surface(cfg.genus, cfg.resolution)
@@ -352,7 +364,7 @@ def run(cfg, write_files=True, stages=("solve", "invariants", "higgs")):
             _higgs_and_moduli(cfg, data, sol, report)
     except EqminError as exc:
         report["failed_at"] = _failure_record(stage, exc)
-    if write_files:
+    if made_dir:
         with open(os.path.join(cfg.output_dir, "report.json"), "w") as fh:
             json.dump(report, fh, indent=2)
     return report
@@ -396,6 +408,8 @@ def sweep(cfg, axis, values, write_files=True):
             raise InvalidParameterError(
                 f"axis {axis} needs a {' or '.join(_SPEC_SLOTS[axis])} data spec"
             )
+    if write_files:
+        _make_output_dir(cfg.output_dir)
     rows = []
     reports = []
     for val in values:
@@ -420,7 +434,6 @@ def sweep(cfg, axis, values, write_files=True):
             "failed_at": rep.get("failed_at", {}).get("stage"),
         })
     if write_files:
-        os.makedirs(cfg.output_dir, exist_ok=True)
         path = os.path.join(cfg.output_dir, f"sweep_{axis}.csv")
         with open(path, "w", newline="") as fh:
             wr = csv.DictWriter(fh, fieldnames=list(rows[0]))
@@ -432,7 +445,7 @@ def sweep(cfg, axis, values, write_files=True):
 def _basis_dims(cfg, mesh):
     """bundle_dims entries of every bundle the configured target uses."""
     L = _line_bundle(cfg, mesh)
-    return {key: _basis_for(mesh, L, n)[1] for key, n, _ in _TARGET_BUNDLES[cfg.target]}
+    return {key: _basis_for(mesh, L, n)[1] for key, n in _TARGET_BUNDLES[cfg.target]}
 
 
 def _add_config_args(p):

@@ -64,7 +64,10 @@ def t_density(mesh, values):
 
 class GermData3:
     """Input data for a minimal surface in hyperbolic 3-space: the Hopf
-    differential q, a holomorphic section of K^2."""
+    differential q, a holomorphic section of K^2.  There is no line bundle:
+    L is None."""
+
+    L = None
 
     def __init__(self, mesh, q=None, t_field=None):
         self.mesh = mesh
@@ -293,14 +296,21 @@ def solve_gauss_ricci4(data, tol=1e-10, max_iter=30):
     V = mesh.n_vertices
     a = mesh.vertex_areas
 
-    if np.max(data.t1) == 0.0 and np.max(data.t2) == 0.0:
+    # integrating the Ricci equation gives
+    # 2 pi l = int e^{2u} (||theta_2||^2 - ||theta_1||^2) dA_h, so l > 0
+    # needs theta2, l < 0 needs theta1, and l = 0 both sections or neither
+    l = data.L.degree
+    has1, has2 = np.max(data.t1) > 0.0, np.max(data.t2) > 0.0
+    if not (has2 if l > 0 else has1 if l < 0 else has1 == has2):
+        raise InvalidParameterError(
+            f"degree {l} has no solution with theta{1 if has1 else 2} the only nonzero "
+            "section: l > 0 needs theta2, l < 0 theta1, l = 0 both or neither"
+            if has1 or has2 else "zero sections are incompatible with a nonzero degree"
+        )
+    if not (has1 or has2):
         # w decouples into Delta_h w = rho0, solvable only for l = 0 where
         # w is an arbitrary constant (fixed to 0); u solves the scalar case
         # (the coupled Jacobian is singular here: its ww block is S)
-        if data.L.degree != 0:
-            raise InvalidParameterError(
-                "zero sections are incompatible with a nonzero degree"
-            )
         sol = solve_gauss3(GermData3(mesh), tol=tol, max_iter=max_iter)
         return GermSolution(
             u=sol.u,

@@ -11,16 +11,18 @@ keys, never stored floats), so the shape constraints demanded by
 holomorphy of the block pairing hold exactly rather than to roundoff.
 
 Block ordering of V: ("Kinv", "W", "K", "one") for n = 3 and
-("Kinv", "L", "Linv", "K", "one") for n = 4.  The pairing Q_V couples
-Kinv with K, L with Linv (W with itself for n = 3), and one with itself.
+("Kinv", "L", "Linv", "K", "one") for n = 4; the pairing Q_V, the gauges
+and the class blocks are read from the summand types in _LAYOUT.
 """
+
+from typing import NamedTuple
 
 import numpy as np
 
 from .bundles import dbar_operator, stencil_read
 from .errors import InvalidParameterError, ShapeError, StaleSolutionError
-from .germsolve import GermData3, GermData4
 from .mobius import conformal_factor
+from .moduli import CLASSES
 
 __all__ = [
     "HiggsAssembly",
@@ -47,25 +49,46 @@ def section_at_faces(mesh, m, n, transition_scale, values):
     return np.mean(read * vals, axis=1)
 
 
-def _block_names(n):
-    if n == 3:
-        return ("Kinv", "W", "K", "one")
-    return ("Kinv", "L", "Linv", "K", "one")
+# Per target n: the summands of V in block order with their types (m, k),
+# the summand being K^m L^k, and for each extension class, in class order,
+# the W summand it maps K into and the germ data attribute holding the
+# section it is read from.
+_LAYOUT = {
+    3: ({"Kinv": (-1, 0), "W": (0, 0), "K": (1, 0), "one": (0, 0)},
+        (("W", "q"),)),
+    4: ({"Kinv": (-1, 0), "L": (0, 1), "Linv": (0, -1), "K": (1, 0), "one": (0, 0)},
+        (("Linv", "theta1"), ("L", "theta2"))),
+}
 
 
-def _pairing(n):
-    """Constant block pairing Q_V in the block ordering of _block_names."""
-    if n == 3:
-        Q = np.zeros((4, 4))
-        Q[0, 2] = Q[2, 0] = 1.0
-        Q[1, 1] = 1.0
-        Q[3, 3] = 1.0
-    else:
-        Q = np.zeros((5, 5))
-        Q[0, 3] = Q[3, 0] = 1.0
-        Q[1, 2] = Q[2, 1] = 1.0
-        Q[4, 4] = 1.0
-    return Q
+class ExtensionClass(NamedTuple):
+    """An extension class beta in Hom(K, W) and where the assembly keeps it."""
+
+    name: str  # its name in moduli.CLASSES
+    k: int  # beta maps K into the W summand of type (0, k) ...
+    section: str  # ... and is read from the germ section in K^2 L^-k
+    block: tuple  # (W summand, "K"), holding beta
+    dual: tuple  # ("Kinv", Q_V partner of the W summand), holding -beta
+
+
+def _layout(n):
+    """Summand types, block pairing Q_V and extension classes of target n.
+
+    Q_V pairs each summand with the one of opposite type and a summand of
+    type (0, 0) with itself.
+    """
+    types, classes = _LAYOUT[n]
+    names = list(types)
+    opposite = {(-m, -k): name for name, (m, k) in types.items()}
+    partner = {name: name if t == (0, 0) else opposite[t] for name, t in types.items()}
+    Q = np.zeros((len(names), len(names)))
+    for i, name in enumerate(names):
+        Q[i, names.index(partner[name])] = 1.0
+    return types, Q, tuple(
+        ExtensionClass(CLASSES[n][types[w][1]], types[w][1], section, (w, "K"),
+                       ("Kinv", partner[w]))
+        for w, section in classes
+    )
 
 
 class HiggsAssembly:
@@ -74,17 +97,19 @@ class HiggsAssembly:
     blocks maps (row_name, col_name) to the face-valued (0,1)-form entry
     of the block dbar operator; keys absent from the dict are structural
     zeros.  phi is the constant block column of the Higgs field inclusion
-    K^{-1} -> V, and Q_V the constant block pairing.
+    K^{-1} -> V, and Q_V the constant block pairing.  types maps the
+    summand names, in block order, to their types (m, k); classes holds
+    the ExtensionClass records in class order.
     """
 
     def __init__(self, n, mesh, L, blocks, phi):
         self.n = int(n)
-        if self.n not in (3, 4):
+        if self.n not in _LAYOUT:
             raise InvalidParameterError("n must be 3 or 4")
         self.mesh = mesh
         self.L = L
-        self.block_names = _block_names(self.n)
-        self.Q_V = _pairing(self.n)
+        self.types, self.Q_V, self.classes = _layout(self.n)
+        self.block_names = tuple(self.types)
         self.blocks = dict(blocks)
         self.phi = np.asarray(phi, dtype=complex)
         if self.phi.shape != (len(self.block_names),):
@@ -103,13 +128,9 @@ class HiggsAssembly:
                 raise ShapeError("the Kinv -> K block must be structurally zero")
         # pairing holomorphy: the row-Kinv entries are minus the Q_W duals
         # of the column-K entries, block for block
-        if self.n == 3:
-            pairs = [(("Kinv", "W"), ("W", "K"))]
-        else:
-            pairs = [(("Kinv", "L"), ("Linv", "K")), (("Kinv", "Linv"), ("L", "K"))]
-        for up, lo in pairs:
-            bu = self.blocks.get(up)
-            bl = self.blocks.get(lo)
+        for cls in self.classes:
+            bu = self.blocks.get(cls.dual)
+            bl = self.blocks.get(cls.block)
             if (bu is None) != (bl is None):
                 raise ShapeError("pairing-dual beta blocks must vanish together")
             if bu is not None and not np.array_equal(bu, -bl):
@@ -124,33 +145,24 @@ class HiggsAssembly:
     # ---- accessors -----------------------------------------------------
 
     def beta_blocks(self):
-        """The independent (0,1)-form entries: beta for n=3, (beta1, beta2)
-        for n=4.  beta2 sits in Hom(K, L), beta1 in Hom(K, L^{-1})."""
-        if self.n == 3:
-            return (self.blocks.get(("W", "K")),)
-        return (self.blocks.get(("Linv", "K")), self.blocks.get(("L", "K")))
+        """The independent (0,1)-form entries in class order: beta for n=3,
+        (beta1, beta2) for n=4.  beta2 sits in Hom(K, L), beta1 in
+        Hom(K, L^{-1})."""
+        return tuple(self.blocks.get(cls.block) for cls in self.classes)
 
     def export_blocks(self):
         """Manifest of every structurally nonzero block with its bundle type."""
-        hom = {
-            "Kinv": (-1, 0),
-            "W": (0, 0),
-            "L": (0, 1),
-            "Linv": (0, -1),
-            "K": (1, 0),
-            "one": (0, 0),
-        }
         out = {}
         for (r, c), val in self.blocks.items():
-            mr, nr = hom[r]
-            mc, nc = hom[c]
+            mr, nr = self.types[r]
+            mc, nc = self.types[c]
             out[f"{r}<-{c}"] = {
                 "bundle": (mr - mc, nr - nc),
                 "kind": "form01",
                 "sup": float(np.max(np.abs(val))),
             }
-        for k, nm in enumerate(self.block_names):
-            out[f"{nm}<-{nm}"] = {"bundle": hom[nm], "kind": "dbar", "sup": None}
+        for nm, t in self.types.items():
+            out[f"{nm}<-{nm}"] = {"bundle": t, "kind": "dbar", "sup": None}
         return out
 
 
@@ -167,62 +179,47 @@ def build_from_germ(data, sol):
     The off-diagonal entries are beta = conj(q) / s^2 read at face
     centroids, where s^2 is the induced conformal density; for the 4-space
     target beta1 comes from theta1 (landing in L^{-1}, the conjugate gauge
-    of L) and beta2 from theta2 (landing in L).
+    of L) and beta2 from theta2 (landing in L).  The target is the 3-space
+    one when the data has no line bundle L.
     """
     if not sol.converged:
         raise StaleSolutionError("refusing to assemble from a non-converged solution")
     mesh = data.mesh
+    n, c = (3, 0.0) if data.L is None else (4, data.L.transition_scale)
+    types, _, classes = _layout(n)
     dens = _beta_density(mesh, sol)
     blocks = {}
-    if isinstance(data, GermData3):
-        n = 3
-        L = None
-        if data.q is not None:
-            qf = section_at_faces(mesh, 2, 0, 0.0, data.q.values)
-            beta = np.conj(qf) * dens
-            blocks[("W", "K")] = beta
-            blocks[("Kinv", "W")] = -beta
-    elif isinstance(data, GermData4):
-        n = 4
-        L = data.L
-        c = L.transition_scale
-        if data.theta1 is not None:
-            t1f = section_at_faces(mesh, 2, 1, c, data.theta1.values)
-            beta1 = np.conj(t1f) * dens
-            blocks[("Linv", "K")] = beta1
-            blocks[("Kinv", "L")] = -beta1
-        if data.theta2 is not None:
-            t2f = section_at_faces(mesh, 2, -1, c, data.theta2.values)
-            beta2 = np.conj(t2f) * dens
-            blocks[("L", "K")] = beta2
-            blocks[("Kinv", "Linv")] = -beta2
-    else:
-        raise InvalidParameterError("unrecognized germ data type")
-    phi = np.zeros(len(_block_names(n)), dtype=complex)
-    phi[0] = 1.0
-    return HiggsAssembly(n, mesh, L, blocks, phi)
+    for cls in classes:
+        section = getattr(data, cls.section)
+        if section is not None:
+            beta = np.conj(section_at_faces(mesh, 2, -cls.k, c, section.values)) * dens
+            blocks[cls.block] = beta
+            blocks[cls.dual] = -beta
+    # the Higgs field includes K^{-1} as its summand
+    phi = np.array([t == (-1, 0) for t in types.values()], dtype=complex)
+    return HiggsAssembly(n, mesh, data.L, blocks, phi)
 
 
 def gauge_matrix(asm, lam):
-    """The constant gauge diag(1/lam on Kinv, I_W, lam on K, 1) as a matrix.
+    """The constant gauge diag(lam^m) on the summands K^m L^k as a matrix:
+    1/lam on Kinv, lam on K, 1 elsewhere.
 
     Its conjugation divides the beta blocks by lam; it preserves Q_V since
-    the pairing couples the two reciprocally scaled slots.
+    the pairing couples summands of opposite type.
     """
-    k = len(asm.block_names)
-    g = np.ones(k, dtype=complex)
-    g[asm.block_names.index("Kinv")] = 1.0 / lam
-    g[asm.block_names.index("K")] = lam
-    return np.diag(g)
+    return np.diag(np.array([lam ** m for m, _ in asm.types.values()], dtype=complex))
+
+
+def _check_circle_action(asm):
+    if asm.n != 4:
+        raise InvalidParameterError("the circle action lift needs the 4-space target")
 
 
 def lift_matrix(asm, a):
-    """The Q_V-orthogonal lift diag(1, 1/a on L, a on Linv, 1, 1) of the
-    SO(Q_W) circle action to the full bundle."""
-    g = np.ones(5, dtype=complex)
-    g[asm.block_names.index("L")] = 1.0 / a
-    g[asm.block_names.index("Linv")] = a
-    return np.diag(g)
+    """The Q_V-orthogonal lift diag(a^-k) on the summands K^m L^k of the
+    SO(Q_W) circle action to the full bundle: 1/a on L, a on Linv."""
+    _check_circle_action(asm)
+    return np.diag(np.array([a ** -k for _, k in asm.types.values()], dtype=complex))
 
 
 def gauge_scale(asm, lam):
@@ -242,54 +239,42 @@ def cx_lift(asm, a):
     """Apply the SO(Q_W) action a.(beta1, beta2) = (a beta1, beta2 / a)
     through its Q_V-orthogonal gauge lift (lift_matrix).
 
-    The conjugated assembly is exactly the (a beta1, beta2 / a) assembly,
-    so the action fixes the isomorphism class.
+    The lift scales a class into the W summand of type (0, k), and its
+    dual, by a^-k.  The conjugated assembly is exactly the
+    (a beta1, beta2 / a) assembly, so the action fixes the isomorphism
+    class.
     """
-    if asm.n != 4:
-        raise InvalidParameterError("the circle action lift needs the 4-space target")
+    _check_circle_action(asm)
     if a == 0:
         raise InvalidParameterError("action parameter must be nonzero")
-    blocks = {}
-    for key, val in asm.blocks.items():
-        if key in (("Linv", "K"), ("Kinv", "L")):
-            blocks[key] = val * a
-        elif key in (("L", "K"), ("Kinv", "Linv")):
-            blocks[key] = val / a
-        else:
-            blocks[key] = val
+    blocks = dict(asm.blocks)
+    for cls in asm.classes:
+        for key in (cls.block, cls.dual):
+            if key in blocks:
+                blocks[key] = blocks[key] * a if cls.k < 0 else blocks[key] / a
     return HiggsAssembly(asm.n, asm.mesh, asm.L, blocks, asm.phi.copy())
 
 
 def shear_gauge(asm, psi_L, psi_Linv=None):
     """Unipotent pairing-orthogonal gauge shifting beta by a dbar-exact form.
 
-    psi is a vertex section of Hom(K, W) (components psi_L in K^{-1} L and
-    psi_Linv in K^{-1} L^{-1} for n = 4; the single K^{-1} section psi_L
-    for n = 3).  The gauge is upper triangular with (W, K) entry psi and
-    (Kinv, K) entry -psi^t psi / 2, which keeps it Q_V-orthogonal, and it
-    maps the beta assembly to the (beta + dbar psi) assembly.  Test
-    utility witnessing that cohomologous beta inputs give gauge-equivalent
+    psi is a vertex section of Hom(K, W), given by its components in the W
+    summands in block order (psi_L in K^{-1} L and psi_Linv in
+    K^{-1} L^{-1} for n = 4; the single K^{-1} section psi_L for n = 3).
+    The gauge is upper triangular with (W, K) entry psi and (Kinv, K)
+    entry -psi^t psi / 2, which keeps it Q_V-orthogonal, and it maps the
+    beta assembly to the (beta + dbar psi) assembly.  Test utility
+    witnessing that cohomologous beta inputs give gauge-equivalent
     assemblies.
     """
-    mesh = asm.mesh
     blocks = dict(asm.blocks)
-
-    def shift(lo_key, up_key, dpsi):
-        base = blocks.get(lo_key)
-        newb = dpsi if base is None else base + dpsi
-        blocks[lo_key] = newb
-        blocks[up_key] = -newb
-
-    if asm.n == 3:
-        d = dbar_operator(mesh, None, -1, 0)
-        shift(("W", "K"), ("Kinv", "W"), d(psi_L))
-    else:
-        if psi_L is not None:
-            d2 = dbar_operator(mesh, asm.L, -1, 1)
-            shift(("L", "K"), ("Kinv", "Linv"), d2(psi_L))
-        if psi_Linv is not None:
-            d1 = dbar_operator(mesh, asm.L, -1, -1)
-            shift(("Linv", "K"), ("Kinv", "L"), d1(psi_Linv))
+    # block order of the W summands is the reverse of class order
+    for cls, psi in zip(reversed(asm.classes), (psi_L, psi_Linv)):
+        if psi is not None:
+            dpsi = dbar_operator(asm.mesh, asm.L, -1, cls.k)(psi)
+            base = blocks.get(cls.block)
+            blocks[cls.block] = dpsi if base is None else base + dpsi
+            blocks[cls.dual] = -blocks[cls.block]
     return HiggsAssembly(asm.n, asm.mesh, asm.L, blocks, asm.phi.copy())
 
 
@@ -297,7 +282,4 @@ def hodge_flag(asm, tol=1e-8):
     """True iff one of the beta blocks vanishes in sup norm below tol."""
     if asm.n != 4:
         raise InvalidParameterError("the Hodge criterion applies to the 4-space target")
-    beta1, beta2 = asm.beta_blocks()
-    sup1 = 0.0 if beta1 is None else float(np.max(np.abs(beta1)))
-    sup2 = 0.0 if beta2 is None else float(np.max(np.abs(beta2)))
-    return sup1 < tol or sup2 < tol
+    return any(b is None or float(np.max(np.abs(b))) < tol for b in asm.beta_blocks())

@@ -17,6 +17,7 @@ from .errors import DegenerateOrbitError, InvalidParameterError
 
 __all__ = [
     "ModuliDescriptor",
+    "CLASSES",
     "VERDICTS",
     "h1_dim",
     "admissible_degrees",
@@ -26,6 +27,11 @@ __all__ = [
     "orbit_normal_form",
     "classes_proportional",
 ]
+
+# The extension classes of each target, keyed by the power k of L in the
+# summand K^0 L^k of W they map K into: W is trivial for n = 3 and
+# L + L^-1 for n = 4.
+CLASSES = {3: {0: "beta"}, 4: {-1: "beta1", 1: "beta2"}}
 
 VERDICTS = (
     "Stable",
@@ -94,92 +100,52 @@ class ModuliDescriptor:
 def classify(g, n, l=0, class_flags=None):
     """Stability verdict from the vanishing pattern of the beta classes.
 
-    class_flags: for n = 3 a dict with key "beta"; for n = 4 keys "beta1",
-    "beta2" and optionally "proportional" (classes proportional with L
-    trivial).  Flag values are True (nonzero with margin), False (zero
-    with margin), or None (inconclusive).
+    class_flags: the classes of CLASSES[n] by name, and for n = 4
+    optionally "proportional" (classes proportional with L trivial).  Flag
+    values are True (nonzero with margin), False (zero with margin), or
+    None (inconclusive).
 
-    Degree l >= 1 is stable when the second class is nonzero and the
-    secant-variety genericity certificate applies; l <= -1 mirrors with
-    the first class; l = 0 needs both classes nonzero, and degenerates to
-    the boundary copy of the 3-space moduli when L is trivial and the
-    classes are proportional.
+    Degree l != 0 is stable when the class mapping K into L^{sign l} is
+    nonzero and the secant-variety genericity certificate applies.  At
+    l = 0 (always for n = 3, which has no L) all classes nonzero is
+    stable, all zero polystable; two nonzero proportional classes give
+    the boundary copy of the 3-space moduli.
     """
     if g < 2:
         raise InvalidParameterError("genus must be at least 2")
-    if n not in (3, 4):
+    if n not in CLASSES:
         raise InvalidParameterError("n must be 3 or 4")
-    flags = dict(class_flags or {})
-
     if n == 3:
-        beta = flags.get("beta")
-        if beta is None:
-            verdict = "Undetermined"
-        elif beta:
-            verdict = "Stable"
-        else:
-            verdict = "Polystable"
-        superminimal = beta is False
-        return ModuliDescriptor(
-            g, 3, 0, flags, verdict,
-            linearly_full=(verdict == "Stable"),
-            superminimal=superminimal,
-            decomposable=superminimal,
-            dims=moduli_dims(g, 3),
-            w2=0,
-        )
-
-    dims = moduli_dims(g, 4, l)
-    if abs(l) >= 2 * (g - 1):
-        return ModuliDescriptor(
-            g, 4, l, flags, "OutOfRange",
-            linearly_full=False, superminimal=False, decomposable=False,
-            dims=dims, w2=l % 2,
-        )
-    b1 = flags.get("beta1")
-    b2 = flags.get("beta2")
-    prop = flags.get("proportional", False)
+        l = 0  # the 3-space target has no L
+    flags = dict(class_flags or {})
+    values = [flags.get(name) for name in CLASSES[n].values()]
+    out_of_range = abs(l) >= 2 * (g - 1)
     decomposable = False
-    if l >= 1:
-        lead = b2
-        generic = secant_genericity(g, l)["generic_ok"]
-        if lead is None or not generic:
+    if out_of_range:
+        verdict = "OutOfRange"
+    elif l != 0:
+        lead = flags.get(CLASSES[n][1 if l > 0 else -1])
+        if lead is None or not secant_genericity(g, abs(l))["generic_ok"]:
             verdict = "Undetermined"
-        elif lead:
-            verdict = "Stable"
         else:
-            verdict = "Unstable"
-    elif l <= -1:
-        lead = b1
-        generic = secant_genericity(g, -l)["generic_ok"]
-        if lead is None or not generic:
-            verdict = "Undetermined"
-        elif lead:
-            verdict = "Stable"
-        else:
-            verdict = "Unstable"
+            verdict = "Stable" if lead else "Unstable"
+    elif None in values:
+        verdict = "Undetermined"
+    elif all(values):
+        # proportionality relates two classes
+        decomposable = len(values) > 1 and bool(flags.get("proportional"))
+        verdict = "StableDecomposable" if decomposable else "Stable"
+    elif not any(values):
+        verdict = "Polystable"
+        decomposable = True
     else:
-        if b1 is None or b2 is None:
-            verdict = "Undetermined"
-        elif b1 and b2:
-            if prop:
-                verdict = "StableDecomposable"
-                decomposable = True
-            else:
-                verdict = "Stable"
-        elif not b1 and not b2:
-            verdict = "Polystable"
-            decomposable = True
-        else:
-            verdict = "Unstable"
-    superminimal = (b1 is False) or (b2 is False)
-    linearly_full = verdict == "Stable"
+        verdict = "Unstable"
     return ModuliDescriptor(
-        g, 4, l, flags, verdict,
-        linearly_full=linearly_full,
-        superminimal=superminimal,
+        g, n, l, flags, verdict,
+        linearly_full=verdict == "Stable",
+        superminimal=not out_of_range and any(v is False for v in values),
         decomposable=decomposable,
-        dims=dims,
+        dims=moduli_dims(g, n, l),
         w2=l % 2,
     )
 

@@ -272,20 +272,49 @@ _SUBCOMMAND_ARGS = {
 }
 
 
-@pytest.mark.parametrize("content", [
-    None, "not json", json.dumps({"identity_scale": 1.0}), json.dumps([1, 2]),
-], ids=["missing", "not-json", "unknown-key", "list"])
-def test_bad_config_file_ends_in_report(tmp_path, capsys, content):
+@pytest.mark.parametrize("content, commands", [
+    (None, _SUBCOMMAND_ARGS),
+    ("not json", _SUBCOMMAND_ARGS),
+    (json.dumps({"identity_scale": 1.0}), _SUBCOMMAND_ARGS),
+    (json.dumps([1, 2]), _SUBCOMMAND_ARGS),
+    (json.dumps({"output_dir": 3}), _SUBCOMMAND_ARGS),
+    # mesh-info and basis write no files, so only the others make the directory
+    (json.dumps({"output_dir": "afile/sub"}),
+     {c: a for c, a in _SUBCOMMAND_ARGS.items() if c not in ("mesh-info", "basis")}),
+], ids=["missing", "not-json", "unknown-key", "list", "output-dir-int",
+        "output-dir-under-file"])
+def test_bad_config_file_ends_in_report(tmp_path, monkeypatch, capsys, content, commands):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "afile").write_text("a regular file")
     path = tmp_path / "cfg.json"
     if content is not None:
         path.write_text(content)
-    for command, extra in _SUBCOMMAND_ARGS.items():
-        argv = [command, "--config", str(path), "--output-dir", str(tmp_path / "out")]
+    for command, extra in commands.items():
+        argv = [command, "--config", str(path)]
+        if "output_dir" not in (content or ""):
+            argv += ["--output-dir", "out"]
         assert main(argv + extra) == 1
         failed = json.loads(capsys.readouterr().out)["failed_at"]
         assert failed["stage"] == "config"
         assert failed["error"] == "InvalidParameterError"
-    assert not (tmp_path / "out").exists()
+    # nothing is written
+    assert sorted(os.listdir(tmp_path)) == ["afile"] + (["cfg.json"] if content else [])
+
+
+@pytest.mark.parametrize("l, spec", [
+    (0, "basis:0:0.3"),
+    (0, "basis:0:0:0:0.3"),
+    (-1, "basis:0:0.3"),
+    (1, "basis:0:0:0:0.3"),
+], ids=["l0-theta2", "l0-theta1", "l-1-theta2", "l1-theta1"])
+def test_one_section_at_a_degree_without_solution(l, spec):
+    # 2 pi l = int e^{2u} (||theta2||^2 - ||theta1||^2) dA_h: l > 0 needs
+    # theta2 (the first section), l < 0 theta1, l = 0 both or neither
+    rep = run(RunConfig(l=l, data_spec=spec), write_files=False, stages=("solve",))
+    failed = rep["failed_at"]
+    assert failed["stage"] == "germsolve"
+    assert failed["error"] == "InvalidParameterError"
+    assert "solution" not in rep
 
 
 def test_sweep_continues_past_invalid_value():

@@ -104,9 +104,11 @@ def test_cx_lift_acts_on_beta(rh4_assembly):
     assert np.array_equal(out.phi, rh4_assembly.phi)
 
 
-def test_cx_lift_needs_rank_two_w(rh3_assembly):
+@pytest.mark.parametrize("act", [higgs.cx_lift, higgs.lift_matrix],
+                         ids=["cx_lift", "lift_matrix"])
+def test_cx_lift_needs_rank_two_w(rh3_assembly, act):
     with pytest.raises(InvalidParameterError):
-        higgs.cx_lift(rh3_assembly, 2.0)
+        act(rh3_assembly, 2.0)
 
 
 def test_shear_gauge_shifts_by_coboundary(mesh_r3, rh3_assembly):
@@ -121,11 +123,11 @@ def test_shear_gauge_shifts_by_coboundary(mesh_r3, rh3_assembly):
     assert np.array_equal(out.blocks[("Kinv", "W")], -out.blocks[("W", "K")])
 
 
-def test_hodge_flag(mesh_r3, basis_K2_r3, rh4_assembly):
+def test_hodge_flag(mesh_r4, L1_r4, basis_K2Linv_r4, rh4_assembly):
     assert not higgs.hodge_flag(rh4_assembly)
-    L = bundles.make_line_bundle(mesh_r3, 0)
-    theta2 = make_section(mesh_r3, L, 2, -1, 0.5 * basis_K2_r3[0].values)
-    data = germsolve.GermData4(mesh_r3, L, None, theta2)
+    # one section solves only at a degree of its sign: theta2 needs l > 0
+    theta2 = make_section(mesh_r4, L1_r4, 2, -1, 0.5 * basis_K2Linv_r4[0].values)
+    data = germsolve.GermData4(mesh_r4, L1_r4, None, theta2)
     sol = germsolve.solve_gauss_ricci4(data, tol=1e-10)
     asm = higgs.build_from_germ(data, sol)
     assert higgs.hodge_flag(asm)
@@ -139,6 +141,40 @@ def test_export_manifest(rh4_assembly):
     assert "L<-K" in man
     assert man["L<-K"]["bundle"] == (-1, 1)
     assert any(v["kind"] == "dbar" for v in man.values())
+
+
+# The block layout of each target written out by hand: the reference for
+# what higgs derives from its table of summand types.
+_LAYOUT_PINS = {
+    "rh3": {
+        "Q_V": [[0, 0, 1, 0], [0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1]],
+        "gauge": [0.5, 1, 2, 1],
+        "lift": None,
+        "bundles": {"W<-K": (-1, 0), "Kinv<-W": (-1, 0), "Kinv<-Kinv": (-1, 0),
+                    "W<-W": (0, 0), "K<-K": (1, 0), "one<-one": (0, 0)},
+    },
+    "rh4": {
+        "Q_V": [[0, 0, 0, 1, 0], [0, 0, 1, 0, 0], [0, 1, 0, 0, 0], [1, 0, 0, 0, 0],
+                [0, 0, 0, 0, 1]],
+        "gauge": [0.5, 1, 1, 2, 1],
+        "lift": [1, 0.5, 2, 1, 1],
+        "bundles": {"Linv<-K": (-1, -1), "Kinv<-L": (-1, -1), "L<-K": (-1, 1),
+                    "Kinv<-Linv": (-1, 1), "Kinv<-Kinv": (-1, 0), "L<-L": (0, 1),
+                    "Linv<-Linv": (0, -1), "K<-K": (1, 0), "one<-one": (0, 0)},
+    },
+}
+
+
+@pytest.mark.parametrize("target", ["rh3", "rh4"])
+def test_block_layout_pinned(request, target):
+    asm = request.getfixturevalue(f"{target}_assembly")
+    pins = _LAYOUT_PINS[target]
+    assert np.array_equal(asm.Q_V, np.array(pins["Q_V"], dtype=float))
+    assert np.array_equal(higgs.gauge_matrix(asm, 2), np.diag(pins["gauge"]))
+    if pins["lift"] is not None:
+        assert np.array_equal(higgs.lift_matrix(asm, 2), np.diag(pins["lift"]))
+    bundle = {key: v["bundle"] for key, v in asm.export_blocks().items()}
+    assert bundle == pins["bundles"]
 
 
 def test_constant_section_reads_at_faces(mesh_r3):

@@ -61,6 +61,116 @@ def test_rh3_stable():
     assert d.w2 == 0
 
 
+# classify(g, 4, l, flags).to_dict() over every flag pattern, as a
+# reference table independent of how classify reads the flags.  A row
+# gives g, l, the "proportional" flag and the first class's flag; its
+# four cells are the second class's flag True, False, None and absent.
+# Flags: T True, F False, N None, - absent.  A cell is the verdict's
+# initial (S Stable, D StableDecomposable, P Polystable, U Unstable,
+# O OutOfRange, ? Undetermined) followed by f when linearly full, m when
+# superminimal and d when decomposable.
+_VERDICTS_4 = """
+2 -1 - T  Sf  Sfm Sf  Sf
+2 -1 - F  Um  Um  Um  Um
+2 -1 - N  ?   ?m  ?   ?
+2 -1 - -  ?   ?m  ?   ?
+2  0 T T  Dd  Um  ?   ?
+2  0 T F  Um  Pmd ?m  ?m
+2  0 T N  ?   ?m  ?   ?
+2  0 T -  ?   ?m  ?   ?
+2  0 F T  Sf  Um  ?   ?
+2  0 F F  Um  Pmd ?m  ?m
+2  0 F N  ?   ?m  ?   ?
+2  0 F -  ?   ?m  ?   ?
+2  0 N T  Sf  Um  ?   ?
+2  0 N F  Um  Pmd ?m  ?m
+2  0 N N  ?   ?m  ?   ?
+2  0 N -  ?   ?m  ?   ?
+2  0 - T  Sf  Um  ?   ?
+2  0 - F  Um  Pmd ?m  ?m
+2  0 - N  ?   ?m  ?   ?
+2  0 - -  ?   ?m  ?   ?
+2  1 - T  Sf  Um  ?   ?
+2  1 - F  Sfm Um  ?m  ?m
+2  1 - N  Sf  Um  ?   ?
+2  1 - -  Sf  Um  ?   ?
+2  2 - T  O   O   O   O
+2  2 - F  O   O   O   O
+2  2 - N  O   O   O   O
+2  2 - -  O   O   O   O
+3 -3 - T  Sf  Sfm Sf  Sf
+3 -3 - F  Um  Um  Um  Um
+3 -3 - N  ?   ?m  ?   ?
+3 -3 - -  ?   ?m  ?   ?
+3 -1 - T  Sf  Sfm Sf  Sf
+3 -1 - F  Um  Um  Um  Um
+3 -1 - N  ?   ?m  ?   ?
+3 -1 - -  ?   ?m  ?   ?
+3  0 T T  Dd  Um  ?   ?
+3  0 T F  Um  Pmd ?m  ?m
+3  0 T N  ?   ?m  ?   ?
+3  0 T -  ?   ?m  ?   ?
+3  0 F T  Sf  Um  ?   ?
+3  0 F F  Um  Pmd ?m  ?m
+3  0 F N  ?   ?m  ?   ?
+3  0 F -  ?   ?m  ?   ?
+3  0 N T  Sf  Um  ?   ?
+3  0 N F  Um  Pmd ?m  ?m
+3  0 N N  ?   ?m  ?   ?
+3  0 N -  ?   ?m  ?   ?
+3  0 - T  Sf  Um  ?   ?
+3  0 - F  Um  Pmd ?m  ?m
+3  0 - N  ?   ?m  ?   ?
+3  0 - -  ?   ?m  ?   ?
+3  1 - T  Sf  Um  ?   ?
+3  1 - F  Sfm Um  ?m  ?m
+3  1 - N  Sf  Um  ?   ?
+3  1 - -  Sf  Um  ?   ?
+3  3 - T  Sf  Um  ?   ?
+3  3 - F  Sfm Um  ?m  ?m
+3  3 - N  Sf  Um  ?   ?
+3  3 - -  Sf  Um  ?   ?
+3  4 - T  O   O   O   O
+3  4 - F  O   O   O   O
+3  4 - N  O   O   O   O
+3  4 - -  O   O   O   O
+"""
+# The 3-space target at g=2, asked with l=1, whatever the "proportional"
+# flag: cells for the one class's flag True, False, None and absent.
+_VERDICTS_3 = "Sf Pmd ? ?"
+_FLAG = {"T": True, "F": False, "N": None}
+_VERDICT = {"S": "Stable", "D": "StableDecomposable", "P": "Polystable",
+            "U": "Unstable", "O": "OutOfRange", "?": "Undetermined"}
+
+
+def _expected(g, n, l, flags, cell, dims):
+    return {"g": g, "n": n, "l": l, "class_flags": flags, "verdict": _VERDICT[cell[0]],
+            "linearly_full": "f" in cell, "superminimal": "m" in cell,
+            "decomposable": "d" in cell, "dims": dims, "w2": l % 2}
+
+
+def _flags(**codes):
+    return {name: _FLAG[c] for name, c in codes.items() if c != "-"}
+
+
+def test_verdict_table_pinned():
+    rows = [line.split() for line in _VERDICTS_4.strip().splitlines()]
+    assert len(rows) == 64
+    for g, l, prop, b1, *cells in rows:
+        g, l = int(g), int(l)
+        dims = {"h1": 3 * (g - 1) + l, "fiber_dim": 10 * (g - 1),
+                "total_dim": 10 * (g - 1), "components": 4 * g - 5}
+        for b2, cell in zip("TFN-", cells):
+            flags = _flags(beta1=b1, beta2=b2, proportional=prop)
+            got = moduli.classify(g, 4, l, flags).to_dict()
+            assert got == _expected(g, 4, l, flags, cell, dims), (g, l, flags)
+    for prop in "TFN-":
+        for beta, cell in zip("TFN-", _VERDICTS_3.split()):
+            flags = _flags(beta=beta, proportional=prop)
+            got = moduli.classify(2, 3, 1, flags).to_dict()
+            assert got == _expected(2, 3, 0, flags, cell, {"total_dim": 6}), flags
+
+
 def test_secant_certificate_examples():
     assert moduli.secant_genericity(2, 1) == {
         "h0_K_lambda": 4,
