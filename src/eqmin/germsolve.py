@@ -34,6 +34,7 @@ from .errors import (
     ShapeError,
     StagnationError,
 )
+from .factor import factor_hpd
 from .hypmesh import laplacian
 from .mobius import conformal_factor
 
@@ -333,7 +334,7 @@ _PCG_MAXITER = 25
 
 
 def _preconditioned_cg(N, rhs, lu):
-    """Solve N x = rhs by conjugate gradients preconditioned with the LU
+    """Solve N x = rhs by conjugate gradients preconditioned with the
     factorization of a nearby matrix.  Returns (x, iterations), with x None
     when CG did not reach _PCG_RTOL."""
     iterations = 0
@@ -365,15 +366,17 @@ def polish_solution(data, sol, iterations=4, damping=0.03):
     are stored on the solution as u_smooth / w_smooth; the original fields
     are untouched.
 
-    Between steps only the diagonal reaction terms of the Jacobian move,
-    by O(h^2), so the normal matrix is LU-factored once and each later
-    step solves its own normal equations by conjugate gradients
+    The normal matrix is symmetric positive definite and is factored in
+    mesh order by factor_hpd.  Between steps only the diagonal reaction
+    terms of the Jacobian move, by O(h^2), so it is factored once and each
+    later step solves its own normal equations by conjugate gradients
     preconditioned with that factorization.  When CG does not reach its
     tolerance the current matrix is factored and solved directly, and its
     factorization preconditions the remaining steps.  sol.polish records
     each step (weighted collocation residual before and after, accepted
-    line-search fraction, CG iterations, 0 for a direct solve) and the
-    number of factorizations.
+    line-search fraction, CG iterations, 0 for a direct solve), the
+    number of factorizations and the fill of each (factor_nnz, the
+    entries SuperLU stores for L and U).
     """
     a = data.mesh.vertex_areas
     eqs = CurvatureEquations(data)
@@ -388,7 +391,7 @@ def polish_solution(data, sol, iterations=4, damping=0.03):
 
     lu = None
     steps = []
-    factorizations = 0
+    factor_nnz = []
     R = resid(x)
     for _ in range(iterations):
         J = jac(x)
@@ -401,11 +404,11 @@ def polish_solution(data, sol, iterations=4, damping=0.03):
         if step is None:
             lu = None  # release the old factors before making new ones
             try:
-                lu = spla.splu(N)
+                lu = factor_hpd(data.mesh, N)
                 step = lu.solve(rhs)
             except Exception as exc:
                 raise LinearSolveError(f"polish solve failed: {exc}") from exc
-            factorizations += 1
+            factor_nnz.append(lu.nnz)
             cg_iterations = 0
         base = wnorm(R)
         after = base
@@ -425,6 +428,7 @@ def polish_solution(data, sol, iterations=4, damping=0.03):
             "step_fraction": accepted,
             "cg_iterations": cg_iterations,
         })
-    sol.polish = {"steps": steps, "factorizations": factorizations}
+    sol.polish = {"steps": steps, "factorizations": len(factor_nnz),
+                  "factor_nnz": factor_nnz}
     sol.u_smooth, sol.w_smooth = eqs.fields(x)
     return sol

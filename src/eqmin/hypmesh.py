@@ -198,6 +198,7 @@ class SurfaceMesh:
         self.__dict__.update(kw)
         self._fd_laplacians = {}
         self._patch_fit = None
+        self._vertex_order = None
 
     @property
     def n_vertices(self):
@@ -227,6 +228,15 @@ class SurfaceMesh:
         if self._patch_fit is None:
             self._patch_fit = _patch_fit_rows(self.vertices, self.patch_coord, self.patch_ptr)
         return self._patch_fit
+
+    def vertex_order(self):
+        """Vertex permutation that keeps nearby vertices together: recursive
+        coordinate bisection of the class chart coordinates, computed once
+        per mesh.  Sparse factorizations of vertex-field matrices take it
+        as their pre-order."""
+        if self._vertex_order is None:
+            self._vertex_order = _bisection_order(self.vertices, np.arange(self.n_vertices))
+        return self._vertex_order
 
     def fd_fit(self, field, chart_term=None):
         """Flat Laplacian at the vertices of a weighted least-squares
@@ -313,6 +323,8 @@ _MAX_VERTICES = 400_000
 _MIN_ANGLE_DEG = 10.0
 # vertices per block of the patch search; bounds the memory of its chains
 _PATCH_BLOCK = 64
+# vertices per leaf of the bisection order
+_ORDER_LEAF = 64
 # the two other corners of a face, by corner
 _OTHER_CORNERS = np.array([[1, 2], [0, 2], [0, 1]])
 
@@ -537,6 +549,18 @@ def _stencil(dom, verts, faces, twin, side, copy_class, copy_T, copy_kderiv, cop
     )
 
 
+def _bisection_order(z, idx):
+    """The points idx of z in recursive coordinate bisection order: split
+    at the median of the coordinate with the wider range, order each half
+    the same way, and stop at _ORDER_LEAF points."""
+    if len(idx) <= _ORDER_LEAF:
+        return idx
+    x, y = z[idx].real, z[idx].imag
+    s = idx[np.argsort(x if np.ptp(x) >= np.ptp(y) else y, kind="stable")]
+    h = len(s) // 2
+    return np.concatenate([_bisection_order(z, s[:h]), _bisection_order(z, s[h:])])
+
+
 def _mobius_mul(p, q):
     """p o q for disk automorphisms given as coefficient arrays (a, b), as
     Mobius.__mul__ without the normalisation."""
@@ -593,13 +617,9 @@ def _patches(faces, copy_class, copy_T, face_centroid, stencil_class, stencil_co
         vtx, face = vtx[keep], face[keep]
         z = _mobius_apply((chain[0][keep, None], chain[1][keep, None]), stencil_coord[face])
         dist = np.abs(z - class_coord[vtx][:, None]).ravel()
-        vtx, cls, z = np.repeat(vtx, 6), stencil_class[face].ravel(), z.ravel()
-        # the closest image per (vertex, class); v itself sits at its class
-        # coordinate
-        order = np.lexsort((dist, cls, vtx))
-        vtx, cls, z = vtx[order], cls[order], z[order]
-        best = np.r_[True, (vtx[1:] != vtx[:-1]) | (cls[1:] != cls[:-1])]
-        vtx, cls, z = vtx[best], cls[best], z[best]
+        vtx, cls, z = _closest_images(np.repeat(vtx, 6), stencil_class[face].ravel(),
+                                      z.ravel(), dist)
+        # v itself sits at its class coordinate
         z[cls == vtx] = class_coord[vtx[cls == vtx]]
         classes.append(cls)
         coords.append(z)
@@ -609,6 +629,21 @@ def _patches(faces, copy_class, copy_T, face_centroid, stencil_class, stencil_co
         patch_coord=np.concatenate(coords),
         patch_ptr=np.concatenate([[0], np.cumsum(np.concatenate(sizes))]),
     )
+
+
+def _closest_images(vtx, cls, z, dist):
+    """The image z closest to its vertex for each (vertex, class), sorted
+    by vertex and class.  Images equidistant up to roundoff are told apart
+    by keys that do not depend on summation order: the distance rounded to
+    12 digits, then the image's rounded real and imaginary parts.  Copies
+    of one image reached along different chains agree in all three; the
+    closest copy by the unrounded distance is kept."""
+    pair = vtx * (np.max(cls) + 1) + cls
+    order = np.lexsort((dist, np.round(z.imag, 12), np.round(z.real, 12),
+                        np.round(dist, 12), pair))
+    pair = pair[order]
+    first = order[np.r_[True, pair[1:] != pair[:-1]]]
+    return vtx[first], cls[first], z[first]
 
 
 def _patch_fit_rows(vertices, patch_coord, patch_ptr):

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
-from eqmin import bundles, germsolve, hypmesh
+from eqmin import bundles, factor, germsolve, hypmesh
 from eqmin.errors import IndeterminateKernelError, InvalidParameterError, ShapeError
 
 
@@ -140,6 +141,31 @@ def test_coboundary_class_is_trivial(mesh_r3):
     trivial, norm = bundles.class_is_trivial(mesh_r3, beta, u0, dbar, tol=1e-3)
     assert trivial
     assert norm < 1e-8
+
+
+def test_mesh_order_factor_solves_class_oracle_matrix_like_colamd(mesh_r3, basis_K2_r3,
+                                                                   monkeypatch):
+    # the projection of a class in K^-1 L^1 at l = 1, in the metric of a
+    # solved germ: the normal matrix is complex Hermitian positive definite
+    data = germsolve.GermData3(mesh_r3, q=basis_K2_r3[0])
+    sol = germsolve.solve_gauss3(data, tol=1e-10)
+    dbar = bundles.dbar_operator(mesh_r3, bundles.make_line_bundle(mesh_r3, 1), -1, 1)
+    rng = np.random.default_rng(3)
+    beta = rng.standard_normal(mesh_r3.n_faces) + 1j * rng.standard_normal(mesh_r3.n_faces)
+    matrices = []
+
+    def recording(mesh, A):
+        matrices.append(A)
+        return factor.factor_hpd(mesh, A)
+
+    monkeypatch.setattr(bundles, "factor_hpd", recording)
+    bundles.class_is_trivial(mesh_r3, beta, sol.u, dbar)
+    (A,) = matrices
+    assert abs(A - A.conj().T).max() <= 1e-14 * abs(A).max()
+    b = rng.standard_normal(A.shape[0]) + 1j * rng.standard_normal(A.shape[0])
+    ref = spla.splu(sp.csc_matrix(A)).solve(b)
+    x = factor.factor_hpd(mesh_r3, A).solve(b)
+    assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
 def test_holomorphic_class_is_nontrivial(mesh_r3, basis_K2_r3):

@@ -86,6 +86,8 @@ def test_report_file_equals_returned_report(tmp_path, kw):
     rep = run(RunConfig(genus=2, output_dir=str(tmp_path), **kw))
     with open(tmp_path / "report.json") as fh:
         assert json.load(fh) == rep
+    if "failed_at" not in rep:
+        assert len(rep["solution"]["polish"]["factor_nnz"]) == 1
     if kw["target"] == "rh4":
         assert rep["moduli"]["class_flags"]["proportional"] is True
 
@@ -122,6 +124,26 @@ def test_eigensolver_failure_ends_in_report(tmp_path, monkeypatch, fail, error):
     assert failed["stage"] == "bundles"
     assert failed["error"] == error
     assert "eigensolve" in failed["message"]
+
+
+def test_class_oracle_factor_failure_ends_in_report(tmp_path, monkeypatch):
+    # only the class oracle factors a complex matrix
+    splu = spla.splu
+
+    def fail_on_complex(A, *args, **kwargs):
+        if np.iscomplexobj(A.data):
+            raise RuntimeError("Factor is exactly singular")
+        return splu(A, *args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", fail_on_complex)
+    cfg = RunConfig(genus=2, resolution=3, target="rh3", data_spec="basis:0:0.4",
+                    output_dir=str(tmp_path))
+    rep = run(cfg)
+    failed = rep["failed_at"]
+    assert failed["stage"] == "higgs"
+    assert failed["error"] == "LinearSolveError"
+    assert "harmonic projection" in failed["message"]
+    assert rep["invariants"] and "moduli" not in rep
 
 
 def test_bad_data_spec_rejected(tmp_path):
@@ -213,6 +235,9 @@ def test_report_records_polish(tmp_path):
     rep = run(cfg, write_files=False, stages=stages)
     polish = rep["solution"]["polish"]
     assert polish["factorizations"] == 1
+    # the fill of the one factorization of the 254 x 254 normal matrix
+    (fill,) = polish["factor_nnz"]
+    assert type(fill) is int and fill > 254
     assert [s["cg_iterations"] > 0 for s in polish["steps"]] == [False] + [True] * 3
     for step in polish["steps"]:
         assert step["residual_after"] < step["residual_before"]

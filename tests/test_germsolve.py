@@ -2,9 +2,10 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from eqmin import bundles, germsolve, hypmesh
+from eqmin import bundles, factor, germsolve, hypmesh
 from eqmin.errors import InvalidParameterError
 from conftest import make_section
 
@@ -184,6 +185,8 @@ def test_polish_factors_once_and_matches_factor_every_step(solved_r3, count_splu
     assert np.max(np.abs(_smoothed(polished) - ref)) < 1e-10
     record = polished.polish
     assert record["factorizations"] == 1
+    (fill,) = record["factor_nnz"]
+    assert type(fill) is int and fill > 0
     steps = record["steps"]
     assert len(steps) == 4
     assert steps[0]["cg_iterations"] == 0
@@ -208,7 +211,41 @@ def test_polish_refactors_when_cg_fails(solved_r3, count_splu, monkeypatch):
     assert len(count_splu) == 4
     assert np.max(np.abs(_smoothed(polished) - ref)) < 1e-10
     assert polished.polish["factorizations"] == 4
+    assert len(polished.polish["factor_nnz"]) == 4
     assert [s["cg_iterations"] for s in polished.polish["steps"]] == [0] * 4
+
+
+def _colamd(mesh, A):
+    """SuperLU with its default COLAMD ordering and partial pivoting, in
+    the caller's order: polish's factorization before mesh order."""
+    return factor.MeshFactor(spla.splu(sp.csc_matrix(A)), np.arange(A.shape[0]))
+
+
+def test_mesh_order_factor_solves_polish_matrix_like_colamd(solved_r3, monkeypatch):
+    data, sol = solved_r3
+    matrices = []
+
+    def recording(mesh, A):
+        matrices.append(A)
+        return factor.factor_hpd(mesh, A)
+
+    monkeypatch.setattr(germsolve, "factor_hpd", recording)
+    germsolve.polish_solution(data, _fresh(sol.u, sol.w), iterations=1)
+    (N,) = matrices
+    b = np.random.default_rng(0).standard_normal(N.shape[0])
+    ref = _colamd(data.mesh, N).solve(b)
+    x = factor.factor_hpd(data.mesh, N).solve(b)
+    assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def test_polish_in_mesh_order_matches_colamd_polish(solved_r3, monkeypatch):
+    data, sol = solved_r3
+    polished = germsolve.polish_solution(data, _fresh(sol.u, sol.w))
+    monkeypatch.setattr(germsolve, "factor_hpd", _colamd)
+    ref = germsolve.polish_solution(data, _fresh(sol.u, sol.w))
+    assert np.max(np.abs(_smoothed(polished) - _smoothed(ref))) <= 1e-13
+    assert ([s["cg_iterations"] for s in polished.polish["steps"]]
+            == [s["cg_iterations"] for s in ref.polish["steps"]])
 
 
 def test_system_residual_is_the_newton_residual(solved_r3, mesh_r3):

@@ -4,9 +4,15 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from eqmin import hypmesh
-from eqmin.errors import InvalidParameterError, MeshQualityError, ResourceBudgetError
+from eqmin import factor, hypmesh
+from eqmin.errors import (
+    InvalidParameterError,
+    MeshQualityError,
+    ResourceBudgetError,
+    ShapeError,
+)
 from eqmin.mobius import conformal_factor, hyp_dist
 
 
@@ -147,6 +153,29 @@ def test_fd_laplacian_assembled_once_per_variant(mesh_r2, monkeypatch):
     assert abs(mesh_r2.fd_laplacian_matrix(weighted=False) - Bu).max() == 0.0
 
 
+def test_vertex_order_is_a_permutation_computed_once(monkeypatch):
+    calls = []
+    bisect = hypmesh._bisection_order
+
+    def counting(z, idx):
+        calls.append(len(idx))
+        return bisect(z, idx)
+
+    monkeypatch.setattr(hypmesh, "_bisection_order", counting)
+    mesh = hypmesh.build_surface(3, 2)
+    V = mesh.n_vertices
+    order = mesh.vertex_order()
+    assert np.array_equal(np.sort(order), np.arange(V))
+    # the polish and class-oracle factorizations of one mesh share it
+    for fields in (1, 2):
+        lu = factor.factor_hpd(mesh, sp.identity(fields * V, format="csc"))
+        assert np.array_equal(lu.perm[::fields], order)
+    assert mesh.vertex_order() is order
+    assert calls.count(V) == 1
+    with pytest.raises(ShapeError):
+        factor.factor_hpd(mesh, sp.identity(V + 1, format="csc"))
+
+
 def _per_vertex_patch_fits(mesh, field, chart_term):
     """Reference for the batched patch-fit pass: one least-squares design
     per vertex, the matrix rows by pinv (weights clamped at 0.1, or unit)
@@ -216,3 +245,36 @@ def test_fd_variants_agree_on_smooth_field(mesh_r3, basis_K2_r3):
     # sense: total integrals of the Laplacian vanish
     S = hypmesh.laplacian(mesh_r3)
     assert abs(float(np.sum(S @ t))) < 1e-9
+
+
+@pytest.mark.parametrize("genus, resolution", [(2, 1), (2, 2), (3, 1), (3, 2)])
+def test_equidistant_images_pick_the_smallest_rounded_key(genus, resolution, monkeypatch):
+    # on the coarsest meshes two distinct images of a class can be
+    # equidistant from the vertex up to roundoff; the patch keeps the one
+    # with the smallest (distance, real, imaginary part) rounded to 12 digits
+    calls = []
+    closest = hypmesh._closest_images
+
+    def recording(vtx, cls, z, dist):
+        calls.append((vtx, cls, z, dist))
+        return closest(vtx, cls, z, dist)
+
+    monkeypatch.setattr(hypmesh, "_closest_images", recording)
+    mesh = hypmesh.build_surface(genus, resolution)
+    ties = 0
+    for vtx, cls, z, dist in calls:
+        for v, c in set(zip(vtx.tolist(), cls.tolist())):
+            if v == c:
+                continue
+            pick = (vtx == v) & (cls == c)
+            near = dist[pick] <= dist[pick].min() + 1e-12
+            images = z[pick][near]
+            if np.max(np.abs(images - images[0])) < 1e-9:
+                continue
+            ties += 1
+            keys = np.round(np.stack([dist[pick][near], images.real, images.imag]), 12)
+            best = images[np.lexsort(keys[::-1])[0]]
+            ptr = mesh.patch_ptr
+            row = mesh.patch_class[ptr[v]:ptr[v + 1]] == c
+            assert abs(mesh.patch_coord[ptr[v]:ptr[v + 1]][row][0] - best) < 1e-12
+    assert ties > 0
