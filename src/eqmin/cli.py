@@ -163,13 +163,35 @@ def _line_bundle(cfg, mesh):
     return bundles.make_line_bundle(mesh, cfg.l) if cfg.target == "rh4" else None
 
 
-def _basis_for(mesh, L, n_weight):
-    """Holomorphic basis of K^2 L^{n_weight} and its bundle_dims entry
-    (detected and Riemann-Roch dimension, gap ratio)."""
-    expected = 3 * (mesh.genus - 1) + n_weight * (0 if L is None else L.degree)
-    dbar = bundles.dbar_operator(mesh, L, 2, n_weight)
-    basis = bundles.holomorphic_basis(dbar, expected_dim=expected)
-    return basis, {"detected": len(basis), "expected": expected, "gap_ratio": basis.gap_ratio}
+# A memo dict holds the per-surface work of one run, or of one sweep's
+# runs: the mesh under (genus, resolution) and each basis under (mesh,
+# degree of L or None, n).  A failed build is not kept, so every run that
+# needs it fails the same way.
+
+
+def _mesh(memo, genus, resolution):
+    """The surface of (genus, resolution), built on its first use in memo;
+    a new surface drops the old mesh and its bases."""
+    key = (genus, resolution)
+    if key not in memo:
+        memo.clear()
+        memo[key] = hypmesh.build_surface(genus, resolution)
+    return memo[key]
+
+
+def _basis_for(memo, mesh, L, n_weight):
+    """Holomorphic basis of K^2 L^{n_weight}, found on its first use in
+    memo, and a new bundle_dims entry for it (detected and Riemann-Roch
+    dimension, gap ratio, the smallest singular values)."""
+    l = None if L is None else L.degree
+    expected = 3 * (mesh.genus - 1) + n_weight * (l or 0)
+    key = (mesh, l, n_weight)
+    if key not in memo:
+        dbar = bundles.dbar_operator(mesh, L, 2, n_weight)
+        memo[key] = bundles.holomorphic_basis(dbar, expected_dim=expected)
+    basis = memo[key]
+    return basis, {"detected": len(basis), "expected": expected, "gap_ratio": basis.gap_ratio,
+                   "singular_values": basis.singular_values.tolist()}
 
 
 def _combination(basis, coef):
@@ -180,9 +202,9 @@ def _combination(basis, coef):
                                    dbar_residual=res)
 
 
-def _prepare_data(cfg, spec, mesh, report):
-    """Build germ data from the validated config and its parsed data spec;
-    returns (data, extra_report_bits)."""
+def _prepare_data(cfg, spec, mesh, report, memo):
+    """Build germ data from the validated config and its parsed data spec,
+    with the bases of memo; returns (data, extra_report_bits)."""
     kind, args = spec
     slots = _TARGET_BUNDLES[cfg.target]
     L = _line_bundle(cfg, mesh)
@@ -199,7 +221,7 @@ def _prepare_data(cfg, spec, mesh, report):
         bases = []
         n_bases = len(slots) if kind == "random" or len(args) == 4 else 1
         for key, n in slots[:n_bases]:
-            basis, dims = _basis_for(mesh, L, n)
+            basis, dims = _basis_for(memo, mesh, L, n)
             report.setdefault("bundle_dims", {})[key] = dims
             bases.append(basis)
         if kind == "basis":
@@ -315,13 +337,29 @@ def _make_output_dir(path):
         raise InvalidParameterError(f"cannot create output_dir {path!r}: {exc}") from exc
 
 
-def run(cfg, write_files=True, stages=("solve", "invariants", "higgs")):
+# The stages run may run, in pipeline order; it runs a nonempty prefix.
+_STAGES = ("solve", "invariants", "higgs")
+
+
+def _check_stages(stages):
+    try:
+        chosen = set(stages)
+    except TypeError:
+        chosen = None
+    if chosen not in [set(_STAGES[:k]) for k in range(1, len(_STAGES) + 1)]:
+        raise InvalidParameterError(
+            f"stages must be a nonempty prefix of {_STAGES}, got {stages!r}")
+
+
+def run(cfg, write_files=True, stages=_STAGES, *, _memo=None):
     """Execute the pipeline; returns the report dict.
 
     Stage failures are recorded under failed_at and the partial report is
     still written (and returned), unless the output directory itself
-    cannot be made.
+    cannot be made.  _memo is the per-surface memo a sweep shares between
+    its runs; a plain call starts a new one.
     """
+    memo = {} if _memo is None else _memo
     report = {"config_echo": asdict(cfg)}
     stage = "config"
     made_dir = False
@@ -329,12 +367,13 @@ def run(cfg, write_files=True, stages=("solve", "invariants", "higgs")):
         if write_files:
             _make_output_dir(cfg.output_dir)
             made_dir = True
+        _check_stages(stages)
         spec = cfg.validate()
         stage = "mesh"
-        mesh = hypmesh.build_surface(cfg.genus, cfg.resolution)
+        mesh = _mesh(memo, cfg.genus, cfg.resolution)
         report["mesh"] = _mesh_info(mesh)
         stage = "bundles"
-        data, extra = _prepare_data(cfg, spec, mesh, report)
+        data, extra = _prepare_data(cfg, spec, mesh, report, memo)
         report["config_echo"].update(extra)
         if "solve" in stages:
             stage = "germsolve"
@@ -345,6 +384,7 @@ def run(cfg, write_files=True, stages=("solve", "invariants", "higgs")):
                 "converged": sol.converged,
                 "iterations": len(sol.newton_trace) - 1,
                 "residual": sol.newton_trace[-1][1],
+                "newton_trace": [list(entry) for entry in sol.newton_trace],
                 "u_max": float(np.max(np.abs(sol.u))),
             }
             if spec[0] == "manufactured":
@@ -398,7 +438,10 @@ def _axis_values(axis, values):
 
 def sweep(cfg, axis, values, write_files=True):
     """One run per axis value; returns (rows, reports) and writes the
-    aggregate CSV.  Individual failures are recorded per row."""
+    aggregate CSV.  Individual failures are recorded per row.  The runs
+    share one per-surface memo, so a mesh is built once per (genus,
+    resolution) and a basis once per (genus, resolution, l, n), and only
+    the current surface is held."""
     if axis not in _SWEEP_AXES:
         raise InvalidParameterError(f"sweep axis must be one of {_SWEEP_AXES}")
     values = _axis_values(axis, values)
@@ -412,6 +455,7 @@ def sweep(cfg, axis, values, write_files=True):
         _make_output_dir(cfg.output_dir)
     rows = []
     reports = []
+    memo = {}
     for val in values:
         if axis in _SPEC_SLOTS:
             slots = _SPEC_SLOTS[axis][kind]
@@ -421,7 +465,7 @@ def sweep(cfg, axis, values, write_files=True):
             c = replace(cfg, **{axis: val})
         if write_files:
             c.output_dir = os.path.join(cfg.output_dir, f"{axis}_{val}")
-        rep = run(c, write_files=write_files)
+        rep = run(c, write_files=write_files, _memo=memo)
         reports.append(rep)
         inv = rep.get("invariants", {})
         resid = inv.get("residuals", {})
@@ -442,10 +486,12 @@ def sweep(cfg, axis, values, write_files=True):
     return rows, reports
 
 
-def _basis_dims(cfg, mesh):
-    """bundle_dims entries of every bundle the configured target uses."""
+def _basis_dims(cfg, memo):
+    """bundle_dims entries of every bundle the configured target uses, on
+    the configured surface of memo."""
+    mesh = _mesh(memo, cfg.genus, cfg.resolution)
     L = _line_bundle(cfg, mesh)
-    return {key: _basis_for(mesh, L, n)[1] for key, n in _TARGET_BUNDLES[cfg.target]}
+    return {key: _basis_for(memo, mesh, L, n)[1] for key, n in _TARGET_BUNDLES[cfg.target]}
 
 
 def _add_config_args(p):
@@ -509,35 +555,37 @@ def main(argv=None):
 
     if args.command in ("mesh-info", "basis"):
         stage = "config"
+        memo = {}
         try:
             cfg.validate()
             stage = "mesh"
-            mesh = hypmesh.build_surface(cfg.genus, cfg.resolution)
+            mesh = _mesh(memo, cfg.genus, cfg.resolution)
             if args.command == "mesh-info":
                 out = _mesh_info(mesh)
             else:
                 stage = "bundles"
-                out = _basis_dims(cfg, mesh)
+                out = _basis_dims(cfg, memo)
         except EqminError as exc:
             return _print_failure(stage, exc)
         print(json.dumps(out, indent=2))
         return 0
     if args.command == "sweep":
         try:
-            rows, _ = sweep(cfg, args.axis, args.values.split(","))
+            # a repeated value would run again and rewrite its directory;
+            # sweep itself runs repeats, which seeded callers may draw
+            values = _axis_values(args.axis, args.values.split(","))
+            if len(set(values)) < len(values):
+                raise InvalidParameterError(f"sweep values {args.values!r} on axis "
+                                            f"{args.axis} repeat a value")
+            rows, _ = sweep(cfg, args.axis, values)
         except InvalidParameterError as exc:
             return _print_failure("config", exc)
         for row in rows:
             print(json.dumps(row))
         return 0
 
-    stages = {
-        "solve": ("solve",),
-        "invariants": ("solve", "invariants"),
-        "classify": ("solve", "invariants", "higgs"),
-        "verify": ("solve", "invariants", "higgs"),
-    }[args.command]
-    report = run(cfg, stages=stages)
+    depth = {"solve": 1, "invariants": 2, "classify": 3, "verify": 3}[args.command]
+    report = run(cfg, stages=_STAGES[:depth])
     print(json.dumps(report, indent=2))
     if "failed_at" in report:
         return 1

@@ -1,12 +1,16 @@
 """Pipeline front door: configs, reports, sweeps, subcommands."""
 
+import gc
 import json
 import os
+import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
+from eqmin import bundles, hypmesh
 from eqmin.bundles import DiscreteSection
 from eqmin.cli import RunConfig, main, run, sweep
 from eqmin.errors import InvalidParameterError
@@ -88,6 +92,13 @@ def test_report_file_equals_returned_report(tmp_path, kw):
         assert json.load(fh) == rep
     if "failed_at" not in rep:
         assert len(rep["solution"]["polish"]["factor_nnz"]) == 1
+        trace = rep["solution"]["newton_trace"]
+        assert [row[0] for row in trace] == list(range(rep["solution"]["iterations"] + 1))
+        assert trace[-1][1] == rep["solution"]["residual"]
+        # the smallest max_dim + 1 = 25 singular values of each kernel search
+        for entry in rep["bundle_dims"].values():
+            s = entry["singular_values"]
+            assert type(s) is list and len(s) == 25 and s == sorted(s)
     if kw["target"] == "rh4":
         assert rep["moduli"]["class_flags"]["proportional"] is True
 
@@ -390,7 +401,8 @@ def test_sweep_command_reports_malformed_spec(tmp_path, capsys):
     assert failed["error"] == "InvalidParameterError"
 
 
-@pytest.mark.parametrize("axis, values", [("l", "a,b"), ("resolution", "3.5")])
+@pytest.mark.parametrize("axis, values", [("l", "a,b"), ("resolution", "3.5"),
+                                          ("resolution", "2,2.0")])
 def test_sweep_command_rejects_bad_values(tmp_path, capsys, axis, values):
     code = main(["sweep", "--target", "rh3", "--resolution", "2", "--data", "zero",
                  "--axis", axis, "--values", values, "--output-dir", str(tmp_path)])
@@ -399,6 +411,18 @@ def test_sweep_command_rejects_bad_values(tmp_path, capsys, axis, values):
     assert failed["stage"] == "config"
     assert failed["error"] == "InvalidParameterError"
     assert not list(tmp_path.iterdir())
+
+
+def test_sweep_runs_repeated_values_alike(monkeypatch):
+    # the command rejects repeats; the library runs them, on one mesh
+    built = []
+    build_surface = hypmesh.build_surface
+    monkeypatch.setattr(hypmesh, "build_surface",
+                        lambda *a: built.append(a) or build_surface(*a))
+    cfg = RunConfig(target="rh3", resolution=2, data_spec="zero")
+    rows, reports = sweep(cfg, "resolution", [2, 2.0], write_files=False)
+    assert rows[0] == rows[1] and reports[0] == reports[1]
+    assert built == [(2, 2)]
 
 
 @pytest.mark.parametrize("target, spec, axis, values, swept", [
@@ -413,3 +437,71 @@ def test_sweep_rewrites_spec_slots(target, spec, axis, values, swept):
     cfg = RunConfig(target=target, resolution=1, data_spec=spec)
     _, reports = sweep(cfg, axis, values, write_files=False)
     assert [rep["config_echo"]["data_spec"] for rep in reports] == swept
+
+
+@pytest.mark.parametrize("stages", [("invariants",), ("solve", "higgs"), (), "solve", None],
+                         ids=["invariants", "solve-higgs", "empty", "string", "none"])
+def test_stages_not_a_pipeline_prefix_end_in_report(tmp_path, stages):
+    cfg = RunConfig(genus=2, resolution=2, target="rh3", data_spec="zero",
+                    output_dir=str(tmp_path))
+    rep = run(cfg, stages=stages)
+    failed = rep["failed_at"]
+    assert failed["stage"] == "config"
+    assert failed["error"] == "InvalidParameterError"
+    assert "stages" in failed["message"]
+    assert "mesh" not in rep
+    with open(tmp_path / "report.json") as fh:
+        assert json.load(fh) == rep
+
+
+# axis -> (base config, values, builds of the sweep: meshes, bases)
+_REUSE_CASES = {
+    "amplitude": (dict(resolution=3, target="rh3", data_spec="basis:0:0.1"), [0.2, 0.4], 1, 1),
+    "basis_index": (dict(resolution=3, target="rh3", data_spec="basis:0:0.1"), [0, 2], 1, 1),
+    # both sections are drawn: 2 bases per l
+    "l": (dict(resolution=4, target="rh4", data_spec="random:0.3"), [0, 1], 1, 4),
+    # the r=2 kernel search fails at bundles; r=3 succeeds
+    "resolution": (dict(target="rh3", data_spec="basis:0:0.1"), [2, 3], 2, 2),
+}
+
+
+@pytest.mark.parametrize("axis", list(_REUSE_CASES))
+def test_sweep_reuses_surface_work_and_matches_runs(tmp_path, monkeypatch, axis):
+    kw, values, n_meshes, n_bases = _REUSE_CASES[axis]
+    calls = {"meshes": [], "bases": 0}
+    build_surface, holomorphic_basis = hypmesh.build_surface, bundles.holomorphic_basis
+
+    def counted_build(*args, **kwargs):
+        # the memo holds one surface: the previous mesh is gone by now
+        gc.collect()
+        assert all(ref() is None for ref in calls["meshes"])
+        mesh = build_surface(*args, **kwargs)
+        calls["meshes"].append(weakref.ref(mesh))
+        return mesh
+
+    def counted_basis(*args, **kwargs):
+        calls["bases"] += 1
+        return holomorphic_basis(*args, **kwargs)
+
+    monkeypatch.setattr(hypmesh, "build_surface", counted_build)
+    monkeypatch.setattr(bundles, "holomorphic_basis", counted_basis)
+    cfg = RunConfig(genus=2, output_dir=str(tmp_path / "sweep"), **kw)
+    _, swept = sweep(cfg, axis, values)
+    assert (len(calls["meshes"]), calls["bases"]) == (n_meshes, n_bases)
+
+    for val, rep in zip(values, swept):
+        if axis in ("amplitude", "basis_index"):
+            c = replace(cfg, data_spec=rep["config_echo"]["data_spec"])
+        else:
+            c = replace(cfg, **{axis: val})
+        c.output_dir = str(tmp_path / "run" / str(val))
+        alone = run(c)
+        for r in (rep, alone):
+            r["config_echo"].pop("output_dir")
+        assert json.dumps(rep) == json.dumps(alone)
+    # a plain run builds its own mesh
+    assert len(calls["meshes"]) == n_meshes + len(values)
+    # each report owns its bundle_dims
+    dims = [rep["bundle_dims"] for rep in swept if "bundle_dims" in rep]
+    assert len({id(d) for d in dims}) == len(dims)
+    assert len({id(e["singular_values"]) for d in dims for e in d.values()}) == sum(map(len, dims))
