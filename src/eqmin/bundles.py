@@ -330,9 +330,10 @@ def class_is_trivial(mesh, beta, metric_u, dbar, tol=1e-3):
     operator (typically Hom(K, L^s) = K^{-1} L^s, which has no global
     holomorphic sections, so the projection is unique).  The projection's
     normal matrix M^H W M, with a small Tikhonov floor, is Hermitian
-    positive definite and is factored in mesh order by factor_hpd.  Returns
-    (is_trivial, harmonic_norm): the weighted L2 norm of beta minus its
-    best dbar-exact approximation, and the comparison with tol.
+    positive definite and is factored as a band in reverse Cuthill-McKee
+    order by factor_hpd.  Returns (is_trivial, harmonic_norm): the
+    weighted L2 norm of beta minus its best dbar-exact approximation, and
+    the comparison with tol.
     """
     beta = np.asarray(beta, dtype=complex)
     if beta.shape[0] != mesh.n_faces:
@@ -347,7 +348,7 @@ def class_is_trivial(mesh, beta, metric_u, dbar, tol=1e-3):
     lhs = lhs + reg * sp.identity(lhs.shape[0], format="csc")
     rhs = M.conj().T @ (w_out * beta)
     try:
-        psi = factor_hpd(mesh, lhs).solve(rhs)
+        psi = factor_hpd(lhs).solve(rhs)
     except Exception as exc:
         raise LinearSolveError(f"harmonic projection solve failed: {exc}") from exc
     if not np.all(np.isfinite(psi)):

@@ -1,54 +1,66 @@
-"""Sparse factorization of Hermitian positive-definite matrices over
-mesh-vertex fields.
+"""Banded Cholesky factorization of Hermitian positive-definite matrices.
 
 The normal matrices of the polish step and of the class-triviality
-projection couple each vertex to its patch, so their fill under
-elimination depends mostly on how the vertices are numbered.  The rows
-and columns are first put in the mesh's bisection order
-(SurfaceMesh.vertex_order), with stacked fields interleaved per vertex;
-SuperLU then orders the permuted matrix by minimum degree on A^T + A and
-factors it in symmetric mode, without pivoting off the diagonal, which
-positive definiteness allows.
+projection couple each vertex to a patch of patches, so their factors
+are about half dense under any fill-reducing ordering.  They are
+therefore factored as bands: the rows and columns are put in reverse
+Cuthill-McKee order, computed from the matrix's own sparsity pattern,
+which narrows the band to a fraction of the size, and the band is
+factored by LAPACK's pbtrf, whose dense updates run in the tuned BLAS.
+The factor's storage is the band, (kd + 1) * n entries for half-bandwidth
+kd and size n.
 """
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+from scipy.linalg import cho_solve_banded, cholesky_banded
 
 from .errors import ShapeError
 
-__all__ = ["MeshFactor", "factor_hpd"]
+__all__ = ["BandFactor", "factor_hpd"]
 
 
-class MeshFactor:
-    """SuperLU factors of a matrix in mesh order; solve takes and returns
-    vectors in the caller's order."""
+class BandFactor:
+    """Lower banded Cholesky factor of a matrix in band order; solve takes
+    and returns vectors in the caller's order."""
 
-    def __init__(self, lu, perm):
-        self.lu = lu
+    def __init__(self, cb, perm):
+        self.cb = cb
         self.perm = perm
-        # the entries SuperLU stores for L and U, including the zeros of
-        # its supernode blocks; lu.L and lu.U would build CSC copies of
-        # both factors and keep them as long as lu lives
-        self.nnz = int(lu.nnz)
+        # the half-bandwidth kd and the band's stored entries, (kd + 1) * n
+        self.bandwidth = cb.shape[0] - 1
+        self.nnz = int(cb.size)
 
     def solve(self, b):
-        y = self.lu.solve(np.asarray(b)[self.perm])
+        y = cho_solve_banded((self.cb, True), np.asarray(b)[self.perm],
+                             check_finite=False)
         x = np.empty_like(y)
         x[self.perm] = y
         return x
 
 
-def factor_hpd(mesh, A):
-    """Factor a Hermitian positive-definite matrix A over f stacked vertex
-    fields of mesh (shape fV x fV, field k of vertex v at row kV + v), in
-    mesh order; returns a MeshFactor."""
-    V = mesh.n_vertices
-    fields = A.shape[0] // V
-    if fields == 0 or A.shape != (fields * V, fields * V):
-        raise ShapeError(f"matrix of shape {A.shape} is not square over {V} vertices")
-    perm = (mesh.vertex_order()[:, None] + V * np.arange(fields)).ravel()
-    A = sp.csc_matrix(A)[perm][:, perm]
-    lu = spla.splu(A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                   options=dict(SymmetricMode=True))
-    return MeshFactor(lu, perm)
+def factor_hpd(A):
+    """Factor a sparse Hermitian positive-definite matrix A (real or
+    complex) in reverse Cuthill-McKee order; returns a BandFactor.  Raises
+    ShapeError for a matrix that is not square and numpy's LinAlgError
+    when A is not positive definite."""
+    n = A.shape[0]
+    if A.shape != (n, n) or n == 0:
+        raise ShapeError(f"matrix of shape {A.shape} is not square")
+    # imported on first use, which keeps csgraph out of the package import
+    from scipy.sparse.csgraph import reverse_cuthill_mckee
+
+    A = sp.csr_matrix(A)
+    perm = reverse_cuthill_mckee(A, symmetric_mode=True)
+    rank = np.empty(n, dtype=np.intp)
+    rank[perm] = np.arange(n)
+    C = A.tocoo()
+    i, j = rank[C.row], rank[C.col]
+    lower = i >= j
+    i, j = i[lower], j[lower]
+    kd = int(np.max(i - j))
+    # LAPACK's lower band storage: entry (i, j) at ab[i - j, j]
+    ab = np.zeros((kd + 1, n), dtype=A.dtype, order="F")
+    ab[i - j, j] = C.data[lower]
+    cb = cholesky_banded(ab, lower=True, overwrite_ab=True, check_finite=False)
+    return BandFactor(cb, perm)

@@ -366,17 +366,17 @@ def polish_solution(data, sol, iterations=4, damping=0.03):
     are stored on the solution as u_smooth / w_smooth; the original fields
     are untouched.
 
-    The normal matrix is symmetric positive definite and is factored in
-    mesh order by factor_hpd.  Between steps only the diagonal reaction
-    terms of the Jacobian move, by O(h^2), so it is factored once and each
-    later step solves its own normal equations by conjugate gradients
-    preconditioned with that factorization.  When CG does not reach its
+    The normal matrix is symmetric positive definite and is factored as a
+    band in reverse Cuthill-McKee order by factor_hpd.  Between steps only
+    the diagonal reaction terms of the Jacobian move, by O(h^2), so it is
+    factored once and each later step solves its own normal equations by
+    conjugate gradients preconditioned with that factorization.  When CG does not reach its
     tolerance the current matrix is factored and solved directly, and its
     factorization preconditions the remaining steps.  sol.polish records
     each step (weighted collocation residual before and after, accepted
     line-search fraction, CG iterations, 0 for a direct solve), the
-    number of factorizations and the fill of each (factor_nnz, the
-    entries SuperLU stores for L and U).
+    number of factorizations and the storage of each (factor_nnz, the
+    band's entries, (kd + 1) * n for half-bandwidth kd and size n).
     """
     a = data.mesh.vertex_areas
     eqs = CurvatureEquations(data)
@@ -404,7 +404,7 @@ def polish_solution(data, sol, iterations=4, damping=0.03):
         if step is None:
             lu = None  # release the old factors before making new ones
             try:
-                lu = factor_hpd(data.mesh, N)
+                lu = factor_hpd(N)
                 step = lu.solve(rhs)
             except Exception as exc:
                 raise LinearSolveError(f"polish solve failed: {exc}") from exc

@@ -198,7 +198,6 @@ class SurfaceMesh:
         self.__dict__.update(kw)
         self._fd_laplacians = {}
         self._patch_fit = None
-        self._vertex_order = None
 
     @property
     def n_vertices(self):
@@ -228,15 +227,6 @@ class SurfaceMesh:
         if self._patch_fit is None:
             self._patch_fit = _patch_fit_rows(self.vertices, self.patch_coord, self.patch_ptr)
         return self._patch_fit
-
-    def vertex_order(self):
-        """Vertex permutation that keeps nearby vertices together: recursive
-        coordinate bisection of the class chart coordinates, computed once
-        per mesh.  Sparse factorizations of vertex-field matrices take it
-        as their pre-order."""
-        if self._vertex_order is None:
-            self._vertex_order = _bisection_order(self.vertices, np.arange(self.n_vertices))
-        return self._vertex_order
 
     def fd_fit(self, field, chart_term=None):
         """Flat Laplacian at the vertices of a weighted least-squares
@@ -323,8 +313,6 @@ _MAX_VERTICES = 400_000
 _MIN_ANGLE_DEG = 10.0
 # vertices per block of the patch search; bounds the memory of its chains
 _PATCH_BLOCK = 64
-# vertices per leaf of the bisection order
-_ORDER_LEAF = 64
 # the two other corners of a face, by corner
 _OTHER_CORNERS = np.array([[1, 2], [0, 2], [0, 1]])
 
@@ -547,18 +535,6 @@ def _stencil(dom, verts, faces, twin, side, copy_class, copy_T, copy_kderiv, cop
         stencil_gshift=stencil_gshift,
         stencil_omega=_segment_omega0(stencil_coord, cen6),
     )
-
-
-def _bisection_order(z, idx):
-    """The points idx of z in recursive coordinate bisection order: split
-    at the median of the coordinate with the wider range, order each half
-    the same way, and stop at _ORDER_LEAF points."""
-    if len(idx) <= _ORDER_LEAF:
-        return idx
-    x, y = z[idx].real, z[idx].imag
-    s = idx[np.argsort(x if np.ptp(x) >= np.ptp(y) else y, kind="stable")]
-    h = len(s) // 2
-    return np.concatenate([_bisection_order(z, s[:h]), _bisection_order(z, s[h:])])
 
 
 def _mobius_mul(p, q):

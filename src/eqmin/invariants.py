@@ -63,6 +63,7 @@ class InvariantReport:
         area,
         euler_integral,
         residuals,
+        residual_sites,
     ):
         self.n = n
         self.genus = genus
@@ -76,6 +77,7 @@ class InvariantReport:
         self.area = area
         self.euler_integral = euler_integral
         self.residuals = residuals
+        self.residual_sites = residual_sites
         for key in _RESIDUAL_KEYS:
             if key not in residuals:
                 raise ShapeError(f"residual key {key} missing")
@@ -93,6 +95,7 @@ class InvariantReport:
             ],
             "u4_sup": float(np.max(np.sqrt(np.abs(self.u4_norm_sq)))),
             "residuals": {k: float(v) for k, v in self.residuals.items()},
+            "residual_sites": self.residual_sites,
         }
 
 
@@ -128,9 +131,24 @@ def _polished(eqs, sol):
     return u, eqs.norms(u, w), curv
 
 
-def _frame_residuals(data, u, norms, kappa_perp):
-    """The frame-equation residuals of frame_equation_residuals, given the
-    polished u with its gamma-norms and patch-fit kappa_perp."""
+def _residual_site(mesh, r):
+    """Where the pointwise residual |r| peaks: the vertex of its maximum
+    (the first, on ties), that vertex's |z| and valence (the faces at its
+    class), and the 99th percentile of |r| over the vertices."""
+    r = np.abs(r)
+    v = int(np.argmax(r))
+    return {
+        "vertex": v,
+        "abs_z": float(abs(mesh.vertices[v])),
+        "valence": int(np.count_nonzero(mesh.faces == v)),
+        "p99": float(np.percentile(r, 99)),
+    }
+
+
+def _frame_fields(data, u, norms, kappa_perp):
+    """The pointwise frame-equation residuals at the vertices, given the
+    polished u with its gamma-norms and patch-fit kappa_perp: the Gauss
+    frame equation, and for hyperbolic 4-space the Ricci equation."""
     mesh = data.mesh
 
     # log s^2 = 2u + log(lambda^2 / 2) is a chart expression
@@ -145,11 +163,18 @@ def _frame_residuals(data, u, norms, kappa_perp):
     ii_sq, th1_sq, th2_sq = norms
     # -s^{-2} del delbar log s^2 + s^{-4} ||II(Z,Z)||^2 + 1, where the
     # frame-scale norm is ||II(Z,Z)||^2 = s^4 ||II||^2_gamma
-    out = {}
-    out["gauss_frame"] = float(np.max(np.abs(-ddbar_logs2 / s2 + ii_sq + 1.0)))
-
+    out = {"gauss_frame": -ddbar_logs2 / s2 + ii_sq + 1.0}
     if isinstance(data, GermData4):
-        out["ricci_frame"] = float(np.max(np.abs(kappa_perp - (th2_sq - th1_sq))))
+        out["ricci_frame"] = kappa_perp - (th2_sq - th1_sq)
+    return out
+
+
+def _frame_residuals(data, fields):
+    """The frame-equation residuals of frame_equation_residuals, given the
+    pointwise fields of _frame_fields."""
+    out = {k: float(np.max(np.abs(r))) for k, r in fields.items()}
+    mesh = data.mesh
+    if isinstance(data, GermData4):
         out["codazzi_frame"] = max(
             _codazzi_norm(mesh, data.theta1), _codazzi_norm(mesh, data.theta2)
         )
@@ -171,7 +196,7 @@ def frame_equation_residuals(data, sol):
     """
     _require_converged(sol)
     u, norms, (_, kappa_perp) = _polished(CurvatureEquations(data), sol)
-    return _frame_residuals(data, u, norms, kappa_perp)
+    return _frame_residuals(data, _frame_fields(data, u, norms, kappa_perp))
 
 
 def compute_invariants(data, sol):
@@ -202,8 +227,9 @@ def compute_invariants(data, sol):
     target_area = 4.0 * math.pi * (g - 1)
     ii_int = integrate(mesh, ii_sq, conformal_factor_u=u)
 
+    pointwise = {"gauss_identity": kappa_gamma + 1.0 + ii_sq}
     residuals = {}
-    residuals["gauss_identity"] = float(np.max(np.abs(kappa_gamma + 1.0 + ii_sq)))
+    residuals["gauss_identity"] = float(np.max(np.abs(pointwise["gauss_identity"])))
     gb = float(np.sum(-(a + S @ u))) / (2.0 * math.pi)
     residuals["gauss_bonnet"] = abs(gb - (2 - 2 * g))
     residuals["area_identity"] = abs(area - target_area + ii_int)
@@ -215,11 +241,14 @@ def compute_invariants(data, sol):
     u_s, norms_s, (kg_fd, kp_fd) = _polished(eqs, sol)
     u4_s = _quartic_norm_sq(*norms_s)
     kp_sq = 0.0 if kp_fd is None else kp_fd**2
+    pointwise["kappaperp_identity"] = kp_sq - (1.0 + kg_fd) ** 2 + u4_s
     residuals["kappaperp_identity"] = float(
-        np.max(np.abs(kp_sq - (1.0 + kg_fd) ** 2 + u4_s))
+        np.max(np.abs(pointwise["kappaperp_identity"]))
     )
 
-    residuals.update(_frame_residuals(data, u_s, norms_s, kp_fd))
+    frame = _frame_fields(data, u_s, norms_s, kp_fd)
+    residuals.update(_frame_residuals(data, frame))
+    pointwise.update(frame)
 
     u4_sup = float(np.max(np.sqrt(np.abs(u4_sq))))
     ii_sup = float(np.max(ii_sq))
@@ -242,6 +271,7 @@ def compute_invariants(data, sol):
         area=area,
         euler_integral=euler,
         residuals=residuals,
+        residual_sites={k: _residual_site(mesh, r) for k, r in pointwise.items()},
     )
 
 

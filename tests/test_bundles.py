@@ -154,9 +154,9 @@ def test_mesh_order_factor_solves_class_oracle_matrix_like_colamd(mesh_r3, basis
     beta = rng.standard_normal(mesh_r3.n_faces) + 1j * rng.standard_normal(mesh_r3.n_faces)
     matrices = []
 
-    def recording(mesh, A):
+    def recording(A):
         matrices.append(A)
-        return factor.factor_hpd(mesh, A)
+        return factor.factor_hpd(A)
 
     monkeypatch.setattr(bundles, "factor_hpd", recording)
     bundles.class_is_trivial(mesh_r3, beta, sol.u, dbar)
@@ -164,7 +164,7 @@ def test_mesh_order_factor_solves_class_oracle_matrix_like_colamd(mesh_r3, basis
     assert abs(A - A.conj().T).max() <= 1e-14 * abs(A).max()
     b = rng.standard_normal(A.shape[0]) + 1j * rng.standard_normal(A.shape[0])
     ref = spla.splu(sp.csc_matrix(A)).solve(b)
-    x = factor.factor_hpd(mesh_r3, A).solve(b)
+    x = factor.factor_hpd(A).solve(b)
     assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
 
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
-from eqmin import bundles, hypmesh
+from eqmin import bundles, factor, hypmesh
 from eqmin.bundles import DiscreteSection
 from eqmin.cli import RunConfig, main, run, sweep
 from eqmin.errors import InvalidParameterError
@@ -139,14 +139,14 @@ def test_eigensolver_failure_ends_in_report(tmp_path, monkeypatch, fail, error):
 
 def test_class_oracle_factor_failure_ends_in_report(tmp_path, monkeypatch):
     # only the class oracle factors a complex matrix
-    splu = spla.splu
+    cholesky_banded = factor.cholesky_banded
 
-    def fail_on_complex(A, *args, **kwargs):
-        if np.iscomplexobj(A.data):
-            raise RuntimeError("Factor is exactly singular")
-        return splu(A, *args, **kwargs)
+    def fail_on_complex(ab, *args, **kwargs):
+        if np.iscomplexobj(ab):
+            raise np.linalg.LinAlgError("1-th leading minor not positive definite")
+        return cholesky_banded(ab, *args, **kwargs)
 
-    monkeypatch.setattr(spla, "splu", fail_on_complex)
+    monkeypatch.setattr(factor, "cholesky_banded", fail_on_complex)
     cfg = RunConfig(genus=2, resolution=3, target="rh3", data_spec="basis:0:0.4",
                     output_dir=str(tmp_path))
     rep = run(cfg)

@@ -1,0 +1,106 @@
+"""Banded Cholesky factorization of the polish and class-oracle matrices."""
+
+import numpy as np
+import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
+
+from eqmin import bundles, factor, germsolve, hypmesh
+from eqmin.errors import LinearSolveError, ShapeError
+from conftest import make_section
+
+
+def _bandwidth(A, rank):
+    """Half-bandwidth of A with row and column k moved to rank[k]."""
+    C = sp.coo_matrix(A)
+    return int(np.max(np.abs(rank[C.row] - rank[C.col])))
+
+
+def test_band_order_is_a_permutation(mesh_r3):
+    V = mesh_r3.n_vertices
+    S = hypmesh.laplacian(mesh_r3)
+    A = (S.T @ S + sp.identity(V)).tocsc()
+    lu = factor.factor_hpd(A)
+    assert np.array_equal(np.sort(lu.perm), np.arange(V))
+    rank = np.argsort(lu.perm)
+    assert lu.bandwidth == _bandwidth(A, rank)
+    assert lu.bandwidth < _bandwidth(A, np.arange(V))
+    assert lu.nnz == (lu.bandwidth + 1) * V
+    b = np.random.default_rng(0).standard_normal(V)
+    ref = spla.spsolve(A, b)
+    assert np.linalg.norm(lu.solve(b) - ref) <= 1e-12 * np.linalg.norm(ref)
+    for shape in ((V + 1, V), (V, V + 1)):
+        with pytest.raises(ShapeError):
+            factor.factor_hpd(sp.identity(V + 1, format="csc")[:shape[0], :shape[1]])
+
+
+@pytest.fixture(scope="module")
+def solved_r4(mesh_r4, L1_r4, basis_K2L_r4, basis_K2Linv_r4):
+    """The baseline rh4 datum at g=2, r=4, l=1, solved."""
+    theta1 = make_section(mesh_r4, L1_r4, 2, 1, 0.4 * basis_K2L_r4[0].values)
+    theta2 = make_section(mesh_r4, L1_r4, 2, -1, 0.3 * basis_K2Linv_r4[0].values)
+    data = germsolve.GermData4(mesh_r4, L1_r4, theta1, theta2)
+    return data, germsolve.solve_gauss_ricci4(data, tol=1e-11)
+
+
+def _first_factored(monkeypatch, module, call):
+    """The first matrix that call factors through module.factor_hpd, and
+    its factor."""
+    factored = []
+
+    def recording(A):
+        factored.append((A, factor.factor_hpd(A)))
+        return factored[-1][1]
+
+    monkeypatch.setattr(module, "factor_hpd", recording)
+    call()
+    return factored[0]
+
+
+def test_polish_band_stays_narrow_at_r4(solved_r4, monkeypatch):
+    data, sol = solved_r4
+    fresh = germsolve.GermSolution(u=sol.u, w=sol.w, converged=True)
+    N, lu = _first_factored(monkeypatch, germsolve,
+                            lambda: germsolve.polish_solution(data, fresh, iterations=1))
+    n = N.shape[0]
+    assert n == 2 * data.mesh.n_vertices
+    # the mesh's own numbering spans nearly the whole matrix
+    assert _bandwidth(N, np.arange(n)) > 0.9 * n
+    assert lu.bandwidth < 0.55 * n
+
+
+def test_class_oracle_band_stays_narrow_at_r4(solved_r4, monkeypatch):
+    data, sol = solved_r4
+    mesh = data.mesh
+    dbar = bundles.dbar_operator(mesh, data.L, -1, 1)
+    rng = np.random.default_rng(3)
+    beta = rng.standard_normal(mesh.n_faces) + 1j * rng.standard_normal(mesh.n_faces)
+    A, lu = _first_factored(monkeypatch, bundles,
+                            lambda: bundles.class_is_trivial(mesh, beta, sol.u, dbar))
+    n = A.shape[0]
+    assert n == mesh.n_vertices
+    assert _bandwidth(A, np.arange(n)) > 0.9 * n
+    assert lu.bandwidth < 0.25 * n
+
+
+def test_indefinite_matrix_fails_to_factor_and_ends_in_linear_solve_error(
+        mesh_r3, basis_K2_r3, monkeypatch):
+    # Hermitian with eigenvalues -1 and 3
+    with pytest.raises(np.linalg.LinAlgError):
+        factor.factor_hpd(sp.csc_matrix(np.array([[1.0, 2j], [-2j, 1.0]])))
+
+    def negated(A):
+        return factor.factor_hpd(-A)
+
+    monkeypatch.setattr(germsolve, "factor_hpd", negated)
+    monkeypatch.setattr(bundles, "factor_hpd", negated)
+    data = germsolve.GermData3(mesh_r3, q=basis_K2_r3[0])
+    sol = germsolve.solve_gauss3(data, tol=1e-10)
+    with pytest.raises(LinearSolveError, match="polish solve failed") as failed:
+        germsolve.polish_solution(data, sol)
+    assert isinstance(failed.value.__cause__, np.linalg.LinAlgError)
+    dbar = bundles.dbar_operator(mesh_r3, None, -1, 0)
+    beta = np.random.default_rng(1).standard_normal(mesh_r3.n_faces) + 0j
+    with pytest.raises(LinearSolveError, match="harmonic projection") as failed:
+        bundles.class_is_trivial(mesh_r3, beta, sol.u, dbar)
+    assert isinstance(failed.value.__cause__, np.linalg.LinAlgError)

@@ -164,24 +164,23 @@ def _factor_every_step(data, sol, steps=4):
 
 
 @pytest.fixture
-def count_splu(monkeypatch):
+def count_factor(monkeypatch):
     calls = []
-    splu = spla.splu
 
-    def counting(*args, **kwargs):
+    def counting(A):
         calls.append(1)
-        return splu(*args, **kwargs)
+        return factor.factor_hpd(A)
 
-    monkeypatch.setattr(spla, "splu", counting)
+    monkeypatch.setattr(germsolve, "factor_hpd", counting)
     return calls
 
 
-def test_polish_factors_once_and_matches_factor_every_step(solved_r3, count_splu):
+def test_polish_factors_once_and_matches_factor_every_step(solved_r3, count_factor):
     data, sol = solved_r3
     ref = _factor_every_step(data, sol)
-    del count_splu[:]
+    del count_factor[:]
     polished = germsolve.polish_solution(data, _fresh(sol.u, sol.w))
-    assert len(count_splu) == 1
+    assert len(count_factor) == 1
     assert np.max(np.abs(_smoothed(polished) - ref)) < 1e-10
     record = polished.polish
     assert record["factorizations"] == 1
@@ -198,7 +197,7 @@ def test_polish_factors_once_and_matches_factor_every_step(solved_r3, count_splu
         assert nxt["residual_before"] == prev["residual_after"]
 
 
-def test_polish_refactors_when_cg_fails(solved_r3, count_splu, monkeypatch):
+def test_polish_refactors_when_cg_fails(solved_r3, count_factor, monkeypatch):
     data, sol = solved_r3
     ref = _factor_every_step(data, sol)
 
@@ -206,35 +205,36 @@ def test_polish_refactors_when_cg_fails(solved_r3, count_splu, monkeypatch):
         return np.zeros_like(b), kwargs["maxiter"]
 
     monkeypatch.setattr(spla, "cg", no_convergence)
-    del count_splu[:]
+    del count_factor[:]
     polished = germsolve.polish_solution(data, _fresh(sol.u, sol.w))
-    assert len(count_splu) == 4
+    assert len(count_factor) == 4
     assert np.max(np.abs(_smoothed(polished) - ref)) < 1e-10
     assert polished.polish["factorizations"] == 4
     assert len(polished.polish["factor_nnz"]) == 4
     assert [s["cg_iterations"] for s in polished.polish["steps"]] == [0] * 4
 
 
-def _colamd(mesh, A):
+def _colamd(A):
     """SuperLU with its default COLAMD ordering and partial pivoting, in
-    the caller's order: polish's factorization before mesh order."""
-    return factor.MeshFactor(spla.splu(sp.csc_matrix(A)), np.arange(A.shape[0]))
+    the caller's order: the oracle for the banded factor.  Its factor
+    object has the solve and nnz that the polish reads."""
+    return spla.splu(sp.csc_matrix(A))
 
 
 def test_mesh_order_factor_solves_polish_matrix_like_colamd(solved_r3, monkeypatch):
     data, sol = solved_r3
     matrices = []
 
-    def recording(mesh, A):
+    def recording(A):
         matrices.append(A)
-        return factor.factor_hpd(mesh, A)
+        return factor.factor_hpd(A)
 
     monkeypatch.setattr(germsolve, "factor_hpd", recording)
     germsolve.polish_solution(data, _fresh(sol.u, sol.w), iterations=1)
     (N,) = matrices
     b = np.random.default_rng(0).standard_normal(N.shape[0])
-    ref = _colamd(data.mesh, N).solve(b)
-    x = factor.factor_hpd(data.mesh, N).solve(b)
+    ref = _colamd(N).solve(b)
+    x = factor.factor_hpd(N).solve(b)
     assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
 
 

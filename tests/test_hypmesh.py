@@ -4,14 +4,12 @@ import math
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
-from eqmin import factor, hypmesh
+from eqmin import hypmesh
 from eqmin.errors import (
     InvalidParameterError,
     MeshQualityError,
     ResourceBudgetError,
-    ShapeError,
 )
 from eqmin.mobius import conformal_factor, hyp_dist
 
@@ -151,29 +149,6 @@ def test_fd_laplacian_assembled_once_per_variant(mesh_r2, monkeypatch):
     # the memo lives on the mesh instance, not in a module-level cache
     assert mesh_r2.fd_laplacian_matrix(weighted=False) is not Bu
     assert abs(mesh_r2.fd_laplacian_matrix(weighted=False) - Bu).max() == 0.0
-
-
-def test_vertex_order_is_a_permutation_computed_once(monkeypatch):
-    calls = []
-    bisect = hypmesh._bisection_order
-
-    def counting(z, idx):
-        calls.append(len(idx))
-        return bisect(z, idx)
-
-    monkeypatch.setattr(hypmesh, "_bisection_order", counting)
-    mesh = hypmesh.build_surface(3, 2)
-    V = mesh.n_vertices
-    order = mesh.vertex_order()
-    assert np.array_equal(np.sort(order), np.arange(V))
-    # the polish and class-oracle factorizations of one mesh share it
-    for fields in (1, 2):
-        lu = factor.factor_hpd(mesh, sp.identity(fields * V, format="csc"))
-        assert np.array_equal(lu.perm[::fields], order)
-    assert mesh.vertex_order() is order
-    assert calls.count(V) == 1
-    with pytest.raises(ShapeError):
-        factor.factor_hpd(mesh, sp.identity(V + 1, format="csc"))
 
 
 def _per_vertex_patch_fits(mesh, field, chart_term):

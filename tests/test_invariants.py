@@ -1,6 +1,7 @@
 """Invariant reports: integrated identities, pointwise residuals,
 superminimal classification."""
 
+import json
 import math
 
 import numpy as np
@@ -101,3 +102,45 @@ def test_codazzi_frame_is_the_dbar_residual_norm(rh3_report, mesh_r3):
     data, _, rep = rh3_report
     dbar = bundles.dbar_operator(mesh_r3, None, 2, 0)
     assert rep.residuals["codazzi_frame"] == dbar.residual_norm(data.q.values)
+
+
+@pytest.fixture(scope="module")
+def rh4_report(mesh_r3, basis_K2_r3):
+    L = bundles.make_line_bundle(mesh_r3, 0)
+    theta1 = make_section(mesh_r3, L, 2, 1, 0.3 * basis_K2_r3[0].values)
+    theta2 = make_section(mesh_r3, L, 2, -1, 0.5 * basis_K2_r3[1].values)
+    data = germsolve.GermData4(mesh_r3, L, theta1, theta2)
+    sol = germsolve.solve_gauss_ricci4(data, tol=1e-11)
+    return data, sol, invariants.compute_invariants(data, sol)
+
+
+@pytest.mark.parametrize("which", ["rh3_report", "rh4_report"])
+def test_residual_sites_locate_each_pointwise_sup(which, request):
+    data, sol, rep = request.getfixturevalue(which)
+    mesh = data.mesh
+    sites = rep.to_dict()["residual_sites"]
+    pointwise = {"gauss_identity", "kappaperp_identity", "gauss_frame"}
+    assert set(sites) == pointwise | ({"ricci_frame"} if rep.n == 4 else set())
+    assert json.loads(json.dumps(sites)) == sites
+    # the same fields give the same sites
+    assert invariants.compute_invariants(data, sol).residual_sites == sites
+    faces_at = np.bincount(mesh.faces.ravel(), minlength=mesh.n_vertices)
+    for key, site in sites.items():
+        v = site["vertex"]
+        assert type(v) is int and type(site["valence"]) is int
+        assert site["abs_z"] == abs(mesh.vertices[v])
+        assert site["valence"] == faces_at[v]
+        assert 0.0 <= site["p99"] <= rep.residuals[key]
+    # the Gauss identity's field is on the report: check its site in full
+    r = np.abs(rep.kappa_gamma + 1.0 + rep.ii_norm_sq)
+    site = sites["gauss_identity"]
+    assert r[site["vertex"]] == rep.residuals["gauss_identity"] == np.max(r)
+    assert site["p99"] == np.percentile(r, 99)
+
+
+def test_residual_site_takes_the_first_maximum_of_the_modulus(mesh_r3):
+    r = np.zeros(mesh_r3.n_vertices)
+    r[[7, 3, 11]] = [-2.0, 1.0, 2.0]
+    site = invariants._residual_site(mesh_r3, r)
+    assert site["vertex"] == 7
+    assert site["p99"] == np.percentile(np.abs(r), 99)
