@@ -239,23 +239,29 @@ def dbar_operator(mesh, L, m, n):
 
 
 class BasisResult(list):
-    """List of DiscreteSection with kernel-detection diagnostics attached."""
+    """List of DiscreteSection with kernel-detection diagnostics attached:
+    the singular values, the gap ratio, an optional dimension warning, and
+    factor_nnz, the stored entries of the shift-invert factor (None when
+    the search took the dense path)."""
 
-    def __init__(self, sections, singular_values, gap_ratio, warning=None):
+    def __init__(self, sections, singular_values, gap_ratio, warning=None, factor_nnz=None):
         super().__init__(sections)
         self.singular_values = singular_values
         self.gap_ratio = gap_ratio
         self.warning = warning
+        self.factor_nnz = factor_nnz
 
 
 def _smallest_singular(B, k):
     """The k smallest singular values of B (ascending), their right
-    singular vectors (columns) and the largest singular value.
+    singular vectors (columns), the largest singular value and the stored
+    entries of the shift-invert factor.
 
     They are the eigenpairs of the Hermitian normal operator N = B^H B,
     found by ARPACK in shift-invert mode about a tiny negative shift, so
-    that N - sigma I stays positive definite when the kernel is exact.
-    ARPACK needs k < n - 1; smaller problems take a dense eigh of N.
+    that N - sigma I stays positive definite when the kernel is exact and
+    is factored once as a band by factor_hpd.  ARPACK needs k < n - 1;
+    smaller problems take a dense eigh of N and report no factor (None).
     The start vector is fixed, so repeated calls agree.
     """
     N = (B.conj().T @ B).tocsc()
@@ -264,11 +270,14 @@ def _smallest_singular(B, k):
         lam, vecs = np.linalg.eigh(N.toarray())
         lam_max = lam[-1]
         lam, vecs = lam[:k], vecs[:, :k]
+        factor_nnz = None
     else:
         sigma = -1e-10 * float(np.max(np.abs(N.diagonal())))
         v0 = np.ones(n, dtype=complex)
         try:
-            lam, vecs = spla.eigsh(N, k, sigma=sigma, which="LM", v0=v0)
+            shifted = factor_hpd(N - sigma * sp.identity(n, format="csc"))
+            OPinv = spla.LinearOperator(N.shape, matvec=shifted.solve, dtype=N.dtype)
+            lam, vecs = spla.eigsh(N, k, sigma=sigma, which="LM", v0=v0, OPinv=OPinv)
             lam_max = spla.eigsh(N, 1, which="LA", v0=v0,
                                  return_eigenvectors=False)[0]
         except spla.ArpackNoConvergence as exc:
@@ -277,12 +286,26 @@ def _smallest_singular(B, k):
                 f"shift-invert eigensolve did not converge: {exc}",
                 singular_values=np.sqrt(np.maximum(lam, 0.0)).tolist(),
             ) from exc
-        except (spla.ArpackError, RuntimeError) as exc:
+        except (spla.ArpackError, np.linalg.LinAlgError, RuntimeError) as exc:
             raise LinearSolveError(f"shift-invert eigensolve failed: {exc}") from exc
         order = np.argsort(lam)
         lam, vecs = lam[order], vecs[:, order]
+        factor_nnz = shifted.nnz
     s = np.sqrt(np.maximum(lam, 0.0))
-    return s, vecs, float(np.sqrt(max(lam_max, 0.0)))
+    return s, vecs, float(np.sqrt(max(lam_max, 0.0))), factor_nnz
+
+
+# relative modulus within which a section's peaks count as tied
+PEAK_RTOL = 1e-6
+
+
+def _fix_phase(vals):
+    """vals times the unit phase that makes real and positive its value at
+    the lowest-index vertex whose modulus is within PEAK_RTOL of the
+    largest."""
+    mod = np.abs(vals)
+    peak = vals[np.argmax(mod >= (1.0 - PEAK_RTOL) * mod.max())]
+    return vals * (np.conj(peak) / abs(peak))
 
 
 def holomorphic_basis(dbar, expected_dim=None, gap_floor=10.0, max_dim=24):
@@ -292,13 +315,17 @@ def holomorphic_basis(dbar, expected_dim=None, gap_floor=10.0, max_dim=24):
     values of the metric-normalized operator among the smallest few; a
     ratio below gap_floor raises an indeterminate-kernel error carrying
     the singular values.  Each basis section's phase is fixed by making
-    its largest-modulus value real and positive.
+    real and positive its value at the lowest-index vertex whose modulus
+    is within PEAK_RTOL of the largest: on symmetric surfaces a section
+    peaks at several vertices whose moduli agree only to roundoff, so
+    the largest modulus alone would pick the vertex, and the phase, by
+    roundoff.
     """
     mesh = dbar.mesh
     w_in, w_out = dbar_weights(mesh, dbar.m)
     B = sp.diags(np.sqrt(w_out)) @ dbar.matrix @ sp.diags(1.0 / np.sqrt(w_in))
     upper = min(max_dim, mesh.n_vertices - 1)
-    s, vecs, s_max = _smallest_singular(B, upper + 1)
+    s, vecs, s_max, factor_nnz = _smallest_singular(B, upper + 1)
     ratios = s[1:] / np.maximum(s[:-1], 1e-14 * s_max)
     d = int(np.argmax(ratios)) + 1
     gap = float(ratios[d - 1])
@@ -313,13 +340,11 @@ def holomorphic_basis(dbar, expected_dim=None, gap_floor=10.0, max_dim=24):
     l = 0 if dbar.bundle is None else dbar.bundle.degree
     sections = []
     for i in range(d):
-        vals = vecs[:, i] / np.sqrt(w_in)
-        peak = vals[np.argmax(np.abs(vals))]
-        vals = vals * (np.conj(peak) / abs(peak))
+        vals = _fix_phase(vecs[:, i] / np.sqrt(w_in))
         res = dbar(vals)
         sec = DiscreteSection((dbar.m, dbar.n), vals, degree_l=l, dbar_residual=res)
         sections.append(sec)
-    return BasisResult(sections, s, gap, warning)
+    return BasisResult(sections, s, gap, warning, factor_nnz=factor_nnz)
 
 
 def class_is_trivial(mesh, beta, metric_u, dbar, tol=1e-3):

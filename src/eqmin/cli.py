@@ -182,7 +182,8 @@ def _mesh(memo, genus, resolution):
 def _basis_for(memo, mesh, L, n_weight):
     """Holomorphic basis of K^2 L^{n_weight}, found on its first use in
     memo, and a new bundle_dims entry for it (detected and Riemann-Roch
-    dimension, gap ratio, the smallest singular values)."""
+    dimension, gap ratio, the smallest singular values, the stored entries
+    of the shift-invert factor)."""
     l = None if L is None else L.degree
     expected = 3 * (mesh.genus - 1) + n_weight * (l or 0)
     key = (mesh, l, n_weight)
@@ -191,7 +192,8 @@ def _basis_for(memo, mesh, L, n_weight):
         memo[key] = bundles.holomorphic_basis(dbar, expected_dim=expected)
     basis = memo[key]
     return basis, {"detected": len(basis), "expected": expected, "gap_ratio": basis.gap_ratio,
-                   "singular_values": basis.singular_values.tolist()}
+                   "singular_values": basis.singular_values.tolist(),
+                   "factor_nnz": basis.factor_nnz}
 
 
 def _combination(basis, coef):

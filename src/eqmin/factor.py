@@ -8,7 +8,9 @@ Cuthill-McKee order, computed from the matrix's own sparsity pattern,
 which narrows the band to a fraction of the size, and the band is
 factored by LAPACK's pbtrf, whose dense updates run in the tuned BLAS.
 The factor's storage is the band, (kd + 1) * n entries for half-bandwidth
-kd and size n.
+kd and size n.  The kernel search's shifted normal operator B^H B - sigma I,
+with the class oracle's sparsity pattern, is factored the same way for
+its shift-invert eigensolve.
 """
 
 import numpy as np

@@ -1,5 +1,7 @@
 """Line bundles, dbar kernels, and the class-triviality oracle."""
 
+import sys
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -95,6 +97,8 @@ def test_small_mesh_kernel_search_matches_dense_svd():
     s = np.asarray(err.value.singular_values)
     assert len(s) == mesh.n_vertices
     assert np.allclose(s, s_ref, rtol=1e-8, atol=1e-12 * s_ref[-1])
+    # the dense path factors nothing
+    assert bundles.holomorphic_basis(dbar, gap_floor=0.0).factor_nnz is None
 
 
 def test_basis_is_deterministic(mesh_r3, basis_K2_r3):
@@ -103,8 +107,69 @@ def test_basis_is_deterministic(mesh_r3, basis_K2_r3):
     assert np.array_equal(again.singular_values, basis_K2_r3.singular_values)
     for a, b in zip(basis_K2_r3, again):
         assert np.array_equal(a.values, b.values)
-        peak = a.values[np.argmax(np.abs(a.values))]
+        # the phase is set at the first vertex within PEAK_RTOL of the peak
+        mod = np.abs(a.values)
+        peak = a.values[np.argmax(mod >= (1.0 - bundles.PEAK_RTOL) * mod.max())]
         assert peak.real > 0 and abs(peak.imag) <= 1e-12 * peak.real
+
+
+@pytest.mark.parametrize("eps", [1e-12, -1e-12])
+def test_phase_rule_ignores_roundoff_between_tied_peaks(eps):
+    # two peaks of modulus 2 at vertices 3 and 7, the later one larger or
+    # smaller by roundoff: the phase is set at vertex 3 either way
+    vals = np.full(10, 0.5 + 0.5j)
+    vals[3] = 2.0 * np.exp(0.7j)
+    vals[7] = 2.0 * (1.0 + eps) * np.exp(-2.1j)
+    fixed = bundles._fix_phase(vals)
+    assert fixed[3] == pytest.approx(2.0, abs=1e-14)
+    assert np.allclose(np.abs(fixed), np.abs(vals), rtol=1e-15)
+    assert fixed[7] == pytest.approx(2.0 * np.exp(-2.8j), abs=1e-11)
+
+
+class _SuperLUFactor:
+    """SuperLU in place of the band factor, for the shift-invert solves."""
+
+    def __init__(self, A):
+        self.lu = spla.splu(sp.csc_matrix(A))
+        self.nnz = self.lu.nnz
+
+    def solve(self, b):
+        return self.lu.solve(np.asarray(b))
+
+
+@pytest.mark.parametrize("name, n", [("K2", 0), ("K2L", 1), ("K2Linv", -1)])
+def test_band_and_superlu_shift_invert_give_the_same_sections(mesh_r3, monkeypatch, name, n):
+    L = bundles.make_line_bundle(mesh_r3, 1) if n else None
+    dbar = bundles.dbar_operator(mesh_r3, L, 2, n)
+    # the K^2 L^-1 gap is 8.7 at r=3
+    band = bundles.holomorphic_basis(dbar, gap_floor=1.0)
+    monkeypatch.setattr(bundles, "factor_hpd", _SuperLUFactor)
+    superlu = bundles.holomorphic_basis(dbar, gap_floor=1.0)
+    assert len(band) == len(superlu)
+    for a, b in zip(band, superlu):
+        assert np.max(np.abs(a.values - b.values)) <= 1e-8 * np.max(np.abs(a.values))
+
+
+def test_kernel_search_factors_once_on_the_band(mesh_r3, monkeypatch):
+    # ARPACK's own shift-invert calls the splu bound in its module
+    arpack = sys.modules[spla.eigsh.__module__]
+    calls = {"splu": 0, "band": 0}
+    splu = spla.splu
+
+    def counted_splu(*args, **kwargs):
+        calls["splu"] += 1
+        return splu(*args, **kwargs)
+
+    def counted_band(A):
+        calls["band"] += 1
+        return factor.factor_hpd(A)
+
+    monkeypatch.setattr(arpack, "splu", counted_splu)
+    monkeypatch.setattr(spla, "splu", counted_splu)
+    monkeypatch.setattr(bundles, "factor_hpd", counted_band)
+    basis = bundles.holomorphic_basis(bundles.dbar_operator(mesh_r3, None, 2, 0))
+    assert len(basis) == 3
+    assert calls == {"splu": 0, "band": 1}
 
 
 def test_basis_residuals_small(mesh_r3, basis_K2_r3):

@@ -138,15 +138,24 @@ def test_eigensolver_failure_ends_in_report(tmp_path, monkeypatch, fail, error):
 
 
 def test_class_oracle_factor_failure_ends_in_report(tmp_path, monkeypatch):
-    # only the class oracle factors a complex matrix
-    cholesky_banded = factor.cholesky_banded
+    # the band factor fails only while the class oracle runs
+    cholesky_banded, class_is_trivial = factor.cholesky_banded, bundles.class_is_trivial
+    in_oracle = []
 
-    def fail_on_complex(ab, *args, **kwargs):
-        if np.iscomplexobj(ab):
+    def fail_in_oracle(*args, **kwargs):
+        if in_oracle:
             raise np.linalg.LinAlgError("1-th leading minor not positive definite")
-        return cholesky_banded(ab, *args, **kwargs)
+        return cholesky_banded(*args, **kwargs)
 
-    monkeypatch.setattr(factor, "cholesky_banded", fail_on_complex)
+    def flagged_oracle(*args, **kwargs):
+        in_oracle.append(True)
+        try:
+            return class_is_trivial(*args, **kwargs)
+        finally:
+            in_oracle.pop()
+
+    monkeypatch.setattr(factor, "cholesky_banded", fail_in_oracle)
+    monkeypatch.setattr(bundles, "class_is_trivial", flagged_oracle)
     cfg = RunConfig(genus=2, resolution=3, target="rh3", data_spec="basis:0:0.4",
                     output_dir=str(tmp_path))
     rep = run(cfg)
@@ -155,6 +164,39 @@ def test_class_oracle_factor_failure_ends_in_report(tmp_path, monkeypatch):
     assert failed["error"] == "LinearSolveError"
     assert "harmonic projection" in failed["message"]
     assert rep["invariants"] and "moduli" not in rep
+
+
+def test_kernel_factor_failure_ends_in_report(tmp_path, monkeypatch):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("1-th leading minor not positive definite")
+
+    monkeypatch.setattr(factor, "cholesky_banded", fail)
+    cfg = RunConfig(genus=2, resolution=3, target="rh3", data_spec="basis:0:0.4",
+                    output_dir=str(tmp_path))
+    rep = run(cfg)
+    failed = rep["failed_at"]
+    assert failed["stage"] == "bundles"
+    assert failed["error"] == "LinearSolveError"
+    assert "shift-invert eigensolve" in failed["message"]
+    assert "bundle_dims" not in rep and "solution" not in rep
+
+
+def test_bundle_dims_record_the_kernel_band(tmp_path, monkeypatch):
+    factors = []
+
+    def recording(A):
+        factors.append(factor.factor_hpd(A))
+        return factors[-1]
+
+    monkeypatch.setattr(bundles, "factor_hpd", recording)
+    cfg = RunConfig(genus=2, resolution=3, target="rh3", data_spec="basis:0:0.4",
+                    output_dir=str(tmp_path))
+    rep = run(cfg, write_files=False, stages=("solve",))
+    # the kernel band's (kd + 1) V entries, 254 vertices at r=3
+    (entry,) = rep["bundle_dims"].values()
+    (f,) = factors
+    assert type(entry["factor_nnz"]) is int
+    assert entry["factor_nnz"] == (f.bandwidth + 1) * 254
 
 
 def test_bad_data_spec_rejected(tmp_path):
