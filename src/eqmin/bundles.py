@@ -57,34 +57,18 @@ def mesh_fingerprint(mesh):
 class LineBundleConnection:
     """Discrete U(1) bundle of degree l with constant curvature density.
 
-    edge_transport[e] moves a value in the class frame at edges[e, 0] to
-    the class frame at edges[e, 1]; the reversed transport is the complex
-    conjugate.  face_curvature integrates to 2 pi l exactly because the
-    curvature 2-form is prescribed as c times the hyperbolic area form.
+    face_curvature integrates to 2 pi l exactly because the curvature
+    2-form is prescribed as c times the hyperbolic area form.
     """
 
     def __init__(self, mesh, l):
-        self.mesh = mesh
         self.degree = int(l)
         # rho0: curvature density against the hyperbolic area form, with
         # integral 2 pi l.  The transition functions carry the opposite
         # sign because the first Chern form is (i/2pi) F
         self.curvature_density = l / (2.0 * (mesh.genus - 1))
         self.transition_scale = -self.curvature_density
-        self.edge_transport = np.exp(1j * self.transition_scale * mesh.edge_tau)
         self.face_curvature = self.curvature_density * mesh.face_area
-
-    def face_holonomy(self):
-        """Holonomy of the transport around each face (counter-clockwise)."""
-        m = self.mesh
-        t = self.edge_transport[m.face_edge]
-        t = np.where(m.face_edge_sign == 1, t, np.conj(t))
-        return t[:, 0] * t[:, 1] * t[:, 2]
-
-    def holonomy_degree(self):
-        """Degree recovered from the transport holonomy: the summed principal
-        holonomy angles over 2 pi.  Integer up to quadrature error."""
-        return float(np.sum(np.angle(self.face_holonomy()))) / (2.0 * np.pi)
 
 
 def make_line_bundle(mesh, l):
@@ -240,15 +224,14 @@ def dbar_operator(mesh, L, m, n):
 
 class BasisResult(list):
     """List of DiscreteSection with kernel-detection diagnostics attached:
-    the singular values, the gap ratio, an optional dimension warning, and
-    factor_nnz, the stored entries of the shift-invert factor (None when
-    the search took the dense path)."""
+    the singular values, the gap ratio, and factor_nnz, the stored entries
+    of the shift-invert factor (None when the search took the dense
+    path)."""
 
-    def __init__(self, sections, singular_values, gap_ratio, warning=None, factor_nnz=None):
+    def __init__(self, sections, singular_values, gap_ratio, factor_nnz=None):
         super().__init__(sections)
         self.singular_values = singular_values
         self.gap_ratio = gap_ratio
-        self.warning = warning
         self.factor_nnz = factor_nnz
 
 
@@ -308,7 +291,7 @@ def _fix_phase(vals):
     return vals * (np.conj(peak) / abs(peak))
 
 
-def holomorphic_basis(dbar, expected_dim=None, gap_floor=10.0, max_dim=24):
+def holomorphic_basis(dbar, gap_floor=10.0, max_dim=24):
     """Orthonormal basis (area-weighted) of the numerical dbar kernel.
 
     The kernel is detected by the largest ratio of consecutive singular
@@ -334,9 +317,6 @@ def holomorphic_basis(dbar, expected_dim=None, gap_floor=10.0, max_dim=24):
             f"no singular-value gap >= {gap_floor} (best {gap:.2f})",
             singular_values=s.tolist(),
         )
-    warning = None
-    if expected_dim is not None and d != expected_dim:
-        warning = f"detected kernel dimension {d}, expected {expected_dim}"
     l = 0 if dbar.bundle is None else dbar.bundle.degree
     sections = []
     for i in range(d):
@@ -344,7 +324,7 @@ def holomorphic_basis(dbar, expected_dim=None, gap_floor=10.0, max_dim=24):
         res = dbar(vals)
         sec = DiscreteSection((dbar.m, dbar.n), vals, degree_l=l, dbar_residual=res)
         sections.append(sec)
-    return BasisResult(sections, s, gap, warning, factor_nnz=factor_nnz)
+    return BasisResult(sections, s, gap, factor_nnz=factor_nnz)
 
 
 def class_is_trivial(mesh, beta, metric_u, dbar, tol=1e-3):

@@ -189,7 +189,7 @@ def _basis_for(memo, mesh, L, n_weight):
     key = (mesh, l, n_weight)
     if key not in memo:
         dbar = bundles.dbar_operator(mesh, L, 2, n_weight)
-        memo[key] = bundles.holomorphic_basis(dbar, expected_dim=expected)
+        memo[key] = bundles.holomorphic_basis(dbar)
     basis = memo[key]
     return basis, {"detected": len(basis), "expected": expected, "gap_ratio": basis.gap_ratio,
                    "singular_values": basis.singular_values.tolist(),

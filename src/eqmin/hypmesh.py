@@ -40,7 +40,6 @@ from .mobius import (
 __all__ = [
     "FundamentalDomain",
     "SurfaceMesh",
-    "build_domain",
     "build_surface",
     "laplacian",
     "integrate",
@@ -53,24 +52,23 @@ _GL_T = 0.5 * (_GL_NODES + 1.0)  # nodes on [0, 1]
 _GL_W = 0.5 * _GL_WEIGHTS
 
 
-def _omega0_values(z):
-    """Coefficient field of the curvature potential (cosh(rho)-1) d(arg z)."""
+def _omega0_rate(z, dz):
+    """Integrand of omega0 = (cosh(rho)-1) d(arg z) at the points z of a
+    path with velocity dz: (cosh(rho)-1) Im(dz / z), where cosh(rho)-1 =
+    2|z|^2 / (1-|z|^2); the apparent pole at z=0 cancels."""
     r2 = np.abs(z) ** 2
-    return 2.0 * r2 / (1.0 - r2)
+    return 2.0 * r2 / (1.0 - r2) * np.imag(dz * np.conj(z)) / np.maximum(r2, 1e-300)
 
 
 def _segment_omega0(z0, z1):
-    """Integral of (cosh(rho)-1) d(arg z) along the straight segment z0 -> z1.
+    """Integral of omega0 along the straight segment z0 -> z1.
 
     Vectorized over equal-length arrays of endpoints.
     """
     z0 = np.asarray(z0, dtype=complex)
     z1 = np.asarray(z1, dtype=complex)
     dz = (z1 - z0)[..., None]
-    z = z0[..., None] + dz * _GL_T
-    # Im(zdot / z) * (cosh(rho)-1); the apparent pole at z=0 cancels
-    f = _omega0_values(z) * np.imag(dz * np.conj(z)) / np.maximum(np.abs(z) ** 2, 1e-300)
-    return np.sum(f * _GL_W, axis=-1)
+    return np.sum(_omega0_rate(z0[..., None] + dz * _GL_T, dz) * _GL_W, axis=-1)
 
 
 def _segment_cocycle(sigma, base, z1):
@@ -82,12 +80,9 @@ def _segment_cocycle(sigma, base, z1):
     sigma^* A - A = -d log(transition).
     """
     dz = z1 - base
-    t = _GL_T
-    z = base + dz * t
-    sz = sigma(z)
-    dsz = sigma.deriv(z) * dz
-    f1 = _omega0_values(sz) * np.imag(dsz * np.conj(sz)) / np.maximum(np.abs(sz) ** 2, 1e-300)
-    f0 = _omega0_values(z) * np.imag(dz * np.conj(z)) / np.maximum(np.abs(z) ** 2, 1e-300)
+    z = base + dz * _GL_T
+    f1 = _omega0_rate(sigma(z), sigma.deriv(z) * dz)
+    f0 = _omega0_rate(z, dz)
     return float(np.sum((f0 - f1) * _GL_W))
 
 
@@ -128,13 +123,6 @@ class FundamentalDomain:
     def side_endpoints(self, s):
         k = self.n_sides
         return self.polygon_vertices[s], self.polygon_vertices[(s + 1) % k]
-
-    def interior_angle(self):
-        return math.pi / (2 * self.genus)
-
-
-def build_domain(genus):
-    return FundamentalDomain(genus)
 
 
 class _UnionFind:
@@ -185,9 +173,6 @@ class SurfaceMesh:
       face_cot        float[F, 3], cotangents of the angles
       face_centroid   complex[F]
       vertex_areas    float[V], lumped dual areas
-      edges           int[E, 2]
-      edge_tau        float[E], unit-curvature transport angle along edge
-      face_edge(_sign) int[F, 3], edge opposite each corner (and direction)
       stencil_*       six-point extension stencil per face (see dbar assembly)
       copy_class, class_root_copy  vertex copies of the polygon <-> classes
       patch_class, patch_coord, patch_ptr  vertex patches for the local
@@ -209,7 +194,8 @@ class SurfaceMesh:
 
     @property
     def n_edges(self):
-        return len(self.edges)
+        # exact: _twins checks that every edge is shared by exactly 2 faces
+        return 3 * self.n_faces // 2
 
     def euler_characteristic(self):
         return self.n_vertices - self.n_edges + self.n_faces
@@ -362,7 +348,7 @@ def build_surface(genus, resolution):
     vertex_areas = np.zeros(len(roots))
     np.add.at(vertex_areas, face_cls.ravel(), np.repeat(face_area / 3.0, 3))
 
-    edge_data, twin, side = _edges(dom, verts, faces, bnd, bnd_side, match, copy_class, copy_G)
+    twin, side = _twins(dom, verts, faces, bnd, bnd_side, match)
     stencil = _stencil(dom, verts, faces, twin, side, copy_class, copy_T, copy_kderiv,
                        copy_G, class_coord, face_centroid)
     return SurfaceMesh(
@@ -375,7 +361,6 @@ def build_surface(genus, resolution):
         face_centroid=face_centroid,
         vertex_areas=vertex_areas,
         max_edge_length=float(np.max(np.concatenate([l0, l1, l2]))),
-        **edge_data,
         **stencil,
         copy_class=copy_class,
         class_root_copy=roots,
@@ -453,19 +438,14 @@ def _glue(dom, verts, bnd, bnd_side):
     return copy_class, roots, copy_T, copy_kderiv, copy_G, match
 
 
-def _edges(dom, verts, faces, bnd, bnd_side, match, copy_class, copy_G):
-    """Quotient edges and their face incidence, from the half-edges.
+def _twins(dom, verts, faces, bnd, bnd_side, match):
+    """Each half-edge's twin (the other half-edge of its quotient edge)
+    and its polygon side (-1 inside the polygon).
 
     Half-edge h = 3 i + a is face i's edge opposite corner a.  Edges are
     identified at the copy level: a boundary edge on the upper side of a
     pairing takes the key of its match image, so several quotient edges
-    between the same vertex classes stay distinct.  The first half-edge
-    of an edge fixes its direction; face_edge_sign is -1 on the second.
-    edge_tau is the unit-curvature transport angle along the edge, so that
-    exp(i c edge_tau) moves a value in the class frame at the tail to the
-    class frame at the head.  Returns those mesh fields, each half-edge's
-    twin (the other half-edge of its edge) and its polygon side (-1
-    inside the polygon).
+    between the same vertex classes stay distinct.
     """
     n = len(verts)
     tail = faces[:, [1, 2, 0]].ravel()
@@ -480,22 +460,13 @@ def _edges(dom, verts, faces, bnd, bnd_side, match, copy_class, copy_G):
     image = match[side[upper], np.stack([tail[upper], head[upper]])]
     key[upper] = image.min(axis=0) * n + image.max(axis=0)
 
-    _, face_edge, counts = np.unique(key, return_inverse=True, return_counts=True)
+    _, edge, counts = np.unique(key, return_inverse=True, return_counts=True)
     if np.any(counts != 2):
         raise MeshQualityError("some edges are not shared by exactly 2 faces")
-    first, second = np.argsort(face_edge, kind="stable").reshape(-1, 2).T
-    twin = np.empty_like(face_edge)
+    first, second = np.argsort(edge, kind="stable").reshape(-1, 2).T
+    twin = np.empty_like(edge)
     twin[first], twin[second] = second, first
-    sign = np.ones_like(face_edge)
-    sign[second] = -1
-    edge_data = dict(
-        edges=copy_class[np.stack([tail[first], head[first]], axis=1)],
-        edge_tau=copy_G[tail[first]] - copy_G[head[first]]
-        - _segment_omega0(verts[tail[first]], verts[head[first]]),
-        face_edge=face_edge.reshape(-1, 3),
-        face_edge_sign=sign.reshape(-1, 3),
-    )
-    return edge_data, twin, side
+    return twin, side
 
 
 def _stencil(dom, verts, faces, twin, side, copy_class, copy_T, copy_kderiv, copy_G,

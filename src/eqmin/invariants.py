@@ -31,7 +31,6 @@ from .mobius import conformal_factor
 __all__ = [
     "InvariantReport",
     "compute_invariants",
-    "frame_equation_residuals",
     "superminimal_test",
 ]
 
@@ -58,8 +57,6 @@ class InvariantReport:
         kappa_perp,
         ii_norm_sq,
         u4_norm_sq,
-        theta1_norm_sq,
-        theta2_norm_sq,
         area,
         euler_integral,
         residuals,
@@ -72,8 +69,6 @@ class InvariantReport:
         self.kappa_perp = kappa_perp
         self.ii_norm_sq = ii_norm_sq
         self.u4_norm_sq = u4_norm_sq
-        self.theta1_norm_sq = theta1_norm_sq
-        self.theta2_norm_sq = theta2_norm_sq
         self.area = area
         self.euler_integral = euler_integral
         self.residuals = residuals
@@ -97,11 +92,6 @@ class InvariantReport:
             "residuals": {k: float(v) for k, v in self.residuals.items()},
             "residual_sites": self.residual_sites,
         }
-
-
-def _require_converged(sol):
-    if not sol.converged:
-        raise StaleSolutionError("solution did not converge; refusing to report")
 
 
 def _codazzi_norm(mesh, sec):
@@ -145,10 +135,16 @@ def _residual_site(mesh, r):
     }
 
 
-def _frame_fields(data, u, norms, kappa_perp):
-    """The pointwise frame-equation residuals at the vertices, given the
-    polished u with its gamma-norms and patch-fit kappa_perp: the Gauss
-    frame equation, and for hyperbolic 4-space the Ricci equation."""
+def _frame_equations(data, u, norms, kappa_perp):
+    """The adapted-frame equations, evaluated with finite-difference fits
+    at the polished u with its gamma-norms and patch-fit kappa_perp.
+
+    Returns the pointwise residual fields at the vertices (the first frame
+    (Gauss) equation, and for hyperbolic 4-space the Ricci equation as the
+    mismatch of the two kappa_perp formulas) and the residuals: the sup
+    norm of each field, and the Codazzi line as the dbar residual of the
+    holomorphic data.
+    """
     mesh = data.mesh
 
     # log s^2 = 2u + log(lambda^2 / 2) is a chart expression
@@ -163,45 +159,23 @@ def _frame_fields(data, u, norms, kappa_perp):
     ii_sq, th1_sq, th2_sq = norms
     # -s^{-2} del delbar log s^2 + s^{-4} ||II(Z,Z)||^2 + 1, where the
     # frame-scale norm is ||II(Z,Z)||^2 = s^4 ||II||^2_gamma
-    out = {"gauss_frame": -ddbar_logs2 / s2 + ii_sq + 1.0}
+    fields = {"gauss_frame": -ddbar_logs2 / s2 + ii_sq + 1.0}
     if isinstance(data, GermData4):
-        out["ricci_frame"] = kappa_perp - (th2_sq - th1_sq)
-    return out
-
-
-def _frame_residuals(data, fields):
-    """The frame-equation residuals of frame_equation_residuals, given the
-    pointwise fields of _frame_fields."""
-    out = {k: float(np.max(np.abs(r))) for k, r in fields.items()}
-    mesh = data.mesh
-    if isinstance(data, GermData4):
-        out["codazzi_frame"] = max(
-            _codazzi_norm(mesh, data.theta1), _codazzi_norm(mesh, data.theta2)
-        )
+        fields["ricci_frame"] = kappa_perp - (th2_sq - th1_sq)
+        codazzi = max(_codazzi_norm(mesh, data.theta1), _codazzi_norm(mesh, data.theta2))
     else:
-        out["ricci_frame"] = 0.0
-        out["codazzi_frame"] = _codazzi_norm(mesh, data.q)
-    return out
-
-
-def frame_equation_residuals(data, sol):
-    """Evaluate the adapted-frame equations with finite-difference fits.
-
-    The derivatives act on the polished representatives (polish_solution),
-    measured with the unweighted patch-fit Laplacian, which is independent
-    of both the solver operator and the polish operator.  Returns sup
-    norms of: the first frame (Gauss) equation, the Ricci equation
-    expressed as the mismatch of the two kappa_perp formulas, and the
-    Codazzi line as the dbar residual of the holomorphic data.
-    """
-    _require_converged(sol)
-    u, norms, (_, kappa_perp) = _polished(CurvatureEquations(data), sol)
-    return _frame_residuals(data, _frame_fields(data, u, norms, kappa_perp))
+        codazzi = _codazzi_norm(mesh, data.q)
+    residuals = {k: float(np.max(np.abs(r))) for k, r in fields.items()}
+    # in 3-space there is no normal bundle to carry a Ricci equation
+    residuals.setdefault("ricci_frame", 0.0)
+    residuals["codazzi_frame"] = codazzi
+    return fields, residuals
 
 
 def compute_invariants(data, sol):
     """Full invariant report for a converged germ solution."""
-    _require_converged(sol)
+    if not sol.converged:
+        raise StaleSolutionError("solution did not converge; refusing to report")
     mesh = data.mesh
     eqs = CurvatureEquations(data)
     u, w = sol.u, sol.w
@@ -246,8 +220,8 @@ def compute_invariants(data, sol):
         np.max(np.abs(pointwise["kappaperp_identity"]))
     )
 
-    frame = _frame_fields(data, u_s, norms_s, kp_fd)
-    residuals.update(_frame_residuals(data, frame))
+    frame, frame_residuals = _frame_equations(data, u_s, norms_s, kp_fd)
+    residuals.update(frame_residuals)
     pointwise.update(frame)
 
     u4_sup = float(np.max(np.sqrt(np.abs(u4_sq))))
@@ -266,8 +240,6 @@ def compute_invariants(data, sol):
         kappa_perp=kappa_perp,
         ii_norm_sq=ii_sq,
         u4_norm_sq=u4_sq,
-        theta1_norm_sq=th1_sq,
-        theta2_norm_sq=th2_sq,
         area=area,
         euler_integral=euler,
         residuals=residuals,

@@ -108,7 +108,7 @@ def hyp_midpoint(p, q):
     return t.inv()(m)
 
 
-def _interior_angle(r_hyp, k):
+def _polygon_angle(r_hyp, k):
     """Interior angle of the regular hyperbolic k-gon with circumradius r_hyp."""
     # right triangle: angle pi/k at the centre, hypotenuse r_hyp
     # cosh(hyp) = cot(pi/k) * cot(beta) with beta half the interior angle
@@ -127,7 +127,7 @@ def polygon_circumradius(genus, tol=1e-14):
     # angle decreases with radius
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if _interior_angle(mid, k) > target:
+        if _polygon_angle(mid, k) > target:
             lo = mid
         else:
             hi = mid

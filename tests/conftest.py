@@ -25,7 +25,7 @@ def mesh_r4():
 @pytest.fixture(scope="session")
 def basis_K2_r3(mesh_r3):
     dbar = bundles.dbar_operator(mesh_r3, None, 2, 0)
-    return bundles.holomorphic_basis(dbar, expected_dim=3)
+    return bundles.holomorphic_basis(dbar)
 
 
 @pytest.fixture(scope="session")
@@ -36,13 +36,13 @@ def L1_r4(mesh_r4):
 @pytest.fixture(scope="session")
 def basis_K2L_r4(mesh_r4, L1_r4):
     dbar = bundles.dbar_operator(mesh_r4, L1_r4, 2, 1)
-    return bundles.holomorphic_basis(dbar, expected_dim=4)
+    return bundles.holomorphic_basis(dbar)
 
 
 @pytest.fixture(scope="session")
 def basis_K2Linv_r4(mesh_r4, L1_r4):
     dbar = bundles.dbar_operator(mesh_r4, L1_r4, 2, -1)
-    return bundles.holomorphic_basis(dbar, expected_dim=2)
+    return bundles.holomorphic_basis(dbar)
 
 
 def make_section(mesh, L, m, n, values):

@@ -11,14 +11,17 @@ from eqmin.errors import (
     MeshQualityError,
     ResourceBudgetError,
 )
-from eqmin.mobius import conformal_factor, hyp_dist
+from eqmin.mobius import conformal_factor, hyp_dist, triangle_angles_from_lengths
 
 
 def test_domain_angle_sum_closes():
+    # gluing all 4g corners at one point needs the interior angle pi/(2g);
+    # measure it as twice the base angle of a centre fan triangle
     for g in (2, 3):
-        dom = hypmesh.build_domain(g)
-        # gluing all 4g corners at one point needs total angle 2 pi
-        assert abs(4 * g * dom.interior_angle() - 2 * math.pi) < 1e-12
+        v0, v1 = hypmesh.FundamentalDomain(g).polygon_vertices[:2]
+        radius = hyp_dist(0.0, v0)
+        _, base, _ = triangle_angles_from_lengths(hyp_dist(v0, v1), radius, radius)
+        assert abs(2.0 * base - math.pi / (2 * g)) < 1e-12
 
 
 def test_euler_characteristic(mesh_r2):
@@ -57,6 +60,20 @@ def test_min_angle_floor_enforced(monkeypatch):
         hypmesh.build_surface(2, 1)
 
 
+def _copy_triangulation(genus, resolution):
+    """The copy-level triangulation of build_surface and its gluing record."""
+    dom = hypmesh.FundamentalDomain(genus)
+    verts, faces, bnd, bnd_side = hypmesh._triangulate(dom, resolution)
+    match = hypmesh._glue(dom, verts, bnd, bnd_side)[-1]
+    return dom, verts, faces, bnd, bnd_side, match
+
+
+def test_edges_shared_by_two_faces_enforced():
+    dom, verts, faces, bnd, bnd_side, match = _copy_triangulation(2, 1)
+    with pytest.raises(MeshQualityError, match="exactly 2 faces"):
+        hypmesh._twins(dom, verts, faces[1:], bnd, bnd_side, match)
+
+
 @pytest.mark.parametrize("genus, resolution", [(2, 2), (3, 2), (2, 3)])
 def test_stencil_neighbours_are_congruent(genus, resolution):
     # slot 3 + a of face i is the far corner of the neighbour j across the
@@ -64,11 +81,9 @@ def test_stencil_neighbours_are_congruent(genus, resolution):
     # it keeps the neighbour's distances to the shared edge's endpoints
     # and the neighbour's corner class
     mesh = hypmesh.build_surface(genus, resolution)
-    F = mesh.n_faces
-    half = np.argsort(mesh.face_edge.ravel(), kind="stable").reshape(-1, 2)
-    twin = np.empty(3 * F, dtype=int)
-    twin[half[:, 0]], twin[half[:, 1]] = half[:, 1], half[:, 0]
-    i, a = np.divmod(np.arange(3 * F), 3)
+    dom, verts, faces, bnd, bnd_side, match = _copy_triangulation(genus, resolution)
+    twin, _ = hypmesh._twins(dom, verts, faces, bnd, bnd_side, match)
+    i, a = np.divmod(np.arange(3 * mesh.n_faces), 3)
     j, b = np.divmod(twin, 3)
     coord, cls = mesh.stencil_coord, mesh.stencil_class
     assert np.array_equal(cls[:, :3], mesh.faces)

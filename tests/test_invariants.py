@@ -80,7 +80,7 @@ def test_superminimal_branch_negative(mesh_r4):
     # kappa_perp = -||II||^2
     L = bundles.make_line_bundle(mesh_r4, -1)
     dbar1 = bundles.dbar_operator(mesh_r4, L, 2, 1)
-    basis1 = bundles.holomorphic_basis(dbar1, expected_dim=2)
+    basis1 = bundles.holomorphic_basis(dbar1)
     theta1 = make_section(mesh_r4, L, 2, 1, 0.4 * basis1[0].values)
     data = germsolve.GermData4(mesh_r4, L, theta1, None)
     sol = germsolve.solve_gauss_ricci4(data, tol=1e-11)
@@ -90,11 +90,10 @@ def test_superminimal_branch_negative(mesh_r4):
 
 
 def test_frame_equations_small_on_smooth_solution(rh3_report):
-    data, sol, _ = rh3_report
-    frame = invariants.frame_equation_residuals(data, sol)
-    assert frame["gauss_frame"] < 0.2
+    _, _, rep = rh3_report
+    assert rep.residuals["gauss_frame"] < 0.2
     # holomorphic input: the codazzi line sits at stencil truncation level
-    assert frame["codazzi_frame"] < 0.1
+    assert rep.residuals["codazzi_frame"] < 0.1
 
 
 def test_codazzi_frame_is_the_dbar_residual_norm(rh3_report, mesh_r3):
