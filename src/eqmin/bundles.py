@@ -185,20 +185,15 @@ def stencil_read(mesh, m, n, transition_scale):
     )
 
 
-def dbar_operator(mesh, L, m, n):
-    """Assemble the discrete dbar on sections of K^m L^n.
-
-    L may be None when n = 0.  Kernel contains the constants exactly for
-    (m, n) = (0, 0) since the stencil model includes the constant term.
-    """
-    if n != 0 and L is None:
-        raise InvalidParameterError("a line bundle is required when n != 0")
-    c = 0.0 if L is None else L.transition_scale
-    F = mesh.n_faces
+def _stencil_dbar_rows(mesh):
+    """F x 6 functionals of each face's stencil values giving the
+    coefficient of conj(zeta) in their quadratic fit about the centroid:
+    the third row of the inverse of the stencil's design matrix, with the
+    scaling of zeta undone.  They depend only on the mesh, which keeps
+    them (SurfaceMesh.memo)."""
     zeta = mesh.stencil_coord - mesh.face_centroid[:, None]
     scale = np.max(np.abs(zeta), axis=1, keepdims=True)
     zs = zeta / scale
-    read = stencil_read(mesh, m, n, c)
     A = np.stack(
         [
             np.ones_like(zs),
@@ -210,10 +205,23 @@ def dbar_operator(mesh, L, m, n):
         ],
         axis=2,
     )
-    Ainv = np.linalg.inv(A)
-    # coefficient of conj(zeta): third row of the inverse, undo the scaling
-    rows_coef = Ainv[:, 2, :] / scale
-    entries = rows_coef * read
+    return np.linalg.inv(A)[:, 2, :] / scale
+
+
+def dbar_operator(mesh, L, m, n):
+    """Assemble the discrete dbar on sections of K^m L^n.
+
+    L may be None when n = 0.  Kernel contains the constants exactly for
+    (m, n) = (0, 0) since the stencil model includes the constant term.
+    The stencil fits are the mesh's own (_stencil_dbar_rows, computed
+    once per mesh); each (m, n) only multiplies them by its read factors.
+    """
+    if n != 0 and L is None:
+        raise InvalidParameterError("a line bundle is required when n != 0")
+    c = 0.0 if L is None else L.transition_scale
+    F = mesh.n_faces
+    rows_coef = mesh.memo("dbar_rows", lambda: _stencil_dbar_rows(mesh))
+    entries = rows_coef * stencil_read(mesh, m, n, c)
     rows = np.repeat(np.arange(F), 6)
     cols = mesh.stencil_class.ravel()
     M = sp.csr_matrix(

@@ -209,7 +209,16 @@ class CurvatureEquations:
 
     def system(self, lap, weight):
         """Residual x -> lap x - weight f(x), lap acting on each field, and
-        its Jacobian x -> CSR matrix, as a pair of callables."""
+        its Jacobian x -> CSR matrix, as a pair of callables.
+
+        Every Jacobian of the system has one sparsity pattern, the block
+        Laplacian plus the diagonal of each block (_jacobian_pattern).  It
+        is built once per mesh, Laplacian and number of fields and kept on
+        the mesh; each call copies the Laplacian's values and subtracts
+        weight * df on those diagonals, so no sparse assembly runs per
+        call.  The matrices returned share the pattern's index arrays and
+        must not be modified in place.
+        """
 
         def residual(x):
             xs = self.fields(x)
@@ -217,15 +226,77 @@ class CurvatureEquations:
                 [lap @ y - weight * fy for y, fy in zip(xs, self.f(*xs))]
             )
 
-        lap_x = sp.block_diag([lap] * (2 if self.coupled else 1), format="csr")
+        n = 2 if self.coupled else 1
+        shape = (n * lap.shape[0],) * 2
+        _, indices, indptr, base, diagonals = self.data.mesh.memo(
+            ("jacobian", id(lap), n), lambda: _jacobian_pattern(lap, n))
 
         def jacobian(x):
-            df = self.df(*self.fields(x))
-            return lap_x - sp.bmat(
-                [[sp.diags(weight * d) for d in row] for row in df], format="csr"
-            )
+            data = base.copy()
+            for pos_row, df_row in zip(diagonals, self.df(*self.fields(x))):
+                for pos, d in zip(pos_row, df_row):
+                    data[pos] -= weight * d
+            return sp.csr_matrix((data, indices, indptr), shape=shape)
 
         return residual, jacobian
+
+
+def _jacobian_pattern(lap, n):
+    """The sparsity pattern of the Jacobians of n fields coupled through
+    diagonal reaction terms, with lap acting on each field: the union of
+    the block diagonal of n copies of lap and the diagonal of every block.
+
+    Returns (lap, indices, indptr, base, diagonals): the CSR index arrays
+    of the pattern, the block Laplacian's values on it (zeros elsewhere),
+    and diagonals[i][j], the positions in the value array of the diagonal
+    of block (i, j).  lap is returned so that the mesh's memo, keyed by
+    id(lap), keeps it alive and the key unique.
+    """
+    V = lap.shape[0]
+    size = n * V
+    lap_x = sp.block_diag([lap] * n, format="csr")
+    # a union of patterns: every value is positive, so no entry cancels
+    ones = sp.csr_matrix((np.ones(lap_x.nnz), lap_x.indices, lap_x.indptr),
+                         shape=lap_x.shape)
+    P = (ones + sp.bmat([[sp.identity(V)] * n] * n)).tocsr()
+    P.sort_indices()
+    keys = np.repeat(np.arange(size), np.diff(P.indptr)) * size + P.indices
+
+    def position(rows, cols):
+        return np.searchsorted(keys, rows * size + cols)
+
+    entries = lap_x.tocoo()
+    base = np.zeros(P.nnz)
+    base[position(entries.row, entries.col)] = entries.data
+    k = np.arange(V)
+    diagonals = [[position(i * V + k, j * V + k) for j in range(n)] for i in range(n)]
+    return lap, P.indices, P.indptr, base, diagonals
+
+
+def _jacobian_solver():
+    """A solve (J, b) -> J^-1 b by SuperLU for the Jacobians of one Newton
+    solve.
+
+    The Jacobians share one sparsity pattern, and COLAMD's fill-reducing
+    column order reads only the pattern.  So the first call factors with
+    SuperLU's default COLAMD and keeps its column order; each later call
+    factors J with its columns already in that order (permc_spec
+    "NATURAL") and un-permutes the solution.
+    """
+    order = None
+
+    def solve(J, b):
+        nonlocal order
+        J = J.tocsc()
+        if order is None:
+            lu = spla.splu(J)
+            order = np.argsort(lu.perm_c)
+            return lu.solve(b)
+        x = np.empty_like(b)
+        x[order] = spla.splu(J[:, order], permc_spec="NATURAL").solve(b)
+        return x
+
+    return solve
 
 
 def _newton(x0, residual, jacobian, areas, tol, max_iter):
@@ -233,12 +304,14 @@ def _newton(x0, residual, jacobian, areas, tol, max_iter):
 
     residual returns the area-weighted equation values R (so the geometric
     equation is R / areas); the norm tracked is the L2 norm of R / areas
-    against the area element, sqrt(sum R^2 / areas).
+    against the area element, sqrt(sum R^2 / areas).  The Jacobians are
+    factored by _jacobian_solver, which orders their columns once per solve.
     """
 
     def norm(R):
         return float(np.sqrt(np.sum(R**2 / areas)))
 
+    solve = _jacobian_solver()
     x = x0.copy()
     R = residual(x)
     nrm = norm(R)
@@ -248,8 +321,7 @@ def _newton(x0, residual, jacobian, areas, tol, max_iter):
             return x, trace, True
         J = jacobian(x)
         try:
-            lu = spla.splu(J.tocsc())
-            delta = lu.solve(-R)
+            delta = solve(J, -R)
         except Exception as exc:
             raise LinearSolveError(f"Newton linear solve failed: {exc}") from exc
         if not np.all(np.isfinite(delta)):
@@ -333,20 +405,31 @@ _PCG_RTOL = 1e-12
 _PCG_MAXITER = 25
 
 
-def _preconditioned_cg(N, rhs, lu):
-    """Solve N x = rhs by conjugate gradients preconditioned with the
-    factorization of a nearby matrix.  Returns (x, iterations), with x None
-    when CG did not reach _PCG_RTOL."""
+def _preconditioned_cg(A, rhs, lu):
+    """Solve A x = rhs by conjugate gradients preconditioned with the
+    factorization of a nearby matrix; A is a matrix or a LinearOperator.
+    Returns (x, iterations), with x None when CG did not reach _PCG_RTOL."""
     iterations = 0
 
     def count(_):
         nonlocal iterations
         iterations += 1
 
-    M = spla.LinearOperator(N.shape, matvec=lu.solve, dtype=float)
-    x, info = spla.cg(N, rhs, rtol=_PCG_RTOL, maxiter=_PCG_MAXITER, M=M,
+    M = spla.LinearOperator(A.shape, matvec=lu.solve, dtype=float)
+    x, info = spla.cg(A, rhs, rtol=_PCG_RTOL, maxiter=_PCG_MAXITER, M=M,
                       callback=count)
     return (x if info == 0 else None), iterations
+
+
+def _damped_normal_operator(J, aa, damping):
+    """The polish's damped normal matrix N + damping (|diag N| + 1e-300),
+    N = J^T diag(aa) J, as the operator v -> J^T (aa J v) + d v, without
+    forming N.  diag N = sum_i aa_i J_ij^2 is summed over J's entries."""
+    weights = np.repeat(aa, np.diff(J.indptr)) * J.data**2
+    d = damping * (np.bincount(J.indices, weights=weights, minlength=J.shape[1]) + 1e-300)
+    JT = J.T
+    return spla.LinearOperator(J.shape, matvec=lambda v: JT @ (aa * (J @ v)) + d * v,
+                               dtype=float)
 
 
 def polish_solution(data, sol, iterations=4, damping=0.03):
@@ -366,17 +449,20 @@ def polish_solution(data, sol, iterations=4, damping=0.03):
     are stored on the solution as u_smooth / w_smooth; the original fields
     are untouched.
 
-    The normal matrix is symmetric positive definite and is factored as a
-    band in reverse Cuthill-McKee order by factor_hpd.  Between steps only
-    the diagonal reaction terms of the Jacobian move, by O(h^2), so it is
-    factored once and each later step solves its own normal equations by
-    conjugate gradients preconditioned with that factorization.  When CG does not reach its
-    tolerance the current matrix is factored and solved directly, and its
-    factorization preconditions the remaining steps.  sol.polish records
-    each step (weighted collocation residual before and after, accepted
-    line-search fraction, CG iterations, 0 for a direct solve), the
-    number of factorizations and the storage of each (factor_nnz, the
-    band's entries, (kd + 1) * n for half-bandwidth kd and size n).
+    The damped normal matrix N = J^T W J + damping diag|N| is symmetric
+    positive definite.  Between steps only the diagonal reaction terms of
+    the Jacobian J move, by O(h^2), so N is formed and factored once, as a
+    band in reverse Cuthill-McKee order by factor_hpd, at the first step.
+    Each later step solves its own normal equations by conjugate gradients
+    preconditioned with that factorization, applying N as
+    v -> J^T W J v + damping |diag N| v without forming it.  When CG does
+    not reach its tolerance the current N is formed, factored and solved
+    directly, and its factorization preconditions the remaining steps.
+    sol.polish records each step (weighted collocation residual before and
+    after, accepted line-search fraction, CG iterations, 0 for a direct
+    solve), the number of factorizations and the storage of each
+    (factor_nnz, the band's entries, (kd + 1) * n for half-bandwidth kd and
+    size n).
     """
     a = data.mesh.vertex_areas
     eqs = CurvatureEquations(data)
@@ -395,14 +481,15 @@ def polish_solution(data, sol, iterations=4, damping=0.03):
     R = resid(x)
     for _ in range(iterations):
         J = jac(x)
-        N = (J.T @ W @ J).tocsc()
-        N = N + damping * sp.diags(np.abs(N.diagonal()) + 1e-300)
         rhs = -(J.T @ (aa * R))
         step = None
         if lu is not None:
-            step, cg_iterations = _preconditioned_cg(N, rhs, lu)
+            step, cg_iterations = _preconditioned_cg(
+                _damped_normal_operator(J, aa, damping), rhs, lu)
         if step is None:
             lu = None  # release the old factors before making new ones
+            N = (J.T @ W @ J).tocsc()
+            N = N + damping * sp.diags(np.abs(N.diagonal()) + 1e-300)
             try:
                 lu = factor_hpd(N)
                 step = lu.solve(rhs)

@@ -177,12 +177,24 @@ class SurfaceMesh:
       copy_class, class_root_copy  vertex copies of the polygon <-> classes
       patch_class, patch_coord, patch_ptr  vertex patches for the local
                       fits, flat: vertex v's patch is [ptr[v]:ptr[v+1]]
+
+    Operators and structures that only the mesh determines are built on
+    first use and kept on the mesh (see memo): the patch fits and both
+    patch-fit Laplacians, the cotangent Laplacian, the dbar stencil rows
+    and the sparsity patterns of the curvature equations' Jacobians.
+    Callers share them and must not modify them.
     """
 
     def __init__(self, **kw):
         self.__dict__.update(kw)
-        self._fd_laplacians = {}
-        self._patch_fit = None
+        self._memo = {}
+
+    def memo(self, key, build):
+        """The value of build() for this key, computed on the first call
+        and kept on the mesh; callers share it and must not modify it."""
+        if key not in self._memo:
+            self._memo[key] = build()
+        return self._memo[key]
 
     @property
     def n_vertices(self):
@@ -210,9 +222,8 @@ class SurfaceMesh:
     def _fit_rows(self):
         """Laplacian-of-fit rows of the three patch-fit weightings (raw,
         clamped, unit), computed once per mesh by _patch_fit_rows."""
-        if self._patch_fit is None:
-            self._patch_fit = _patch_fit_rows(self.vertices, self.patch_coord, self.patch_ptr)
-        return self._patch_fit
+        return self.memo("patch_fit", lambda: _patch_fit_rows(
+            self.vertices, self.patch_coord, self.patch_ptr))
 
     def fd_fit(self, field, chart_term=None):
         """Flat Laplacian at the vertices of a weighted least-squares
@@ -243,9 +254,7 @@ class SurfaceMesh:
         the returned matrix and must not modify it.
         """
         key = bool(weighted)
-        if key not in self._fd_laplacians:
-            self._fd_laplacians[key] = self._assemble_fd_laplacian(key)
-        return self._fd_laplacians[key]
+        return self.memo(("fd_laplacian", key), lambda: self._assemble_fd_laplacian(key))
 
     def _assemble_fd_laplacian(self, weighted):
         V = self.n_vertices
@@ -636,11 +645,17 @@ def laplacian(mesh):
     """Discrete Laplace-Beltrami operator (cotangent weights, hyperbolic
     angles), as a sparse symmetric V x V matrix S with S @ const = 0 and
     x' (-S) x >= 0.  The geometric operator is Delta u ~= S u / vertex_areas.
+
+    Assembled once and kept on the mesh; callers share the returned
+    matrix and must not modify it.
     """
     if np.min(mesh.face_area) < 1e-14:
         bad = int(np.argmin(mesh.face_area))
         raise MeshQualityError(f"face {bad} area below 1e-14")
-    F = mesh.n_faces
+    return mesh.memo("laplacian", lambda: _cotangent_laplacian(mesh))
+
+
+def _cotangent_laplacian(mesh):
     V = mesh.n_vertices
     rows, cols, vals = [], [], []
     for a in range(3):

@@ -28,6 +28,45 @@ def test_dbar_requires_bundle_for_twist(mesh_r3):
         bundles.dbar_operator(mesh_r3, None, 2, 1)
 
 
+def _dbar_reference(mesh, L, m, n):
+    """The dbar matrix assembled with its own stencil inverse, as every
+    call did before the stencil rows were kept on the mesh."""
+    zeta = mesh.stencil_coord - mesh.face_centroid[:, None]
+    scale = np.max(np.abs(zeta), axis=1, keepdims=True)
+    zs = zeta / scale
+    A = np.stack([np.ones_like(zs), zs, np.conj(zs), zs**2, zs * np.conj(zs),
+                  np.conj(zs) ** 2], axis=2)
+    c = 0.0 if L is None else L.transition_scale
+    entries = np.linalg.inv(A)[:, 2, :] / scale * bundles.stencil_read(mesh, m, n, c)
+    rows = np.repeat(np.arange(mesh.n_faces), 6)
+    return sp.csr_matrix((entries.ravel(), (rows, mesh.stencil_class.ravel())),
+                         shape=(mesh.n_faces, mesh.n_vertices), dtype=complex)
+
+
+def test_dbar_stencil_inverse_computed_once_per_mesh(monkeypatch):
+    mesh = hypmesh.build_surface(2, 2)
+    L = bundles.make_line_bundle(mesh, 1)
+    twists = [(None, 2, 0), (L, 2, 1), (L, 2, -1)]
+    inv = np.linalg.inv
+    calls = []
+
+    def counting(A):
+        calls.append(A.shape)
+        return inv(A)
+
+    monkeypatch.setattr(np.linalg, "inv", counting)
+    ops = [bundles.dbar_operator(mesh, *t) for t in twists]
+    assert calls == [(mesh.n_faces, 6, 6)]
+    monkeypatch.setattr(np.linalg, "inv", inv)
+    fresh = hypmesh.build_surface(2, 2)
+    L_fresh = bundles.make_line_bundle(fresh, 1)
+    for op, (bundle, m, n) in zip(ops, twists):
+        ref = _dbar_reference(fresh, None if bundle is None else L_fresh, m, n)
+        assert np.array_equal(op.matrix.indptr, ref.indptr)
+        assert np.array_equal(op.matrix.indices, ref.indices)
+        assert np.array_equal(op.matrix.data, ref.data)
+
+
 def test_quadratic_differentials_dimension(basis_K2_r3):
     assert len(basis_K2_r3) == 3
     assert basis_K2_r3.gap_ratio >= 10.0

@@ -6,7 +6,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from eqmin import bundles, factor, germsolve, hypmesh
-from eqmin.errors import InvalidParameterError
+from eqmin.errors import InvalidParameterError, LinearSolveError
 from conftest import make_section
 
 
@@ -128,6 +128,134 @@ def test_system_jacobian_matches_finite_differences(mesh_r2, target):
         e[k] = h
         J_fd[:, k] = (residual(x + e) - residual(x - e)) / (2.0 * h)
     assert np.max(np.abs(J.toarray() - J_fd)) < 1e-6 * np.max(np.abs(J_fd))
+
+
+def _random_data(mesh, target, rng, vanish=None):
+    """Arbitrary data (the equations need no holomorphy); with vanish, both
+    sections are zero at those vertices, so the coupling blocks of the
+    Jacobian hold exact zeros there."""
+    V = mesh.n_vertices
+
+    def section(weight):
+        vals = 0.5 * (rng.standard_normal(V) + 1j * rng.standard_normal(V))
+        if vanish is not None:
+            vals[vanish] = 0.0
+        return bundles.DiscreteSection((2, weight), vals, degree_l=0)
+
+    if target == "rh3":
+        return germsolve.GermData3(mesh, q=section(0))
+    L = bundles.make_line_bundle(mesh, 0)
+    return germsolve.GermData4(mesh, L, section(1), section(-1))
+
+
+@pytest.mark.parametrize("operator", ["cotangent", "patch_fit"])
+@pytest.mark.parametrize("target, vanish", [("rh3", None), ("rh4", None), ("rh4", slice(0, None, 7))])
+def test_fixed_pattern_jacobian_equals_block_assembly(mesh_r3, target, vanish, operator):
+    rng = np.random.default_rng(11)
+    data = _random_data(mesh_r3, target, rng, vanish)
+    eqs = germsolve.CurvatureEquations(data)
+    if operator == "cotangent":
+        lap, weight = hypmesh.laplacian(mesh_r3), mesh_r3.vertex_areas
+    else:
+        lap, weight = mesh_r3.fd_laplacian_matrix(weighted=True), 1.0
+    _, jacobian = eqs.system(lap, weight)
+    x = 0.3 * rng.standard_normal(lap.shape[0] * (2 if eqs.coupled else 1))
+    J = jacobian(x)
+    assert J.format == "csr"
+    # the block assembly every call used to run
+    lap_x = sp.block_diag([lap] * (2 if eqs.coupled else 1), format="csr")
+    df = eqs.df(*eqs.fields(x))
+    ref = lap_x - sp.bmat([[sp.diags(weight * d) for d in row] for row in df], format="csr")
+    assert np.array_equal(J.toarray(), ref.toarray())
+    if vanish is not None:
+        # the pattern keeps the coupling entries that are exactly zero
+        assert np.count_nonzero(J.data) < J.nnz
+        assert ref.nnz < J.nnz
+    # every Jacobian of the system shares the pattern
+    J2 = jacobian(0.3 * rng.standard_normal(len(x)))
+    assert np.shares_memory(J2.indices, J.indices) and np.shares_memory(J2.indptr, J.indptr)
+
+
+def test_jacobian_pattern_built_once_per_mesh_and_operator(monkeypatch):
+    mesh = hypmesh.build_surface(2, 2)
+    built = []
+    pattern = germsolve._jacobian_pattern
+
+    def counting(lap, n):
+        built.append((id(lap), n))
+        return pattern(lap, n)
+
+    monkeypatch.setattr(germsolve, "_jacobian_pattern", counting)
+    t = germsolve.manufactured_forcing(mesh, 0.1)
+    rng = np.random.default_rng(3)
+    for data in (germsolve.GermData3(mesh, t_field=t), _random_data(mesh, "rh4", rng)):
+        for _ in range(2):
+            sol = (germsolve.solve_gauss3(data) if isinstance(data, germsolve.GermData3)
+                   else germsolve.solve_gauss_ricci4(data))
+            assert sol.converged
+            germsolve.polish_solution(data, sol)
+    cot, fd = id(hypmesh.laplacian(mesh)), id(mesh.fd_laplacian_matrix(weighted=True))
+    assert built == [(cot, 1), (fd, 1), (cot, 2), (fd, 2)]
+
+
+def _rh4_r3_data(mesh_r3, basis_K2_r3):
+    L = bundles.make_line_bundle(mesh_r3, 0)
+    theta1 = make_section(mesh_r3, L, 2, 1, 0.3 * basis_K2_r3[0].values)
+    theta2 = make_section(mesh_r3, L, 2, -1, 0.5 * basis_K2_r3[1].values)
+    return germsolve.GermData4(mesh_r3, L, theta1, theta2)
+
+
+def test_newton_orders_columns_once_per_solve(mesh_r3, basis_K2_r3, monkeypatch):
+    data = _rh4_r3_data(mesh_r3, basis_K2_r3)
+    splu = spla.splu
+    specs = []
+
+    def recording(A, **kwargs):
+        specs.append(kwargs.get("permc_spec"))
+        return splu(A, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", recording)
+    sol = germsolve.solve_gauss_ricci4(data, tol=1e-11)
+    iterations = len(sol.newton_trace) - 1
+    assert iterations >= 3
+    assert specs == [None] + ["NATURAL"] * (iterations - 1)
+    # reference: SuperLU's default COLAMD ordering on every iteration
+    monkeypatch.setattr(germsolve, "_jacobian_solver",
+                        lambda: lambda J, b: splu(J.tocsc()).solve(b))
+    ref = germsolve.solve_gauss_ricci4(data, tol=1e-11)
+    assert sol.newton_trace == ref.newton_trace
+    assert np.array_equal(sol.u, ref.u) and np.array_equal(sol.w, ref.w)
+
+
+def test_newton_later_factorization_failure_is_a_linear_solve_error(mesh_r3, basis_K2_r3,
+                                                                    monkeypatch):
+    data = _rh4_r3_data(mesh_r3, basis_K2_r3)
+    splu = spla.splu
+
+    def failing_later(A, **kwargs):
+        if kwargs.get("permc_spec") == "NATURAL":
+            raise RuntimeError("Factor is exactly singular")
+        return splu(A, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", failing_later)
+    with pytest.raises(LinearSolveError, match="Newton linear solve failed"):
+        germsolve.solve_gauss_ricci4(data, tol=1e-11)
+
+
+def test_damped_normal_operator_applies_the_damped_normal_matrix(mesh_r3):
+    rng = np.random.default_rng(5)
+    data = _random_data(mesh_r3, "rh4", rng)
+    eqs = germsolve.CurvatureEquations(data)
+    _, jacobian = eqs.system(mesh_r3.fd_laplacian_matrix(weighted=True), 1.0)
+    a = mesh_r3.vertex_areas
+    aa = np.concatenate([a, a])
+    J = jacobian(0.3 * rng.standard_normal(2 * mesh_r3.n_vertices))
+    N = (J.T @ sp.diags(aa) @ J).tocsc()
+    N = N + 0.03 * sp.diags(np.abs(N.diagonal()) + 1e-300)
+    v = rng.standard_normal(N.shape[0])
+    Nv = N @ v
+    op = germsolve._damped_normal_operator(J, aa, 0.03)
+    assert np.linalg.norm(op @ v - Nv) <= 1e-13 * np.linalg.norm(Nv)
 
 
 @pytest.fixture(scope="module", params=["rh3", "rh4"])

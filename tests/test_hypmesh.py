@@ -116,6 +116,16 @@ def test_laplacian_row_sums_vanish(mesh_r3):
     assert asym < 1e-12
 
 
+def test_cotangent_laplacian_assembled_once_per_mesh(mesh_r2):
+    mesh = hypmesh.build_surface(2, 2)
+    S = hypmesh.laplacian(mesh)
+    assert hypmesh.laplacian(mesh) is S
+    # kept on the mesh instance: another mesh of the surface has its own
+    other = hypmesh.laplacian(mesh_r2)
+    assert other is not S
+    assert abs(other - S).max() == 0.0
+
+
 def test_integrate_constant_gives_area(mesh_r3):
     val = hypmesh.integrate(mesh_r3, 1.0)
     assert abs(val - mesh_r3.total_area()) < 1e-10
