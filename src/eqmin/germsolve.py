@@ -207,18 +207,23 @@ class CurvatureEquations:
         kp = th2 - th1
         return [[d_uu, -e2u2 * kp], [e2u2 * kp, e2u2 * ii]]
 
-    def system(self, lap, weight):
+    def system(self, operator, weight):
         """Residual x -> lap x - weight f(x), lap acting on each field, and
-        its Jacobian x -> CSR matrix, as a pair of callables.
+        its Jacobian x -> CSR matrix, as a pair of callables.  operator
+        names the mesh's Laplacian lap: "cotangent" (laplacian(mesh), the
+        Newton solve's) or "patch_fit" (the weighted patch-fit Laplacian,
+        the polish's).
 
         Every Jacobian of the system has one sparsity pattern, the block
         Laplacian plus the diagonal of each block (_jacobian_pattern).  It
-        is built once per mesh, Laplacian and number of fields and kept on
+        is built once per mesh, operator and number of fields and kept on
         the mesh; each call copies the Laplacian's values and subtracts
         weight * df on those diagonals, so no sparse assembly runs per
         call.  The matrices returned share the pattern's index arrays and
         must not be modified in place.
         """
+        mesh = self.data.mesh
+        lap = _LAPLACIANS[operator](mesh)
 
         def residual(x):
             xs = self.fields(x)
@@ -228,8 +233,8 @@ class CurvatureEquations:
 
         n = 2 if self.coupled else 1
         shape = (n * lap.shape[0],) * 2
-        _, indices, indptr, base, diagonals = self.data.mesh.memo(
-            ("jacobian", id(lap), n), lambda: _jacobian_pattern(lap, n))
+        indices, indptr, base, diagonals = mesh.memo(
+            ("jacobian", operator, n), lambda: _jacobian_pattern(lap, n))
 
         def jacobian(x):
             data = base.copy()
@@ -241,16 +246,23 @@ class CurvatureEquations:
         return residual, jacobian
 
 
+# the Laplacians the curvature equations are written with, each kept on
+# the mesh, by the operator name CurvatureEquations.system takes
+_LAPLACIANS = {
+    "cotangent": laplacian,
+    "patch_fit": lambda mesh: mesh.fd_laplacian_matrix(weighted=True),
+}
+
+
 def _jacobian_pattern(lap, n):
     """The sparsity pattern of the Jacobians of n fields coupled through
     diagonal reaction terms, with lap acting on each field: the union of
     the block diagonal of n copies of lap and the diagonal of every block.
 
-    Returns (lap, indices, indptr, base, diagonals): the CSR index arrays
-    of the pattern, the block Laplacian's values on it (zeros elsewhere),
-    and diagonals[i][j], the positions in the value array of the diagonal
-    of block (i, j).  lap is returned so that the mesh's memo, keyed by
-    id(lap), keeps it alive and the key unique.
+    Returns (indices, indptr, base, diagonals): the CSR index arrays of
+    the pattern, the block Laplacian's values on it (zeros elsewhere), and
+    diagonals[i][j], the positions in the value array of the diagonal of
+    block (i, j).
     """
     V = lap.shape[0]
     size = n * V
@@ -260,17 +272,19 @@ def _jacobian_pattern(lap, n):
                          shape=lap_x.shape)
     P = (ones + sp.bmat([[sp.identity(V)] * n] * n)).tocsr()
     P.sort_indices()
-    keys = np.repeat(np.arange(size), np.diff(P.indptr)) * size + P.indices
+    # entry (r, c) has the key r * size + c, in int64: scipy's int32 index
+    # arrays would wrap once size exceeds 46340
+    keys = np.repeat(np.arange(size, dtype=np.int64), np.diff(P.indptr)) * size + P.indices
 
     def position(rows, cols):
-        return np.searchsorted(keys, rows * size + cols)
+        return np.searchsorted(keys, rows.astype(np.int64) * size + cols)
 
     entries = lap_x.tocoo()
     base = np.zeros(P.nnz)
     base[position(entries.row, entries.col)] = entries.data
     k = np.arange(V)
     diagonals = [[position(i * V + k, j * V + k) for j in range(n)] for i in range(n)]
-    return lap, P.indices, P.indptr, base, diagonals
+    return P.indices, P.indptr, base, diagonals
 
 
 def _jacobian_solver():
@@ -355,7 +369,7 @@ def solve_gauss3(data, tol=1e-10, max_iter=30):
     if tol <= 0:
         raise InvalidParameterError("tol must be positive")
     a = mesh.vertex_areas
-    residual, jacobian = CurvatureEquations(data).system(laplacian(mesh), a)
+    residual, jacobian = CurvatureEquations(data).system("cotangent", a)
     u0 = np.zeros(mesh.n_vertices)
     u, trace, ok = _newton(u0, residual, jacobian, a, tol, max_iter)
     return GermSolution(u=u, newton_trace=trace, converged=ok)
@@ -392,7 +406,7 @@ def solve_gauss_ricci4(data, tol=1e-10, max_iter=30):
             converged=sol.converged,
         )
 
-    residual, jacobian = CurvatureEquations(data).system(laplacian(mesh), a)
+    residual, jacobian = CurvatureEquations(data).system("cotangent", a)
     x0 = np.zeros(2 * V)
     aa = np.concatenate([a, a])
     x, trace, ok = _newton(x0, residual, jacobian, aa, tol, max_iter)
@@ -466,8 +480,7 @@ def polish_solution(data, sol, iterations=4, damping=0.03):
     """
     a = data.mesh.vertex_areas
     eqs = CurvatureEquations(data)
-    C = data.mesh.fd_laplacian_matrix(weighted=True)
-    resid, jac = eqs.system(C, 1.0)
+    resid, jac = eqs.system("patch_fit", 1.0)
     x = np.concatenate([sol.u, sol.w] if eqs.coupled else [sol.u])
     aa = np.concatenate([a, a]) if eqs.coupled else a
     W = sp.diags(aa)

@@ -117,7 +117,7 @@ def test_system_jacobian_matches_finite_differences(mesh_r2, target):
         L = bundles.make_line_bundle(mesh_r2, 1)
         data = germsolve.GermData4(mesh_r2, L, section(1), section(-1))
     eqs = germsolve.CurvatureEquations(data)
-    residual, jacobian = eqs.system(hypmesh.laplacian(mesh_r2), mesh_r2.vertex_areas)
+    residual, jacobian = eqs.system("cotangent", mesh_r2.vertex_areas)
     x = 0.3 * rng.standard_normal(2 * V if eqs.coupled else V)
     J = jacobian(x)
     assert J.format == "csr"
@@ -158,7 +158,7 @@ def test_fixed_pattern_jacobian_equals_block_assembly(mesh_r3, target, vanish, o
         lap, weight = hypmesh.laplacian(mesh_r3), mesh_r3.vertex_areas
     else:
         lap, weight = mesh_r3.fd_laplacian_matrix(weighted=True), 1.0
-    _, jacobian = eqs.system(lap, weight)
+    _, jacobian = eqs.system(operator, weight)
     x = 0.3 * rng.standard_normal(lap.shape[0] * (2 if eqs.coupled else 1))
     J = jacobian(x)
     assert J.format == "csr"
@@ -196,6 +196,23 @@ def test_jacobian_pattern_built_once_per_mesh_and_operator(monkeypatch):
             germsolve.polish_solution(data, sol)
     cot, fd = id(hypmesh.laplacian(mesh)), id(mesh.fd_laplacian_matrix(weighted=True))
     assert built == [(cot, 1), (fd, 1), (cot, 2), (fd, 2)]
+
+
+def test_jacobian_pattern_places_entries_past_int32_keys():
+    # the block pattern of two fields of size V = 30000 has entry keys
+    # row * 2V + col beyond int32, while scipy indexes it with int32 arrays
+    V = 30000
+    lap = sp.diags([np.ones(V - 1), np.full(V, -2.0), np.ones(V - 1)], [-1, 0, 1], format="csr")
+    assert lap.indices.dtype == np.int32
+    indices, indptr, base, diagonals = germsolve._jacobian_pattern(lap, 2)
+    J = sp.csr_matrix((base, indices, indptr), shape=(2 * V, 2 * V))
+    assert (J - sp.block_diag([lap] * 2, format="csr")).count_nonzero() == 0
+    rows = np.repeat(np.arange(2 * V), np.diff(indptr))
+    k = np.arange(V)
+    for i in range(2):
+        for j in range(2):
+            assert np.array_equal(rows[diagonals[i][j]], i * V + k)
+            assert np.array_equal(indices[diagonals[i][j]], j * V + k)
 
 
 def _rh4_r3_data(mesh_r3, basis_K2_r3):
@@ -246,7 +263,7 @@ def test_damped_normal_operator_applies_the_damped_normal_matrix(mesh_r3):
     rng = np.random.default_rng(5)
     data = _random_data(mesh_r3, "rh4", rng)
     eqs = germsolve.CurvatureEquations(data)
-    _, jacobian = eqs.system(mesh_r3.fd_laplacian_matrix(weighted=True), 1.0)
+    _, jacobian = eqs.system("patch_fit", 1.0)
     a = mesh_r3.vertex_areas
     aa = np.concatenate([a, a])
     J = jacobian(0.3 * rng.standard_normal(2 * mesh_r3.n_vertices))
@@ -380,7 +397,7 @@ def test_system_residual_is_the_newton_residual(solved_r3, mesh_r3):
     data, sol = solved_r3
     a = mesh_r3.vertex_areas
     eqs = germsolve.CurvatureEquations(data)
-    residual, _ = eqs.system(hypmesh.laplacian(mesh_r3), a)
+    residual, _ = eqs.system("cotangent", a)
     if eqs.coupled:
         R = residual(np.concatenate([sol.u, sol.w]))
         aa = np.concatenate([a, a])
