@@ -536,8 +536,10 @@ def _patches(faces, copy_class, copy_T, face_centroid, stencil_class, stencil_co
     The chart of face j enters vertex v's chart along each chain v -> face
     i incident to v -> another corner u of i -> face j incident to u.  A
     face keeps every distinct image (they differ by deck transformations
-    near the side pairings), and each class keeps its stencil-point image
-    closest to v.  Built in blocks of _PATCH_BLOCK vertices.
+    near the side pairings): of the chains whose images of the face's
+    centroid agree to 10 digits the first one built (_first_chains).  Each
+    class keeps its stencil-point image closest to v (_closest_images).
+    Built in blocks of _PATCH_BLOCK vertices.
     """
     V = len(class_coord)
     # each corner's chart map from its class chart, as Mobius coefficients
@@ -566,10 +568,7 @@ def _patches(faces, copy_class, copy_T, face_centroid, stencil_class, stencil_co
         chain = (np.concatenate([m1[0], m2[0]]), np.concatenate([m1[1], m2[1]]))
         # one chain per (vertex, face, centroid image): the first one built
         key = np.round(_mobius_apply(chain, face_centroid[face]), 10)
-        _, first = np.unique(
-            np.stack([vtx, face, key.real, key.imag], axis=1), axis=0, return_index=True
-        )
-        keep = np.sort(first)
+        keep = _first_chains(vtx, face, key)
         vtx, face = vtx[keep], face[keep]
         z = _mobius_apply((chain[0][keep, None], chain[1][keep, None]), stencil_coord[face])
         dist = np.abs(z - class_coord[vtx][:, None]).ravel()
@@ -587,18 +586,52 @@ def _patches(faces, copy_class, copy_T, face_centroid, stencil_class, stencil_co
     )
 
 
+def _first_chains(vtx, face, key):
+    """Indices, in increasing order, of the first chain of each distinct
+    (vertex, face, key), as np.unique(rows, axis=0, return_index=True)
+    finds them (-0.0 and 0.0 are one key).  A stable sort groups the
+    chains by (vertex, face), and a chain repeats when an earlier chain of
+    its group has its key; a group holds a few chains."""
+    group = vtx * (np.max(face) + 1) + face
+    order = np.argsort(group, kind="stable")
+    group, key = group[order], key[order]
+    repeat = np.zeros(len(order), dtype=bool)
+    for s in range(1, len(order)):
+        same = group[s:] == group[:-s]
+        if not same.any():
+            break
+        repeat[s:] |= same & (key[s:] == key[:-s])
+    return np.sort(order[~repeat])
+
+
 def _closest_images(vtx, cls, z, dist):
     """The image z closest to its vertex for each (vertex, class), sorted
     by vertex and class.  Images equidistant up to roundoff are told apart
     by keys that do not depend on summation order: the distance rounded to
     12 digits, then the image's rounded real and imaginary parts.  Copies
     of one image reached along different chains agree in all three; the
-    closest copy by the unrounded distance is kept."""
+    closest copy by the unrounded distance is kept.
+
+    Rounding is monotone, so the closest copy has the smallest rounded
+    distance; only a pair with another image at that rounded distance but
+    at a different rounded position needs the three keys sorted.
+    """
     pair = vtx * (np.max(cls) + 1) + cls
-    order = np.lexsort((dist, np.round(z.imag, 12), np.round(z.real, 12),
-                        np.round(dist, 12), pair))
-    pair = pair[order]
-    first = order[np.r_[True, pair[1:] != pair[:-1]]]
+    order = np.argsort(pair, kind="stable")
+    pair, dist = pair[order], dist[order]
+    head = np.diff(pair, prepend=-1) != 0
+    run = np.cumsum(head) - 1
+    # the closest copy of each pair, the first one on exact ties
+    closest = np.flatnonzero(dist == np.minimum.reduceat(dist, np.flatnonzero(head))[run])
+    pick = closest[np.diff(run[closest], prepend=-1) != 0]
+    keys = np.round(np.stack([dist, z.real[order], z.imag[order]]), 12)
+    at_pick = keys[:, pick[run]]
+    tied = (keys[0] == at_pick[0]) & np.any(keys[1:] != at_pick[1:], axis=0)
+    tied_runs = np.unique(run[tied])
+    sub = np.flatnonzero(np.isin(run, tied_runs))
+    sub = sub[np.lexsort((dist[sub], keys[2, sub], keys[1, sub], keys[0, sub], pair[sub]))]
+    pick[tied_runs] = sub[np.diff(pair[sub], prepend=-1) != 0]
+    first = order[pick]
     return vtx[first], cls[first], z[first]
 
 
@@ -610,6 +643,9 @@ def _patch_fit_rows(vertices, patch_coord, patch_ptr):
     is quartic on 18 or more points, cubic on 12 or more, else quadratic.
     With sqrt(w) A = Q R, the row of the fit's flat Laplacian
     2 (c_xx + c_yy) / scale^2 is 2 (Q z) sqrt(w) / scale^2, R^T z = e_xx + e_yy.
+    Q is never formed: each group's QR is LAPACK's Householder form
+    (qr mode "raw"), z comes from R^T by forward substitution, and Q z is
+    the k reflectors applied to [z; 0].
     """
     size = np.diff(patch_ptr)
     zc = patch_coord - np.repeat(vertices, size)
@@ -620,25 +656,52 @@ def _patch_fit_rows(vertices, patch_coord, patch_ptr):
         scale = np.max(np.abs(z), axis=1)
         z = z / scale[:, None]
         x, y = z.real, z.imag
-        terms = [np.ones_like(x), x, y, x * x, x * y, y * y]
+        # the cubes and fourth powers stay libm's pow: products differ in
+        # the last bit, and the ill-conditioned g=3 r=1 fits carry that to
+        # 1e-12 in the rows
+        x2, xy = x * x, x * y
+        terms = [np.ones_like(x), x, y, x2, xy, y * y]
         if n >= 12:
-            terms += [x**3, x * x * y, x * y * y, y**3]
+            x3, x2y, y3 = x**3, x2 * y, y**3
+            terms += [x3, x2y, xy * y, y3]
         if n >= 18:
-            terms += [x**4, x**3 * y, x * x * y * y, x * y**3, y**4]
-        A = np.stack(terms, axis=-1)
+            terms += [x**4, x3 * y, x2y * y, x * y3, y**4]
+        # one row per monomial, so that LAPACK reads each design's columns
+        # contiguously
+        design = np.stack(terms, axis=1)
         # downweight the outer ring for a smaller fit-error constant
         r = np.abs(z)
         raw = 1.0 / (1.0 + (r / np.maximum(np.median(r, axis=1), 1e-30)[:, None]) ** 4)
         raw[r == 0.0] = 1.0
-        e = np.zeros(len(terms))
-        e[[3, 5]] = 1.0
         for key, w in (("raw", raw), ("clamped", np.maximum(raw, 0.1)),
                        ("unit", np.ones_like(raw))):
             sw = np.sqrt(w)
-            Q, R = np.linalg.qr(A * sw[..., None])
-            zr = np.linalg.solve(np.swapaxes(R, 1, 2), e)
-            rows[key][idx] = 2.0 * (Q @ zr[..., None])[..., 0] * sw / scale[:, None] ** 2
+            q_z = _householder_laplacian_row(design * sw[:, None, :])
+            rows[key][idx] = 2.0 * q_z * sw / scale[:, None] ** 2
     return rows
+
+
+def _householder_laplacian_row(design):
+    """Q z for each design in the stack (groups x monomials x points, the
+    transposed least-squares matrix A), where A = Q R is the thin QR
+    factorization and R^T z = e_xx + e_yy (x^2 and y^2 are monomials 3
+    and 5)."""
+    # h[:, j, :j + 1] is row j of R^T and h[:, j, j + 1:] reflector j
+    # below its implicit unit entry
+    h, tau = np.linalg.qr(np.swapaxes(design, 1, 2), mode="raw")
+    k = len(tau[0])
+    y = np.zeros(design.shape[::2])
+    # z vanishes above its first nonzero right-hand side, entry 3
+    for j in range(3, k):
+        rhs = float(j in (3, 5)) - np.einsum("gi,gi->g", h[:, j, :j], y[:, :j])
+        y[:, j] = rhs / h[:, j, j]
+    # Q [z; 0] = H_0 H_1 ... H_{k-1} [z; 0], H_j = I - tau_j v_j v_j^T
+    for j in reversed(range(k)):
+        v = h[:, j, j + 1:]
+        d = tau[:, j] * (y[:, j] + np.einsum("gi,gi->g", v, y[:, j + 1:]))
+        y[:, j] -= d
+        y[:, j + 1:] -= d[:, None] * v
+    return y
 
 
 def laplacian(mesh):

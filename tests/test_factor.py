@@ -1,5 +1,10 @@
 """Banded Cholesky factorization of the polish and class-oracle matrices."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -104,3 +109,16 @@ def test_indefinite_matrix_fails_to_factor_and_ends_in_linear_solve_error(
     with pytest.raises(LinearSolveError, match="harmonic projection") as failed:
         bundles.class_is_trivial(mesh_r3, beta, sol.u, dbar)
     assert isinstance(failed.value.__cause__, np.linalg.LinAlgError)
+
+
+def test_cli_import_leaves_csgraph_unloaded():
+    # factor imports scipy.sparse.csgraph on first use, which keeps it out
+    # of the start-up cost of every eqmin command
+    src = str(Path(factor.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = ("import sys, eqmin.cli; "
+            "print([m for m in sys.modules if m.startswith('scipy.sparse.csgraph')])")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"

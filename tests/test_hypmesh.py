@@ -278,3 +278,67 @@ def test_equidistant_images_pick_the_smallest_rounded_key(genus, resolution, mon
             row = mesh.patch_class[ptr[v]:ptr[v + 1]] == c
             assert abs(mesh.patch_coord[ptr[v]:ptr[v + 1]][row][0] - best) < 1e-12
     assert ties > 0
+
+
+def _unique_first_chains(vtx, face, key):
+    """Reference for the chain dedupe: the first row of each distinct
+    (vertex, face, key) by a row-wise np.unique."""
+    rows = np.stack([vtx, face, key.real, key.imag], axis=1)
+    return np.sort(np.unique(rows, axis=0, return_index=True)[1])
+
+
+def _lexsort_closest_images(vtx, cls, z, dist):
+    """Reference for the closest-image rule: all its keys in one lexsort."""
+    pair = vtx * (np.max(cls) + 1) + cls
+    order = np.lexsort((dist, np.round(z.imag, 12), np.round(z.real, 12),
+                        np.round(dist, 12), pair))
+    first = order[np.r_[True, pair[order][1:] != pair[order][:-1]]]
+    return vtx[first], cls[first], z[first]
+
+
+@pytest.mark.parametrize("genus, resolution", [(2, 1), (3, 1), (2, 2), (3, 2), (2, 3)])
+def test_patch_search_matches_its_reference_rules(genus, resolution, monkeypatch):
+    # every block of a real build: the chain dedupe keeps the rows a
+    # row-wise unique keeps, and the closest images are the lexsort's
+    blocks = {"dedupe": [], "closest": []}
+    dedupe, closest = hypmesh._first_chains, hypmesh._closest_images
+
+    def recording_dedupe(*args):
+        blocks["dedupe"].append(args)
+        return dedupe(*args)
+
+    def recording_closest(*args):
+        blocks["closest"].append(args)
+        return closest(*args)
+
+    monkeypatch.setattr(hypmesh, "_first_chains", recording_dedupe)
+    monkeypatch.setattr(hypmesh, "_closest_images", recording_closest)
+    hypmesh.build_surface(genus, resolution)
+    assert blocks["dedupe"] and blocks["closest"]
+    for args in blocks["dedupe"]:
+        assert np.array_equal(dedupe(*args), _unique_first_chains(*args))
+    for args in blocks["closest"]:
+        for got, ref in zip(closest(*args), _lexsort_closest_images(*args)):
+            assert np.array_equal(got, ref)
+
+
+def test_patch_search_rules_on_repeats_signed_zeros_and_ties():
+    # dedupe: rows repeat out of order, and -0.0 and 0.0 are one key
+    vtx = np.array([0, 0, 1, 0, 1, 0, 0, 1])
+    face = np.array([3, 3, 2, 3, 2, 1, 3, 2])
+    key = np.array([complex(0.5, -0.0), 0.5, complex(-0.0, 1.0), 0.5, 1j, 0.5, 0.25, 1j])
+    assert np.signbit(key.imag[0]) and np.signbit(key.real[2])
+    keep = hypmesh._first_chains(vtx, face, key)
+    assert np.array_equal(keep, _unique_first_chains(vtx, face, key))
+    assert keep.tolist() == [0, 2, 5, 6]
+    # closest images: pair (0, 1) has the unrounded closest copy at a
+    # larger rounded position than an image at the same rounded distance,
+    # pair (1, 2) holds two copies of one image and a farther one
+    vtx = np.array([0, 0, 0, 1, 1, 1])
+    cls = np.array([1, 1, 1, 2, 2, 2])
+    z = np.array([0.3 + 0.2j, 0.3 + 0.1j, 0.1 + 0.1j, 0.5j, 0.5j + 1e-15, 0.7j])
+    dist = np.array([1.0 - 1e-14, 1.0, 1.1, 2.0, 2.0 - 1e-15, 2.5])
+    got = hypmesh._closest_images(vtx, cls, z, dist)
+    for a, b in zip(got, _lexsort_closest_images(vtx, cls, z, dist)):
+        assert np.array_equal(a, b)
+    assert got[2].tolist() == [0.3 + 0.1j, 0.5j + 1e-15]
