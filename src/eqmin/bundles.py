@@ -28,7 +28,7 @@ from .errors import (
     LinearSolveError,
     ShapeError,
 )
-from .factor import factor_hpd
+from .factor import band_plan, factor_hpd
 from .mobius import conformal_factor
 
 __all__ = [
@@ -143,10 +143,6 @@ class DbarOperator:
     def __call__(self, values):
         return self.matrix @ np.asarray(values, dtype=complex)
 
-    def residual_norm(self, values):
-        """Weighted L2 norm of dbar(values), normalized by the section norm."""
-        return relative_dbar_norm(self.mesh, self.m, self(values), values)
-
 
 def dbar_weights(mesh, m, u_vertex=None):
     """Area-weighted norms for sections of K^m L^n: (w_in at vertices,
@@ -208,6 +204,16 @@ def _stencil_dbar_rows(mesh):
     return np.linalg.inv(A)[:, 2, :] / scale
 
 
+def _stencil_factor(mesh, A):
+    """factor_hpd of a Hermitian matrix on the pattern of the dbar
+    stencil's normal matrices M^H M, which only the mesh determines: the
+    kernel search's shifted normal operator and the class oracle's
+    projection share one band plan, kept on the mesh and made from the
+    first such matrix factored."""
+    A = A.tocsr()
+    return factor_hpd(A, mesh.memo("stencil_band_plan", lambda: band_plan(A)))
+
+
 def dbar_operator(mesh, L, m, n):
     """Assemble the discrete dbar on sections of K^m L^n.
 
@@ -243,7 +249,7 @@ class BasisResult(list):
         self.factor_nnz = factor_nnz
 
 
-def _smallest_singular(B, k):
+def _smallest_singular(B, k, mesh):
     """The k smallest singular values of B (ascending), their right
     singular vectors (columns), the largest singular value and the stored
     entries of the shift-invert factor.
@@ -251,7 +257,8 @@ def _smallest_singular(B, k):
     They are the eigenpairs of the Hermitian normal operator N = B^H B,
     found by ARPACK in shift-invert mode about a tiny negative shift, so
     that N - sigma I stays positive definite when the kernel is exact and
-    is factored once as a band by factor_hpd.  ARPACK needs k < n - 1;
+    is factored once as a band by factor_hpd, with the band plan of the
+    mesh's stencil pattern (_stencil_factor).  ARPACK needs k < n - 1;
     smaller problems take a dense eigh of N and report no factor (None).
     The start vector is fixed, so repeated calls agree.
     """
@@ -266,7 +273,7 @@ def _smallest_singular(B, k):
         sigma = -1e-10 * float(np.max(np.abs(N.diagonal())))
         v0 = np.ones(n, dtype=complex)
         try:
-            shifted = factor_hpd(N - sigma * sp.identity(n, format="csc"))
+            shifted = _stencil_factor(mesh, N - sigma * sp.identity(n, format="csc"))
             OPinv = spla.LinearOperator(N.shape, matvec=shifted.solve, dtype=N.dtype)
             lam, vecs = spla.eigsh(N, k, sigma=sigma, which="LM", v0=v0, OPinv=OPinv)
             lam_max = spla.eigsh(N, 1, which="LA", v0=v0,
@@ -316,7 +323,7 @@ def holomorphic_basis(dbar, gap_floor=10.0, max_dim=24):
     w_in, w_out = dbar_weights(mesh, dbar.m)
     B = sp.diags(np.sqrt(w_out)) @ dbar.matrix @ sp.diags(1.0 / np.sqrt(w_in))
     upper = min(max_dim, mesh.n_vertices - 1)
-    s, vecs, s_max, factor_nnz = _smallest_singular(B, upper + 1)
+    s, vecs, s_max, factor_nnz = _smallest_singular(B, upper + 1, mesh)
     ratios = s[1:] / np.maximum(s[:-1], 1e-14 * s_max)
     d = int(np.argmax(ratios)) + 1
     gap = float(ratios[d - 1])
@@ -343,8 +350,9 @@ def class_is_trivial(mesh, beta, metric_u, dbar, tol=1e-3):
     operator (typically Hom(K, L^s) = K^{-1} L^s, which has no global
     holomorphic sections, so the projection is unique).  The projection's
     normal matrix M^H W M, with a small Tikhonov floor, is Hermitian
-    positive definite and is factored as a band in reverse Cuthill-McKee
-    order by factor_hpd.  Returns (is_trivial, harmonic_norm): the
+    positive definite and is factored as a band by factor_hpd, with the
+    band plan of the mesh's stencil pattern that the kernel search uses
+    too (_stencil_factor).  Returns (is_trivial, harmonic_norm): the
     weighted L2 norm of beta minus its best dbar-exact approximation, and
     the comparison with tol.
     """
@@ -354,14 +362,14 @@ def class_is_trivial(mesh, beta, metric_u, dbar, tol=1e-3):
     w_in, w_out = dbar_weights(dbar.mesh, dbar.m, metric_u)
     M = dbar.matrix
     W = sp.diags(w_out)
-    lhs = (M.conj().T @ W @ M).tocsc()
+    lhs = (M.conj().T @ W @ M).tocsr()
     # small Tikhonov floor keeps the solve well posed if the discrete
     # kernel is only numerically trivial
     reg = 1e-12 * float(np.max(np.abs(lhs.diagonal())))
-    lhs = lhs + reg * sp.identity(lhs.shape[0], format="csc")
+    lhs = lhs + reg * sp.identity(lhs.shape[0], format="csr")
     rhs = M.conj().T @ (w_out * beta)
     try:
-        psi = factor_hpd(lhs).solve(rhs)
+        psi = _stencil_factor(dbar.mesh, lhs).solve(rhs)
     except Exception as exc:
         raise LinearSolveError(f"harmonic projection solve failed: {exc}") from exc
     if not np.all(np.isfinite(psi)):

@@ -304,20 +304,16 @@ def _higgs_and_moduli(cfg, data, sol, report):
 
 
 def _write_plot_csv(path, mesh, rep):
+    """fields.csv: one row per vertex, numbers to 12 significant digits,
+    with the \\r\\n line ends of the csv module's default dialect; built as
+    one string and written at once."""
     u4 = np.sqrt(np.abs(rep.u4_norm_sq))
     kp = rep.kappa_perp if rep.kappa_perp is not None else np.zeros(mesh.n_vertices)
+    columns = (mesh.vertices.real, mesh.vertices.imag, rep.kappa_gamma, kp, u4)
+    rows = [f"{i},{x:.12g},{y:.12g},{kg:.12g},{kq:.12g},{n4:.12g}\r\n"
+            for i, (x, y, kg, kq, n4) in enumerate(zip(*(c.tolist() for c in columns)))]
     with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["vertex", "x", "y", "kappa_gamma", "kappa_perp", "u4_norm"])
-        for i in range(mesh.n_vertices):
-            wr.writerow([
-                i,
-                f"{mesh.vertices[i].real:.12g}",
-                f"{mesh.vertices[i].imag:.12g}",
-                f"{rep.kappa_gamma[i]:.12g}",
-                f"{kp[i]:.12g}",
-                f"{u4[i]:.12g}",
-            ])
+        fh.write("vertex,x,y,kappa_gamma,kappa_perp,u4_norm\r\n" + "".join(rows))
 
 
 def _failure_record(stage, exc):

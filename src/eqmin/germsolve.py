@@ -34,7 +34,7 @@ from .errors import (
     ShapeError,
     StagnationError,
 )
-from .factor import factor_hpd
+from .factor import band_plan, factor_hpd
 from .hypmesh import laplacian
 from .mobius import conformal_factor
 
@@ -446,6 +446,115 @@ def _damped_normal_operator(J, aa, damping):
                                dtype=float)
 
 
+def _flagged_union(parts):
+    """The union of the patterns of the canonical CSR matrices parts, as a
+    canonical complex CSR matrix whose imaginary parts flag the parts that
+    hold each entry (bit b for parts[b]): the entries of parts[b], in its
+    own order, sit at np.flatnonzero(flags & 2**b) of the union."""
+    return sum(sp.csr_matrix((np.full(p.nnz, 2.0**b * 1j), p.indices, p.indptr), shape=p.shape)
+               for b, p in enumerate(parts))
+
+
+class _PolishNormal:
+    """The polish's damped normal matrices on one mesh, for n fields.
+
+    The polish Jacobian is J = L - D (CurvatureEquations.system): L is the
+    block diagonal of n copies of the weighted patch-fit Laplacian lap,
+    and D holds the reaction terms, block (i, j) diag(df[i][j]).  With
+    W = diag(a) on each field,
+
+        N = J^T W J = L^T W L - E - E^T + D^T W D,   E = D^T W L,
+
+    where L^T W L has the blocks Q = lap^T W lap on its diagonal, block
+    (i, j) of E is diag(a df[j][i]) lap, and D^T W D is diagonal in each
+    block.  Q and the pattern of N depend on the mesh alone and are kept,
+    with the places of lap's entries, of their transposes and of the
+    diagonal in each kind of block; matrix(df, damping) writes Q, the
+    reaction terms and the damping at those places, with no sparse
+    products.
+
+    A diagonal block's pattern is that of Q, lap, lap^T and the identity,
+    an off-diagonal block's that of lap, lap^T and the identity: the
+    pattern the product J^T W J has when no sum in it cancels.  Stored
+    entries that do cancel (sections that vanish at a vertex zero a
+    reaction block there) hold zeros, so the pattern, and a band plan
+    made from it, serve every J.
+    """
+
+    def __init__(self, lap, a, n):
+        if not lap.has_sorted_indices:
+            lap = lap.sorted_indices()
+        self.lap, self.a, self.n = lap, a, n
+        V = lap.shape[0]
+        # for each entry of lap^T, in its canonical order, the number of the
+        # entry of lap it transposes
+        number_t = sp.csr_matrix((np.arange(lap.nnz), lap.indices, lap.indptr),
+                                 shape=lap.shape).T.tocsr()
+        weighted = sp.csr_matrix((np.repeat(a, np.diff(lap.indptr)) * lap.data, lap.indices,
+                                  lap.indptr), shape=lap.shape)
+        Q = (lap.T @ weighted).tocsr()
+        # an off-diagonal block's pattern (False), flagged (1 diagonal, 2
+        # lap, 4 lap^T), and a diagonal block's (True), with Q's values as
+        # real parts
+        off = _flagged_union([sp.identity(V, format="csr"), lap, number_t])
+        patterns = {False: off, True: Q + off}
+        row_length = np.diff(patterns[True].indptr) + (n - 1) * np.diff(off.indptr)
+        indptr = np.concatenate([[0], np.cumsum(np.tile(row_length, n))])
+        index = np.int32 if indptr[-1] <= np.iinfo(np.int32).max else np.int64
+        self.indptr = indptr.astype(index)
+        # each kind of block: its indptr and the places in it of the
+        # identity's and lap's entries and of lap's transposed entries
+        self.kinds = {}
+        for kind, P in patterns.items():
+            flags = P.data.imag.astype(np.int64)
+            on_eye, on_lap, on_t = (np.flatnonzero(flags & b).astype(index) for b in (1, 2, 4))
+            transposing = np.empty_like(on_t)
+            transposing[number_t.data] = on_t
+            self.kinds[kind] = P.indptr, on_eye, on_lap, transposing
+        self.q = patterns[True].data.real.copy()
+        self.indices = np.empty(indptr[-1], dtype=index)
+        for i, j, at in self._blocks():
+            self.indices[at] = patterns[i == j].indices + j * V
+
+    def _blocks(self):
+        """(i, j, at) for each block (i, j) of N, at the global place of
+        each of its entries: row r of block row i holds the rows r of the
+        blocks (i, 0), ..., (i, n - 1) in turn."""
+        V = self.lap.shape[0]
+        for i in range(self.n):
+            start = self.indptr[i * V:(i + 1) * V]
+            for j in range(self.n):
+                ptr = self.kinds[i == j][0]
+                length = np.diff(ptr)
+                at = np.repeat(start - ptr[:-1], length) + np.arange(ptr[-1], dtype=start.dtype)
+                yield i, j, at
+                start = start + length
+
+    def matrix(self, df, damping):
+        """N + damping (|diag N| + 1e-300) for the reaction-term diagonals
+        df of CurvatureEquations.df, as a CSR matrix on the kept pattern."""
+        a, lap, n = self.a, self.lap, self.n
+        row_count = np.diff(lap.indptr)
+        # a df[i][j] times lap's values, row by row: block (i, j) of E
+        # holds scaled[j][i] at lap's places, and block (i, j) of E^T
+        # holds scaled[i][j] at their transposes
+        scaled = [[np.repeat(a * d, row_count) * lap.data for d in row] for row in df]
+        data = np.zeros(len(self.indices))
+        diagonal = []
+        for i, j, at in self._blocks():
+            _, on_eye, on_lap, on_t = self.kinds[i == j]
+            if i == j:
+                data[at] = self.q
+                diagonal.append(at[on_eye])
+            data[at[on_lap]] -= scaled[j][i]
+            data[at[on_t]] -= scaled[i][j]
+            data[at[on_eye]] += sum(a * df[k][i] * df[k][j] for k in range(n))
+        diagonal = np.concatenate(diagonal)
+        data[diagonal] += damping * (np.abs(data[diagonal]) + 1e-300)
+        size = n * lap.shape[0]
+        return sp.csr_matrix((data, self.indices, self.indptr), shape=(size, size))
+
+
 def polish_solution(data, sol, iterations=4, damping=0.03):
     """Damped collocation polish of a converged solution for pointwise
     diagnostics.
@@ -467,23 +576,28 @@ def polish_solution(data, sol, iterations=4, damping=0.03):
     positive definite.  Between steps only the diagonal reaction terms of
     the Jacobian J move, by O(h^2), so N is formed and factored once, as a
     band in reverse Cuthill-McKee order by factor_hpd, at the first step.
-    Each later step solves its own normal equations by conjugate gradients
-    preconditioned with that factorization, applying N as
-    v -> J^T W J v + damping |diag N| v without forming it.  When CG does
-    not reach its tolerance the current N is formed, factored and solved
-    directly, and its factorization preconditions the remaining steps.
-    sol.polish records each step (weighted collocation residual before and
-    after, accepted line-search fraction, CG iterations, 0 for a direct
-    solve), the number of factorizations and the storage of each
-    (factor_nnz, the band's entries, (kd + 1) * n for half-bandwidth kd and
-    size n).
+    N is formed without sparse products, on the mesh's normal pattern
+    (_PolishNormal), and factored with that pattern's band plan, made
+    from the first N; both are kept on the mesh, per field count.  Each later step solves its own
+    normal equations by conjugate gradients preconditioned with that
+    factorization, applying N as v -> J^T W J v + damping |diag N| v
+    without forming it.  When CG does not reach its tolerance the current
+    N is formed, factored and solved directly, and its factorization
+    preconditions the remaining steps.  sol.polish records each step
+    (weighted collocation residual before and after, accepted line-search
+    fraction, CG iterations, 0 for a direct solve), the number of
+    factorizations and the storage of each (factor_nnz, the band's
+    entries, (kd + 1) * n for half-bandwidth kd and size n).
     """
-    a = data.mesh.vertex_areas
+    mesh = data.mesh
+    a = mesh.vertex_areas
     eqs = CurvatureEquations(data)
     resid, jac = eqs.system("patch_fit", 1.0)
     x = np.concatenate([sol.u, sol.w] if eqs.coupled else [sol.u])
     aa = np.concatenate([a, a]) if eqs.coupled else a
-    W = sp.diags(aa)
+    n = 2 if eqs.coupled else 1
+    normal = mesh.memo(("polish_normal", n), lambda: _PolishNormal(
+        _LAPLACIANS["patch_fit"](mesh), a, n))
 
     def wnorm(R):
         return float(np.sqrt(np.sum(aa * R**2)))
@@ -501,10 +615,10 @@ def polish_solution(data, sol, iterations=4, damping=0.03):
                 _damped_normal_operator(J, aa, damping), rhs, lu)
         if step is None:
             lu = None  # release the old factors before making new ones
-            N = (J.T @ W @ J).tocsc()
-            N = N + damping * sp.diags(np.abs(N.diagonal()) + 1e-300)
+            N = normal.matrix(eqs.df(*eqs.fields(x)), damping)
+            plan = mesh.memo(("polish_band_plan", n), lambda: band_plan(N))
             try:
-                lu = factor_hpd(N)
+                lu = factor_hpd(N, plan)
                 step = lu.solve(rhs)
             except Exception as exc:
                 raise LinearSolveError(f"polish solve failed: {exc}") from exc

@@ -180,9 +180,11 @@ class SurfaceMesh:
 
     Operators and structures that only the mesh determines are built on
     first use and kept on the mesh (see memo): the patch fits and both
-    patch-fit Laplacians, the cotangent Laplacian, the dbar stencil rows
-    and the sparsity patterns of the curvature equations' Jacobians.
-    Callers share them and must not modify them.
+    patch-fit Laplacians, the cotangent Laplacian, the dbar stencil rows,
+    the sparsity patterns of the curvature equations' Jacobians, the
+    polish's normal-matrix pattern and the band plans of the polish and
+    dbar-stencil normal matrices.  Callers share them and must not modify
+    them.
     """
 
     def __init__(self, **kw):
@@ -191,7 +193,13 @@ class SurfaceMesh:
 
     def memo(self, key, build):
         """The value of build() for this key, computed on the first call
-        and kept on the mesh; callers share it and must not modify it."""
+        and kept on the mesh; callers share it and must not modify it.
+
+        A kept value must not refer to the mesh, directly or through an
+        object that holds it (a DbarOperator keeps .mesh): the mesh would
+        then sit in a reference cycle and outlive its last user until the
+        cyclic garbage collector runs, and a sweep or a batch of runs would
+        hold several meshes at once."""
         if key not in self._memo:
             self._memo[key] = build()
         return self._memo[key]

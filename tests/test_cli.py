@@ -1,5 +1,6 @@
 """Pipeline front door: configs, reports, sweeps, subcommands."""
 
+import csv
 import gc
 import json
 import os
@@ -49,6 +50,37 @@ def test_zero_run_report(tmp_path):
     with open(tmp_path / "fields.csv") as fh:
         header = fh.readline().strip().split(",")
     assert header == ["vertex", "x", "y", "kappa_gamma", "kappa_perp", "u4_norm"]
+
+
+@pytest.mark.parametrize("coupled", [False, True])
+def test_plot_csv_is_what_the_csv_module_writes(tmp_path, coupled):
+    # fields.csv is written as one string; the reference is a csv.writer
+    # row per vertex, the writer it replaced
+    from types import SimpleNamespace
+
+    from eqmin import cli
+
+    rng = np.random.default_rng(4)
+    V = 40
+    special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1e-300, -1.5e12, 1 / 3])
+    columns = rng.standard_normal((4, V)) * 10.0 ** rng.integers(-8, 8, (4, V))
+    columns[:, :len(special)] = special
+    vertices = np.empty(V, dtype=complex)
+    vertices.real, vertices.imag = columns[:2]
+    mesh = SimpleNamespace(n_vertices=V, vertices=vertices)
+    rep = SimpleNamespace(kappa_gamma=columns[2], kappa_perp=columns[3] if coupled else None,
+                          u4_norm_sq=columns[3] ** 2)
+    cli._write_plot_csv(tmp_path / "fields.csv", mesh, rep)
+    kp = rep.kappa_perp if coupled else np.zeros(V)
+    u4 = np.sqrt(np.abs(rep.u4_norm_sq))
+    with open(tmp_path / "ref.csv", "w", newline="") as fh:
+        wr = csv.writer(fh)
+        wr.writerow(["vertex", "x", "y", "kappa_gamma", "kappa_perp", "u4_norm"])
+        for i in range(V):
+            wr.writerow([i] + [f"{c[i]:.12g}" for c in (mesh.vertices.real,
+                                                      mesh.vertices.imag,
+                                                      rep.kappa_gamma, kp, u4)])
+    assert (tmp_path / "fields.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 def test_failed_run_writes_partial_report(tmp_path):
@@ -184,8 +216,8 @@ def test_kernel_factor_failure_ends_in_report(tmp_path, monkeypatch):
 def test_bundle_dims_record_the_kernel_band(tmp_path, monkeypatch):
     factors = []
 
-    def recording(A):
-        factors.append(factor.factor_hpd(A))
+    def recording(A, plan):
+        factors.append(factor.factor_hpd(A, plan))
         return factors[-1]
 
     monkeypatch.setattr(bundles, "factor_hpd", recording)
@@ -547,3 +579,30 @@ def test_sweep_reuses_surface_work_and_matches_runs(tmp_path, monkeypatch, axis)
     dims = [rep["bundle_dims"] for rep in swept if "bundle_dims" in rep]
     assert len({id(d) for d in dims}) == len(dims)
     assert len({id(e["singular_values"]) for d in dims for e in d.values()}) == sum(map(len, dims))
+
+
+def test_meshes_die_by_reference_counting(tmp_path, monkeypatch):
+    # nothing a run keeps on the mesh (SurfaceMesh.memo) may refer back to
+    # it: with the cyclic collector off, every mesh must be freed as soon
+    # as its run or sweep returns
+    build_surface = hypmesh.build_surface
+    built = []
+
+    def recording(*args, **kwargs):
+        mesh = build_surface(*args, **kwargs)
+        built.append(weakref.ref(mesh))
+        return mesh
+
+    monkeypatch.setattr(hypmesh, "build_surface", recording)
+    cfg = RunConfig(genus=2, resolution=3, target="rh3", l=0, data_spec="basis:0:0.4",
+                    output_dir=str(tmp_path))
+    gc.collect()
+    gc.disable()
+    try:
+        assert "failed_at" not in run(cfg)
+        assert len(built) == 1 and built[0]() is None
+        _, reports = sweep(cfg, "amplitude", [0.1, 0.4])
+        assert not any("failed_at" in rep for rep in reports)
+        assert len(built) == 2 and built[1]() is None
+    finally:
+        gc.enable()

@@ -11,6 +11,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from eqmin import bundles, factor, germsolve, hypmesh
+from eqmin.cli import RunConfig, sweep
 from eqmin.errors import LinearSolveError, ShapeError
 from conftest import make_section
 
@@ -25,7 +26,8 @@ def test_band_order_is_a_permutation(mesh_r3):
     V = mesh_r3.n_vertices
     S = hypmesh.laplacian(mesh_r3)
     A = (S.T @ S + sp.identity(V)).tocsc()
-    lu = factor.factor_hpd(A)
+    plan = factor.band_plan(A)
+    lu = factor.factor_hpd(A, plan)
     assert np.array_equal(np.sort(lu.perm), np.arange(V))
     rank = np.argsort(lu.perm)
     assert lu.bandwidth == _bandwidth(A, rank)
@@ -36,7 +38,7 @@ def test_band_order_is_a_permutation(mesh_r3):
     assert np.linalg.norm(lu.solve(b) - ref) <= 1e-12 * np.linalg.norm(ref)
     for shape in ((V + 1, V), (V, V + 1)):
         with pytest.raises(ShapeError):
-            factor.factor_hpd(sp.identity(V + 1, format="csc")[:shape[0], :shape[1]])
+            factor.factor_hpd(sp.identity(V + 1, format="csc")[:shape[0], :shape[1]], plan)
 
 
 @pytest.fixture(scope="module")
@@ -53,8 +55,8 @@ def _first_factored(monkeypatch, module, call):
     its factor."""
     factored = []
 
-    def recording(A):
-        factored.append((A, factor.factor_hpd(A)))
+    def recording(A, plan):
+        factored.append((A, factor.factor_hpd(A, plan)))
         return factored[-1][1]
 
     monkeypatch.setattr(module, "factor_hpd", recording)
@@ -92,10 +94,11 @@ def test_indefinite_matrix_fails_to_factor_and_ends_in_linear_solve_error(
         mesh_r3, basis_K2_r3, monkeypatch):
     # Hermitian with eigenvalues -1 and 3
     with pytest.raises(np.linalg.LinAlgError):
-        factor.factor_hpd(sp.csc_matrix(np.array([[1.0, 2j], [-2j, 1.0]])))
+        A = sp.csc_matrix(np.array([[1.0, 2j], [-2j, 1.0]]))
+        factor.factor_hpd(A, factor.band_plan(A))
 
-    def negated(A):
-        return factor.factor_hpd(-A)
+    def negated(A, plan):
+        return factor.factor_hpd(-A, plan)
 
     monkeypatch.setattr(germsolve, "factor_hpd", negated)
     monkeypatch.setattr(bundles, "factor_hpd", negated)
@@ -122,3 +125,54 @@ def test_cli_import_leaves_csgraph_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_sweep_orders_each_pattern_once(tmp_path, monkeypatch):
+    # a sweep's runs share the mesh and with it the band plans of the dbar
+    # stencil's normal pattern (the kernel search and the class oracle) and
+    # of the polish's normal pattern
+    import scipy.sparse.csgraph as csgraph
+
+    rcm = csgraph.reverse_cuthill_mckee
+    orders = []
+
+    def counting(A, **kwargs):
+        orders.append(A.shape)
+        return rcm(A, **kwargs)
+
+    monkeypatch.setattr(csgraph, "reverse_cuthill_mckee", counting)
+    cfg = RunConfig(genus=2, resolution=3, target="rh3", l=0, data_spec="basis:0:0.1",
+                    output_dir=str(tmp_path))
+    _, reports = sweep(cfg, "amplitude", [0.1, 0.4, 0.8], write_files=False)
+    assert not any("failed_at" in rep for rep in reports)
+    assert len(orders) == 2
+
+
+def test_plan_of_another_pattern_is_not_kept(mesh_r3):
+    # the class oracle's normal matrix on the mesh's stencil plan, and the
+    # same matrix without one off-diagonal pair of entries
+    V = mesh_r3.n_vertices
+    M = bundles.dbar_operator(mesh_r3, None, -1, 0).matrix
+    A = (M.conj().T @ M).tocsr()
+    A = A + 2.0 * abs(A.diagonal()).max() * sp.identity(V, format="csr")
+    plan = mesh_r3.memo("stencil_band_plan", lambda: factor.band_plan(A))
+    kept = (plan.kd, plan.perm.copy(), plan.slot.copy(), plan.indices.copy())
+    assert plan.matches(A)
+    row = 5
+    col = next(c for c in A.indices[A.indptr[row]:A.indptr[row + 1]] if c != row)
+    B = A.tolil()
+    B[row, col] = B[col, row] = 0.0
+    B = B.tocsr()
+    B.eliminate_zeros()
+    assert B.nnz == A.nnz - 2 and not plan.matches(B)
+    b = np.random.default_rng(2).standard_normal(V) + 0j
+    x = factor.factor_hpd(B, plan).solve(b)
+    ref = factor.factor_hpd(B, factor.band_plan(B)).solve(b)
+    assert np.linalg.norm(x - ref) <= 1e-13 * np.linalg.norm(ref)
+    dense = np.linalg.solve(B.toarray(), b)
+    assert np.linalg.norm(x - dense) <= 1e-12 * np.linalg.norm(dense)
+    assert mesh_r3.memo("stencil_band_plan", None) is plan
+    assert plan.kd == kept[0]
+    for now, before in zip((plan.perm, plan.slot, plan.indices), kept[1:]):
+        assert np.array_equal(now, before)
+    assert plan.matches(A)

@@ -176,6 +176,32 @@ def test_fixed_pattern_jacobian_equals_block_assembly(mesh_r3, target, vanish, o
     assert np.shares_memory(J2.indices, J.indices) and np.shares_memory(J2.indptr, J.indptr)
 
 
+@pytest.mark.parametrize("target, vanish",
+                         [("rh3", None), ("rh4", None), ("rh4", slice(0, None, 7))])
+def test_polish_normal_matrix_equals_the_damped_product(mesh_r3, target, vanish):
+    rng = np.random.default_rng(13)
+    data = _random_data(mesh_r3, target, rng, vanish)
+    eqs = germsolve.CurvatureEquations(data)
+    n = 2 if eqs.coupled else 1
+    _, jacobian = eqs.system("patch_fit", 1.0)
+    x = 0.3 * rng.standard_normal(n * mesh_r3.n_vertices)
+    normal = germsolve._PolishNormal(mesh_r3.fd_laplacian_matrix(weighted=True),
+                                     mesh_r3.vertex_areas, n)
+    N = normal.matrix(eqs.df(*eqs.fields(x)), 0.03)
+    # the product every factorization used to form
+    J = jacobian(x)
+    ref = (J.T @ sp.diags(np.tile(mesh_r3.vertex_areas, n)) @ J).tocsr()
+    ref = ref + 0.03 * sp.diags(np.abs(ref.diagonal()) + 1e-300)
+    assert abs(N - ref).max() <= 1e-14 * abs(ref).max()
+    if vanish is None:
+        assert N.nnz == ref.nnz
+    else:
+        # the product drops the coupling entries that cancel; N keeps them,
+        # as zeros
+        assert ref.nnz < N.nnz
+        assert (N - N.multiply(ref != 0)).count_nonzero() == 0
+
+
 def test_jacobian_pattern_built_once_per_mesh_and_operator(monkeypatch):
     mesh = hypmesh.build_surface(2, 2)
     built = []
@@ -312,9 +338,9 @@ def _factor_every_step(data, sol, steps=4):
 def count_factor(monkeypatch):
     calls = []
 
-    def counting(A):
+    def counting(A, plan):
         calls.append(1)
-        return factor.factor_hpd(A)
+        return factor.factor_hpd(A, plan)
 
     monkeypatch.setattr(germsolve, "factor_hpd", counting)
     return calls
@@ -359,7 +385,7 @@ def test_polish_refactors_when_cg_fails(solved_r3, count_factor, monkeypatch):
     assert [s["cg_iterations"] for s in polished.polish["steps"]] == [0] * 4
 
 
-def _colamd(A):
+def _colamd(A, plan):
     """SuperLU with its default COLAMD ordering and partial pivoting, in
     the caller's order: the oracle for the banded factor.  Its factor
     object has the solve and nnz that the polish reads."""
@@ -370,16 +396,16 @@ def test_mesh_order_factor_solves_polish_matrix_like_colamd(solved_r3, monkeypat
     data, sol = solved_r3
     matrices = []
 
-    def recording(A):
-        matrices.append(A)
-        return factor.factor_hpd(A)
+    def recording(A, plan):
+        matrices.append((A, plan))
+        return factor.factor_hpd(A, plan)
 
     monkeypatch.setattr(germsolve, "factor_hpd", recording)
     germsolve.polish_solution(data, _fresh(sol.u, sol.w), iterations=1)
-    (N,) = matrices
+    ((N, plan),) = matrices
     b = np.random.default_rng(0).standard_normal(N.shape[0])
-    ref = _colamd(N).solve(b)
-    x = factor.factor_hpd(N).solve(b)
+    ref = _colamd(N, plan).solve(b)
+    x = factor.factor_hpd(N, plan).solve(b)
     assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
