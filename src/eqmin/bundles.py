@@ -306,7 +306,12 @@ def _fix_phase(vals):
     return vals * (np.conj(peak) / abs(peak))
 
 
-def holomorphic_basis(dbar, gap_floor=10.0, max_dim=24):
+# the largest kernel dimension holomorphic_basis looks for: it computes the
+# KERNEL_MAX_DIM + 1 smallest singular values
+KERNEL_MAX_DIM = 24
+
+
+def holomorphic_basis(dbar, gap_floor=10.0):
     """Orthonormal basis (area-weighted) of the numerical dbar kernel.
 
     The kernel is detected by the largest ratio of consecutive singular
@@ -322,7 +327,7 @@ def holomorphic_basis(dbar, gap_floor=10.0, max_dim=24):
     mesh = dbar.mesh
     w_in, w_out = dbar_weights(mesh, dbar.m)
     B = sp.diags(np.sqrt(w_out)) @ dbar.matrix @ sp.diags(1.0 / np.sqrt(w_in))
-    upper = min(max_dim, mesh.n_vertices - 1)
+    upper = min(KERNEL_MAX_DIM, mesh.n_vertices - 1)
     s, vecs, s_max, factor_nnz = _smallest_singular(B, upper + 1, mesh)
     ratios = s[1:] / np.maximum(s[:-1], 1e-14 * s_max)
     d = int(np.argmax(ratios)) + 1

@@ -47,7 +47,3 @@ class StagnationError(NonConvergenceError):
 
 class StaleSolutionError(EqminError):
     pass
-
-
-class DegenerateOrbitError(EqminError):
-    pass

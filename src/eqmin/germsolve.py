@@ -27,6 +27,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from .bundles import tensor_weight
 from .errors import (
     InvalidParameterError,
     LinearSolveError,
@@ -36,7 +37,6 @@ from .errors import (
 )
 from .factor import band_plan, factor_hpd
 from .hypmesh import laplacian
-from .mobius import conformal_factor
 
 __all__ = [
     "GermData3",
@@ -59,8 +59,7 @@ def _exp(x):
 def t_density(mesh, values):
     """Pointwise h-norm density of a quadratic-differential-type section:
     |f|^2 (2/lambda^2)^2 at the vertices."""
-    lam2 = conformal_factor(mesh.vertices) ** 2
-    return np.abs(np.asarray(values)) ** 2 * (2.0 / lam2) ** 2
+    return np.abs(np.asarray(values)) ** 2 * tensor_weight(mesh.vertices, 2)
 
 
 class GermData3:
@@ -161,6 +160,10 @@ class CurvatureEquations:
     def __init__(self, data):
         self.data = data
         self.coupled = isinstance(data, GermData4)
+        # the number of fields, and the vertex areas stacked once per field:
+        # the weights of the area-weighted norms of a state or a residual
+        self.n = 2 if self.coupled else 1
+        self.areas = np.tile(data.mesh.vertex_areas, self.n)
 
     def fields(self, x):
         """(u, w) of a state vector; w is None for the scalar equation."""
@@ -231,10 +234,9 @@ class CurvatureEquations:
                 [lap @ y - weight * fy for y, fy in zip(xs, self.f(*xs))]
             )
 
-        n = 2 if self.coupled else 1
-        shape = (n * lap.shape[0],) * 2
+        shape = (len(self.areas),) * 2
         indices, indptr, base, diagonals = mesh.memo(
-            ("jacobian", operator, n), lambda: _jacobian_pattern(lap, n))
+            ("jacobian", operator, self.n), lambda: _jacobian_pattern(lap, self.n))
 
         def jacobian(x):
             data = base.copy()
@@ -254,6 +256,57 @@ _LAPLACIANS = {
 }
 
 
+def _flagged_union(parts):
+    """The union of the patterns of the canonical CSR matrices parts, as a
+    canonical complex CSR matrix whose imaginary parts flag the parts that
+    hold each entry (bit b for parts[b]): the entries of parts[b], in its
+    own order, sit at np.flatnonzero(flags & 2**b) of the union."""
+    return sum(sp.csr_matrix((np.full(p.nnz, 2.0**b * 1j), p.indices, p.indptr), shape=p.shape)
+               for b, p in enumerate(parts))
+
+
+class _BlockPattern:
+    """The CSR pattern of an n x n block matrix whose diagonal blocks have
+    the pattern of diag and whose off-diagonal blocks have that of off,
+    both _flagged_unions of at most 8 V x V parts.  Row r of block row i
+    holds the rows r of the blocks (i, 0), ..., (i, n - 1) in turn;
+    indices and indptr are int32 unless there are more entries than int32
+    counts.  Of diag and off only their row pointers and flags are kept.
+    """
+
+    def __init__(self, diag, off, n):
+        self.n = n
+        kinds = {True: diag, False: off}
+        self.ptr = {kind: P.indptr for kind, P in kinds.items()}
+        self.flags = {kind: P.data.imag.astype(np.uint8) for kind, P in kinds.items()}
+        V = diag.shape[0]
+        row_length = np.diff(diag.indptr) + (n - 1) * np.diff(off.indptr)
+        indptr = np.concatenate([[0], np.cumsum(np.tile(row_length, n))])
+        index = np.int32 if indptr[-1] <= np.iinfo(np.int32).max else np.int64
+        self.indptr = indptr.astype(index)
+        self.indices = np.empty(indptr[-1], dtype=index)
+        for i, j, at in self.blocks():
+            self.indices[at] = kinds[i == j].indices + j * V
+
+    def places(self, kind, bit):
+        """The places in a block of this kind (True: a diagonal block) of
+        the entries of the part flagged bit, in that part's order."""
+        return np.flatnonzero(self.flags[kind] & bit).astype(self.indptr.dtype)
+
+    def blocks(self):
+        """(i, j, at) for each block (i, j), at the global place of each
+        of its entries."""
+        V = len(self.ptr[True]) - 1
+        for i in range(self.n):
+            start = self.indptr[i * V:(i + 1) * V]
+            for j in range(self.n):
+                ptr = self.ptr[i == j]
+                length = np.diff(ptr)
+                at = np.repeat(start - ptr[:-1], length) + np.arange(ptr[-1], dtype=start.dtype)
+                yield i, j, at
+                start = start + length
+
+
 def _jacobian_pattern(lap, n):
     """The sparsity pattern of the Jacobians of n fields coupled through
     diagonal reaction terms, with lap acting on each field: the union of
@@ -264,27 +317,20 @@ def _jacobian_pattern(lap, n):
     diagonals[i][j], the positions in the value array of the diagonal of
     block (i, j).
     """
-    V = lap.shape[0]
-    size = n * V
-    lap_x = sp.block_diag([lap] * n, format="csr")
-    # a union of patterns: every value is positive, so no entry cancels
-    ones = sp.csr_matrix((np.ones(lap_x.nnz), lap_x.indices, lap_x.indptr),
-                         shape=lap_x.shape)
-    P = (ones + sp.bmat([[sp.identity(V)] * n] * n)).tocsr()
-    P.sort_indices()
-    # entry (r, c) has the key r * size + c, in int64: scipy's int32 index
-    # arrays would wrap once size exceeds 46340
-    keys = np.repeat(np.arange(size, dtype=np.int64), np.diff(P.indptr)) * size + P.indices
-
-    def position(rows, cols):
-        return np.searchsorted(keys, rows.astype(np.int64) * size + cols)
-
-    entries = lap_x.tocoo()
-    base = np.zeros(P.nnz)
-    base[position(entries.row, entries.col)] = entries.data
-    k = np.arange(V)
-    diagonals = [[position(i * V + k, j * V + k) for j in range(n)] for i in range(n)]
-    return P.indices, P.indptr, base, diagonals
+    if not lap.has_sorted_indices:
+        lap = lap.sorted_indices()
+    eye = sp.identity(lap.shape[0], format="csr")
+    # diagonal blocks: the identity (flag 1) and lap (flag 2); off-diagonal
+    # blocks: the identity
+    pattern = _BlockPattern(_flagged_union([eye, lap]), _flagged_union([eye]), n)
+    on_lap = pattern.places(True, 2)
+    base = np.zeros(len(pattern.indices))
+    diagonals = [[] for _ in range(n)]
+    for i, j, at in pattern.blocks():
+        if i == j:
+            base[at[on_lap]] = lap.data
+        diagonals[i].append(at[pattern.places(i == j, 1)])
+    return pattern.indices, pattern.indptr, base, diagonals
 
 
 def _jacobian_solver():
@@ -363,26 +409,26 @@ def _newton(x0, residual, jacobian, areas, tol, max_iter):
     )
 
 
-def solve_gauss3(data, tol=1e-10, max_iter=30):
-    """Solve the scalar curvature equation for u on the given data."""
-    mesh = data.mesh
+def _solve(data, tol, max_iter):
+    """Damped Newton from x = 0 on the cotangent discretization of the
+    curvature equations of data."""
     if tol <= 0:
         raise InvalidParameterError("tol must be positive")
-    a = mesh.vertex_areas
-    residual, jacobian = CurvatureEquations(data).system("cotangent", a)
-    u0 = np.zeros(mesh.n_vertices)
-    u, trace, ok = _newton(u0, residual, jacobian, a, tol, max_iter)
-    return GermSolution(u=u, newton_trace=trace, converged=ok)
+    eqs = CurvatureEquations(data)
+    residual, jacobian = eqs.system("cotangent", data.mesh.vertex_areas)
+    x, trace, ok = _newton(np.zeros(len(eqs.areas)), residual, jacobian, eqs.areas, tol,
+                           max_iter)
+    u, w = eqs.fields(x)
+    return GermSolution(u=u, w=w, newton_trace=trace, converged=ok)
+
+
+def solve_gauss3(data, tol=1e-10, max_iter=30):
+    """Solve the scalar curvature equation for u on the given data."""
+    return _solve(data, tol, max_iter)
 
 
 def solve_gauss_ricci4(data, tol=1e-10, max_iter=30):
     """Solve the coupled curvature system for (u, w) on H^4 germ data."""
-    mesh = data.mesh
-    if tol <= 0:
-        raise InvalidParameterError("tol must be positive")
-    V = mesh.n_vertices
-    a = mesh.vertex_areas
-
     # integrating the Ricci equation gives
     # 2 pi l = int e^{2u} (||theta_2||^2 - ||theta_1||^2) dA_h, so l > 0
     # needs theta2, l < 0 needs theta1, and l = 0 both sections or neither
@@ -398,20 +444,14 @@ def solve_gauss_ricci4(data, tol=1e-10, max_iter=30):
         # w decouples into Delta_h w = rho0, solvable only for l = 0 where
         # w is an arbitrary constant (fixed to 0); u solves the scalar case
         # (the coupled Jacobian is singular here: its ww block is S)
-        sol = solve_gauss3(GermData3(mesh), tol=tol, max_iter=max_iter)
-        return GermSolution(
-            u=sol.u,
-            w=np.zeros(V),
-            newton_trace=sol.newton_trace,
-            converged=sol.converged,
-        )
+        sol = solve_gauss3(GermData3(data.mesh), tol=tol, max_iter=max_iter)
+        sol.w = np.zeros(data.mesh.n_vertices)
+        return sol
+    return _solve(data, tol, max_iter)
 
-    residual, jacobian = CurvatureEquations(data).system("cotangent", a)
-    x0 = np.zeros(2 * V)
-    aa = np.concatenate([a, a])
-    x, trace, ok = _newton(x0, residual, jacobian, aa, tol, max_iter)
-    return GermSolution(u=x[:V], w=x[V:], newton_trace=trace, converged=ok)
 
+# The polish's Marquardt damping: its normal matrices are N + this |diag N|.
+_POLISH_DAMPING = 0.03
 
 # Polish steps after the first solve their normal equations by CG to this
 # relative residual, within this many iterations (3-4 are used at r=4).
@@ -446,15 +486,6 @@ def _damped_normal_operator(J, aa, damping):
                                dtype=float)
 
 
-def _flagged_union(parts):
-    """The union of the patterns of the canonical CSR matrices parts, as a
-    canonical complex CSR matrix whose imaginary parts flag the parts that
-    hold each entry (bit b for parts[b]): the entries of parts[b], in its
-    own order, sit at np.flatnonzero(flags & 2**b) of the union."""
-    return sum(sp.csr_matrix((np.full(p.nnz, 2.0**b * 1j), p.indices, p.indptr), shape=p.shape)
-               for b, p in enumerate(parts))
-
-
 class _PolishNormal:
     """The polish's damped normal matrices on one mesh, for n fields.
 
@@ -467,11 +498,11 @@ class _PolishNormal:
 
     where L^T W L has the blocks Q = lap^T W lap on its diagonal, block
     (i, j) of E is diag(a df[j][i]) lap, and D^T W D is diagonal in each
-    block.  Q and the pattern of N depend on the mesh alone and are kept,
-    with the places of lap's entries, of their transposes and of the
-    diagonal in each kind of block; matrix(df, damping) writes Q, the
-    reaction terms and the damping at those places, with no sparse
-    products.
+    block.  Q and the pattern of N (a _BlockPattern) depend on the mesh
+    alone and are kept, with the places of lap's entries, of their
+    transposes and of the diagonal in each kind of block; matrix(df,
+    damping) writes Q, the reaction terms and the damping at those
+    places, with no sparse products.
 
     A diagonal block's pattern is that of Q, lap, lap^T and the identity,
     an off-diagonal block's that of lap, lap^T and the identity: the
@@ -493,42 +524,20 @@ class _PolishNormal:
         weighted = sp.csr_matrix((np.repeat(a, np.diff(lap.indptr)) * lap.data, lap.indices,
                                   lap.indptr), shape=lap.shape)
         Q = (lap.T @ weighted).tocsr()
-        # an off-diagonal block's pattern (False), flagged (1 diagonal, 2
-        # lap, 4 lap^T), and a diagonal block's (True), with Q's values as
-        # real parts
+        # an off-diagonal block's pattern, flagged (1 diagonal, 2 lap, 4
+        # lap^T), and a diagonal block's, with Q's values as real parts
         off = _flagged_union([sp.identity(V, format="csr"), lap, number_t])
-        patterns = {False: off, True: Q + off}
-        row_length = np.diff(patterns[True].indptr) + (n - 1) * np.diff(off.indptr)
-        indptr = np.concatenate([[0], np.cumsum(np.tile(row_length, n))])
-        index = np.int32 if indptr[-1] <= np.iinfo(np.int32).max else np.int64
-        self.indptr = indptr.astype(index)
-        # each kind of block: its indptr and the places in it of the
-        # identity's and lap's entries and of lap's transposed entries
+        diag = Q + off
+        self.pattern = _BlockPattern(diag, off, n)
+        self.q = diag.data.real.copy()
+        # each kind of block: the places in it of the identity's and lap's
+        # entries and of lap's transposed entries
         self.kinds = {}
-        for kind, P in patterns.items():
-            flags = P.data.imag.astype(np.int64)
-            on_eye, on_lap, on_t = (np.flatnonzero(flags & b).astype(index) for b in (1, 2, 4))
+        for kind in (False, True):
+            on_eye, on_lap, on_t = (self.pattern.places(kind, b) for b in (1, 2, 4))
             transposing = np.empty_like(on_t)
             transposing[number_t.data] = on_t
-            self.kinds[kind] = P.indptr, on_eye, on_lap, transposing
-        self.q = patterns[True].data.real.copy()
-        self.indices = np.empty(indptr[-1], dtype=index)
-        for i, j, at in self._blocks():
-            self.indices[at] = patterns[i == j].indices + j * V
-
-    def _blocks(self):
-        """(i, j, at) for each block (i, j) of N, at the global place of
-        each of its entries: row r of block row i holds the rows r of the
-        blocks (i, 0), ..., (i, n - 1) in turn."""
-        V = self.lap.shape[0]
-        for i in range(self.n):
-            start = self.indptr[i * V:(i + 1) * V]
-            for j in range(self.n):
-                ptr = self.kinds[i == j][0]
-                length = np.diff(ptr)
-                at = np.repeat(start - ptr[:-1], length) + np.arange(ptr[-1], dtype=start.dtype)
-                yield i, j, at
-                start = start + length
+            self.kinds[kind] = on_eye, on_lap, transposing
 
     def matrix(self, df, damping):
         """N + damping (|diag N| + 1e-300) for the reaction-term diagonals
@@ -539,10 +548,11 @@ class _PolishNormal:
         # holds scaled[j][i] at lap's places, and block (i, j) of E^T
         # holds scaled[i][j] at their transposes
         scaled = [[np.repeat(a * d, row_count) * lap.data for d in row] for row in df]
-        data = np.zeros(len(self.indices))
+        pattern = self.pattern
+        data = np.zeros(len(pattern.indices))
         diagonal = []
-        for i, j, at in self._blocks():
-            _, on_eye, on_lap, on_t = self.kinds[i == j]
+        for i, j, at in pattern.blocks():
+            on_eye, on_lap, on_t = self.kinds[i == j]
             if i == j:
                 data[at] = self.q
                 diagonal.append(at[on_eye])
@@ -552,10 +562,10 @@ class _PolishNormal:
         diagonal = np.concatenate(diagonal)
         data[diagonal] += damping * (np.abs(data[diagonal]) + 1e-300)
         size = n * lap.shape[0]
-        return sp.csr_matrix((data, self.indices, self.indptr), shape=(size, size))
+        return sp.csr_matrix((data, pattern.indices, pattern.indptr), shape=(size, size))
 
 
-def polish_solution(data, sol, iterations=4, damping=0.03):
+def polish_solution(data, sol, iterations=4):
     """Damped collocation polish of a converged solution for pointwise
     diagnostics.
 
@@ -572,7 +582,7 @@ def polish_solution(data, sol, iterations=4, damping=0.03):
     are stored on the solution as u_smooth / w_smooth; the original fields
     are untouched.
 
-    The damped normal matrix N = J^T W J + damping diag|N| is symmetric
+    The damped normal matrix N = J^T W J + _POLISH_DAMPING diag|N| is symmetric
     positive definite.  Between steps only the diagonal reaction terms of
     the Jacobian J move, by O(h^2), so N is formed and factored once, as a
     band in reverse Cuthill-McKee order by factor_hpd, at the first step.
@@ -590,14 +600,12 @@ def polish_solution(data, sol, iterations=4, damping=0.03):
     entries, (kd + 1) * n for half-bandwidth kd and size n).
     """
     mesh = data.mesh
-    a = mesh.vertex_areas
     eqs = CurvatureEquations(data)
     resid, jac = eqs.system("patch_fit", 1.0)
     x = np.concatenate([sol.u, sol.w] if eqs.coupled else [sol.u])
-    aa = np.concatenate([a, a]) if eqs.coupled else a
-    n = 2 if eqs.coupled else 1
+    aa, n = eqs.areas, eqs.n
     normal = mesh.memo(("polish_normal", n), lambda: _PolishNormal(
-        _LAPLACIANS["patch_fit"](mesh), a, n))
+        _LAPLACIANS["patch_fit"](mesh), mesh.vertex_areas, n))
 
     def wnorm(R):
         return float(np.sqrt(np.sum(aa * R**2)))
@@ -612,10 +620,10 @@ def polish_solution(data, sol, iterations=4, damping=0.03):
         step = None
         if lu is not None:
             step, cg_iterations = _preconditioned_cg(
-                _damped_normal_operator(J, aa, damping), rhs, lu)
+                _damped_normal_operator(J, aa, _POLISH_DAMPING), rhs, lu)
         if step is None:
             lu = None  # release the old factors before making new ones
-            N = normal.matrix(eqs.df(*eqs.fields(x)), damping)
+            N = normal.matrix(eqs.df(*eqs.fields(x)), _POLISH_DAMPING)
             plan = mesh.memo(("polish_band_plan", n), lambda: band_plan(N))
             try:
                 lu = factor_hpd(N, plan)

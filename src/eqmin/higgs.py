@@ -19,9 +19,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bundles import dbar_operator, stencil_read
+# dbar_operator is unused here but stays bound: perfbench/spans.py patches higgs.dbar_operator
+from .bundles import dbar_operator, stencil_read, tensor_weight
 from .errors import InvalidParameterError, ShapeError, StaleSolutionError
-from .mobius import conformal_factor
 from .moduli import CLASSES
 
 __all__ = [
@@ -31,7 +31,6 @@ __all__ = [
     "gauge_matrix",
     "lift_matrix",
     "cx_lift",
-    "shear_gauge",
     "hodge_flag",
     "section_at_faces",
 ]
@@ -150,28 +149,6 @@ class HiggsAssembly:
         Hom(K, L^{-1})."""
         return tuple(self.blocks.get(cls.block) for cls in self.classes)
 
-    def export_blocks(self):
-        """Manifest of every structurally nonzero block with its bundle type."""
-        out = {}
-        for (r, c), val in self.blocks.items():
-            mr, nr = self.types[r]
-            mc, nc = self.types[c]
-            out[f"{r}<-{c}"] = {
-                "bundle": (mr - mc, nr - nc),
-                "kind": "form01",
-                "sup": float(np.max(np.abs(val))),
-            }
-        for nm, t in self.types.items():
-            out[f"{nm}<-{nm}"] = {"bundle": t, "kind": "dbar", "sup": None}
-        return out
-
-
-def _beta_density(mesh, sol):
-    """1 / s^2 at the face centroids, s^2 = e^{2u} lambda^2 / 2."""
-    u_face = sol.u[mesh.faces].mean(axis=1)
-    lam2 = conformal_factor(mesh.face_centroid) ** 2
-    return 2.0 / (lam2 * np.exp(2.0 * u_face))
-
 
 def build_from_germ(data, sol):
     """Assemble the Higgs-bundle blocks from solved germ data.
@@ -187,7 +164,8 @@ def build_from_germ(data, sol):
     mesh = data.mesh
     n, c = (3, 0.0) if data.L is None else (4, data.L.transition_scale)
     types, _, classes = _layout(n)
-    dens = _beta_density(mesh, sol)
+    # 1 / s^2 at the face centroids, s^2 = e^{2u} lambda^2 / 2
+    dens = tensor_weight(mesh.face_centroid, 1, u=sol.u[mesh.faces].mean(axis=1))
     blocks = {}
     for cls in classes:
         section = getattr(data, cls.section)
@@ -255,31 +233,12 @@ def cx_lift(asm, a):
     return HiggsAssembly(asm.n, asm.mesh, asm.L, blocks, asm.phi.copy())
 
 
-def shear_gauge(asm, psi_L, psi_Linv=None):
-    """Unipotent pairing-orthogonal gauge shifting beta by a dbar-exact form.
-
-    psi is a vertex section of Hom(K, W), given by its components in the W
-    summands in block order (psi_L in K^{-1} L and psi_Linv in
-    K^{-1} L^{-1} for n = 4; the single K^{-1} section psi_L for n = 3).
-    The gauge is upper triangular with (W, K) entry psi and (Kinv, K)
-    entry -psi^t psi / 2, which keeps it Q_V-orthogonal, and it maps the
-    beta assembly to the (beta + dbar psi) assembly.  Test utility
-    witnessing that cohomologous beta inputs give gauge-equivalent
-    assemblies.
-    """
-    blocks = dict(asm.blocks)
-    # block order of the W summands is the reverse of class order
-    for cls, psi in zip(reversed(asm.classes), (psi_L, psi_Linv)):
-        if psi is not None:
-            dpsi = dbar_operator(asm.mesh, asm.L, -1, cls.k)(psi)
-            base = blocks.get(cls.block)
-            blocks[cls.block] = dpsi if base is None else base + dpsi
-            blocks[cls.dual] = -blocks[cls.block]
-    return HiggsAssembly(asm.n, asm.mesh, asm.L, blocks, asm.phi.copy())
+# sup norm below which a beta block counts as vanishing
+HODGE_TOL = 1e-8
 
 
-def hodge_flag(asm, tol=1e-8):
-    """True iff one of the beta blocks vanishes in sup norm below tol."""
+def hodge_flag(asm):
+    """True iff one of the beta blocks vanishes in sup norm below HODGE_TOL."""
     if asm.n != 4:
         raise InvalidParameterError("the Hodge criterion applies to the 4-space target")
-    return any(b is None or float(np.max(np.abs(b))) < tol for b in asm.beta_blocks())
+    return any(b is None or float(np.max(np.abs(b))) < HODGE_TOL for b in asm.beta_blocks())

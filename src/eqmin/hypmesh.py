@@ -181,9 +181,9 @@ class SurfaceMesh:
     Operators and structures that only the mesh determines are built on
     first use and kept on the mesh (see memo): the patch fits and both
     patch-fit Laplacians, the cotangent Laplacian, the dbar stencil rows,
-    the sparsity patterns of the curvature equations' Jacobians, the
-    polish's normal-matrix pattern and the band plans of the polish and
-    dbar-stencil normal matrices.  Callers share them and must not modify
+    the block patterns (germsolve._BlockPattern) of the curvature
+    equations' Jacobians and of the polish's normal matrices, and the band
+    plans of the polish and dbar-stencil normal matrices.  Callers share them and must not modify
     them.
     """
 

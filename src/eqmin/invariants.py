@@ -247,7 +247,11 @@ def compute_invariants(data, sol):
     )
 
 
-def superminimal_test(report, tol=1e-8):
+# sup norm below which the quartic differential and ||II||^2 count as zero
+SUPERMINIMAL_TOL = 1e-8
+
+
+def superminimal_test(report):
     """Classify a report as superminimal (and which sign branch) or not.
 
     The quartic differential vanishes identically iff one of the theta
@@ -255,11 +259,11 @@ def superminimal_test(report, tol=1e-8):
     kappa_perp = +-||II||^2_gamma.
     """
     u4_sup = float(np.max(np.sqrt(np.abs(report.u4_norm_sq))))
-    if u4_sup >= tol:
+    if u4_sup >= SUPERMINIMAL_TOL:
         return "NotSuperminimal"
     if report.n == 3:
         # vanishing U4 in the 3-space case means vanishing Hopf differential
-        if float(np.max(report.ii_norm_sq)) >= tol:
+        if float(np.max(report.ii_norm_sq)) >= SUPERMINIMAL_TOL:
             return "NotSuperminimal"
         return "SuperminimalPlus"
     plus = float(np.max(np.abs(report.kappa_perp - report.ii_norm_sq)))

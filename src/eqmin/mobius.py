@@ -116,7 +116,11 @@ def _polygon_angle(r_hyp, k):
     return 2.0 * beta
 
 
-def polygon_circumradius(genus, tol=1e-14):
+# width of the bracket at which the circumradius bisection stops
+CIRCUMRADIUS_TOL = 1e-14
+
+
+def polygon_circumradius(genus):
     """Circumradius of the regular 4g-gon whose angles sum to 2*pi.
 
     Found by bisection on the interior-angle condition angle = pi/(2g).
@@ -125,7 +129,7 @@ def polygon_circumradius(genus, tol=1e-14):
     target = math.pi / (2 * genus)
     lo, hi = 1e-6, 30.0
     # angle decreases with radius
-    while hi - lo > tol:
+    while hi - lo > CIRCUMRADIUS_TOL:
         mid = 0.5 * (lo + hi)
         if _polygon_angle(mid, k) > target:
             lo = mid

@@ -3,17 +3,17 @@ surfaces.
 
 Everything here is integer and flag arithmetic: extension-class dimension
 counts from Riemann-Roch, the component count and dimension of the moduli
-space, stability verdicts from the vanishing pattern of the extension
-classes, and the circle-orbit normal form of a class pair.  Numerical
-inputs enter only as booleans (is this class nonzero with margin?), which
-the caller produces from the harmonic-projection oracle; a flag of None
-means the margin test was inconclusive and the verdict degrades to
-Undetermined rather than guessing.
+space, and stability verdicts from the vanishing pattern of the extension
+classes, with the proportionality test of a class pair.  Numerical inputs
+enter only as booleans (is this class nonzero with margin?), which the
+caller produces from the harmonic-projection oracle; a flag of None means
+the margin test was inconclusive and the verdict degrades to Undetermined
+rather than guessing.
 """
 
 import numpy as np
 
-from .errors import DegenerateOrbitError, InvalidParameterError
+from .errors import InvalidParameterError
 
 __all__ = [
     "ModuliDescriptor",
@@ -24,7 +24,6 @@ __all__ = [
     "moduli_dims",
     "classify",
     "secant_genericity",
-    "orbit_normal_form",
     "classes_proportional",
 ]
 
@@ -180,31 +179,13 @@ def _norm(b, weights=None):
     return float(np.sqrt(np.sum(np.asarray(weights) * np.abs(b) ** 2)))
 
 
-def orbit_normal_form(beta1, beta2, weights=None):
-    """Normal form of a class pair under a.(b1, b2) = (a b1, b2 / a).
-
-    Both nonzero: rescale by the positive a equalizing the two norms;
-    one zero: normalize the other to unit norm (the recorded scale is then
-    the normalizing factor, outside the orbit proper).  Idempotent: a
-    second application returns scale 1.
-    """
-    n1 = _norm(beta1, weights)
-    n2 = _norm(beta2, weights)
-    if n1 == 0.0 and n2 == 0.0:
-        raise DegenerateOrbitError("both classes vanish; the orbit is a point")
-    b1 = np.asarray(beta1, dtype=complex)
-    b2 = np.asarray(beta2, dtype=complex)
-    if n1 == 0.0:
-        return (b1, b2 / n2), 1.0 / n2
-    if n2 == 0.0:
-        return (b1 / n1, b2), 1.0 / n1
-    a = float(np.sqrt(n2 / n1))
-    return (a * b1, b2 / a), a
+# angular distance below which two classes count as proportional
+PROPORTIONAL_TOL = 1e-6
 
 
-def classes_proportional(beta1, beta2, weights=None, tol=1e-6):
+def classes_proportional(beta1, beta2, weights=None):
     """Whether the two classes are complex-proportional (angular distance
-    below tol after norm equalization)."""
+    below PROPORTIONAL_TOL after norm equalization)."""
     n1 = _norm(beta1, weights)
     n2 = _norm(beta2, weights)
     if n1 == 0.0 or n2 == 0.0:
@@ -213,4 +194,4 @@ def classes_proportional(beta1, beta2, weights=None, tol=1e-6):
     b2 = np.asarray(beta2, dtype=complex)
     w = 1.0 if weights is None else np.asarray(weights)
     inner = np.sum(w * b1 * np.conj(b2))
-    return bool(1.0 - abs(inner) / (n1 * n2) < tol)
+    return bool(1.0 - abs(inner) / (n1 * n2) < PROPORTIONAL_TOL)

@@ -127,7 +127,7 @@ def test_report_file_equals_returned_report(tmp_path, kw):
         trace = rep["solution"]["newton_trace"]
         assert [row[0] for row in trace] == list(range(rep["solution"]["iterations"] + 1))
         assert trace[-1][1] == rep["solution"]["residual"]
-        # the smallest max_dim + 1 = 25 singular values of each kernel search
+        # the smallest KERNEL_MAX_DIM + 1 = 25 singular values of each kernel search
         for entry in rep["bundle_dims"].values():
             s = entry["singular_values"]
             assert type(s) is list and len(s) == 25 and s == sorted(s)

@@ -41,10 +41,13 @@ def test_solution_negative_where_data_vanishes(mesh_r3, basis_K2_r3):
     assert np.max(sol.u) < 1e-8
 
 
-def test_invalid_tolerance_rejected(mesh_r3):
-    data = germsolve.GermData3(mesh_r3)
-    with pytest.raises(InvalidParameterError):
-        germsolve.solve_gauss3(data, tol=0.0)
+@pytest.mark.parametrize("solve", [germsolve.solve_gauss3, germsolve.solve_gauss_ricci4],
+                         ids=["solve_gauss3", "solve_gauss_ricci4"])
+def test_invalid_tolerance_rejected(mesh_r3, basis_K2_r3, solve):
+    data = (germsolve.GermData3(mesh_r3) if solve is germsolve.solve_gauss3
+            else _rh4_r3_data(mesh_r3, basis_K2_r3))
+    with pytest.raises(InvalidParameterError, match="tol must be positive"):
+        solve(data, tol=0.0)
 
 
 def test_degree_window_enforced(mesh_r3):
@@ -225,8 +228,9 @@ def test_jacobian_pattern_built_once_per_mesh_and_operator(monkeypatch):
 
 
 def test_jacobian_pattern_places_entries_past_int32_keys():
-    # the block pattern of two fields of size V = 30000 has entry keys
-    # row * 2V + col beyond int32, while scipy indexes it with int32 arrays
+    # the block layout of two fields of size V = 30000, past the V at which
+    # entry keys row * 2V + col would overflow int32; scipy indexes the
+    # Laplacian, and the pattern, with int32 arrays
     V = 30000
     lap = sp.diags([np.ones(V - 1), np.full(V, -2.0), np.ones(V - 1)], [-1, 0, 1], format="csr")
     assert lap.indices.dtype == np.int32

@@ -111,18 +111,6 @@ def test_cx_lift_needs_rank_two_w(rh3_assembly, act):
         act(rh3_assembly, 2.0)
 
 
-def test_shear_gauge_shifts_by_coboundary(mesh_r3, rh3_assembly):
-    rng = np.random.default_rng(3)
-    psi = rng.standard_normal(mesh_r3.n_vertices) + 1j * rng.standard_normal(
-        mesh_r3.n_vertices
-    )
-    out = higgs.shear_gauge(rh3_assembly, psi)
-    d = bundles.dbar_operator(mesh_r3, None, -1, 0)
-    expect = rh3_assembly.blocks[("W", "K")] + d(psi)
-    assert np.allclose(out.blocks[("W", "K")], expect)
-    assert np.array_equal(out.blocks[("Kinv", "W")], -out.blocks[("W", "K")])
-
-
 def test_hodge_flag(mesh_r4, L1_r4, basis_K2Linv_r4, rh4_assembly):
     assert not higgs.hodge_flag(rh4_assembly)
     # one section solves only at a degree of its sign: theta2 needs l > 0
@@ -134,13 +122,6 @@ def test_hodge_flag(mesh_r4, L1_r4, basis_K2Linv_r4, rh4_assembly):
     beta1, beta2 = asm.beta_blocks()
     assert beta1 is None
     assert beta2 is not None
-
-
-def test_export_manifest(rh4_assembly):
-    man = rh4_assembly.export_blocks()
-    assert "L<-K" in man
-    assert man["L<-K"]["bundle"] == (-1, 1)
-    assert any(v["kind"] == "dbar" for v in man.values())
 
 
 # The block layout of each target written out by hand: the reference for
@@ -173,8 +154,15 @@ def test_block_layout_pinned(request, target):
     assert np.array_equal(higgs.gauge_matrix(asm, 2), np.diag(pins["gauge"]))
     if pins["lift"] is not None:
         assert np.array_equal(higgs.lift_matrix(asm, 2), np.diag(pins["lift"]))
-    bundle = {key: v["bundle"] for key, v in asm.export_blocks().items()}
-    assert bundle == pins["bundles"]
+    pinned = {tuple(key.split("<-")): t for key, t in pins["bundles"].items()}
+    # the diagonal entries pin the summand types in block order, the others
+    # the blocks held and the bundle K^m L^k each takes values in
+    assert list(asm.types.items()) == [(r, t) for (r, c), t in pinned.items() if r == c]
+    assert set(asm.blocks) == {key for key in pinned if key[0] != key[1]}
+    for (r, c), t in pinned.items():
+        if r != c:
+            (mr, kr), (mc, kc) = asm.types[r], asm.types[c]
+            assert (mr - mc, kr - kc) == t
 
 
 def test_constant_section_reads_at_faces(mesh_r3):

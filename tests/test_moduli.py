@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from eqmin import moduli
-from eqmin.errors import DegenerateOrbitError, InvalidParameterError
+from eqmin.errors import InvalidParameterError
 
 
 def test_stable_generic_degree_one():
@@ -228,47 +228,6 @@ def test_zeroing_a_class_never_helps_stability(g):
                 # superminimal components
                 weaker.verdict == "Stable"
             )
-
-
-def test_orbit_normal_form_equalizes():
-    b1 = np.array([2.0 + 0j, 0.0])
-    b2 = np.array([0.0, 8.0 + 0j])
-    (n1, n2), a = moduli.orbit_normal_form(b1, b2)
-    assert a == 2.0
-    assert np.allclose(np.abs(n1), [4.0, 0.0])
-    assert np.allclose(np.abs(n2), [0.0, 4.0])
-
-
-def test_orbit_normal_form_single_class():
-    b2 = np.array([3.0 + 4j])
-    (n1, n2), a = moduli.orbit_normal_form(np.zeros(1), b2)
-    assert np.allclose(np.abs(n2), 1.0)
-    assert abs(a - 0.2) < 1e-14
-
-
-def test_orbit_normal_form_idempotent():
-    rng = np.random.default_rng(11)
-    b1 = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-    b2 = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-    (n1, n2), _ = moduli.orbit_normal_form(b1, b2)
-    (_, _), a2 = moduli.orbit_normal_form(n1, n2)
-    assert abs(a2 - 1.0) < 1e-12
-
-
-def test_orbit_degenerate_rejected():
-    with pytest.raises(DegenerateOrbitError):
-        moduli.orbit_normal_form(np.zeros(3), np.zeros(3))
-
-
-@given(st.floats(min_value=0.1, max_value=10.0))
-@settings(deadline=None)
-def test_orbit_normal_form_equivariant(a):
-    b1 = np.array([1.0 + 1j, 2.0])
-    b2 = np.array([0.5, 1.5 - 1j])
-    (n1, n2), s = moduli.orbit_normal_form(b1, b2)
-    (m1, m2), s2 = moduli.orbit_normal_form(a * b1, b2 / a)
-    assert np.allclose(m1, n1) and np.allclose(m2, n2)
-    assert abs(s2 * a - s) < 1e-9 * s
 
 
 def test_proportionality_detector():
