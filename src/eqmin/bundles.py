@@ -57,18 +57,15 @@ def mesh_fingerprint(mesh):
 class LineBundleConnection:
     """Discrete U(1) bundle of degree l with constant curvature density.
 
-    face_curvature integrates to 2 pi l exactly because the curvature
-    2-form is prescribed as c times the hyperbolic area form.
+    It holds its degree and its curvature density c against the
+    hyperbolic area form; the curvature c times the face areas integrates
+    to 2 pi l exactly, the total area being 4 pi (g - 1).  The transition
+    functions that stencil_read applies are derived from c.
     """
 
     def __init__(self, mesh, l):
         self.degree = int(l)
-        # rho0: curvature density against the hyperbolic area form, with
-        # integral 2 pi l.  The transition functions carry the opposite
-        # sign because the first Chern form is (i/2pi) F
         self.curvature_density = l / (2.0 * (mesh.genus - 1))
-        self.transition_scale = -self.curvature_density
-        self.face_curvature = self.curvature_density * mesh.face_area
 
 
 def make_line_bundle(mesh, l):
@@ -78,11 +75,10 @@ def make_line_bundle(mesh, l):
 class DiscreteSection:
     """Vertex-class values of a section of K^m L^n."""
 
-    def __init__(self, bundle_type, values, degree_l=0, dbar_residual=None):
+    def __init__(self, bundle_type, values, degree_l=0):
         self.bundle_type = tuple(bundle_type)
         self.values = np.asarray(values, dtype=complex)
         self.degree_l = int(degree_l)
-        self.dbar_residual = dbar_residual
 
     def save(self, path, mesh=None):
         m, n = self.bundle_type
@@ -171,13 +167,16 @@ def relative_dbar_norm(mesh, m, dbar_values, values):
     return num / max(den, 1e-300)
 
 
-def stencil_read(mesh, m, n, transition_scale):
+def stencil_read(mesh, m, n, L):
     """Read factors of K^m L^n class values at the F x 6 stencil points:
     class value -> chart value at the point (frame change for K), parallel
     transported to the face centroid along the chart segment (unitary
-    gauge for L, with the bundle's transition scale)."""
+    gauge for L).  L may be None when n = 0."""
+    # the transition functions carry the opposite sign of L's curvature
+    # density because the first Chern form is (i/2pi) F
+    scale = 0.0 if L is None else -L.curvature_density
     return mesh.stencil_kderiv ** (-m) * np.exp(
-        1j * n * transition_scale * (mesh.stencil_gshift - mesh.stencil_omega)
+        1j * n * scale * (mesh.stencil_gshift - mesh.stencil_omega)
     )
 
 
@@ -224,10 +223,9 @@ def dbar_operator(mesh, L, m, n):
     """
     if n != 0 and L is None:
         raise InvalidParameterError("a line bundle is required when n != 0")
-    c = 0.0 if L is None else L.transition_scale
     F = mesh.n_faces
     rows_coef = mesh.memo("dbar_rows", lambda: _stencil_dbar_rows(mesh))
-    entries = rows_coef * stencil_read(mesh, m, n, c)
+    entries = rows_coef * stencil_read(mesh, m, n, L)
     rows = np.repeat(np.arange(F), 6)
     cols = mesh.stencil_class.ravel()
     M = sp.csr_matrix(
@@ -338,12 +336,8 @@ def holomorphic_basis(dbar, gap_floor=10.0):
             singular_values=s.tolist(),
         )
     l = 0 if dbar.bundle is None else dbar.bundle.degree
-    sections = []
-    for i in range(d):
-        vals = _fix_phase(vecs[:, i] / np.sqrt(w_in))
-        res = dbar(vals)
-        sec = DiscreteSection((dbar.m, dbar.n), vals, degree_l=l, dbar_residual=res)
-        sections.append(sec)
+    sections = [DiscreteSection((dbar.m, dbar.n), _fix_phase(vecs[:, i] / np.sqrt(w_in)),
+                                degree_l=l) for i in range(d)]
     return BasisResult(sections, s, gap, factor_nnz=factor_nnz)
 
 

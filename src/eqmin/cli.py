@@ -111,7 +111,7 @@ def _mesh_info(mesh):
         "euler_characteristic": mesh.euler_characteristic(),
         "total_area": mesh.total_area(),
         "target_area": float(4.0 * np.pi * (mesh.genus - 1)),
-        "mesh_size": mesh.mesh_size(),
+        "mesh_size": mesh.max_edge_length,
     }
 
 
@@ -163,15 +163,14 @@ def _line_bundle(cfg, mesh):
     return bundles.make_line_bundle(mesh, cfg.l) if cfg.target == "rh4" else None
 
 
-# A memo dict holds the per-surface work of one run, or of one sweep's
-# runs: the mesh under (genus, resolution) and each basis under (mesh,
-# degree of L or None, n).  A failed build is not kept, so every run that
-# needs it fails the same way.
+# A memo dict holds the surface of one run, or of one sweep's runs, under
+# (genus, resolution); the surface keeps its own bases (SurfaceMesh.memo).
+# A failed build is not kept, so every run that needs it fails the same way.
 
 
 def _mesh(memo, genus, resolution):
     """The surface of (genus, resolution), built on its first use in memo;
-    a new surface drops the old mesh and its bases."""
+    a new surface drops the old mesh and with it its bases."""
     key = (genus, resolution)
     if key not in memo:
         memo.clear()
@@ -179,34 +178,29 @@ def _mesh(memo, genus, resolution):
     return memo[key]
 
 
-def _basis_for(memo, mesh, L, n_weight):
-    """Holomorphic basis of K^2 L^{n_weight}, found on its first use in
-    memo, and a new bundle_dims entry for it (detected and Riemann-Roch
-    dimension, gap ratio, the smallest singular values, the stored entries
-    of the shift-invert factor)."""
+def _basis_for(mesh, L, n_weight):
+    """Holomorphic basis of K^2 L^{n_weight}, found on its first use on
+    the mesh, and a new bundle_dims entry for it (detected and
+    Riemann-Roch dimension, gap ratio, the smallest singular values, the
+    stored entries of the shift-invert factor)."""
     l = None if L is None else L.degree
     expected = 3 * (mesh.genus - 1) + n_weight * (l or 0)
-    key = (mesh, l, n_weight)
-    if key not in memo:
-        dbar = bundles.dbar_operator(mesh, L, 2, n_weight)
-        memo[key] = bundles.holomorphic_basis(dbar)
-    basis = memo[key]
+    basis = mesh.memo(("basis", l, n_weight), lambda: bundles.holomorphic_basis(
+        bundles.dbar_operator(mesh, L, 2, n_weight)))
     return basis, {"detected": len(basis), "expected": expected, "gap_ratio": basis.gap_ratio,
                    "singular_values": basis.singular_values.tolist(),
                    "factor_nnz": basis.factor_nnz}
 
 
 def _combination(basis, coef):
-    """The section sum_i coef[i] * basis[i], with its dbar residual."""
+    """The section sum_i coef[i] * basis[i]."""
     vals = sum(c * b.values for c, b in zip(coef, basis))
-    res = sum(c * b.dbar_residual for c, b in zip(coef, basis))
-    return bundles.DiscreteSection(basis[0].bundle_type, vals, degree_l=basis[0].degree_l,
-                                   dbar_residual=res)
+    return bundles.DiscreteSection(basis[0].bundle_type, vals, degree_l=basis[0].degree_l)
 
 
-def _prepare_data(cfg, spec, mesh, report, memo):
+def _prepare_data(cfg, spec, mesh, report):
     """Build germ data from the validated config and its parsed data spec,
-    with the bases of memo; returns (data, extra_report_bits)."""
+    with the bases kept on the mesh; returns (data, extra_report_bits)."""
     kind, args = spec
     slots = _TARGET_BUNDLES[cfg.target]
     L = _line_bundle(cfg, mesh)
@@ -223,7 +217,7 @@ def _prepare_data(cfg, spec, mesh, report, memo):
         bases = []
         n_bases = len(slots) if kind == "random" or len(args) == 4 else 1
         for key, n in slots[:n_bases]:
-            basis, dims = _basis_for(memo, mesh, L, n)
+            basis, dims = _basis_for(mesh, L, n)
             report.setdefault("bundle_dims", {})[key] = dims
             bases.append(basis)
         if kind == "basis":
@@ -355,7 +349,7 @@ def run(cfg, write_files=True, stages=_STAGES, *, _memo=None):
     Stage failures are recorded under failed_at and the partial report is
     still written (and returned), unless the output directory itself
     cannot be made.  _memo is the per-surface memo a sweep shares between
-    its runs; a plain call starts a new one.
+    its runs, which holds their surface; a plain call starts a new one.
     """
     memo = {} if _memo is None else _memo
     report = {"config_echo": asdict(cfg)}
@@ -371,7 +365,7 @@ def run(cfg, write_files=True, stages=_STAGES, *, _memo=None):
         mesh = _mesh(memo, cfg.genus, cfg.resolution)
         report["mesh"] = _mesh_info(mesh)
         stage = "bundles"
-        data, extra = _prepare_data(cfg, spec, mesh, report, memo)
+        data, extra = _prepare_data(cfg, spec, mesh, report)
         report["config_echo"].update(extra)
         if "solve" in stages:
             stage = "germsolve"
@@ -484,12 +478,11 @@ def sweep(cfg, axis, values, write_files=True):
     return rows, reports
 
 
-def _basis_dims(cfg, memo):
+def _basis_dims(cfg, mesh):
     """bundle_dims entries of every bundle the configured target uses, on
-    the configured surface of memo."""
-    mesh = _mesh(memo, cfg.genus, cfg.resolution)
+    the configured surface mesh."""
     L = _line_bundle(cfg, mesh)
-    return {key: _basis_for(memo, mesh, L, n)[1] for key, n in _TARGET_BUNDLES[cfg.target]}
+    return {key: _basis_for(mesh, L, n)[1] for key, n in _TARGET_BUNDLES[cfg.target]}
 
 
 def _add_config_args(p):
@@ -553,16 +546,15 @@ def main(argv=None):
 
     if args.command in ("mesh-info", "basis"):
         stage = "config"
-        memo = {}
         try:
             cfg.validate()
             stage = "mesh"
-            mesh = _mesh(memo, cfg.genus, cfg.resolution)
+            mesh = hypmesh.build_surface(cfg.genus, cfg.resolution)
             if args.command == "mesh-info":
                 out = _mesh_info(mesh)
             else:
                 stage = "bundles"
-                out = _basis_dims(cfg, memo)
+                out = _basis_dims(cfg, mesh)
         except EqminError as exc:
             return _print_failure(stage, exc)
         print(json.dumps(out, indent=2))

@@ -23,6 +23,8 @@ Both systems are solved by damped Newton iteration from u = w = 0 with a
 backtracking (halving) line search on the area-weighted residual norm.
 """
 
+import functools
+
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
@@ -107,7 +109,6 @@ class GermData4:
             if theta2 is not None
             else np.zeros(mesh.n_vertices)
         )
-        self.rho0 = L.curvature_density
 
 
 class GermSolution:
@@ -189,7 +190,7 @@ class CurvatureEquations:
         kappa_gamma = em2u * (-1.0 - lap_u)
         if not self.coupled:
             return kappa_gamma, None
-        return kappa_gamma, em2u * (self.data.rho0 - lap_w)
+        return kappa_gamma, em2u * (self.data.L.curvature_density - lap_w)
 
     def f(self, u, w=None):
         """Reaction terms [f_u] or [f_u, f_w]."""
@@ -198,7 +199,7 @@ class CurvatureEquations:
         f_u = -1.0 + e2u * (1.0 + ii)
         if not self.coupled:
             return [f_u]
-        return [f_u, self.data.rho0 - e2u * (th2 - th1)]
+        return [f_u, self.data.L.curvature_density - e2u * (th2 - th1)]
 
     def df(self, u, w=None):
         """Diagonals of the Jacobian blocks: df[i][j] = d f_i / d x_j."""
@@ -441,9 +442,10 @@ def solve_gauss_ricci4(data, tol=1e-10, max_iter=30):
             if has1 or has2 else "zero sections are incompatible with a nonzero degree"
         )
     if not (has1 or has2):
-        # w decouples into Delta_h w = rho0, solvable only for l = 0 where
-        # w is an arbitrary constant (fixed to 0); u solves the scalar case
-        # (the coupled Jacobian is singular here: its ww block is S)
+        # w decouples into Delta_h w = L's curvature density, solvable only
+        # for l = 0 where w is an arbitrary constant (fixed to 0); u solves
+        # the scalar case (the coupled Jacobian is singular here: its ww
+        # block is S)
         sol = solve_gauss3(GermData3(data.mesh), tol=tol, max_iter=max_iter)
         sol.w = np.zeros(data.mesh.n_vertices)
         return sol
@@ -502,7 +504,8 @@ class _PolishNormal:
     alone and are kept, with the places of lap's entries, of their
     transposes and of the diagonal in each kind of block; matrix(df,
     damping) writes Q, the reaction terms and the damping at those
-    places, with no sparse products.
+    places, with no sparse products.  plan is the band plan of that
+    pattern, with which every N is factored.
 
     A diagonal block's pattern is that of Q, lap, lap^T and the identity,
     an off-diagonal block's that of lap, lap^T and the identity: the
@@ -538,6 +541,15 @@ class _PolishNormal:
             transposing = np.empty_like(on_t)
             transposing[number_t.data] = on_t
             self.kinds[kind] = on_eye, on_lap, transposing
+
+    @functools.cached_property
+    def plan(self):
+        """The band plan of the kept pattern, made on first use (once the
+        arrays that built the pattern are freed)."""
+        pattern, size = self.pattern, self.n * self.lap.shape[0]
+        ones = np.ones(len(pattern.indices), dtype=np.int8)
+        return band_plan(sp.csr_matrix((ones, pattern.indices, pattern.indptr),
+                                       shape=(size, size)))
 
     def matrix(self, df, damping):
         """N + damping (|diag N| + 1e-300) for the reaction-term diagonals
@@ -587,8 +599,8 @@ def polish_solution(data, sol, iterations=4):
     the Jacobian J move, by O(h^2), so N is formed and factored once, as a
     band in reverse Cuthill-McKee order by factor_hpd, at the first step.
     N is formed without sparse products, on the mesh's normal pattern
-    (_PolishNormal), and factored with that pattern's band plan, made
-    from the first N; both are kept on the mesh, per field count.  Each later step solves its own
+    (_PolishNormal), and factored with that pattern's band plan; both are
+    kept on the mesh, per field count.  Each later step solves its own
     normal equations by conjugate gradients preconditioned with that
     factorization, applying N as v -> J^T W J v + damping |diag N| v
     without forming it.  When CG does not reach its tolerance the current
@@ -624,9 +636,8 @@ def polish_solution(data, sol, iterations=4):
         if step is None:
             lu = None  # release the old factors before making new ones
             N = normal.matrix(eqs.df(*eqs.fields(x)), _POLISH_DAMPING)
-            plan = mesh.memo(("polish_band_plan", n), lambda: band_plan(N))
             try:
-                lu = factor_hpd(N, plan)
+                lu = factor_hpd(N, normal.plan)
                 step = lu.solve(rhs)
             except Exception as exc:
                 raise LinearSolveError(f"polish solve failed: {exc}") from exc

@@ -36,14 +36,14 @@ __all__ = [
 ]
 
 
-def section_at_faces(mesh, m, n, transition_scale, values):
+def section_at_faces(mesh, m, n, L, values):
     """Chart values of a K^m L^n section at the face centroids.
 
     Averages the three corner class values after transporting each to the
     face chart at the centroid (frame change for K, parallel transport in
-    the unitary gauge for L).
+    the unitary gauge for L, which may be None when n = 0).
     """
-    read = stencil_read(mesh, m, n, transition_scale)[:, :3]
+    read = stencil_read(mesh, m, n, L)[:, :3]
     vals = np.asarray(values, dtype=complex)[mesh.stencil_class[:, :3]]
     return np.mean(read * vals, axis=1)
 
@@ -162,7 +162,7 @@ def build_from_germ(data, sol):
     if not sol.converged:
         raise StaleSolutionError("refusing to assemble from a non-converged solution")
     mesh = data.mesh
-    n, c = (3, 0.0) if data.L is None else (4, data.L.transition_scale)
+    n = 3 if data.L is None else 4
     types, _, classes = _layout(n)
     # 1 / s^2 at the face centroids, s^2 = e^{2u} lambda^2 / 2
     dens = tensor_weight(mesh.face_centroid, 1, u=sol.u[mesh.faces].mean(axis=1))
@@ -170,7 +170,7 @@ def build_from_germ(data, sol):
     for cls in classes:
         section = getattr(data, cls.section)
         if section is not None:
-            beta = np.conj(section_at_faces(mesh, 2, -cls.k, c, section.values)) * dens
+            beta = np.conj(section_at_faces(mesh, 2, -cls.k, data.L, section.values)) * dens
             blocks[cls.block] = beta
             blocks[cls.dual] = -beta
     # the Higgs field includes K^{-1} as its summand

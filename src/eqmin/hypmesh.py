@@ -100,9 +100,7 @@ class FundamentalDomain:
         self.genus = genus
         k = 4 * genus
         self.n_sides = k
-        r_hyp = polygon_circumradius(genus)
-        self.circumradius = r_hyp
-        r_euc = math.tanh(0.5 * r_hyp)
+        r_euc = math.tanh(0.5 * polygon_circumradius(genus))
         self.polygon_vertices = np.array(
             [r_euc * cmath.exp(2j * math.pi * j / k) for j in range(k)]
         )
@@ -178,13 +176,15 @@ class SurfaceMesh:
       patch_class, patch_coord, patch_ptr  vertex patches for the local
                       fits, flat: vertex v's patch is [ptr[v]:ptr[v+1]]
 
-    Operators and structures that only the mesh determines are built on
+    Operators and results that only the mesh determines are built on
     first use and kept on the mesh (see memo): the patch fits and both
     patch-fit Laplacians, the cotangent Laplacian, the dbar stencil rows,
     the block patterns (germsolve._BlockPattern) of the curvature
-    equations' Jacobians and of the polish's normal matrices, and the band
-    plans of the polish and dbar-stencil normal matrices.  Callers share them and must not modify
-    them.
+    equations' Jacobians, the polish's normal matrices with their band
+    plan (germsolve._PolishNormal), the band plan of the dbar-stencil
+    normal matrices, and the holomorphic bases of the bundles a run uses
+    (under ("basis", degree of L or None, n)).  Callers share them and
+    must not modify them.
     """
 
     def __init__(self, **kw):
@@ -222,10 +222,6 @@ class SurfaceMesh:
 
     def total_area(self):
         return float(np.sum(self.face_area))
-
-    def mesh_size(self):
-        """Max hyperbolic edge length."""
-        return float(self.max_edge_length)
 
     def _fit_rows(self):
         """Laplacian-of-fit rows of the three patch-fit weightings (raw,
@@ -331,11 +327,12 @@ def build_surface(genus, resolution):
         raise InvalidParameterError(f"genus must be >= 2, got {genus}")
     if resolution < 1:
         raise InvalidParameterError(f"resolution must be >= 1, got {resolution}")
-    est_vertices = 4 * genus * 4**resolution // 2 + 2
-    if est_vertices > _MAX_VERTICES:
+    # every resolution from 16 up is over the budget: capping the exponent
+    # there keeps a huge resolution from building a huge integer
+    if 2 * genus * 4 ** min(resolution, 16) + 2 > _MAX_VERTICES:
         raise ResourceBudgetError(
-            f"resolution {resolution} needs ~{est_vertices} vertices, "
-            f"budget is {_MAX_VERTICES}"
+            f"resolution {resolution} at genus {genus} is over the budget of "
+            f"{_MAX_VERTICES} vertices"
         )
     dom = FundamentalDomain(genus)
     verts, faces, bnd, bnd_side = _triangulate(dom, resolution)

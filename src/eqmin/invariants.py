@@ -22,8 +22,8 @@ import math
 
 import numpy as np
 
-from .bundles import relative_dbar_norm
-from .errors import ShapeError, StaleSolutionError
+from . import bundles
+from .errors import StaleSolutionError
 from .germsolve import CurvatureEquations, GermData4, polish_solution
 from .hypmesh import integrate, laplacian
 from .mobius import conformal_factor
@@ -33,17 +33,6 @@ __all__ = [
     "compute_invariants",
     "superminimal_test",
 ]
-
-_RESIDUAL_KEYS = (
-    "gauss_identity",
-    "gauss_bonnet",
-    "area_identity",
-    "kappaperp_identity",
-    "ricci_frame",
-    "codazzi_frame",
-    "chi_integral",
-)
-
 
 class InvariantReport:
     """Pointwise fields and integrated invariants of a solved germ."""
@@ -73,9 +62,6 @@ class InvariantReport:
         self.euler_integral = euler_integral
         self.residuals = residuals
         self.residual_sites = residual_sites
-        for key in _RESIDUAL_KEYS:
-            if key not in residuals:
-                raise ShapeError(f"residual key {key} missing")
 
     def to_dict(self):
         return {
@@ -88,19 +74,25 @@ class InvariantReport:
                 float(np.min(self.kappa_gamma)),
                 float(np.max(self.kappa_gamma)),
             ],
-            "u4_sup": float(np.max(np.sqrt(np.abs(self.u4_norm_sq)))),
+            "u4_sup": _sup_norm(self.u4_norm_sq),
             "residuals": {k: float(v) for k, v in self.residuals.items()},
             "residual_sites": self.residual_sites,
         }
 
 
-def _codazzi_norm(mesh, sec):
-    """Metric-normalized L2 norm of the dbar residual of a K^2-type
-    section (zero when no residual is attached)."""
-    if sec is None or sec.dbar_residual is None:
+def _sup_norm(norm_sq):
+    """The sup over the vertices of a norm given by its pointwise square."""
+    return float(np.max(np.sqrt(np.abs(norm_sq))))
+
+
+def _codazzi_norm(mesh, L, sec):
+    """Metric-normalized L2 norm of dbar of a K^m L^n section, applied to
+    its values (zero without a section)."""
+    if sec is None:
         return 0.0
-    return float(relative_dbar_norm(mesh, sec.bundle_type[0], sec.dbar_residual,
-                                    sec.values))
+    m, n = sec.bundle_type
+    dbar = bundles.dbar_operator(mesh, L, m, n)
+    return float(bundles.relative_dbar_norm(mesh, m, dbar(sec.values), sec.values))
 
 
 def _quartic_norm_sq(ii_sq, th1_sq, th2_sq):
@@ -142,8 +134,8 @@ def _frame_equations(data, u, norms, kappa_perp):
     Returns the pointwise residual fields at the vertices (the first frame
     (Gauss) equation, and for hyperbolic 4-space the Ricci equation as the
     mismatch of the two kappa_perp formulas) and the residuals: the sup
-    norm of each field, and the Codazzi line as the dbar residual of the
-    holomorphic data.
+    norm of each field, and the Codazzi line as the relative dbar norm of
+    the holomorphic data, read from the sections' values.
     """
     mesh = data.mesh
 
@@ -162,9 +154,10 @@ def _frame_equations(data, u, norms, kappa_perp):
     fields = {"gauss_frame": -ddbar_logs2 / s2 + ii_sq + 1.0}
     if isinstance(data, GermData4):
         fields["ricci_frame"] = kappa_perp - (th2_sq - th1_sq)
-        codazzi = max(_codazzi_norm(mesh, data.theta1), _codazzi_norm(mesh, data.theta2))
+        codazzi = max(_codazzi_norm(mesh, data.L, data.theta1),
+                      _codazzi_norm(mesh, data.L, data.theta2))
     else:
-        codazzi = _codazzi_norm(mesh, data.q)
+        codazzi = _codazzi_norm(mesh, None, data.q)
     residuals = {k: float(np.max(np.abs(r))) for k, r in fields.items()}
     # in 3-space there is no normal bundle to carry a Ricci equation
     residuals.setdefault("ricci_frame", 0.0)
@@ -192,7 +185,7 @@ def compute_invariants(data, sol):
     if n == 4:
         l = data.L.degree
         # exact by zero column sums of the cotangent matrix
-        euler = float(np.sum(data.rho0 * a - S @ w)) / (2.0 * math.pi)
+        euler = float(np.sum(data.L.curvature_density * a - S @ w)) / (2.0 * math.pi)
     else:
         l = 0
         euler = 0.0
@@ -224,9 +217,7 @@ def compute_invariants(data, sol):
     residuals.update(frame_residuals)
     pointwise.update(frame)
 
-    u4_sup = float(np.max(np.sqrt(np.abs(u4_sq))))
-    ii_sup = float(np.max(ii_sq))
-    if n == 4 and u4_sup < 1e-8 * max(ii_sup, 1.0) + 1e-12:
+    if n == 4 and _sup_norm(u4_sq) < 1e-8 * max(float(np.max(ii_sq)), 1.0) + 1e-12:
         sign = 1.0 if np.sum(kp_fd) >= 0 else -1.0
         residuals["supermin_identity"] = float(
             np.max(np.abs(kp_fd - sign * (-(1.0 + kg_fd))))
@@ -258,8 +249,7 @@ def superminimal_test(report):
     components is zero; the branch is the sign in
     kappa_perp = +-||II||^2_gamma.
     """
-    u4_sup = float(np.max(np.sqrt(np.abs(report.u4_norm_sq))))
-    if u4_sup >= SUPERMINIMAL_TOL:
+    if _sup_norm(report.u4_norm_sq) >= SUPERMINIMAL_TOL:
         return "NotSuperminimal"
     if report.n == 3:
         # vanishing U4 in the 3-space case means vanishing Hopf differential

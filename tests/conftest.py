@@ -1,7 +1,6 @@
 """Shared meshes and holomorphic bases (session scoped, they are the
 expensive part of every test)."""
 
-import numpy as np
 import pytest
 
 from eqmin import bundles, hypmesh
@@ -45,9 +44,6 @@ def basis_K2Linv_r4(mesh_r4, L1_r4):
     return bundles.holomorphic_basis(dbar)
 
 
-def make_section(mesh, L, m, n, values):
-    """DiscreteSection with its dbar residual attached."""
-    dbar = bundles.dbar_operator(mesh, L, m, n)
-    vals = np.asarray(values, dtype=complex)
-    l = 0 if L is None else L.degree
-    return bundles.DiscreteSection((m, n), vals, degree_l=l, dbar_residual=dbar(vals))
+def make_section(L, m, n, values):
+    """DiscreteSection of K^m L^n (L None for n = 0) with the given values."""
+    return bundles.DiscreteSection((m, n), values, degree_l=0 if L is None else L.degree)

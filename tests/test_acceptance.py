@@ -30,7 +30,7 @@ def test_criterion_01_superminimal_area():
     L = bundles.make_line_bundle(mesh, 1)
     dbar2 = bundles.dbar_operator(mesh, L, 2, -1)
     basis2 = bundles.holomorphic_basis(dbar2)
-    theta2 = make_section(mesh, L, 2, -1, 0.4 * basis2[0].values)
+    theta2 = make_section(L, 2, -1, 0.4 * basis2[0].values)
     data = germsolve.GermData4(mesh, L, None, theta2)
     sol = germsolve.solve_gauss_ricci4(data, tol=1e-10)
     rep = invariants.compute_invariants(data, sol)
@@ -49,8 +49,8 @@ def test_criterion_02_euler_quantization(mesh_r4):
         L = bundles.make_line_bundle(mesh_r4, l)
         b1 = bundles.holomorphic_basis(bundles.dbar_operator(mesh_r4, L, 2, 1))
         b2 = bundles.holomorphic_basis(bundles.dbar_operator(mesh_r4, L, 2, -1))
-        theta1 = make_section(mesh_r4, L, 2, 1, 0.35 * b1[0].values)
-        theta2 = make_section(mesh_r4, L, 2, -1, 0.3 * b2[0].values)
+        theta1 = make_section(L, 2, 1, 0.35 * b1[0].values)
+        theta2 = make_section(L, 2, -1, 0.3 * b2[0].values)
         data = germsolve.GermData4(mesh_r4, L, theta1, theta2)
         sol = germsolve.solve_gauss_ricci4(data, tol=1e-10)
         rep = invariants.compute_invariants(data, sol)
@@ -74,8 +74,8 @@ def test_criterion_03_curvature_identity(mesh_r2, mesh_r3, mesh_r4,
         L = bundles.make_line_bundle(m, 1)
         v1 = th1f if r == 4 else hypmesh.restrict_field(mesh_r4, m, th1f)
         v2 = th2f if r == 4 else hypmesh.restrict_field(mesh_r4, m, th2f)
-        theta1 = make_section(m, L, 2, 1, v1)
-        theta2 = make_section(m, L, 2, -1, v2)
+        theta1 = make_section(L, 2, 1, v1)
+        theta2 = make_section(L, 2, -1, v2)
         data = germsolve.GermData4(m, L, theta1, theta2)
         sol = germsolve.solve_gauss_ricci4(data, tol=1e-11)
         rep = invariants.compute_invariants(data, sol)
@@ -100,8 +100,8 @@ def test_criterion_04_area_identity_and_monotonicity(mesh_r4, L1_r4,
     ok = True
     details = []
     for amp in (0.1, 0.2, 0.3, 0.4):
-        theta1 = make_section(mesh_r4, L1_r4, 2, 1, amp * basis_K2L_r4[0].values)
-        theta2 = make_section(mesh_r4, L1_r4, 2, -1, amp * basis_K2Linv_r4[0].values)
+        theta1 = make_section(L1_r4, 2, 1, amp * basis_K2L_r4[0].values)
+        theta2 = make_section(L1_r4, 2, -1, amp * basis_K2Linv_r4[0].values)
         data = germsolve.GermData4(mesh_r4, L1_r4, theta1, theta2)
         sol = germsolve.solve_gauss_ricci4(data, tol=tol)
         rep = invariants.compute_invariants(data, sol)
@@ -174,8 +174,8 @@ def test_criterion_07_moduli_arithmetic():
 
 def test_criterion_08_structural_higgs_identities(mesh_r3, basis_K2_r3):
     L = bundles.make_line_bundle(mesh_r3, 0)
-    theta1 = make_section(mesh_r3, L, 2, 1, 0.3 * basis_K2_r3[0].values)
-    theta2 = make_section(mesh_r3, L, 2, -1, 0.5 * basis_K2_r3[1].values)
+    theta1 = make_section(L, 2, 1, 0.3 * basis_K2_r3[0].values)
+    theta2 = make_section(L, 2, -1, 0.5 * basis_K2_r3[1].values)
     data = germsolve.GermData4(mesh_r3, L, theta1, theta2)
     sol = germsolve.solve_gauss_ricci4(data, tol=1e-10)
     asm = higgs.build_from_germ(data, sol)

@@ -13,7 +13,7 @@ from eqmin.errors import IndeterminateKernelError, InvalidParameterError, ShapeE
 
 def test_curvature_integrates_to_degree(mesh_r3):
     L = bundles.make_line_bundle(mesh_r3, 2)
-    total = float(np.sum(L.face_curvature))
+    total = float(np.sum(L.curvature_density * mesh_r3.face_area))
     assert abs(total - 2.0 * np.pi * 2) < 1e-9
 
 
@@ -36,8 +36,7 @@ def _dbar_reference(mesh, L, m, n):
     zs = zeta / scale
     A = np.stack([np.ones_like(zs), zs, np.conj(zs), zs**2, zs * np.conj(zs),
                   np.conj(zs) ** 2], axis=2)
-    c = 0.0 if L is None else L.transition_scale
-    entries = np.linalg.inv(A)[:, 2, :] / scale * bundles.stencil_read(mesh, m, n, c)
+    entries = np.linalg.inv(A)[:, 2, :] / scale * bundles.stencil_read(mesh, m, n, L)
     rows = np.repeat(np.arange(mesh.n_faces), 6)
     return sp.csr_matrix((entries.ravel(), (rows, mesh.stencil_class.ravel())),
                          shape=(mesh.n_faces, mesh.n_vertices), dtype=complex)

@@ -4,6 +4,7 @@ import csv
 import gc
 import json
 import os
+import time
 import weakref
 from dataclasses import replace
 
@@ -463,6 +464,42 @@ def test_malformed_data_spec_ends_in_report(tmp_path, monkeypatch, mesh_r3, spec
     failed = run(cfg, write_files=False)["failed_at"]
     assert failed["stage"] == stage
     assert failed["error"] == "InvalidParameterError"
+
+
+def _codazzi_line(spec):
+    rep = run(RunConfig(genus=2, resolution=3, target="rh3", data_spec=spec),
+              write_files=False)
+    assert "failed_at" not in rep
+    return rep["invariants"]["residuals"]["codazzi_frame"]
+
+
+def test_file_section_reports_the_codazzi_line_of_its_values(tmp_path, monkeypatch, mesh_r3,
+                                                             basis_K2_r3):
+    # the Codazzi line is read from the section's values, whatever made it
+    monkeypatch.chdir(tmp_path)
+    DiscreteSection((2, 0), 0.4 * basis_K2_r3[0].values).save("sec.json", mesh=mesh_r3)
+    expected = _codazzi_line("basis:0:0.4")
+    assert expected > 0
+    assert _codazzi_line("file:sec.json") == pytest.approx(expected, rel=1e-12)
+
+
+def test_non_holomorphic_file_section_fails_the_codazzi_line(tmp_path, monkeypatch, mesh_r3,
+                                                             basis_K2_r3):
+    monkeypatch.chdir(tmp_path)
+    rng = np.random.default_rng(0)
+    V = mesh_r3.n_vertices
+    noise = rng.standard_normal(V) + 1j * rng.standard_normal(V)
+    noise *= 0.4 * np.max(np.abs(basis_K2_r3[0].values)) / np.max(np.abs(noise))
+    DiscreteSection((2, 0), noise).save("noise.json", mesh=mesh_r3)
+    assert _codazzi_line("file:noise.json") > 1.0
+
+
+def test_huge_resolution_fails_at_mesh_at_once():
+    # the budget check must not compute 4**resolution
+    start = time.perf_counter()
+    failed = run(RunConfig(resolution=10**12), write_files=False)["failed_at"]
+    assert time.perf_counter() - start < 1.0
+    assert (failed["stage"], failed["error"]) == ("mesh", "ResourceBudgetError")
 
 
 def test_sweep_command_reports_malformed_spec(tmp_path, capsys):

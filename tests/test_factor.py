@@ -44,8 +44,8 @@ def test_band_order_is_a_permutation(mesh_r3):
 @pytest.fixture(scope="module")
 def solved_r4(mesh_r4, L1_r4, basis_K2L_r4, basis_K2Linv_r4):
     """The baseline rh4 datum at g=2, r=4, l=1, solved."""
-    theta1 = make_section(mesh_r4, L1_r4, 2, 1, 0.4 * basis_K2L_r4[0].values)
-    theta2 = make_section(mesh_r4, L1_r4, 2, -1, 0.3 * basis_K2Linv_r4[0].values)
+    theta1 = make_section(L1_r4, 2, 1, 0.4 * basis_K2L_r4[0].values)
+    theta2 = make_section(L1_r4, 2, -1, 0.3 * basis_K2Linv_r4[0].values)
     data = germsolve.GermData4(mesh_r4, L1_r4, theta1, theta2)
     return data, germsolve.solve_gauss_ricci4(data, tol=1e-11)
 

@@ -74,10 +74,11 @@ def test_coupled_solver_zero_data(mesh_r3):
 
 def test_coupled_solver_balances_ricci(mesh_r3, basis_K2_r3):
     # degree 0 with both sections: the log-scale w stays bounded and the
-    # integral of e^{-2u} Q against the area element vanishes with rho0
+    # integral of e^{-2u} Q against the area element vanishes with L's
+    # curvature density
     L = bundles.make_line_bundle(mesh_r3, 0)
-    theta1 = make_section(mesh_r3, L, 2, 1, 0.3 * basis_K2_r3[0].values)
-    theta2 = make_section(mesh_r3, L, 2, -1, 0.5 * basis_K2_r3[1].values)
+    theta1 = make_section(L, 2, 1, 0.3 * basis_K2_r3[0].values)
+    theta2 = make_section(L, 2, -1, 0.5 * basis_K2_r3[1].values)
     data = germsolve.GermData4(mesh_r3, L, theta1, theta2)
     sol = germsolve.solve_gauss_ricci4(data, tol=1e-10)
     assert sol.converged
@@ -205,6 +206,22 @@ def test_polish_normal_matrix_equals_the_damped_product(mesh_r3, target, vanish)
         assert (N - N.multiply(ref != 0)).count_nonzero() == 0
 
 
+@pytest.mark.parametrize("target, vanish", [("rh3", None), ("rh4", slice(0, None, 7))])
+def test_polish_plan_is_the_band_plan_of_its_first_matrix(mesh_r3, target, vanish):
+    # the plan comes from the kept pattern, which every N fills, stored
+    # zeros included, so it is the plan the first N would make
+    rng = np.random.default_rng(17)
+    data = _random_data(mesh_r3, target, rng, vanish)
+    eqs = germsolve.CurvatureEquations(data)
+    normal = germsolve._PolishNormal(mesh_r3.fd_laplacian_matrix(weighted=True),
+                                     mesh_r3.vertex_areas, eqs.n)
+    x = 0.3 * rng.standard_normal(eqs.n * mesh_r3.n_vertices)
+    ref = factor.band_plan(normal.matrix(eqs.df(*eqs.fields(x)), 0.03))
+    assert normal.plan.kd == ref.kd
+    assert np.array_equal(normal.plan.perm, ref.perm)
+    assert np.array_equal(normal.plan.slot, ref.slot)
+
+
 def test_jacobian_pattern_built_once_per_mesh_and_operator(monkeypatch):
     mesh = hypmesh.build_surface(2, 2)
     built = []
@@ -247,8 +264,8 @@ def test_jacobian_pattern_places_entries_past_int32_keys():
 
 def _rh4_r3_data(mesh_r3, basis_K2_r3):
     L = bundles.make_line_bundle(mesh_r3, 0)
-    theta1 = make_section(mesh_r3, L, 2, 1, 0.3 * basis_K2_r3[0].values)
-    theta2 = make_section(mesh_r3, L, 2, -1, 0.5 * basis_K2_r3[1].values)
+    theta1 = make_section(L, 2, 1, 0.3 * basis_K2_r3[0].values)
+    theta2 = make_section(L, 2, -1, 0.5 * basis_K2_r3[1].values)
     return germsolve.GermData4(mesh_r3, L, theta1, theta2)
 
 
@@ -313,8 +330,8 @@ def solved_r3(request, mesh_r3, basis_K2_r3):
         data = germsolve.GermData3(mesh_r3, q=basis_K2_r3[0])
         return data, germsolve.solve_gauss3(data, tol=1e-11)
     L = bundles.make_line_bundle(mesh_r3, 0)
-    theta1 = make_section(mesh_r3, L, 2, 1, 0.3 * basis_K2_r3[0].values)
-    theta2 = make_section(mesh_r3, L, 2, -1, 0.5 * basis_K2_r3[1].values)
+    theta1 = make_section(L, 2, 1, 0.3 * basis_K2_r3[0].values)
+    theta2 = make_section(L, 2, -1, 0.5 * basis_K2_r3[1].values)
     data = germsolve.GermData4(mesh_r3, L, theta1, theta2)
     return data, germsolve.solve_gauss_ricci4(data, tol=1e-11)
 

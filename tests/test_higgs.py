@@ -18,8 +18,8 @@ def rh3_assembly(mesh_r3, basis_K2_r3):
 @pytest.fixture(scope="module")
 def rh4_assembly(mesh_r3, basis_K2_r3):
     L = bundles.make_line_bundle(mesh_r3, 0)
-    theta1 = make_section(mesh_r3, L, 2, 1, 0.3 * basis_K2_r3[0].values)
-    theta2 = make_section(mesh_r3, L, 2, -1, 0.5 * basis_K2_r3[1].values)
+    theta1 = make_section(L, 2, 1, 0.3 * basis_K2_r3[0].values)
+    theta2 = make_section(L, 2, -1, 0.5 * basis_K2_r3[1].values)
     data = germsolve.GermData4(mesh_r3, L, theta1, theta2)
     sol = germsolve.solve_gauss_ricci4(data, tol=1e-10)
     return higgs.build_from_germ(data, sol)
@@ -114,7 +114,7 @@ def test_cx_lift_needs_rank_two_w(rh3_assembly, act):
 def test_hodge_flag(mesh_r4, L1_r4, basis_K2Linv_r4, rh4_assembly):
     assert not higgs.hodge_flag(rh4_assembly)
     # one section solves only at a degree of its sign: theta2 needs l > 0
-    theta2 = make_section(mesh_r4, L1_r4, 2, -1, 0.5 * basis_K2Linv_r4[0].values)
+    theta2 = make_section(L1_r4, 2, -1, 0.5 * basis_K2Linv_r4[0].values)
     data = germsolve.GermData4(mesh_r4, L1_r4, None, theta2)
     sol = germsolve.solve_gauss_ricci4(data, tol=1e-10)
     asm = higgs.build_from_germ(data, sol)
@@ -167,5 +167,5 @@ def test_block_layout_pinned(request, target):
 
 def test_constant_section_reads_at_faces(mesh_r3):
     vals = np.full(mesh_r3.n_vertices, 1.7 + 0.2j)
-    face_vals = higgs.section_at_faces(mesh_r3, 0, 0, 0.0, vals)
+    face_vals = higgs.section_at_faces(mesh_r3, 0, 0, None, vals)
     assert np.allclose(face_vals, 1.7 + 0.2j)

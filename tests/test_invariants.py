@@ -65,7 +65,7 @@ def test_hopf_differential_case_not_superminimal(rh3_report):
 def test_superminimal_branch_positive(mesh_r4, L1_r4, basis_K2Linv_r4):
     # a vanishing section forces kappa_perp = +-||II||^2; with theta1 = 0
     # the positive branch is selected and the Euler integral equals l
-    theta2 = make_section(mesh_r4, L1_r4, 2, -1, 0.4 * basis_K2Linv_r4[0].values)
+    theta2 = make_section(L1_r4, 2, -1, 0.4 * basis_K2Linv_r4[0].values)
     data = germsolve.GermData4(mesh_r4, L1_r4, None, theta2)
     sol = germsolve.solve_gauss_ricci4(data, tol=1e-11)
     rep = invariants.compute_invariants(data, sol)
@@ -81,7 +81,7 @@ def test_superminimal_branch_negative(mesh_r4):
     L = bundles.make_line_bundle(mesh_r4, -1)
     dbar1 = bundles.dbar_operator(mesh_r4, L, 2, 1)
     basis1 = bundles.holomorphic_basis(dbar1)
-    theta1 = make_section(mesh_r4, L, 2, 1, 0.4 * basis1[0].values)
+    theta1 = make_section(L, 2, 1, 0.4 * basis1[0].values)
     data = germsolve.GermData4(mesh_r4, L, theta1, None)
     sol = germsolve.solve_gauss_ricci4(data, tol=1e-11)
     rep = invariants.compute_invariants(data, sol)
@@ -107,8 +107,8 @@ def test_codazzi_frame_is_the_dbar_residual_norm(rh3_report, mesh_r3):
 @pytest.fixture(scope="module")
 def rh4_report(mesh_r3, basis_K2_r3):
     L = bundles.make_line_bundle(mesh_r3, 0)
-    theta1 = make_section(mesh_r3, L, 2, 1, 0.3 * basis_K2_r3[0].values)
-    theta2 = make_section(mesh_r3, L, 2, -1, 0.5 * basis_K2_r3[1].values)
+    theta1 = make_section(L, 2, 1, 0.3 * basis_K2_r3[0].values)
+    theta2 = make_section(L, 2, -1, 0.5 * basis_K2_r3[1].values)
     data = germsolve.GermData4(mesh_r3, L, theta1, theta2)
     sol = germsolve.solve_gauss_ricci4(data, tol=1e-11)
     return data, sol, invariants.compute_invariants(data, sol)
