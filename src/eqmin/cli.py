@@ -79,7 +79,7 @@ class RunConfig:
             if (isinstance(val, bool) or not isinstance(val, types)
                     or (f.type is float and not math.isfinite(val)) or not test(val)):
                 raise InvalidParameterError(f"{f.name} must be {desc}, got {val!r}")
-        if self.target == "rh4" and abs(self.l) >= 2 * (self.genus - 1):
+        if self.target == "rh4" and not moduli.is_admissible(self.genus, self.l):
             raise InvalidParameterError(
                 f"degree {self.l} outside |l| < {2 * (self.genus - 1)}"
             )
@@ -184,7 +184,7 @@ def _basis_for(mesh, L, n_weight):
     Riemann-Roch dimension, gap ratio, the smallest singular values, the
     stored entries of the shift-invert factor)."""
     l = None if L is None else L.degree
-    expected = 3 * (mesh.genus - 1) + n_weight * (l or 0)
+    expected = moduli.h1_dim(mesh.genus, n_weight * (l or 0))
     basis = mesh.memo(("basis", l, n_weight), lambda: bundles.holomorphic_basis(
         bundles.dbar_operator(mesh, L, 2, n_weight)))
     return basis, {"detected": len(basis), "expected": expected, "gap_ratio": basis.gap_ratio,
@@ -206,7 +206,7 @@ def _prepare_data(cfg, spec, mesh, report):
     L = _line_bundle(cfg, mesh)
     l = 0 if L is None else L.degree
     extra = {"data_spec": cfg.data_spec}
-    sections = [None] * len(slots)
+    sections = []
     t_field = None
     if kind == "manufactured":
         extra["u_star"] = args[0]
@@ -227,16 +227,16 @@ def _prepare_data(cfg, spec, mesh, report):
                 if i >= len(basis):
                     raise InvalidParameterError(
                         f"basis index {i} outside the {len(basis)}-dimensional basis")
-                sections[k] = _combination(basis, amp * np.eye(len(basis))[i])
+                sections.append(_combination(basis, amp * np.eye(len(basis))[i]))
         elif kind == "random":
             extra.update({"amplitude": args[0], "rng": "numpy default_rng", "seed": cfg.seed})
             rng = np.random.default_rng(cfg.seed)
             # seeded complex Gaussian coefficients of total norm amp; the
             # last section is drawn first, so a seed keeps its data
-            for k in reversed(range(len(slots))):
-                n = len(bases[k])
+            for basis in reversed(bases):
+                n = len(basis)
                 coef = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-                sections[k] = _combination(bases[k], coef * (args[0] / np.linalg.norm(coef)))
+                sections.append(_combination(basis, coef * (args[0] / np.linalg.norm(coef))))
         else:
             for k, path in enumerate(args):
                 sec = bundles.DiscreteSection.load(path, mesh=mesh)
@@ -244,10 +244,8 @@ def _prepare_data(cfg, spec, mesh, report):
                 if found != wanted:
                     raise InvalidParameterError(f"section file {path!r} holds (m, n, l) = "
                                                 f"{found}, {slots[k][0]} needs {wanted}")
-                sections[k] = sec
-    if L is None:
-        return germsolve.GermData3(mesh, *sections, t_field=t_field), extra
-    return germsolve.GermData4(mesh, L, *reversed(sections)), extra
+                sections.append(sec)
+    return germsolve.GermData(mesh, L, sections, t_field=t_field), extra
 
 
 def _class_flag(norm, class_tol):

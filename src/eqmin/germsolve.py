@@ -1,10 +1,10 @@
 """Elliptic solvers for the induced geometry of equivariant minimal surfaces.
 
 Conformal gauge: the induced metric is gamma = e^{2u} h with h the
-background hyperbolic metric.  Writing t for the pointwise h-norm density
-of the holomorphic data (t = |f|^2 (2/lambda^2)^2 for f the dz^2
-coefficient), the curvature equation kappa_gamma = -1 - ||II^{2,0}||^2
-becomes the semilinear scalar equation
+background hyperbolic metric.  Writing t_q, t_1, t_2 for GermData.t[n],
+n = 0, 1, -1: the h-norm density |f|^2 (2/lambda^2)^2 of the section of
+K^2 L^n with dz^2 coefficient f, the curvature equation kappa_gamma =
+-1 - ||II^{2,0}||^2 becomes the semilinear scalar equation
 
     Delta_h u = -1 + e^{2u} + e^{-2u} t_q                       (target H^3)
 
@@ -29,6 +29,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from . import moduli
 from .bundles import tensor_weight
 from .errors import (
     InvalidParameterError,
@@ -41,8 +42,7 @@ from .factor import band_plan, factor_hpd
 from .hypmesh import laplacian
 
 __all__ = [
-    "GermData3",
-    "GermData4",
+    "GermData",
     "GermSolution",
     "CurvatureEquations",
     "t_density",
@@ -64,51 +64,36 @@ def t_density(mesh, values):
     return np.abs(np.asarray(values)) ** 2 * tensor_weight(mesh.vertices, 2)
 
 
-class GermData3:
-    """Input data for a minimal surface in hyperbolic 3-space: the Hopf
-    differential q, a holomorphic section of K^2.  There is no line bundle:
-    L is None."""
+class GermData:
+    """Input data for a minimal surface in hyperbolic 3- or 4-space: for
+    each power n of the target, the holomorphic section of K^2 L^n or None
+    (sections[n]) and its h-norm density (t[n], zero without a section).
+    The powers are (0,) when L is None (3-space: the Hopf differential q)
+    and (1, -1) otherwise (theta1, theta2), with |deg L| < 2(g-1).  Each
+    given section is filed under its bundle_type (2, n); t_field, for
+    3-space only, replaces t[0]."""
 
-    L = None
-
-    def __init__(self, mesh, q=None, t_field=None):
-        self.mesh = mesh
-        self.q = q
-        if t_field is not None:
-            self.t = np.asarray(t_field, dtype=float)
-        elif q is not None:
-            self.t = t_density(mesh, q.values)
-        else:
-            self.t = np.zeros(mesh.n_vertices)
-        if self.t.shape[0] != mesh.n_vertices:
-            raise ShapeError("t field length does not match the mesh")
-
-
-class GermData4:
-    """Input data for a minimal surface in hyperbolic 4-space: line bundle
-    L of degree l with |l| < 2(g-1), theta1 in H0(K^2 L), theta2 in
-    H0(K^2 L^{-1})."""
-
-    def __init__(self, mesh, L, theta1, theta2):
+    def __init__(self, mesh, L=None, sections=(), t_field=None):
         self.mesh = mesh
         self.L = L
-        l = L.degree
-        if abs(l) >= 2 * (mesh.genus - 1):
-            raise InvalidParameterError(
-                f"degree {l} outside the admissible window |l| < {2 * (mesh.genus - 1)}"
-            )
-        self.theta1 = theta1
-        self.theta2 = theta2
-        self.t1 = (
-            t_density(mesh, theta1.values)
-            if theta1 is not None
-            else np.zeros(mesh.n_vertices)
-        )
-        self.t2 = (
-            t_density(mesh, theta2.values)
-            if theta2 is not None
-            else np.zeros(mesh.n_vertices)
-        )
+        if L is not None and not moduli.is_admissible(mesh.genus, L.degree):
+            raise InvalidParameterError(f"degree {L.degree} outside the admissible window "
+                                        f"|l| < {2 * (mesh.genus - 1)}")
+        self.sections = dict.fromkeys((0,) if L is None else (1, -1))
+        for sec in sections:
+            m, n = sec.bundle_type
+            if m != 2 or n not in self.sections:
+                raise InvalidParameterError(f"a section of K^{m} L^{n} is not data of the "
+                                            f"target, of K^2 L^n for n in {tuple(self.sections)}")
+            if self.sections[n] is not None:
+                raise InvalidParameterError(f"a second section of K^2 L^{n}")
+            self.sections[n] = sec
+        self.t = {n: np.zeros(mesh.n_vertices) if sec is None else t_density(mesh, sec.values)
+                  for n, sec in self.sections.items()}
+        if t_field is not None:
+            self.t[0] = np.asarray(t_field, dtype=float)
+            if self.t[0].shape[0] != mesh.n_vertices:
+                raise ShapeError("t field length does not match the mesh")
 
 
 class GermSolution:
@@ -145,9 +130,9 @@ def manufactured_forcing(mesh, u_star):
 class CurvatureEquations:
     """The Gauss (and Ricci) equations of germ data as Delta_h x = f(x).
 
-    The state x is u for GermData3 and (u, w) stacked for GermData4.  The
-    reaction terms are written through the squared gamma-norms of the
-    second fundamental form:
+    The state x is u for 3-space GermData (L None) and (u, w) stacked for
+    4-space GermData.  The reaction terms are written through the squared
+    gamma-norms of the second fundamental form:
 
         f_u = -1 + e^{2u} (1 + ||II||^2)
         f_w = rho_0 - e^{2u} (||theta_2||^2 - ||theta_1||^2)
@@ -160,7 +145,7 @@ class CurvatureEquations:
 
     def __init__(self, data):
         self.data = data
-        self.coupled = isinstance(data, GermData4)
+        self.coupled = data.L is not None
         # the number of fields, and the vertex areas stacked once per field:
         # the weights of the area-weighted norms of a state or a residual
         self.n = 2 if self.coupled else 1
@@ -178,9 +163,9 @@ class CurvatureEquations:
         the theta norms are None for the scalar equation."""
         em4u = _exp(-4.0 * u)
         if not self.coupled:
-            return em4u * self.data.t, None, None
-        th1 = em4u * _exp(2.0 * w) * self.data.t1
-        th2 = em4u * _exp(-2.0 * w) * self.data.t2
+            return em4u * self.data.t[0], None, None
+        th1 = em4u * _exp(2.0 * w) * self.data.t[1]
+        th2 = em4u * _exp(-2.0 * w) * self.data.t[-1]
         return th1 + th2, th1, th2
 
     def curvatures(self, u, lap_u, lap_w=None):
@@ -434,7 +419,7 @@ def solve_gauss_ricci4(data, tol=1e-10, max_iter=30):
     # 2 pi l = int e^{2u} (||theta_2||^2 - ||theta_1||^2) dA_h, so l > 0
     # needs theta2, l < 0 needs theta1, and l = 0 both sections or neither
     l = data.L.degree
-    has1, has2 = np.max(data.t1) > 0.0, np.max(data.t2) > 0.0
+    has1, has2 = np.max(data.t[1]) > 0.0, np.max(data.t[-1]) > 0.0
     if not (has2 if l > 0 else has1 if l < 0 else has1 == has2):
         raise InvalidParameterError(
             f"degree {l} has no solution with theta{1 if has1 else 2} the only nonzero "
@@ -446,7 +431,7 @@ def solve_gauss_ricci4(data, tol=1e-10, max_iter=30):
         # for l = 0 where w is an arbitrary constant (fixed to 0); u solves
         # the scalar case (the coupled Jacobian is singular here: its ww
         # block is S)
-        sol = solve_gauss3(GermData3(data.mesh), tol=tol, max_iter=max_iter)
+        sol = solve_gauss3(GermData(data.mesh), tol=tol, max_iter=max_iter)
         sol.w = np.zeros(data.mesh.n_vertices)
         return sol
     return _solve(data, tol, max_iter)

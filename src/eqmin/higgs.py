@@ -50,13 +50,11 @@ def section_at_faces(mesh, m, n, L, values):
 
 # Per target n: the summands of V in block order with their types (m, k),
 # the summand being K^m L^k, and for each extension class, in class order,
-# the W summand it maps K into and the germ data attribute holding the
-# section it is read from.
+# the W summand it maps K into.
 _LAYOUT = {
-    3: ({"Kinv": (-1, 0), "W": (0, 0), "K": (1, 0), "one": (0, 0)},
-        (("W", "q"),)),
+    3: ({"Kinv": (-1, 0), "W": (0, 0), "K": (1, 0), "one": (0, 0)}, ("W",)),
     4: ({"Kinv": (-1, 0), "L": (0, 1), "Linv": (0, -1), "K": (1, 0), "one": (0, 0)},
-        (("Linv", "theta1"), ("L", "theta2"))),
+        ("Linv", "L")),
 }
 
 
@@ -64,8 +62,7 @@ class ExtensionClass(NamedTuple):
     """An extension class beta in Hom(K, W) and where the assembly keeps it."""
 
     name: str  # its name in moduli.CLASSES
-    k: int  # beta maps K into the W summand of type (0, k) ...
-    section: str  # ... and is read from the germ section in K^2 L^-k
+    k: int  # beta maps K into the W summand of type (0, k), from data.sections[-k]
     block: tuple  # (W summand, "K"), holding beta
     dual: tuple  # ("Kinv", Q_V partner of the W summand), holding -beta
 
@@ -84,9 +81,8 @@ def _layout(n):
     for i, name in enumerate(names):
         Q[i, names.index(partner[name])] = 1.0
     return types, Q, tuple(
-        ExtensionClass(CLASSES[n][types[w][1]], types[w][1], section, (w, "K"),
-                       ("Kinv", partner[w]))
-        for w, section in classes
+        ExtensionClass(CLASSES[n][types[w][1]], types[w][1], (w, "K"), ("Kinv", partner[w]))
+        for w in classes
     )
 
 
@@ -154,7 +150,8 @@ def build_from_germ(data, sol):
     """Assemble the Higgs-bundle blocks from solved germ data.
 
     The off-diagonal entries are beta = conj(q) / s^2 read at face
-    centroids, where s^2 is the induced conformal density; for the 4-space
+    centroids, q the section of K^2 L^-k for the class into the W summand
+    of type (0, k) and s^2 the induced conformal density; for the 4-space
     target beta1 comes from theta1 (landing in L^{-1}, the conjugate gauge
     of L) and beta2 from theta2 (landing in L).  The target is the 3-space
     one when the data has no line bundle L.
@@ -168,7 +165,7 @@ def build_from_germ(data, sol):
     dens = tensor_weight(mesh.face_centroid, 1, u=sol.u[mesh.faces].mean(axis=1))
     blocks = {}
     for cls in classes:
-        section = getattr(data, cls.section)
+        section = data.sections[-cls.k]
         if section is not None:
             beta = np.conj(section_at_faces(mesh, 2, -cls.k, data.L, section.values)) * dens
             blocks[cls.block] = beta

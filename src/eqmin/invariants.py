@@ -24,7 +24,7 @@ import numpy as np
 
 from . import bundles
 from .errors import StaleSolutionError
-from .germsolve import CurvatureEquations, GermData4, polish_solution
+from .germsolve import CurvatureEquations, polish_solution
 from .hypmesh import integrate, laplacian
 from .mobius import conformal_factor
 
@@ -152,16 +152,13 @@ def _frame_equations(data, u, norms, kappa_perp):
     # -s^{-2} del delbar log s^2 + s^{-4} ||II(Z,Z)||^2 + 1, where the
     # frame-scale norm is ||II(Z,Z)||^2 = s^4 ||II||^2_gamma
     fields = {"gauss_frame": -ddbar_logs2 / s2 + ii_sq + 1.0}
-    if isinstance(data, GermData4):
+    if data.L is not None:
         fields["ricci_frame"] = kappa_perp - (th2_sq - th1_sq)
-        codazzi = max(_codazzi_norm(mesh, data.L, data.theta1),
-                      _codazzi_norm(mesh, data.L, data.theta2))
-    else:
-        codazzi = _codazzi_norm(mesh, None, data.q)
     residuals = {k: float(np.max(np.abs(r))) for k, r in fields.items()}
     # in 3-space there is no normal bundle to carry a Ricci equation
     residuals.setdefault("ricci_frame", 0.0)
-    residuals["codazzi_frame"] = codazzi
+    residuals["codazzi_frame"] = max(_codazzi_norm(mesh, data.L, sec)
+                                     for sec in data.sections.values())
     return fields, residuals
 
 
@@ -217,7 +214,7 @@ def compute_invariants(data, sol):
     residuals.update(frame_residuals)
     pointwise.update(frame)
 
-    if n == 4 and _sup_norm(u4_sq) < 1e-8 * max(float(np.max(ii_sq)), 1.0) + 1e-12:
+    if n == 4 and _u4_vanishes(u4_sq):
         sign = 1.0 if np.sum(kp_fd) >= 0 else -1.0
         residuals["supermin_identity"] = float(
             np.max(np.abs(kp_fd - sign * (-(1.0 + kg_fd))))
@@ -242,6 +239,12 @@ def compute_invariants(data, sol):
 SUPERMINIMAL_TOL = 1e-8
 
 
+def _u4_vanishes(u4_norm_sq):
+    """Whether sup |U4| < SUPERMINIMAL_TOL: the quartic differential is zero,
+    for the supermin_identity line and the verdict alike."""
+    return _sup_norm(u4_norm_sq) < SUPERMINIMAL_TOL
+
+
 def superminimal_test(report):
     """Classify a report as superminimal (and which sign branch) or not.
 
@@ -249,7 +252,7 @@ def superminimal_test(report):
     components is zero; the branch is the sign in
     kappa_perp = +-||II||^2_gamma.
     """
-    if _sup_norm(report.u4_norm_sq) >= SUPERMINIMAL_TOL:
+    if not _u4_vanishes(report.u4_norm_sq):
         return "NotSuperminimal"
     if report.n == 3:
         # vanishing U4 in the 3-space case means vanishing Hopf differential

@@ -20,6 +20,7 @@ __all__ = [
     "CLASSES",
     "VERDICTS",
     "h1_dim",
+    "is_admissible",
     "admissible_degrees",
     "moduli_dims",
     "classify",
@@ -43,14 +44,19 @@ VERDICTS = (
 
 
 def h1_dim(g, l):
-    """Extension-class dimension 3(g-1)+l for an admissible degree l."""
+    """The Riemann-Roch dimension 3(g-1)+l of H0(K^2 L) for deg L = l
+    with |l| < 2(g-1), which is also the extension-class dimension."""
     return 3 * (g - 1) + l
+
+
+def is_admissible(g, l):
+    """Whether the degree l lies in the window |l| < 2(g-1)."""
+    return abs(l) < 2 * (g - 1)
 
 
 def admissible_degrees(g):
     """All degrees l with |l| < 2(g-1); exactly 4g-5 of them."""
-    m = 2 * (g - 1)
-    return list(range(-(m - 1), m))
+    return [l for l in range(-2 * g, 2 * g) if is_admissible(g, l)]
 
 
 def moduli_dims(g, n, l=0):
@@ -118,7 +124,7 @@ def classify(g, n, l=0, class_flags=None):
         l = 0  # the 3-space target has no L
     flags = dict(class_flags or {})
     values = [flags.get(name) for name in CLASSES[n].values()]
-    out_of_range = abs(l) >= 2 * (g - 1)
+    out_of_range = not is_admissible(g, l)
     decomposable = False
     if out_of_range:
         verdict = "OutOfRange"
@@ -157,11 +163,11 @@ def secant_genericity(g, l):
     number l+3(g-1)), the obstructing secant variety has dimension 2l-1,
     and genericity holds when 2l-1 < l+3g-4.
     """
-    if not (1 <= l < 2 * (g - 1)):
+    if l < 1 or not is_admissible(g, l):
         raise InvalidParameterError(
             f"degree {l} outside the certificate window [1, {2 * (g - 1) - 1}]"
         )
-    h0 = l + 3 * (g - 1)
+    h0 = h1_dim(g, l)
     secant_dim = 2 * l - 1
     ambient_dim = l + 3 * g - 4
     return {

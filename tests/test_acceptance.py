@@ -31,7 +31,7 @@ def test_criterion_01_superminimal_area():
     dbar2 = bundles.dbar_operator(mesh, L, 2, -1)
     basis2 = bundles.holomorphic_basis(dbar2)
     theta2 = make_section(L, 2, -1, 0.4 * basis2[0].values)
-    data = germsolve.GermData4(mesh, L, None, theta2)
+    data = germsolve.GermData(mesh, L, [theta2])
     sol = germsolve.solve_gauss_ricci4(data, tol=1e-10)
     rep = invariants.compute_invariants(data, sol)
     elapsed = time.perf_counter() - t0
@@ -51,7 +51,7 @@ def test_criterion_02_euler_quantization(mesh_r4):
         b2 = bundles.holomorphic_basis(bundles.dbar_operator(mesh_r4, L, 2, -1))
         theta1 = make_section(L, 2, 1, 0.35 * b1[0].values)
         theta2 = make_section(L, 2, -1, 0.3 * b2[0].values)
-        data = germsolve.GermData4(mesh_r4, L, theta1, theta2)
+        data = germsolve.GermData(mesh_r4, L, [theta1, theta2])
         sol = germsolve.solve_gauss_ricci4(data, tol=1e-10)
         rep = invariants.compute_invariants(data, sol)
         results.append((l, rep.euler_integral))
@@ -76,7 +76,7 @@ def test_criterion_03_curvature_identity(mesh_r2, mesh_r3, mesh_r4,
         v2 = th2f if r == 4 else hypmesh.restrict_field(mesh_r4, m, th2f)
         theta1 = make_section(L, 2, 1, v1)
         theta2 = make_section(L, 2, -1, v2)
-        data = germsolve.GermData4(m, L, theta1, theta2)
+        data = germsolve.GermData(m, L, [theta1, theta2])
         sol = germsolve.solve_gauss_ricci4(data, tol=1e-11)
         rep = invariants.compute_invariants(data, sol)
         resid[r] = rep.residuals["kappaperp_identity"]
@@ -102,7 +102,7 @@ def test_criterion_04_area_identity_and_monotonicity(mesh_r4, L1_r4,
     for amp in (0.1, 0.2, 0.3, 0.4):
         theta1 = make_section(L1_r4, 2, 1, amp * basis_K2L_r4[0].values)
         theta2 = make_section(L1_r4, 2, -1, amp * basis_K2Linv_r4[0].values)
-        data = germsolve.GermData4(mesh_r4, L1_r4, theta1, theta2)
+        data = germsolve.GermData(mesh_r4, L1_r4, [theta1, theta2])
         sol = germsolve.solve_gauss_ricci4(data, tol=tol)
         rep = invariants.compute_invariants(data, sol)
         ok = ok and rep.residuals["area_identity"] <= 10.0 * tol
@@ -133,14 +133,14 @@ def test_criterion_05_cohomology_dimensions(mesh_r4):
 def test_criterion_06_totally_geodesic(mesh_r3):
     # zero data: u = 0 to solver tol, area within 0.5% of 4 pi (g-1),
     # Polystable verdict, decomposable Hodge structure in the rh4 picture
-    data3 = germsolve.GermData3(mesh_r3)
+    data3 = germsolve.GermData(mesh_r3)
     sol3 = germsolve.solve_gauss3(data3, tol=1e-10)
     rep3 = invariants.compute_invariants(data3, sol3)
     umax = float(np.max(np.abs(sol3.u)))
     area_err = abs(rep3.area - 4.0 * math.pi) / (4.0 * math.pi)
     d3 = moduli.classify(2, 3, class_flags={"beta": False})
     L = bundles.make_line_bundle(mesh_r3, 0)
-    data4 = germsolve.GermData4(mesh_r3, L, None, None)
+    data4 = germsolve.GermData(mesh_r3, L)
     sol4 = germsolve.solve_gauss_ricci4(data4, tol=1e-10)
     asm = higgs.build_from_germ(data4, sol4)
     d4 = moduli.classify(2, 4, 0, {"beta1": False, "beta2": False})
@@ -176,7 +176,7 @@ def test_criterion_08_structural_higgs_identities(mesh_r3, basis_K2_r3):
     L = bundles.make_line_bundle(mesh_r3, 0)
     theta1 = make_section(L, 2, 1, 0.3 * basis_K2_r3[0].values)
     theta2 = make_section(L, 2, -1, 0.5 * basis_K2_r3[1].values)
-    data = germsolve.GermData4(mesh_r3, L, theta1, theta2)
+    data = germsolve.GermData(mesh_r3, L, [theta1, theta2])
     sol = germsolve.solve_gauss_ricci4(data, tol=1e-10)
     asm = higgs.build_from_germ(data, sol)
     iso = asm.phi_t_phi() == 0.0
@@ -214,7 +214,7 @@ def test_criterion_09_solver_order(mesh_r2, mesh_r3, mesh_r4):
     # chain (L2 norm; the irregular vertices pollute the sup norm)
     u_star = 0.1
     t = germsolve.manufactured_forcing(mesh_r3, u_star)
-    sol = germsolve.solve_gauss3(germsolve.GermData3(mesh_r3, t_field=t), tol=1e-12)
+    sol = germsolve.solve_gauss3(germsolve.GermData(mesh_r3, t_field=t), tol=1e-12)
     mms_err = float(np.max(np.abs(sol.u - u_star)))
     iters = len(sol.newton_trace) - 1
     dbar = bundles.dbar_operator(mesh_r4, None, 2, 0)
@@ -225,8 +225,8 @@ def test_criterion_09_solver_order(mesh_r2, mesh_r3, mesh_r4):
     max_iters = iters
     for r in (2, 3, 4):
         vals = vals_f if r == 4 else hypmesh.restrict_field(mesh_r4, meshes[r], vals_f)
-        data = germsolve.GermData3(meshes[r],
-                                   t_field=germsolve.t_density(meshes[r], vals))
+        data = germsolve.GermData(meshes[r],
+                                  t_field=germsolve.t_density(meshes[r], vals))
         s = germsolve.solve_gauss3(data, tol=1e-11)
         max_iters = max(max_iters, len(s.newton_trace) - 1)
         sols[r] = s.u
@@ -256,7 +256,7 @@ def test_criterion_10_class_triviality(mesh_r3, basis_K2_r3):
     trivial, resid = bundles.class_is_trivial(
         mesh_r3, dbar(psi), u0, dbar, tol=class_tol
     )
-    data = germsolve.GermData3(mesh_r3, q=basis_K2_r3[0])
+    data = germsolve.GermData(mesh_r3, sections=[basis_K2_r3[0]])
     sol = germsolve.solve_gauss3(data, tol=1e-10)
     asm = higgs.build_from_germ(data, sol)
     nontrivial_ok, norm = bundles.class_is_trivial(

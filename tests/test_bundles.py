@@ -244,7 +244,7 @@ def test_mesh_order_factor_solves_class_oracle_matrix_like_colamd(mesh_r3, basis
                                                                    monkeypatch):
     # the projection of a class in K^-1 L^1 at l = 1, in the metric of a
     # solved germ: the normal matrix is complex Hermitian positive definite
-    data = germsolve.GermData3(mesh_r3, q=basis_K2_r3[0])
+    data = germsolve.GermData(mesh_r3, sections=[basis_K2_r3[0]])
     sol = germsolve.solve_gauss3(data, tol=1e-10)
     dbar = bundles.dbar_operator(mesh_r3, bundles.make_line_bundle(mesh_r3, 1), -1, 1)
     rng = np.random.default_rng(3)
@@ -267,7 +267,7 @@ def test_mesh_order_factor_solves_class_oracle_matrix_like_colamd(mesh_r3, basis
 
 def test_holomorphic_class_is_nontrivial(mesh_r3, basis_K2_r3):
     q = basis_K2_r3[0]
-    data = germsolve.GermData3(mesh_r3, q=q)
+    data = germsolve.GermData(mesh_r3, sections=[q])
     sol = germsolve.solve_gauss3(data, tol=1e-10)
     from eqmin.higgs import build_from_germ
 

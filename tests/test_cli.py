@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
-from eqmin import bundles, factor, hypmesh
+from eqmin import bundles, factor, germsolve, hypmesh, moduli
 from eqmin.bundles import DiscreteSection
 from eqmin.cli import RunConfig, main, run, sweep
 from eqmin.errors import InvalidParameterError
@@ -464,6 +464,36 @@ def test_malformed_data_spec_ends_in_report(tmp_path, monkeypatch, mesh_r3, spec
     failed = run(cfg, write_files=False)["failed_at"]
     assert failed["stage"] == stage
     assert failed["error"] == "InvalidParameterError"
+
+
+@pytest.mark.parametrize("patched", [False, True])
+def test_config_data_and_verdict_share_one_degree_window(mesh_r2, monkeypatch, patched):
+    # the window |l| < 2(g-1) is moduli.is_admissible alone: patched to
+    # admit every degree, none of the three refuses one
+    if patched:
+        monkeypatch.setattr(moduli, "is_admissible", lambda g, l: True)
+    for l in range(-4, 5):
+        inside = patched or l in moduli.admissible_degrees(2)
+        assert moduli.is_admissible(2, l) == inside
+        assert (moduli.classify(2, 4, l).verdict != "OutOfRange") == inside
+        L = bundles.make_line_bundle(mesh_r2, l)
+        for make in (lambda: RunConfig(genus=2, target="rh4", l=l).validate(),
+                     lambda: germsolve.GermData(mesh_r2, L)):
+            if inside:
+                make()
+            else:
+                with pytest.raises(InvalidParameterError, match=f"degree {l} outside"):
+                    make()
+
+
+def test_rh4_file_section_in_the_wrong_slot_fails_at_bundles(tmp_path, monkeypatch, mesh_r3):
+    # the spec's first slot is K^2 L^-1; a K^2 L section there is refused
+    # before any data is made, though the data would file it by its bundle
+    monkeypatch.chdir(tmp_path)
+    DiscreteSection((2, 1), np.ones(mesh_r3.n_vertices)).save("k2l.json")
+    cfg = RunConfig(genus=2, resolution=3, target="rh4", l=0, data_spec="file:k2l.json")
+    failed = run(cfg, write_files=False)["failed_at"]
+    assert (failed["stage"], failed["error"]) == ("bundles", "InvalidParameterError")
 
 
 def _codazzi_line(spec):

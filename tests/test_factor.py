@@ -46,7 +46,7 @@ def solved_r4(mesh_r4, L1_r4, basis_K2L_r4, basis_K2Linv_r4):
     """The baseline rh4 datum at g=2, r=4, l=1, solved."""
     theta1 = make_section(L1_r4, 2, 1, 0.4 * basis_K2L_r4[0].values)
     theta2 = make_section(L1_r4, 2, -1, 0.3 * basis_K2Linv_r4[0].values)
-    data = germsolve.GermData4(mesh_r4, L1_r4, theta1, theta2)
+    data = germsolve.GermData(mesh_r4, L1_r4, [theta1, theta2])
     return data, germsolve.solve_gauss_ricci4(data, tol=1e-11)
 
 
@@ -102,7 +102,7 @@ def test_indefinite_matrix_fails_to_factor_and_ends_in_linear_solve_error(
 
     monkeypatch.setattr(germsolve, "factor_hpd", negated)
     monkeypatch.setattr(bundles, "factor_hpd", negated)
-    data = germsolve.GermData3(mesh_r3, q=basis_K2_r3[0])
+    data = germsolve.GermData(mesh_r3, sections=[basis_K2_r3[0]])
     sol = germsolve.solve_gauss3(data, tol=1e-10)
     with pytest.raises(LinearSolveError, match="polish solve failed") as failed:
         germsolve.polish_solution(data, sol)

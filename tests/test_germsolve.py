@@ -11,7 +11,7 @@ from conftest import make_section
 
 
 def test_zero_data_gives_flat_solution(mesh_r3):
-    data = germsolve.GermData3(mesh_r3)
+    data = germsolve.GermData(mesh_r3)
     sol = germsolve.solve_gauss3(data, tol=1e-10)
     assert sol.converged
     assert np.max(np.abs(sol.u)) < 1e-10
@@ -20,7 +20,7 @@ def test_zero_data_gives_flat_solution(mesh_r3):
 def test_manufactured_constant_recovered(mesh_r3):
     u_star = 0.1
     t = germsolve.manufactured_forcing(mesh_r3, u_star)
-    data = germsolve.GermData3(mesh_r3, t_field=t)
+    data = germsolve.GermData(mesh_r3, t_field=t)
     sol = germsolve.solve_gauss3(data, tol=1e-12)
     assert sol.converged
     assert np.max(np.abs(sol.u - u_star)) < 1e-10
@@ -28,7 +28,7 @@ def test_manufactured_constant_recovered(mesh_r3):
 
 
 def test_newton_residual_decreases(mesh_r3, basis_K2_r3):
-    data = germsolve.GermData3(mesh_r3, q=basis_K2_r3[0])
+    data = germsolve.GermData(mesh_r3, sections=[basis_K2_r3[0]])
     sol = germsolve.solve_gauss3(data, tol=1e-10)
     norms = [step[1] for step in sol.newton_trace]
     assert all(b < a for a, b in zip(norms, norms[1:]))
@@ -36,7 +36,7 @@ def test_newton_residual_decreases(mesh_r3, basis_K2_r3):
 
 def test_solution_negative_where_data_vanishes(mesh_r3, basis_K2_r3):
     # adding second-fundamental-form data only shrinks the conformal factor
-    data = germsolve.GermData3(mesh_r3, q=basis_K2_r3[0])
+    data = germsolve.GermData(mesh_r3, sections=[basis_K2_r3[0]])
     sol = germsolve.solve_gauss3(data, tol=1e-10)
     assert np.max(sol.u) < 1e-8
 
@@ -44,7 +44,7 @@ def test_solution_negative_where_data_vanishes(mesh_r3, basis_K2_r3):
 @pytest.mark.parametrize("solve", [germsolve.solve_gauss3, germsolve.solve_gauss_ricci4],
                          ids=["solve_gauss3", "solve_gauss_ricci4"])
 def test_invalid_tolerance_rejected(mesh_r3, basis_K2_r3, solve):
-    data = (germsolve.GermData3(mesh_r3) if solve is germsolve.solve_gauss3
+    data = (germsolve.GermData(mesh_r3) if solve is germsolve.solve_gauss3
             else _rh4_r3_data(mesh_r3, basis_K2_r3))
     with pytest.raises(InvalidParameterError, match="tol must be positive"):
         solve(data, tol=0.0)
@@ -53,19 +53,19 @@ def test_invalid_tolerance_rejected(mesh_r3, basis_K2_r3, solve):
 def test_degree_window_enforced(mesh_r3):
     L = bundles.make_line_bundle(mesh_r3, 2)
     with pytest.raises(InvalidParameterError):
-        germsolve.GermData4(mesh_r3, L, None, None)
+        germsolve.GermData(mesh_r3, L)
 
 
 def test_zero_sections_need_degree_zero(mesh_r3):
     L = bundles.make_line_bundle(mesh_r3, 1)
-    data = germsolve.GermData4(mesh_r3, L, None, None)
+    data = germsolve.GermData(mesh_r3, L)
     with pytest.raises(InvalidParameterError):
         germsolve.solve_gauss_ricci4(data)
 
 
 def test_coupled_solver_zero_data(mesh_r3):
     L = bundles.make_line_bundle(mesh_r3, 0)
-    data = germsolve.GermData4(mesh_r3, L, None, None)
+    data = germsolve.GermData(mesh_r3, L)
     sol = germsolve.solve_gauss_ricci4(data, tol=1e-10)
     assert sol.converged
     assert np.max(np.abs(sol.u)) < 1e-10
@@ -79,18 +79,18 @@ def test_coupled_solver_balances_ricci(mesh_r3, basis_K2_r3):
     L = bundles.make_line_bundle(mesh_r3, 0)
     theta1 = make_section(L, 2, 1, 0.3 * basis_K2_r3[0].values)
     theta2 = make_section(L, 2, -1, 0.5 * basis_K2_r3[1].values)
-    data = germsolve.GermData4(mesh_r3, L, theta1, theta2)
+    data = germsolve.GermData(mesh_r3, L, [theta1, theta2])
     sol = germsolve.solve_gauss_ricci4(data, tol=1e-10)
     assert sol.converged
     assert np.max(np.abs(sol.w)) < 3.0
     a = mesh_r3.vertex_areas
-    Q = np.exp(-2.0 * sol.w) * data.t2 - np.exp(2.0 * sol.w) * data.t1
+    Q = np.exp(-2.0 * sol.w) * data.t[-1] - np.exp(2.0 * sol.w) * data.t[1]
     kp_int = float(np.sum(a * np.exp(-2.0 * sol.u) * Q))
     assert abs(kp_int) < 1e-6
 
 
 def test_polish_stays_close_and_reduces_collocation(mesh_r3, basis_K2_r3):
-    data = germsolve.GermData3(mesh_r3, q=basis_K2_r3[0])
+    data = germsolve.GermData(mesh_r3, sections=[basis_K2_r3[0]])
     sol = germsolve.solve_gauss3(data, tol=1e-11)
     germsolve.polish_solution(data, sol)
     assert sol.u_smooth is not None
@@ -98,7 +98,7 @@ def test_polish_stays_close_and_reduces_collocation(mesh_r3, basis_K2_r3):
     C = mesh_r3.fd_laplacian_matrix(weighted=True)
 
     def colloc(u):
-        r = C @ u - (-1.0 + np.exp(2.0 * u) + np.exp(-2.0 * u) * data.t)
+        r = C @ u - (-1.0 + np.exp(2.0 * u) + np.exp(-2.0 * u) * data.t[0])
         return float(np.sqrt(np.sum(mesh_r3.vertex_areas * r**2)))
 
     assert colloc(sol.u_smooth) < 0.5 * colloc(sol.u)
@@ -116,10 +116,10 @@ def test_system_jacobian_matches_finite_differences(mesh_r2, target):
         return bundles.DiscreteSection((2, weight), 0.5 * vals, degree_l=1)
 
     if target == "rh3":
-        data = germsolve.GermData3(mesh_r2, q=section(0))
+        data = germsolve.GermData(mesh_r2, sections=[section(0)])
     else:
         L = bundles.make_line_bundle(mesh_r2, 1)
-        data = germsolve.GermData4(mesh_r2, L, section(1), section(-1))
+        data = germsolve.GermData(mesh_r2, L, [section(1), section(-1)])
     eqs = germsolve.CurvatureEquations(data)
     residual, jacobian = eqs.system("cotangent", mesh_r2.vertex_areas)
     x = 0.3 * rng.standard_normal(2 * V if eqs.coupled else V)
@@ -147,9 +147,9 @@ def _random_data(mesh, target, rng, vanish=None):
         return bundles.DiscreteSection((2, weight), vals, degree_l=0)
 
     if target == "rh3":
-        return germsolve.GermData3(mesh, q=section(0))
+        return germsolve.GermData(mesh, sections=[section(0)])
     L = bundles.make_line_bundle(mesh, 0)
-    return germsolve.GermData4(mesh, L, section(1), section(-1))
+    return germsolve.GermData(mesh, L, [section(1), section(-1)])
 
 
 @pytest.mark.parametrize("operator", ["cotangent", "patch_fit"])
@@ -234,9 +234,9 @@ def test_jacobian_pattern_built_once_per_mesh_and_operator(monkeypatch):
     monkeypatch.setattr(germsolve, "_jacobian_pattern", counting)
     t = germsolve.manufactured_forcing(mesh, 0.1)
     rng = np.random.default_rng(3)
-    for data in (germsolve.GermData3(mesh, t_field=t), _random_data(mesh, "rh4", rng)):
+    for data in (germsolve.GermData(mesh, t_field=t), _random_data(mesh, "rh4", rng)):
         for _ in range(2):
-            sol = (germsolve.solve_gauss3(data) if isinstance(data, germsolve.GermData3)
+            sol = (germsolve.solve_gauss3(data) if data.L is None
                    else germsolve.solve_gauss_ricci4(data))
             assert sol.converged
             germsolve.polish_solution(data, sol)
@@ -266,7 +266,29 @@ def _rh4_r3_data(mesh_r3, basis_K2_r3):
     L = bundles.make_line_bundle(mesh_r3, 0)
     theta1 = make_section(L, 2, 1, 0.3 * basis_K2_r3[0].values)
     theta2 = make_section(L, 2, -1, 0.5 * basis_K2_r3[1].values)
-    return germsolve.GermData4(mesh_r3, L, theta1, theta2)
+    return germsolve.GermData(mesh_r3, L, [theta1, theta2])
+
+
+def test_sections_are_filed_by_bundle_not_by_order(mesh_r3, basis_K2_r3):
+    data = _rh4_r3_data(mesh_r3, basis_K2_r3)
+    theta1, theta2 = data.sections[1], data.sections[-1]
+    swapped = germsolve.GermData(mesh_r3, data.L, [theta2, theta1])
+    assert swapped.sections == data.sections
+    sol = germsolve.solve_gauss_ricci4(data, tol=1e-11)
+    ref = germsolve.solve_gauss_ricci4(swapped, tol=1e-11)
+    assert sol.newton_trace == ref.newton_trace
+    assert np.array_equal(sol.u, ref.u) and np.array_equal(sol.w, ref.w)
+
+
+def test_sections_outside_the_target_rejected(mesh_r3, basis_K2_r3):
+    L = bundles.make_line_bundle(mesh_r3, 0)
+    k2 = basis_K2_r3[0]
+    k2l = make_section(L, 2, 1, k2.values)
+    # a K^2 section for 4-space, a K^2 L section for 3-space, and two
+    # sections of one bundle
+    for target_L, sections in ((L, [k2]), (None, [k2l]), (L, [k2l, k2l])):
+        with pytest.raises(InvalidParameterError):
+            germsolve.GermData(mesh_r3, target_L, sections)
 
 
 def test_newton_orders_columns_once_per_solve(mesh_r3, basis_K2_r3, monkeypatch):
@@ -327,12 +349,12 @@ def solved_r3(request, mesh_r3, basis_K2_r3):
     """A converged r=3 solution: rh3 data, or rh4 data with l=0 and both
     sections."""
     if request.param == "rh3":
-        data = germsolve.GermData3(mesh_r3, q=basis_K2_r3[0])
+        data = germsolve.GermData(mesh_r3, sections=[basis_K2_r3[0]])
         return data, germsolve.solve_gauss3(data, tol=1e-11)
     L = bundles.make_line_bundle(mesh_r3, 0)
     theta1 = make_section(L, 2, 1, 0.3 * basis_K2_r3[0].values)
     theta2 = make_section(L, 2, -1, 0.5 * basis_K2_r3[1].values)
-    data = germsolve.GermData4(mesh_r3, L, theta1, theta2)
+    data = germsolve.GermData(mesh_r3, L, [theta1, theta2])
     return data, germsolve.solve_gauss_ricci4(data, tol=1e-11)
 
 

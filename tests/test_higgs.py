@@ -10,7 +10,7 @@ from conftest import make_section
 
 @pytest.fixture(scope="module")
 def rh3_assembly(mesh_r3, basis_K2_r3):
-    data = germsolve.GermData3(mesh_r3, q=basis_K2_r3[0])
+    data = germsolve.GermData(mesh_r3, sections=[basis_K2_r3[0]])
     sol = germsolve.solve_gauss3(data, tol=1e-10)
     return higgs.build_from_germ(data, sol)
 
@@ -20,13 +20,13 @@ def rh4_assembly(mesh_r3, basis_K2_r3):
     L = bundles.make_line_bundle(mesh_r3, 0)
     theta1 = make_section(L, 2, 1, 0.3 * basis_K2_r3[0].values)
     theta2 = make_section(L, 2, -1, 0.5 * basis_K2_r3[1].values)
-    data = germsolve.GermData4(mesh_r3, L, theta1, theta2)
+    data = germsolve.GermData(mesh_r3, L, [theta1, theta2])
     sol = germsolve.solve_gauss_ricci4(data, tol=1e-10)
     return higgs.build_from_germ(data, sol)
 
 
 def test_refuses_unconverged(mesh_r3):
-    data = germsolve.GermData3(mesh_r3)
+    data = germsolve.GermData(mesh_r3)
     bad = germsolve.GermSolution(u=np.zeros(mesh_r3.n_vertices), converged=False)
     with pytest.raises(StaleSolutionError):
         higgs.build_from_germ(data, bad)
@@ -52,7 +52,7 @@ def test_pairing_duality_exact(rh4_assembly):
 
 
 def test_geodesic_assembly_splits(mesh_r3):
-    data = germsolve.GermData3(mesh_r3)
+    data = germsolve.GermData(mesh_r3)
     sol = germsolve.solve_gauss3(data, tol=1e-10)
     asm = higgs.build_from_germ(data, sol)
     assert asm.blocks == {}
@@ -115,7 +115,7 @@ def test_hodge_flag(mesh_r4, L1_r4, basis_K2Linv_r4, rh4_assembly):
     assert not higgs.hodge_flag(rh4_assembly)
     # one section solves only at a degree of its sign: theta2 needs l > 0
     theta2 = make_section(L1_r4, 2, -1, 0.5 * basis_K2Linv_r4[0].values)
-    data = germsolve.GermData4(mesh_r4, L1_r4, None, theta2)
+    data = germsolve.GermData(mesh_r4, L1_r4, [theta2])
     sol = germsolve.solve_gauss_ricci4(data, tol=1e-10)
     asm = higgs.build_from_germ(data, sol)
     assert higgs.hodge_flag(asm)

@@ -14,13 +14,13 @@ from conftest import make_section
 
 @pytest.fixture(scope="module")
 def rh3_report(mesh_r3, basis_K2_r3):
-    data = germsolve.GermData3(mesh_r3, q=basis_K2_r3[0])
+    data = germsolve.GermData(mesh_r3, sections=[basis_K2_r3[0]])
     sol = germsolve.solve_gauss3(data, tol=1e-11)
     return data, sol, invariants.compute_invariants(data, sol)
 
 
 def test_refuses_unconverged_solution(mesh_r3):
-    data = germsolve.GermData3(mesh_r3)
+    data = germsolve.GermData(mesh_r3)
     bad = germsolve.GermSolution(u=np.zeros(mesh_r3.n_vertices), converged=False)
     with pytest.raises(StaleSolutionError):
         invariants.compute_invariants(data, bad)
@@ -50,7 +50,7 @@ def test_report_serializes(rh3_report):
 
 
 def test_geodesic_case_is_superminimal(mesh_r3):
-    data = germsolve.GermData3(mesh_r3)
+    data = germsolve.GermData(mesh_r3)
     sol = germsolve.solve_gauss3(data, tol=1e-11)
     rep = invariants.compute_invariants(data, sol)
     assert abs(rep.area - 4.0 * math.pi) < 1e-8
@@ -66,13 +66,27 @@ def test_superminimal_branch_positive(mesh_r4, L1_r4, basis_K2Linv_r4):
     # a vanishing section forces kappa_perp = +-||II||^2; with theta1 = 0
     # the positive branch is selected and the Euler integral equals l
     theta2 = make_section(L1_r4, 2, -1, 0.4 * basis_K2Linv_r4[0].values)
-    data = germsolve.GermData4(mesh_r4, L1_r4, None, theta2)
+    data = germsolve.GermData(mesh_r4, L1_r4, [theta2])
     sol = germsolve.solve_gauss_ricci4(data, tol=1e-11)
     rep = invariants.compute_invariants(data, sol)
     assert invariants.superminimal_test(rep) == "SuperminimalPlus"
     assert abs(rep.euler_integral - 1.0) < 1e-8
     assert rep.residuals["chi_integral"] < 1e-8
     assert "supermin_identity" in rep.residuals
+
+
+def test_supermin_identity_and_verdict_share_one_rule(mesh_r4, L1_r4, basis_K2Linv_r4,
+                                                      monkeypatch):
+    # the acceptance gate's superminimal datum has U4 exactly 0; with the
+    # tolerance at 0 neither the report line nor the verdict calls it
+    # superminimal
+    monkeypatch.setattr(invariants, "SUPERMINIMAL_TOL", 0.0)
+    theta2 = make_section(L1_r4, 2, -1, 0.4 * basis_K2Linv_r4[0].values)
+    data = germsolve.GermData(mesh_r4, L1_r4, [theta2])
+    sol = germsolve.solve_gauss_ricci4(data, tol=1e-10)
+    rep = invariants.compute_invariants(data, sol)
+    assert "supermin_identity" not in rep.residuals
+    assert invariants.superminimal_test(rep) == "NotSuperminimal"
 
 
 def test_superminimal_branch_negative(mesh_r4):
@@ -82,7 +96,7 @@ def test_superminimal_branch_negative(mesh_r4):
     dbar1 = bundles.dbar_operator(mesh_r4, L, 2, 1)
     basis1 = bundles.holomorphic_basis(dbar1)
     theta1 = make_section(L, 2, 1, 0.4 * basis1[0].values)
-    data = germsolve.GermData4(mesh_r4, L, theta1, None)
+    data = germsolve.GermData(mesh_r4, L, [theta1])
     sol = germsolve.solve_gauss_ricci4(data, tol=1e-11)
     rep = invariants.compute_invariants(data, sol)
     assert invariants.superminimal_test(rep) == "SuperminimalMinus"
@@ -101,7 +115,7 @@ def test_codazzi_frame_is_the_dbar_residual_norm(rh3_report, mesh_r3):
     data, _, rep = rh3_report
     dbar = bundles.dbar_operator(mesh_r3, None, 2, 0)
     assert rep.residuals["codazzi_frame"] == bundles.relative_dbar_norm(
-        mesh_r3, 2, dbar(data.q.values), data.q.values)
+        mesh_r3, 2, dbar(data.sections[0].values), data.sections[0].values)
 
 
 @pytest.fixture(scope="module")
@@ -109,7 +123,7 @@ def rh4_report(mesh_r3, basis_K2_r3):
     L = bundles.make_line_bundle(mesh_r3, 0)
     theta1 = make_section(L, 2, 1, 0.3 * basis_K2_r3[0].values)
     theta2 = make_section(L, 2, -1, 0.5 * basis_K2_r3[1].values)
-    data = germsolve.GermData4(mesh_r3, L, theta1, theta2)
+    data = germsolve.GermData(mesh_r3, L, [theta1, theta2])
     sol = germsolve.solve_gauss_ricci4(data, tol=1e-11)
     return data, sol, invariants.compute_invariants(data, sol)
 
