@@ -1,11 +1,14 @@
 """Batch front door: configuration, pipeline orchestration, reports, sweeps.
 
-The pipeline is mesh -> bundles -> solve -> invariants -> higgs -> moduli.
-Each run writes a JSON report (top-level keys config_echo, mesh,
-bundle_dims, solution, invariants, higgs_checks, moduli) plus CSV plot
-data of the pointwise curvature fields.  A failure in any stage writes a
-partial report carrying a failed_at record with the stage name and the
-error payload.
+The pipeline is one ordered stage table, _STAGES: config, mesh, bundles,
+germsolve, invariants and higgs (which also places the Higgs bundle in the
+moduli space).  Each stage's step fills its part of the report (top-level
+keys config_echo, mesh, bundle_dims, solution, invariants, higgs_checks,
+moduli) from the run state the earlier steps left; the invariants step
+also writes CSV plot data of the pointwise curvature fields.  `run` runs a
+prefix of the table up to a named last stage, and every subcommand but
+sweep is such a prefix.  A failure in any stage writes a partial report
+carrying a failed_at record with the stage name and the error payload.
 """
 
 import argparse
@@ -15,6 +18,7 @@ import math
 import numbers
 import os
 from dataclasses import asdict, dataclass, field, fields, replace
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -101,20 +105,6 @@ _TARGET_BUNDLES = {
 }
 
 
-def _mesh_info(mesh):
-    return {
-        "genus": mesh.genus,
-        "resolution": mesh.resolution,
-        "vertices": mesh.n_vertices,
-        "faces": mesh.n_faces,
-        "edges": mesh.n_edges,
-        "euler_characteristic": mesh.euler_characteristic(),
-        "total_area": mesh.total_area(),
-        "target_area": float(4.0 * np.pi * (mesh.genus - 1)),
-        "mesh_size": mesh.max_edge_length,
-    }
-
-
 # data spec kind -> (admissible argument counts, type of each argument)
 _SPEC_ARGS = {
     "zero": ((0,), ()),
@@ -142,7 +132,8 @@ def _parse_spec(spec):
     for part, typ in zip(parts, types):
         try:
             val = typ(part)
-            ok = typ is str or (np.isfinite(val) and (typ is float or val >= 0))
+            # an int of any size is finite: only its sign is checked
+            ok = typ is str or (val >= 0 if typ is int else math.isfinite(val))
         except ValueError:
             ok = False
         if not ok:
@@ -156,26 +147,6 @@ def _parse_spec(spec):
 def _format_spec(kind, args):
     """The data spec text of a parsed spec."""
     return ":".join([kind, *(repr(a) if isinstance(a, float) else str(a) for a in args)])
-
-
-def _line_bundle(cfg, mesh):
-    """The configured line bundle L; the 3-space target has none."""
-    return bundles.make_line_bundle(mesh, cfg.l) if cfg.target == "rh4" else None
-
-
-# A memo dict holds the surface of one run, or of one sweep's runs, under
-# (genus, resolution); the surface keeps its own bases (SurfaceMesh.memo).
-# A failed build is not kept, so every run that needs it fails the same way.
-
-
-def _mesh(memo, genus, resolution):
-    """The surface of (genus, resolution), built on its first use in memo;
-    a new surface drops the old mesh and with it its bases."""
-    key = (genus, resolution)
-    if key not in memo:
-        memo.clear()
-        memo[key] = hypmesh.build_surface(genus, resolution)
-    return memo[key]
 
 
 def _basis_for(mesh, L, n_weight):
@@ -198,14 +169,60 @@ def _combination(basis, coef):
     return bundles.DiscreteSection(basis[0].bundle_type, vals, degree_l=basis[0].degree_l)
 
 
-def _prepare_data(cfg, spec, mesh, report):
-    """Build germ data from the validated config and its parsed data spec,
-    with the bases kept on the mesh; returns (data, extra_report_bits)."""
-    kind, args = spec
-    slots = _TARGET_BUNDLES[cfg.target]
-    L = _line_bundle(cfg, mesh)
-    l = 0 if L is None else L.degree
-    extra = {"data_spec": cfg.data_spec}
+# The steps of the stage table.  Each takes the run state `st`: the
+# config, write_files, last_stage, the memo and the report, plus what the
+# earlier steps made (spec, mesh, data, sol); `st.final` is set while the
+# last stage runs.
+
+
+def _configure(st):
+    """Make the output directory, then check the last stage and the
+    config and parse its data spec."""
+    if st.write_files:
+        _make_output_dir(st.cfg.output_dir)
+        st.made_dir = True
+    if st.last_stage not in _STAGE_NAMES:
+        raise InvalidParameterError(
+            f"last_stage must be one of {_STAGE_NAMES}, got {st.last_stage!r}")
+    st.spec = st.cfg.validate()
+
+
+def _build_mesh(st):
+    """The surface of (genus, resolution).  The memo holds the surface of
+    one run, or of one sweep's runs, under that key; the surface keeps
+    its own bases (SurfaceMesh.memo), so a new surface drops the old one
+    and its bases.  A failed build is not kept, so every run that needs
+    it fails the same way."""
+    key = (st.cfg.genus, st.cfg.resolution)
+    if key not in st.memo:
+        st.memo.clear()
+        st.memo[key] = hypmesh.build_surface(*key)
+    mesh = st.mesh = st.memo[key]
+    st.report["mesh"] = {
+        "genus": mesh.genus,
+        "resolution": mesh.resolution,
+        "vertices": mesh.n_vertices,
+        "faces": mesh.n_faces,
+        "edges": mesh.n_edges,
+        "euler_characteristic": mesh.euler_characteristic(),
+        "total_area": mesh.total_area(),
+        "target_area": float(4.0 * np.pi * (mesh.genus - 1)),
+        "mesh_size": mesh.max_edge_length,
+    }
+
+
+def _draw_data(st):
+    """Germ data of the parsed data spec, with the bases it draws from
+    kept on the mesh and recorded under bundle_dims.  As the last stage
+    it records every basis of the target instead and draws no data."""
+    cfg, mesh, report = st.cfg, st.mesh, st.report
+    (kind, args), slots = st.spec, _TARGET_BUNDLES[cfg.target]
+    # the configured line bundle L; the 3-space target has none
+    L = bundles.make_line_bundle(mesh, cfg.l) if cfg.target == "rh4" else None
+    if st.final:
+        report["bundle_dims"] = {key: _basis_for(mesh, L, n)[1] for key, n in slots}
+        return
+    extra = {}
     sections = []
     t_field = None
     if kind == "manufactured":
@@ -238,6 +255,7 @@ def _prepare_data(cfg, spec, mesh, report):
                 coef = rng.standard_normal(n) + 1j * rng.standard_normal(n)
                 sections.append(_combination(basis, coef * (args[0] / np.linalg.norm(coef))))
         else:
+            l = 0 if L is None else L.degree
             for k, path in enumerate(args):
                 sec = bundles.DiscreteSection.load(path, mesh=mesh)
                 found, wanted = (*sec.bundle_type, sec.degree_l), (2, slots[k][1], l)
@@ -245,7 +263,32 @@ def _prepare_data(cfg, spec, mesh, report):
                     raise InvalidParameterError(f"section file {path!r} holds (m, n, l) = "
                                                 f"{found}, {slots[k][0]} needs {wanted}")
                 sections.append(sec)
-    return germsolve.GermData(mesh, L, sections, t_field=t_field), extra
+    st.data = germsolve.GermData(mesh, L, sections, t_field=t_field)
+    report["config_echo"].update(extra)
+
+
+def _solve(st):
+    cfg = st.cfg
+    solve = germsolve.solve_gauss3 if cfg.target == "rh3" else germsolve.solve_gauss_ricci4
+    sol = st.sol = solve(st.data, tol=cfg.solver_tol, max_iter=cfg.max_iter)
+    st.report["solution"] = {
+        "converged": sol.converged,
+        "iterations": len(sol.newton_trace) - 1,
+        "residual": sol.newton_trace[-1][1],
+        "newton_trace": [list(entry) for entry in sol.newton_trace],
+        "u_max": float(np.max(np.abs(sol.u))),
+    }
+    if st.spec[0] == "manufactured":
+        st.report["solution"]["mms_error"] = float(np.max(np.abs(sol.u - st.spec[1][0])))
+
+
+def _invariants(st):
+    rep = invariants.compute_invariants(st.data, st.sol)
+    st.report["solution"]["polish"] = st.sol.polish
+    st.report["invariants"] = rep.to_dict()
+    st.report["invariants"]["superminimal"] = invariants.superminimal_test(rep)
+    if st.write_files:
+        _write_plot_csv(os.path.join(st.cfg.output_dir, "fields.csv"), st.mesh, rep)
 
 
 def _class_flag(norm, class_tol):
@@ -258,7 +301,8 @@ def _class_flag(norm, class_tol):
     return None
 
 
-def _higgs_and_moduli(cfg, data, sol, report):
+def _higgs_and_moduli(st):
+    cfg, data, sol = st.cfg, st.data, st.sol
     asm = higgs.build_from_germ(data, sol)
     checks = {
         "phi_isotropy": abs(asm.phi_t_phi()),
@@ -289,10 +333,8 @@ def _higgs_and_moduli(cfg, data, sol, report):
             flags["proportional"] = moduli.classes_proportional(
                 *asm.beta_blocks(), weights=mesh.face_area
             )
-    report["higgs_checks"] = checks
-    desc = moduli.classify(cfg.genus, asm.n, cfg.l, class_flags=flags)
-    report["moduli"] = desc.to_dict()
-    return asm, desc
+    st.report["higgs_checks"] = checks
+    st.report["moduli"] = moduli.classify(cfg.genus, asm.n, cfg.l, class_flags=flags).to_dict()
 
 
 def _write_plot_csv(path, mesh, rep):
@@ -327,77 +369,46 @@ def _make_output_dir(path):
         raise InvalidParameterError(f"cannot create output_dir {path!r}: {exc}") from exc
 
 
-# The stages run may run, in pipeline order; it runs a nonempty prefix.
-_STAGES = ("solve", "invariants", "higgs")
+# The pipeline in order: (stage name, step, the subcommands that run the
+# table up to this stage).  The step that raises names the failed_at stage.
+_STAGES = (
+    ("config", _configure, ()),
+    ("mesh", _build_mesh, ("mesh-info",)),
+    ("bundles", _draw_data, ("basis",)),
+    ("germsolve", _solve, ("solve",)),
+    ("invariants", _invariants, ("invariants",)),
+    ("higgs", _higgs_and_moduli, ("classify", "verify")),
+)
+_STAGE_NAMES = tuple(name for name, _, _ in _STAGES)
+_COMMAND_STAGES = {cmd: name for name, _, cmds in _STAGES for cmd in cmds}
 
 
-def _check_stages(stages):
-    try:
-        chosen = set(stages)
-    except TypeError:
-        chosen = None
-    if chosen not in [set(_STAGES[:k]) for k in range(1, len(_STAGES) + 1)]:
-        raise InvalidParameterError(
-            f"stages must be a nonempty prefix of {_STAGES}, got {stages!r}")
+def run(cfg, write_files=True, last_stage=_STAGE_NAMES[-1], *, _memo=None):
+    """Execute the stages of the table up to last_stage; returns the
+    report dict.
 
-
-def run(cfg, write_files=True, stages=_STAGES, *, _memo=None):
-    """Execute the pipeline; returns the report dict.
-
-    Stage failures are recorded under failed_at and the partial report is
-    still written (and returned), unless the output directory itself
-    cannot be made.  _memo is the per-surface memo a sweep shares between
-    its runs, which holds their surface; a plain call starts a new one.
+    Stage failures, file write errors among them, are recorded under
+    failed_at and the partial report is still written (and returned),
+    unless the output directory itself cannot be made.  _memo is the
+    per-surface memo a sweep shares between its runs, which holds their
+    surface; a plain call starts a new one.
     """
-    memo = {} if _memo is None else _memo
-    report = {"config_echo": asdict(cfg)}
-    stage = "config"
-    made_dir = False
-    try:
-        if write_files:
-            _make_output_dir(cfg.output_dir)
-            made_dir = True
-        _check_stages(stages)
-        spec = cfg.validate()
-        stage = "mesh"
-        mesh = _mesh(memo, cfg.genus, cfg.resolution)
-        report["mesh"] = _mesh_info(mesh)
-        stage = "bundles"
-        data, extra = _prepare_data(cfg, spec, mesh, report)
-        report["config_echo"].update(extra)
-        if "solve" in stages:
-            stage = "germsolve"
-            solve = (germsolve.solve_gauss3 if cfg.target == "rh3"
-                     else germsolve.solve_gauss_ricci4)
-            sol = solve(data, tol=cfg.solver_tol, max_iter=cfg.max_iter)
-            report["solution"] = {
-                "converged": sol.converged,
-                "iterations": len(sol.newton_trace) - 1,
-                "residual": sol.newton_trace[-1][1],
-                "newton_trace": [list(entry) for entry in sol.newton_trace],
-                "u_max": float(np.max(np.abs(sol.u))),
-            }
-            if spec[0] == "manufactured":
-                report["solution"]["mms_error"] = float(np.max(np.abs(sol.u - spec[1][0])))
-        if "invariants" in stages:
-            stage = "invariants"
-            rep = invariants.compute_invariants(data, sol)
-            report["solution"]["polish"] = sol.polish
-            report["invariants"] = rep.to_dict()
-            report["invariants"]["superminimal"] = invariants.superminimal_test(rep)
-            if write_files:
-                _write_plot_csv(
-                    os.path.join(cfg.output_dir, "fields.csv"), mesh, rep
-                )
-        if "higgs" in stages:
-            stage = "higgs"
-            _higgs_and_moduli(cfg, data, sol, report)
-    except EqminError as exc:
-        report["failed_at"] = _failure_record(stage, exc)
-    if made_dir:
+    st = SimpleNamespace(cfg=cfg, write_files=write_files, last_stage=last_stage,
+                         memo={} if _memo is None else _memo,
+                         report={"config_echo": asdict(cfg)}, made_dir=False)
+    for name, step, _ in _STAGES:
+        st.final = name == last_stage
+        try:
+            step(st)
+        except (EqminError, OSError) as exc:
+            st.report["failed_at"] = _failure_record(name, exc)
+            break
+        if st.final:
+            break
+    if st.made_dir:
         with open(os.path.join(cfg.output_dir, "report.json"), "w") as fh:
-            json.dump(report, fh, indent=2)
-    return report
+            json.dump(st.report, fh, indent=2)
+    return st.report
 
 
 _SWEEP_AXES = ("resolution", "amplitude", "l", "basis_index")
@@ -476,13 +487,6 @@ def sweep(cfg, axis, values, write_files=True):
     return rows, reports
 
 
-def _basis_dims(cfg, mesh):
-    """bundle_dims entries of every bundle the configured target uses, on
-    the configured surface mesh."""
-    L = _line_bundle(cfg, mesh)
-    return {key: _basis_for(mesh, L, n)[1] for key, n in _TARGET_BUNDLES[cfg.target]}
-
-
 def _add_config_args(p):
     # defaults live on RunConfig; a flag given on the command line
     # overrides the config file, which overrides the dataclass default
@@ -517,9 +521,8 @@ def _config_from_args(args):
     return RunConfig(**base)
 
 
-def _print_failure(stage, exc):
-    print(json.dumps({"failed_at": _failure_record(stage, exc)}, indent=2))
-    return 1
+# The subcommands that print one key of the report and write no files.
+_PRINTED_KEYS = {"mesh-info": "mesh", "basis": "bundle_dims"}
 
 
 def main(argv=None):
@@ -528,8 +531,7 @@ def main(argv=None):
         description="equivariant minimal surfaces in hyperbolic 3- and 4-space",
     )
     sub = ap.add_subparsers(dest="command", required=True)
-    for name in ("mesh-info", "basis", "solve", "invariants", "classify",
-                 "verify", "sweep"):
+    for name in (*_COMMAND_STAGES, "sweep"):
         p = sub.add_parser(name)
         _add_config_args(p)
         if name == "sweep":
@@ -539,26 +541,7 @@ def main(argv=None):
     args = ap.parse_args(argv)
     try:
         cfg = _config_from_args(args)
-    except InvalidParameterError as exc:
-        return _print_failure("config", exc)
-
-    if args.command in ("mesh-info", "basis"):
-        stage = "config"
-        try:
-            cfg.validate()
-            stage = "mesh"
-            mesh = hypmesh.build_surface(cfg.genus, cfg.resolution)
-            if args.command == "mesh-info":
-                out = _mesh_info(mesh)
-            else:
-                stage = "bundles"
-                out = _basis_dims(cfg, mesh)
-        except EqminError as exc:
-            return _print_failure(stage, exc)
-        print(json.dumps(out, indent=2))
-        return 0
-    if args.command == "sweep":
-        try:
+        if args.command == "sweep":
             # a repeated value would run again and rewrite its directory;
             # sweep itself runs repeats, which seeded callers may draw
             values = _axis_values(args.axis, args.values.split(","))
@@ -566,22 +549,28 @@ def main(argv=None):
                 raise InvalidParameterError(f"sweep values {args.values!r} on axis "
                                             f"{args.axis} repeat a value")
             rows, _ = sweep(cfg, args.axis, values)
-        except InvalidParameterError as exc:
-            return _print_failure("config", exc)
+    except InvalidParameterError as exc:
+        print(json.dumps({"failed_at": _failure_record(_STAGE_NAMES[0], exc)}, indent=2))
+        return 1
+    if args.command == "sweep":
         for row in rows:
             print(json.dumps(row))
         return 0
 
-    depth = {"solve": 1, "invariants": 2, "classify": 3, "verify": 3}[args.command]
-    report = run(cfg, stages=_STAGES[:depth])
-    print(json.dumps(report, indent=2))
-    if "failed_at" in report:
+    key = _PRINTED_KEYS.get(args.command)
+    report = run(cfg, write_files=key is None, last_stage=_COMMAND_STAGES[args.command])
+    failed = "failed_at" in report
+    if key is None:
+        print(json.dumps(report, indent=2))
+    else:
+        print(json.dumps({"failed_at": report["failed_at"]} if failed else report[key], indent=2))
+    if failed:
         return 1
     if args.command == "verify":
         ok = report.get("solution", {}).get("converged", False)
         resid = report.get("invariants", {}).get("residuals", {})
-        for key in ("gauss_bonnet", "area_identity", "chi_integral"):
-            ok = ok and resid.get(key, 1.0) <= 1e-6
+        for name in ("gauss_bonnet", "area_identity", "chi_integral"):
+            ok = ok and resid.get(name, 1.0) <= 1e-6
         return 0 if ok else 1
     return 0
 

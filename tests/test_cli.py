@@ -12,10 +12,10 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
-from eqmin import bundles, factor, germsolve, hypmesh, moduli
+from eqmin import bundles, factor, germsolve, higgs, hypmesh, invariants, moduli
 from eqmin.bundles import DiscreteSection
 from eqmin.cli import RunConfig, main, run, sweep
-from eqmin.errors import InvalidParameterError
+from eqmin.errors import EqminError, InvalidParameterError
 
 REPORT_KEYS = ("config_echo", "mesh", "solution", "invariants", "higgs_checks", "moduli")
 
@@ -104,7 +104,7 @@ def test_failed_at_carries_newton_trace(tmp_path):
     cfg = RunConfig(genus=2, resolution=2, target="rh3",
                     data_spec="manufactured:0.1", max_iter=1,
                     output_dir=str(tmp_path))
-    rep = run(cfg, stages=("solve",))
+    rep = run(cfg, last_stage="germsolve")
     failed = rep["failed_at"]
     assert failed["stage"] == "germsolve"
     assert failed["error"] == "NonConvergenceError"
@@ -224,7 +224,7 @@ def test_bundle_dims_record_the_kernel_band(tmp_path, monkeypatch):
     monkeypatch.setattr(bundles, "factor_hpd", recording)
     cfg = RunConfig(genus=2, resolution=3, target="rh3", data_spec="basis:0:0.4",
                     output_dir=str(tmp_path))
-    rep = run(cfg, write_files=False, stages=("solve",))
+    rep = run(cfg, write_files=False, last_stage="germsolve")
     # the kernel band's (kd + 1) V entries, 254 vertices at r=3
     (entry,) = rep["bundle_dims"].values()
     (f,) = factors
@@ -242,7 +242,7 @@ def test_bad_data_spec_rejected(tmp_path):
 def test_manufactured_run_records_error(tmp_path):
     cfg = RunConfig(genus=2, resolution=2, target="rh3",
                     data_spec="manufactured:0.1", output_dir=str(tmp_path))
-    rep = run(cfg, stages=("solve",))
+    rep = run(cfg, last_stage="germsolve")
     assert rep["solution"]["mms_error"] < 1e-10
 
 
@@ -281,10 +281,17 @@ def test_resolution_sweep_aggregates(tmp_path):
     assert os.path.exists(tmp_path / "sweep_resolution.csv")
 
 
-def test_mesh_info_command(capsys):
-    assert main(["mesh-info", "--genus", "2", "--resolution", "1"]) == 0
+def test_mesh_info_command(tmp_path, monkeypatch, capsys):
+    # mesh-info prints the mesh stage of a run that writes no files, so an
+    # output directory that cannot be made is never tried
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "afile").write_text("a regular file")
+    argv = ["mesh-info", "--genus", "2", "--resolution", "1", "--output-dir", "afile/sub"]
+    assert main(argv) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["euler_characteristic"] == -2
+    assert out == run(RunConfig(resolution=1), write_files=False, last_stage="mesh")["mesh"]
+    assert sorted(os.listdir(tmp_path)) == ["afile"]
 
 
 def test_basis_command(capsys):
@@ -317,8 +324,7 @@ def test_mesh_info_command_rejects_bad_config(capsys):
 def test_report_records_polish(tmp_path):
     cfg = RunConfig(genus=2, resolution=3, target="rh3", data_spec="basis:0:0.4",
                     output_dir=str(tmp_path))
-    stages = ("solve", "invariants")
-    rep = run(cfg, write_files=False, stages=stages)
+    rep = run(cfg, write_files=False, last_stage="invariants")
     polish = rep["solution"]["polish"]
     assert polish["factorizations"] == 1
     # the fill of the one factorization of the 254 x 254 normal matrix
@@ -329,12 +335,16 @@ def test_report_records_polish(tmp_path):
         assert step["residual_after"] < step["residual_before"]
         assert step["step_fraction"] == 1.0
     # the record is deterministic, like the rest of the report
-    assert run(cfg, write_files=False, stages=stages)["solution"]["polish"] == polish
+    assert run(cfg, write_files=False, last_stage="invariants")["solution"]["polish"] == polish
 
 
-def test_default_basis_command_matches_riemann_roch(capsys):
-    assert main(["basis"]) == 0
+def test_default_basis_command_matches_riemann_roch(tmp_path, monkeypatch, capsys):
+    # basis records every bundle of the target and draws no data, so it
+    # never reads the data spec's file
+    monkeypatch.chdir(tmp_path)
+    assert main(["basis", "--data", "file:missing.json"]) == 0
     out = json.loads(capsys.readouterr().out)
+    assert list(out) == ["K2Linv", "K2L"]
     for key, dim in (("K2L", 4), ("K2Linv", 2)):
         assert out[key]["detected"] == dim
         assert out[key]["gap_ratio"] >= 10.0
@@ -421,7 +431,7 @@ def test_bad_config_file_ends_in_report(tmp_path, monkeypatch, capsys, content, 
 def test_one_section_at_a_degree_without_solution(l, spec):
     # 2 pi l = int e^{2u} (||theta2||^2 - ||theta1||^2) dA_h: l > 0 needs
     # theta2 (the first section), l < 0 theta1, l = 0 both or neither
-    rep = run(RunConfig(l=l, data_spec=spec), write_files=False, stages=("solve",))
+    rep = run(RunConfig(l=l, data_spec=spec), write_files=False, last_stage="germsolve")
     failed = rep["failed_at"]
     assert failed["stage"] == "germsolve"
     assert failed["error"] == "InvalidParameterError"
@@ -580,16 +590,18 @@ def test_sweep_rewrites_spec_slots(target, spec, axis, values, swept):
     assert [rep["config_echo"]["data_spec"] for rep in reports] == swept
 
 
-@pytest.mark.parametrize("stages", [("invariants",), ("solve", "higgs"), (), "solve", None],
+# last_stage names one stage of the table: neither a set of stage names
+# nor a subcommand's name will do
+@pytest.mark.parametrize("last_stage", [("invariants",), ("solve", "higgs"), "", "solve", None],
                          ids=["invariants", "solve-higgs", "empty", "string", "none"])
-def test_stages_not_a_pipeline_prefix_end_in_report(tmp_path, stages):
+def test_stages_not_a_pipeline_prefix_end_in_report(tmp_path, last_stage):
     cfg = RunConfig(genus=2, resolution=2, target="rh3", data_spec="zero",
                     output_dir=str(tmp_path))
-    rep = run(cfg, stages=stages)
+    rep = run(cfg, last_stage=last_stage)
     failed = rep["failed_at"]
     assert failed["stage"] == "config"
     assert failed["error"] == "InvalidParameterError"
-    assert "stages" in failed["message"]
+    assert "last_stage" in failed["message"]
     assert "mesh" not in rep
     with open(tmp_path / "report.json") as fh:
         assert json.load(fh) == rep
@@ -673,3 +685,71 @@ def test_meshes_die_by_reference_counting(tmp_path, monkeypatch):
         assert len(built) == 2 and built[1]() is None
     finally:
         gc.enable()
+
+
+def test_basis_index_beyond_int64_fails_at_bundles(tmp_path):
+    huge = 10**20
+    cfg = RunConfig(resolution=3, target="rh3", data_spec=f"basis:{huge}:0.1",
+                    output_dir=str(tmp_path))
+    failed = run(cfg, write_files=False)["failed_at"]
+    assert failed["stage"] == "bundles"
+    assert failed["error"] == "InvalidParameterError"
+    assert "outside the 3-dimensional basis" in failed["message"]
+    # in a sweep, the huge index fails only its own row
+    rows, reports = sweep(replace(cfg, data_spec="basis:0:0.1"), "basis_index", [0, 1e20])
+    assert [row["failed_at"] for row in rows] == [None, "bundles"]
+    assert reports[1]["config_echo"]["data_spec"] == f"basis:{huge}:0.1"
+    assert "outside the 3-dimensional basis" in reports[1]["failed_at"]["message"]
+
+
+def test_unwritable_plot_csv_ends_in_report(tmp_path):
+    cfg = RunConfig(resolution=3, target="rh3", data_spec="basis:0:0.4",
+                    output_dir=str(tmp_path / "run"))
+    (tmp_path / "run" / "fields.csv").mkdir(parents=True)
+    rep = run(cfg)
+    failed = rep["failed_at"]
+    assert failed["stage"] == "invariants"
+    assert failed["error"] == "IsADirectoryError"
+    assert "fields.csv" in failed["message"]
+    assert "invariants" in rep and "moduli" not in rep
+    with open(tmp_path / "run" / "report.json") as fh:
+        assert json.load(fh) == rep
+    # in a sweep, the other value still runs to the end
+    sweep_dir = tmp_path / "sweep"
+    (sweep_dir / "amplitude_0.2" / "fields.csv").mkdir(parents=True)
+    rows, _ = sweep(replace(cfg, output_dir=str(sweep_dir)), "amplitude", [0.2, 0.4])
+    assert [row["failed_at"] for row in rows] == ["invariants", None]
+    assert rows[1]["verdict"] is not None
+    assert (sweep_dir / "amplitude_0.4" / "fields.csv").is_file()
+
+
+# stage -> (module or class, function its step calls, the report key it adds)
+_STAGE_CALLS = {
+    "config": (RunConfig, "validate", "config_echo"),
+    "mesh": (hypmesh, "build_surface", "mesh"),
+    "bundles": (bundles, "holomorphic_basis", "bundle_dims"),
+    "germsolve": (germsolve, "solve_gauss3", "solution"),
+    "invariants": (invariants, "compute_invariants", "invariants"),
+    "higgs": (higgs, "build_from_germ", "moduli"),
+}
+
+
+@pytest.mark.parametrize("stage", list(_STAGE_CALLS))
+def test_every_stage_names_its_own_failure(tmp_path, monkeypatch, stage):
+    owner, name, _ = _STAGE_CALLS[stage]
+
+    def fail(*args, **kwargs):
+        raise EqminError(f"injected into {name}")
+
+    monkeypatch.setattr(owner, name, fail)
+    cfg = RunConfig(resolution=3, target="rh3", data_spec="basis:0:0.4",
+                    output_dir=str(tmp_path))
+    rep = run(cfg)
+    assert rep["failed_at"] == {"stage": stage, "error": "EqminError",
+                                "message": f"injected into {name}"}
+    keys = [key for _, _, key in _STAGE_CALLS.values()]
+    k = list(_STAGE_CALLS).index(stage)
+    assert all(key in rep for key in keys[:k])
+    assert not any(key in rep for key in keys[k + 1:])
+    with open(tmp_path / "report.json") as fh:
+        assert json.load(fh) == rep
