@@ -28,7 +28,7 @@ from .errors import (
     LinearSolveError,
     ShapeError,
 )
-from .factor import band_plan, factor_hpd
+from .factor import HermitianPattern, factor_hpd
 from .mobius import conformal_factor
 
 __all__ = [
@@ -127,10 +127,14 @@ def tensor_weight(z, m, u=None):
 
 
 class DbarOperator:
-    """Sparse covariant (0,1)-derivative from vertex fields to face fields."""
+    """Sparse covariant (0,1)-derivative from vertex fields to face fields:
+    the F x V matrix, and entries, its F x 6 stencil entries (entry (f, a)
+    multiplies the value of class mesh.stencil_class[f, a]; a class that
+    recurs in a face's stencil has one entry per occurrence)."""
 
-    def __init__(self, matrix, mesh, bundle, m, n):
+    def __init__(self, matrix, entries, mesh, bundle, m, n):
         self.matrix = matrix
+        self.entries = entries
         self.mesh = mesh
         self.bundle = bundle
         self.m = int(m)
@@ -203,14 +207,44 @@ def _stencil_dbar_rows(mesh):
     return np.linalg.inv(A)[:, 2, :] / scale
 
 
-def _stencil_factor(mesh, A):
-    """factor_hpd of a Hermitian matrix on the pattern of the dbar
-    stencil's normal matrices M^H M, which only the mesh determines: the
-    kernel search's shifted normal operator and the class oracle's
-    projection share one band plan, kept on the mesh and made from the
-    first such matrix factored."""
-    A = A.tocsr()
-    return factor_hpd(A, mesh.memo("stencil_band_plan", lambda: band_plan(A)))
+def _stencil_pattern(stencil_class, V):
+    """The pattern of the dbar stencil's normal matrices M^H M, which only
+    the mesh determines: the HermitianPattern of the stencil incidence
+    S^T S, and place, the place in it of each (face, a, b) pair of stencil
+    points, F x 6 x 6 flat, which holds the entry (class of a, class of
+    b)."""
+    F = len(stencil_class)
+    S = sp.csr_matrix((np.ones(6 * F, dtype=np.int32), stencil_class.ravel(),
+                       np.arange(0, 6 * F + 1, 6)), shape=(F, V))
+    P = (S.T @ S).tocsr()
+    P.sort_indices()
+    keys = np.repeat(np.arange(V, dtype=np.int64), np.diff(P.indptr)) * V + P.indices
+    pairs = stencil_class[:, :, None].astype(np.int64) * V + stencil_class[:, None, :]
+    return HermitianPattern(P.indptr, P.indices), np.searchsorted(keys, pairs.ravel())
+
+
+def _stencil_normal(dbar, w, c=None):
+    """The dbar stencil's normal matrix diag(c) M^H diag(w) M diag(c), for
+    the dbar matrix M, face weights w and vertex scales c (1 when None):
+    its pattern, kept on the mesh (_stencil_pattern), and its values, the
+    sums over faces of conj(B[f, i]) B[f, j] for B = diag(sqrt(w)) M
+    diag(c), taken pair by pair from the F x 6 stencil entries of dbar,
+    with no sparse products."""
+    mesh = dbar.mesh
+    pattern, place = mesh.memo("stencil_normal", lambda: _stencil_pattern(
+        mesh.stencil_class, mesh.n_vertices))
+    b = np.sqrt(w)[:, None] * dbar.entries
+    if c is not None:
+        b = b * c[mesh.stencil_class]
+    # conj(B[f, i]) B[f, j] for each pair (a, b) of stencil points, in
+    # real and imaginary parts, which the sums take apart
+    x, y = b.real[:, :, None], b.imag[:, :, None]
+    pair_re = x * b.real[:, None, :] + y * b.imag[:, None, :]
+    pair_im = x * b.imag[:, None, :] - y * b.real[:, None, :]
+    nnz = len(pattern.indices)
+    values = np.bincount(place, weights=pair_re.ravel(), minlength=nnz).astype(complex)
+    values.imag = np.bincount(place, weights=pair_im.ravel(), minlength=nnz)
+    return pattern, values
 
 
 def dbar_operator(mesh, L, m, n):
@@ -231,7 +265,7 @@ def dbar_operator(mesh, L, m, n):
     M = sp.csr_matrix(
         (entries.ravel(), (rows, cols)), shape=(F, mesh.n_vertices), dtype=complex
     )
-    return DbarOperator(M, mesh, L, m, n)
+    return DbarOperator(M, entries, mesh, L, m, n)
 
 
 class BasisResult(list):
@@ -247,34 +281,36 @@ class BasisResult(list):
         self.factor_nnz = factor_nnz
 
 
-def _smallest_singular(B, k, mesh):
-    """The k smallest singular values of B (ascending), their right
-    singular vectors (columns), the largest singular value and the stored
-    entries of the shift-invert factor.
+def _smallest_singular(pattern, N, k):
+    """The k smallest eigenvalues (ascending) of the Hermitian positive
+    semi-definite matrix with values N on pattern, as singular values
+    (their square roots), their eigenvectors (columns), the square root of
+    the largest eigenvalue and the stored entries of the shift-invert
+    factor.
 
-    They are the eigenpairs of the Hermitian normal operator N = B^H B,
-    found by ARPACK in shift-invert mode about a tiny negative shift, so
-    that N - sigma I stays positive definite when the kernel is exact and
-    is factored once as a band by factor_hpd, with the band plan of the
-    mesh's stencil pattern (_stencil_factor).  ARPACK needs k < n - 1;
-    smaller problems take a dense eigh of N and report no factor (None).
-    The start vector is fixed, so repeated calls agree.
+    ARPACK finds them in shift-invert mode about a tiny negative shift
+    sigma, so that N - sigma I stays positive definite when the kernel is
+    exact and is factored once as a band by factor_hpd.  ARPACK needs
+    k < n - 1; smaller problems take a dense eigh of N and report no
+    factor (None).  The start vector is fixed, so repeated calls agree.
     """
-    N = (B.conj().T @ B).tocsc()
-    n = N.shape[0]
+    A = pattern.csr(N)
+    n = pattern.n
     if k >= n - 1:
-        lam, vecs = np.linalg.eigh(N.toarray())
+        lam, vecs = np.linalg.eigh(A.toarray())
         lam_max = lam[-1]
         lam, vecs = lam[:k], vecs[:, :k]
         factor_nnz = None
     else:
-        sigma = -1e-10 * float(np.max(np.abs(N.diagonal())))
+        sigma = -1e-10 * float(np.max(np.abs(N[pattern.diagonal])))
+        shifted = N.copy()
+        shifted[pattern.diagonal] -= sigma
         v0 = np.ones(n, dtype=complex)
         try:
-            shifted = _stencil_factor(mesh, N - sigma * sp.identity(n, format="csc"))
-            OPinv = spla.LinearOperator(N.shape, matvec=shifted.solve, dtype=N.dtype)
-            lam, vecs = spla.eigsh(N, k, sigma=sigma, which="LM", v0=v0, OPinv=OPinv)
-            lam_max = spla.eigsh(N, 1, which="LA", v0=v0,
+            lu = factor_hpd(pattern, shifted)
+            OPinv = spla.LinearOperator(A.shape, matvec=lu.solve, dtype=A.dtype)
+            lam, vecs = spla.eigsh(A, k, sigma=sigma, which="LM", v0=v0, OPinv=OPinv)
+            lam_max = spla.eigsh(A, 1, which="LA", v0=v0,
                                  return_eigenvectors=False)[0]
         except spla.ArpackNoConvergence as exc:
             lam = np.sort(exc.eigenvalues.real)
@@ -286,7 +322,7 @@ def _smallest_singular(B, k, mesh):
             raise LinearSolveError(f"shift-invert eigensolve failed: {exc}") from exc
         order = np.argsort(lam)
         lam, vecs = lam[order], vecs[:, order]
-        factor_nnz = shifted.nnz
+        factor_nnz = lu.nnz
     s = np.sqrt(np.maximum(lam, 0.0))
     return s, vecs, float(np.sqrt(max(lam_max, 0.0))), factor_nnz
 
@@ -313,7 +349,9 @@ def holomorphic_basis(dbar, gap_floor=10.0):
     """Orthonormal basis (area-weighted) of the numerical dbar kernel.
 
     The kernel is detected by the largest ratio of consecutive singular
-    values of the metric-normalized operator among the smallest few; a
+    values of the metric-normalized operator B = diag(sqrt(w_out)) M
+    diag(1 / sqrt(w_in)) among the smallest few, found as eigenvalues of
+    its normal matrix B^H B (_stencil_normal, _smallest_singular); a
     ratio below gap_floor raises an indeterminate-kernel error carrying
     the singular values.  Each basis section's phase is fixed by making
     real and positive its value at the lowest-index vertex whose modulus
@@ -324,9 +362,9 @@ def holomorphic_basis(dbar, gap_floor=10.0):
     """
     mesh = dbar.mesh
     w_in, w_out = dbar_weights(mesh, dbar.m)
-    B = sp.diags(np.sqrt(w_out)) @ dbar.matrix @ sp.diags(1.0 / np.sqrt(w_in))
     upper = min(KERNEL_MAX_DIM, mesh.n_vertices - 1)
-    s, vecs, s_max, factor_nnz = _smallest_singular(B, upper + 1, mesh)
+    pattern, N = _stencil_normal(dbar, w_out, 1.0 / np.sqrt(w_in))
+    s, vecs, s_max, factor_nnz = _smallest_singular(pattern, N, upper + 1)
     ratios = s[1:] / np.maximum(s[:-1], 1e-14 * s_max)
     d = int(np.argmax(ratios)) + 1
     gap = float(ratios[d - 1])
@@ -348,10 +386,9 @@ def class_is_trivial(mesh, beta, metric_u, dbar, tol=1e-3):
     beta must take values in the same K^m L^n as the supplied dbar
     operator (typically Hom(K, L^s) = K^{-1} L^s, which has no global
     holomorphic sections, so the projection is unique).  The projection's
-    normal matrix M^H W M, with a small Tikhonov floor, is Hermitian
-    positive definite and is factored as a band by factor_hpd, with the
-    band plan of the mesh's stencil pattern that the kernel search uses
-    too (_stencil_factor).  Returns (is_trivial, harmonic_norm): the
+    normal matrix M^H W M (_stencil_normal), with a small Tikhonov floor,
+    is Hermitian positive definite and is factored as a band by
+    factor_hpd.  Returns (is_trivial, harmonic_norm): the
     weighted L2 norm of beta minus its best dbar-exact approximation, and
     the comparison with tol.
     """
@@ -360,15 +397,13 @@ def class_is_trivial(mesh, beta, metric_u, dbar, tol=1e-3):
         raise ShapeError("beta must be a face field")
     w_in, w_out = dbar_weights(dbar.mesh, dbar.m, metric_u)
     M = dbar.matrix
-    W = sp.diags(w_out)
-    lhs = (M.conj().T @ W @ M).tocsr()
+    pattern, lhs = _stencil_normal(dbar, w_out)
     # small Tikhonov floor keeps the solve well posed if the discrete
     # kernel is only numerically trivial
-    reg = 1e-12 * float(np.max(np.abs(lhs.diagonal())))
-    lhs = lhs + reg * sp.identity(lhs.shape[0], format="csr")
+    lhs[pattern.diagonal] += 1e-12 * float(np.max(np.abs(lhs[pattern.diagonal])))
     rhs = M.conj().T @ (w_out * beta)
     try:
-        psi = _stencil_factor(dbar.mesh, lhs).solve(rhs)
+        psi = factor_hpd(pattern, lhs).solve(rhs)
     except Exception as exc:
         raise LinearSolveError(f"harmonic projection solve failed: {exc}") from exc
     if not np.all(np.isfinite(psi)):

@@ -176,11 +176,11 @@ def _combination(basis, coef):
 
 
 def _configure(st):
-    """Make the output directory, then check the last stage and the
-    config and parse its data spec."""
+    """Make the output directory and check that report.json can be written
+    there, then check the last stage and the config and parse its data
+    spec."""
     if st.write_files:
-        _make_output_dir(st.cfg.output_dir)
-        st.made_dir = True
+        st.report_path = _output_file(st.cfg.output_dir, "report.json")
     if st.last_stage not in _STAGE_NAMES:
         raise InvalidParameterError(
             f"last_stage must be one of {_STAGE_NAMES}, got {st.last_stage!r}")
@@ -360,13 +360,20 @@ def _failure_record(stage, exc):
     return record
 
 
-def _make_output_dir(path):
-    """Create the output directory; a path that is not a string or cannot
-    be made a directory is a config error."""
+def _output_file(directory, name):
+    """The path of the output file name in directory, which is made if it
+    does not exist; a file there is left as it is.  A directory that is
+    not a string or cannot be made, or a file that cannot be opened for
+    writing, is a config error."""
     try:
-        os.makedirs(path, exist_ok=True)
+        os.makedirs(directory, exist_ok=True)
+        path = os.path.join(directory, name)
+        with open(path, "a"):
+            pass
     except (OSError, TypeError, ValueError) as exc:
-        raise InvalidParameterError(f"cannot create output_dir {path!r}: {exc}") from exc
+        raise InvalidParameterError(
+            f"cannot write {name} in output_dir {directory!r}: {exc}") from exc
+    return path
 
 
 # The pipeline in order: (stage name, step, the subcommands that run the
@@ -389,13 +396,14 @@ def run(cfg, write_files=True, last_stage=_STAGE_NAMES[-1], *, _memo=None):
 
     Stage failures, file write errors among them, are recorded under
     failed_at and the partial report is still written (and returned),
-    unless the output directory itself cannot be made.  _memo is the
-    per-surface memo a sweep shares between its runs, which holds their
-    surface; a plain call starts a new one.
+    unless report.json itself cannot be written: then the config stage
+    fails and the report is only returned.  _memo is the per-surface memo
+    a sweep shares between its runs, which holds their surface; a plain
+    call starts a new one.
     """
     st = SimpleNamespace(cfg=cfg, write_files=write_files, last_stage=last_stage,
                          memo={} if _memo is None else _memo,
-                         report={"config_echo": asdict(cfg)}, made_dir=False)
+                         report={"config_echo": asdict(cfg)}, report_path=None)
     for name, step, _ in _STAGES:
         st.final = name == last_stage
         try:
@@ -405,8 +413,8 @@ def run(cfg, write_files=True, last_stage=_STAGE_NAMES[-1], *, _memo=None):
             break
         if st.final:
             break
-    if st.made_dir:
-        with open(os.path.join(cfg.output_dir, "report.json"), "w") as fh:
+    if st.report_path:
+        with open(st.report_path, "w") as fh:
             json.dump(st.report, fh, indent=2)
     return st.report
 
@@ -439,10 +447,11 @@ def _axis_values(axis, values):
 
 def sweep(cfg, axis, values, write_files=True):
     """One run per axis value; returns (rows, reports) and writes the
-    aggregate CSV.  Individual failures are recorded per row.  The runs
-    share one per-surface memo, so a mesh is built once per (genus,
-    resolution) and a basis once per (genus, resolution, l, n), and only
-    the current surface is held."""
+    aggregate CSV, whose path is checked before any value runs.
+    Individual failures are recorded per row.  The runs share one
+    per-surface memo, so a mesh is built once per (genus, resolution) and
+    a basis once per (genus, resolution, l, n), and only the current
+    surface is held."""
     if axis not in _SWEEP_AXES:
         raise InvalidParameterError(f"sweep axis must be one of {_SWEEP_AXES}")
     values = _axis_values(axis, values)
@@ -453,7 +462,7 @@ def sweep(cfg, axis, values, write_files=True):
                 f"axis {axis} needs a {' or '.join(_SPEC_SLOTS[axis])} data spec"
             )
     if write_files:
-        _make_output_dir(cfg.output_dir)
+        path = _output_file(cfg.output_dir, f"sweep_{axis}.csv")
     rows = []
     reports = []
     memo = {}
@@ -479,7 +488,6 @@ def sweep(cfg, axis, values, write_files=True):
             "failed_at": rep.get("failed_at", {}).get("stage"),
         })
     if write_files:
-        path = os.path.join(cfg.output_dir, f"sweep_{axis}.csv")
         with open(path, "w", newline="") as fh:
             wr = csv.DictWriter(fh, fieldnames=list(rows[0]))
             wr.writeheader()

@@ -1,22 +1,25 @@
 """Banded Cholesky factorization of Hermitian positive-definite matrices.
 
-The normal matrices of the polish step and of the class-triviality
-projection couple each vertex to a patch of patches, so their factors
-are about half dense under any fill-reducing ordering.  They are
-therefore factored as bands: the rows and columns are put in reverse
-Cuthill-McKee order, computed from the matrix's sparsity pattern, which
-narrows the band to a fraction of the size, and the band is factored by
-LAPACK's pbtrf, whose dense updates run in the tuned BLAS.  The factor's
-storage is the band, (kd + 1) * n entries for half-bandwidth kd and size
-n.  The kernel search's shifted normal operator B^H B - sigma I, with the
-class oracle's sparsity pattern, is factored the same way for its
-shift-invert eigensolve.
+The normal matrices of the polish step and of the dbar stencil (the
+class oracle's projection and the kernel search's shifted operator)
+couple each vertex to a patch of patches, so their factors are about half
+dense under any fill-reducing ordering.  They are therefore factored as
+bands: the rows and columns are put in reverse Cuthill-McKee order,
+computed from the sparsity pattern, which narrows the band to a fraction
+of the size, and the band is factored by LAPACK's pbtrf, whose dense
+updates run in the tuned BLAS.  The factor's storage is the band,
+(kd + 1) * n entries for half-bandwidth kd and size n.
 
-Everything but the values depends on the pattern alone, so it is split
-off: band_plan(A) computes the order, kd and each stored entry's place in
-the band once per pattern, and factor_hpd(A, plan) only scatters A's
-values into a new band and factors it.
+Each of these matrices is written at the stored places of a pattern its
+caller keeps, a HermitianPattern, so a matrix is the array of its values
+in the pattern's entry order.  Everything but the values depends on the
+pattern alone: the order, kd and each entry's place in the band are
+computed once per pattern, at its first factorization, and
+factor_hpd(pattern, values) only scatters the values into a new band and
+factors it.
 """
+
+import functools
 
 import numpy as np
 import scipy.sparse as sp
@@ -24,7 +27,7 @@ from scipy.linalg import cho_solve_banded, cholesky_banded
 
 from .errors import ShapeError
 
-__all__ = ["BandFactor", "BandPlan", "band_plan", "factor_hpd"]
+__all__ = ["BandFactor", "HermitianPattern", "factor_hpd"]
 
 
 class BandFactor:
@@ -46,80 +49,71 @@ class BandFactor:
         return x
 
 
-class BandPlan:
-    """The band layout of one sparsity pattern: the pattern's CSR indptr
-    and indices (those of the matrix it was made from, not copies), the
-    reverse Cuthill-McKee order perm, the half-bandwidth kd, and slot,
-    each stored entry's flat index in LAPACK's lower band storage of
-    shape (kd + 1, n) in Fortran order, or (kd + 1) * n, one past the
-    band, for an entry above the diagonal in band order."""
+class HermitianPattern:
+    """The sparsity pattern of a Hermitian matrix of order n, as CSR
+    indptr and indices with both triangles and the diagonal stored (the
+    arrays given, not copies).  A matrix on it is the array of its values
+    in the pattern's entry order."""
 
-    def __init__(self, indptr, indices, perm, kd, slot):
+    def __init__(self, indptr, indices):
         self.indptr = indptr
         self.indices = indices
-        self.perm = perm
-        self.kd = kd
-        self.slot = slot
+        self.n = len(indptr) - 1
 
-    def matches(self, A):
-        """Whether the canonical CSR matrix A has this plan's pattern."""
-        return (np.array_equal(A.indptr, self.indptr)
-                and np.array_equal(A.indices, self.indices))
+    def csr(self, values):
+        """The CSR matrix of values on this pattern, sharing its arrays."""
+        return sp.csr_matrix((values, self.indices, self.indptr), shape=(self.n, self.n))
 
+    @functools.cached_property
+    def diagonal(self):
+        """The places of the diagonal entries."""
+        rows = np.repeat(np.arange(self.n, dtype=self.indices.dtype), np.diff(self.indptr))
+        return np.flatnonzero(self.indices == rows)
 
-def _canonical_csr(A):
-    """A as a square CSR matrix with sorted, unique column indices; raises
-    ShapeError for a matrix that is not square."""
-    n = A.shape[0]
-    if A.shape != (n, n) or n == 0:
-        raise ShapeError(f"matrix of shape {A.shape} is not square")
-    A = sp.csr_matrix(A)
-    if not A.has_canonical_format:
-        A = A.copy()
-        A.sum_duplicates()
-    return A
+    @functools.cached_property
+    def band(self):
+        """(perm, kd, slot): the reverse Cuthill-McKee order perm, the
+        half-bandwidth kd in that order, and slot, each stored entry's flat
+        index in LAPACK's lower band storage of shape (kd + 1, n) in
+        Fortran order, or (kd + 1) * n, one past the band, for an entry
+        above the diagonal in band order.  Made on first use, which is the
+        first factorization."""
+        n = self.n
+        # imported on first use, which keeps csgraph out of the package import
+        from scipy.sparse.csgraph import reverse_cuthill_mckee
 
-
-def band_plan(A):
-    """The BandPlan of the sparsity pattern of the sparse Hermitian matrix
-    A; its order is reverse Cuthill-McKee on that pattern.  Raises
-    ShapeError for a matrix that is not square."""
-    A = _canonical_csr(A)
-    n = A.shape[0]
-    # imported on first use, which keeps csgraph out of the package import
-    from scipy.sparse.csgraph import reverse_cuthill_mckee
-
-    perm = reverse_cuthill_mckee(A, symmetric_mode=True)
-    rank = np.empty(n, dtype=perm.dtype)
-    rank[perm] = np.arange(n, dtype=perm.dtype)
-    j = rank[A.indices]
-    below = np.repeat(rank, np.diff(A.indptr))
-    below -= j
-    kd = int(np.max(below))
-    # LAPACK's lower band storage: entry (i, j) at ab[i - j, j]
-    end = (kd + 1) * n
-    slot = j.astype(np.int32 if end <= np.iinfo(np.int32).max else np.int64, copy=False)
-    slot *= kd + 1
-    slot += below
-    # the entries above the diagonal go to end, by arithmetic rather than a
-    # branch per entry; below now holds the shift to end, 0 elsewhere
-    below = (below < 0) * (end - slot)
-    slot += below
-    return BandPlan(A.indptr, A.indices, perm, kd, slot)
+        ones = np.ones(len(self.indices), dtype=np.int8)
+        perm = reverse_cuthill_mckee(self.csr(ones), symmetric_mode=True)
+        rank = np.empty(n, dtype=perm.dtype)
+        rank[perm] = np.arange(n, dtype=perm.dtype)
+        j = rank[self.indices]
+        below = np.repeat(rank, np.diff(self.indptr))
+        below -= j
+        kd = int(np.max(below))
+        # LAPACK's lower band storage: entry (i, j) at ab[i - j, j]
+        end = (kd + 1) * n
+        slot = j.astype(np.int32 if end <= np.iinfo(np.int32).max else np.int64, copy=False)
+        slot *= kd + 1
+        slot += below
+        # the entries above the diagonal go to end, by arithmetic rather than
+        # a branch per entry; below now holds the shift to end, 0 elsewhere
+        below = (below < 0) * (end - slot)
+        slot += below
+        return perm, kd, slot
 
 
-def factor_hpd(A, plan):
-    """Factor a sparse Hermitian positive-definite matrix A (real or
-    complex) with the band layout plan; returns a BandFactor.  A matrix
-    whose pattern is not plan's is factored with a fresh plan of its own,
-    which is not kept.  Raises ShapeError for a matrix that is not square
-    and numpy's LinAlgError when A is not positive definite."""
-    A = _canonical_csr(A)
-    if not plan.matches(A):
-        plan = band_plan(A)
-    n = A.shape[0]
-    band = np.zeros((plan.kd + 1) * n + 1, dtype=A.dtype)
-    band[plan.slot] = A.data
-    ab = band[:-1].reshape((plan.kd + 1, n), order="F")
+def factor_hpd(pattern, values):
+    """Factor the Hermitian positive-definite matrix (real or complex) with
+    the given values on pattern, a HermitianPattern; returns a BandFactor.
+    Raises ShapeError unless there is one value per stored entry, and
+    numpy's LinAlgError when the matrix is not positive definite."""
+    values = np.asarray(values)
+    if values.shape != pattern.indices.shape:
+        raise ShapeError(f"{values.shape} values for a pattern of "
+                         f"{len(pattern.indices)} entries")
+    perm, kd, slot = pattern.band
+    band = np.zeros((kd + 1) * pattern.n + 1, dtype=values.dtype)
+    band[slot] = values
+    ab = band[:-1].reshape((kd + 1, pattern.n), order="F")
     cb = cholesky_banded(ab, lower=True, overwrite_ab=True, check_finite=False)
-    return BandFactor(cb, plan.perm)
+    return BandFactor(cb, perm)

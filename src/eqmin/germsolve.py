@@ -23,8 +23,6 @@ Both systems are solved by damped Newton iteration from u = w = 0 with a
 backtracking (halving) line search on the area-weighted residual norm.
 """
 
-import functools
-
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
@@ -38,7 +36,7 @@ from .errors import (
     ShapeError,
     StagnationError,
 )
-from .factor import band_plan, factor_hpd
+from .factor import HermitianPattern, factor_hpd
 from .hypmesh import laplacian
 
 __all__ = [
@@ -485,12 +483,14 @@ class _PolishNormal:
 
     where L^T W L has the blocks Q = lap^T W lap on its diagonal, block
     (i, j) of E is diag(a df[j][i]) lap, and D^T W D is diagonal in each
-    block.  Q and the pattern of N (a _BlockPattern) depend on the mesh
-    alone and are kept, with the places of lap's entries, of their
-    transposes and of the diagonal in each kind of block; matrix(df,
-    damping) writes Q, the reaction terms and the damping at those
-    places, with no sparse products.  plan is the band plan of that
-    pattern, with which every N is factored.
+    block.  Q and the pattern of N (laid out by a _BlockPattern, layout)
+    depend on the mesh alone and are kept, with the places of lap's
+    entries, of their transposes and of the diagonal in each kind of
+    block; matrix(df, damping) writes Q, the reaction terms and the
+    damping at those places, with no sparse products, and returns the
+    values.  pattern is N's HermitianPattern, on which every N is
+    factored; it makes its band plan at the first factorization, once the
+    arrays that built the pattern are freed.
 
     A diagonal block's pattern is that of Q, lap, lap^T and the identity,
     an off-diagonal block's that of lap, lap^T and the identity: the
@@ -516,50 +516,38 @@ class _PolishNormal:
         # lap^T), and a diagonal block's, with Q's values as real parts
         off = _flagged_union([sp.identity(V, format="csr"), lap, number_t])
         diag = Q + off
-        self.pattern = _BlockPattern(diag, off, n)
+        self.layout = _BlockPattern(diag, off, n)
+        self.pattern = HermitianPattern(self.layout.indptr, self.layout.indices)
         self.q = diag.data.real.copy()
         # each kind of block: the places in it of the identity's and lap's
         # entries and of lap's transposed entries
         self.kinds = {}
         for kind in (False, True):
-            on_eye, on_lap, on_t = (self.pattern.places(kind, b) for b in (1, 2, 4))
+            on_eye, on_lap, on_t = (self.layout.places(kind, b) for b in (1, 2, 4))
             transposing = np.empty_like(on_t)
             transposing[number_t.data] = on_t
             self.kinds[kind] = on_eye, on_lap, transposing
 
-    @functools.cached_property
-    def plan(self):
-        """The band plan of the kept pattern, made on first use (once the
-        arrays that built the pattern are freed)."""
-        pattern, size = self.pattern, self.n * self.lap.shape[0]
-        ones = np.ones(len(pattern.indices), dtype=np.int8)
-        return band_plan(sp.csr_matrix((ones, pattern.indices, pattern.indptr),
-                                       shape=(size, size)))
-
     def matrix(self, df, damping):
         """N + damping (|diag N| + 1e-300) for the reaction-term diagonals
-        df of CurvatureEquations.df, as a CSR matrix on the kept pattern."""
+        df of CurvatureEquations.df, as its values on the kept pattern."""
         a, lap, n = self.a, self.lap, self.n
         row_count = np.diff(lap.indptr)
         # a df[i][j] times lap's values, row by row: block (i, j) of E
         # holds scaled[j][i] at lap's places, and block (i, j) of E^T
         # holds scaled[i][j] at their transposes
         scaled = [[np.repeat(a * d, row_count) * lap.data for d in row] for row in df]
-        pattern = self.pattern
-        data = np.zeros(len(pattern.indices))
-        diagonal = []
-        for i, j, at in pattern.blocks():
+        data = np.zeros(len(self.pattern.indices))
+        for i, j, at in self.layout.blocks():
             on_eye, on_lap, on_t = self.kinds[i == j]
             if i == j:
                 data[at] = self.q
-                diagonal.append(at[on_eye])
             data[at[on_lap]] -= scaled[j][i]
             data[at[on_t]] -= scaled[i][j]
             data[at[on_eye]] += sum(a * df[k][i] * df[k][j] for k in range(n))
-        diagonal = np.concatenate(diagonal)
+        diagonal = self.pattern.diagonal
         data[diagonal] += damping * (np.abs(data[diagonal]) + 1e-300)
-        size = n * lap.shape[0]
-        return sp.csr_matrix((data, pattern.indices, pattern.indptr), shape=(size, size))
+        return data
 
 
 def polish_solution(data, sol, iterations=4):
@@ -583,18 +571,19 @@ def polish_solution(data, sol, iterations=4):
     positive definite.  Between steps only the diagonal reaction terms of
     the Jacobian J move, by O(h^2), so N is formed and factored once, as a
     band in reverse Cuthill-McKee order by factor_hpd, at the first step.
-    N is formed without sparse products, on the mesh's normal pattern
-    (_PolishNormal), and factored with that pattern's band plan; both are
-    kept on the mesh, per field count.  Each later step solves its own
-    normal equations by conjugate gradients preconditioned with that
-    factorization, applying N as v -> J^T W J v + damping |diag N| v
-    without forming it.  When CG does not reach its tolerance the current
-    N is formed, factored and solved directly, and its factorization
-    preconditions the remaining steps.  sol.polish records each step
-    (weighted collocation residual before and after, accepted line-search
-    fraction, CG iterations, 0 for a direct solve), the number of
-    factorizations and the storage of each (factor_nnz, the band's
-    entries, (kd + 1) * n for half-bandwidth kd and size n).
+    N is formed without sparse products, at the stored places of the
+    mesh's normal pattern (_PolishNormal), which also keeps the band plan
+    it is factored with; both are kept on the mesh, per field count.
+    Each later step solves its own normal equations by conjugate
+    gradients preconditioned with that factorization, applying N as
+    v -> J^T W J v + damping |diag N| v without forming it.  When CG does
+    not reach its tolerance the current N is formed, factored and solved
+    directly, and its factorization preconditions the remaining steps.
+    sol.polish records each step (weighted collocation residual before
+    and after, accepted line-search fraction, CG iterations, 0 for a
+    direct solve), the number of factorizations and the storage of each
+    (factor_nnz, the band's entries, (kd + 1) * n for half-bandwidth kd
+    and size n).
     """
     mesh = data.mesh
     eqs = CurvatureEquations(data)
@@ -622,7 +611,7 @@ def polish_solution(data, sol, iterations=4):
             lu = None  # release the old factors before making new ones
             N = normal.matrix(eqs.df(*eqs.fields(x)), _POLISH_DAMPING)
             try:
-                lu = factor_hpd(N, normal.plan)
+                lu = factor_hpd(normal.pattern, N)
                 step = lu.solve(rhs)
             except Exception as exc:
                 raise LinearSolveError(f"polish solve failed: {exc}") from exc

@@ -11,8 +11,8 @@ keys, never stored floats), so the shape constraints demanded by
 holomorphy of the block pairing hold exactly rather than to roundoff.
 
 Block ordering of V: ("Kinv", "W", "K", "one") for n = 3 and
-("Kinv", "L", "Linv", "K", "one") for n = 4; the pairing Q_V, the gauges
-and the class blocks are read from the summand types in _LAYOUT.
+("Kinv", "L", "Linv", "K", "one") for n = 4; the pairing Q_V and the
+class blocks are read from the summand types in _LAYOUT.
 """
 
 from typing import NamedTuple
@@ -28,9 +28,6 @@ __all__ = [
     "HiggsAssembly",
     "build_from_germ",
     "gauge_scale",
-    "gauge_matrix",
-    "lift_matrix",
-    "cx_lift",
     "hodge_flag",
     "section_at_faces",
 ]
@@ -175,30 +172,10 @@ def build_from_germ(data, sol):
     return HiggsAssembly(n, mesh, data.L, blocks, phi)
 
 
-def gauge_matrix(asm, lam):
-    """The constant gauge diag(lam^m) on the summands K^m L^k as a matrix:
-    1/lam on Kinv, lam on K, 1 elsewhere.
-
-    Its conjugation divides the beta blocks by lam; it preserves Q_V since
-    the pairing couples summands of opposite type.
-    """
-    return np.diag(np.array([lam ** m for m, _ in asm.types.values()], dtype=complex))
-
-
-def _check_circle_action(asm):
-    if asm.n != 4:
-        raise InvalidParameterError("the circle action lift needs the 4-space target")
-
-
-def lift_matrix(asm, a):
-    """The Q_V-orthogonal lift diag(a^-k) on the summands K^m L^k of the
-    SO(Q_W) circle action to the full bundle: 1/a on L, a on Linv."""
-    _check_circle_action(asm)
-    return np.diag(np.array([a ** -k for _, k in asm.types.values()], dtype=complex))
-
-
 def gauge_scale(asm, lam):
-    """Rescale by the constant gauge of gauge_matrix.
+    """Rescale by the constant gauge diag(lam^m) on the summands K^m L^k
+    (1/lam on Kinv, lam on K, 1 elsewhere), which preserves Q_V since the
+    pairing couples summands of opposite type.
 
     Every beta block is divided by lam and the Higgs inclusion is
     multiplied by lam: the lam-scaled Higgs field is identified with the
@@ -208,26 +185,6 @@ def gauge_scale(asm, lam):
         raise InvalidParameterError("gauge scale must be nonzero")
     blocks = {key: val / lam for key, val in asm.blocks.items()}
     return HiggsAssembly(asm.n, asm.mesh, asm.L, blocks, lam * asm.phi)
-
-
-def cx_lift(asm, a):
-    """Apply the SO(Q_W) action a.(beta1, beta2) = (a beta1, beta2 / a)
-    through its Q_V-orthogonal gauge lift (lift_matrix).
-
-    The lift scales a class into the W summand of type (0, k), and its
-    dual, by a^-k.  The conjugated assembly is exactly the
-    (a beta1, beta2 / a) assembly, so the action fixes the isomorphism
-    class.
-    """
-    _check_circle_action(asm)
-    if a == 0:
-        raise InvalidParameterError("action parameter must be nonzero")
-    blocks = dict(asm.blocks)
-    for cls in asm.classes:
-        for key in (cls.block, cls.dual):
-            if key in blocks:
-                blocks[key] = blocks[key] * a if cls.k < 0 else blocks[key] / a
-    return HiggsAssembly(asm.n, asm.mesh, asm.L, blocks, asm.phi.copy())
 
 
 # sup norm below which a beta block counts as vanishing

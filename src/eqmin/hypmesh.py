@@ -180,11 +180,13 @@ class SurfaceMesh:
     first use and kept on the mesh (see memo): the patch fits and both
     patch-fit Laplacians, the cotangent Laplacian, the dbar stencil rows,
     the block patterns (germsolve._BlockPattern) of the curvature
-    equations' Jacobians, the polish's normal matrices with their band
-    plan (germsolve._PolishNormal), the band plan of the dbar-stencil
-    normal matrices, and the holomorphic bases of the bundles a run uses
-    (under ("basis", degree of L or None, n)).  Callers share them and
-    must not modify them.
+    equations' Jacobians, the polish's normal matrices
+    (germsolve._PolishNormal), the pattern of the dbar stencil's normal
+    matrices with the place in it of each stencil pair
+    (bundles._stencil_pattern), each Hermitian pattern with the band plan
+    of its first factorization (factor.HermitianPattern), and the
+    holomorphic bases of the bundles a run uses (under ("basis", degree
+    of L or None, n)).  Callers share them and must not modify them.
     """
 
     def __init__(self, **kw):

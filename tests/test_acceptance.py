@@ -193,13 +193,17 @@ def test_criterion_08_structural_higgs_identities(mesh_r3, basis_K2_r3):
     for key, val in asm.blocks.items():
         ref = float(np.max(np.abs(val)))
         rel = max(rel, float(np.max(np.abs(back.blocks[key] - val))) / ref)
+    # the constant gauge diag(lam^m) and the lift diag(a^-k) of the SO(Q_W)
+    # circle action, on the summands K^m L^k, at lam = a = 2
     Q = asm.Q_V.astype(complex)
-    G = higgs.gauge_matrix(asm, 2.0)
-    H = higgs.lift_matrix(asm, 2.0)
+    gauge = {name: 2.0 ** m for name, (m, _) in asm.types.items()}
+    lift = {name: 2.0 ** -k for name, (_, k) in asm.types.items()}
+    G, H = (np.diag(np.array(list(d.values()), dtype=complex)) for d in (gauge, lift))
     q_exact = np.array_equal(G.T @ Q @ G, Q) and np.array_equal(H.T @ Q @ H, Q)
-    lifted = higgs.cx_lift(asm, 2.0)
+    # conjugating by the lift acts on the classes as (2 beta1, beta2 / 2)
+    lifted = {(r, c): val * lift[r] / lift[c] for (r, c), val in asm.blocks.items()}
     b1, b2 = asm.beta_blocks()
-    n1, n2 = lifted.beta_blocks()
+    n1, n2 = (lifted[cls.block] for cls in asm.classes)
     lift_exact = np.array_equal(n1, 2.0 * b1) and np.array_equal(n2, b2 / 2.0)
     ok = iso and shape and rel <= 1e-12 and q_exact and lift_exact
     _line(8, ok, "structural Higgs identities",

@@ -158,11 +158,46 @@ def test_phase_rule_ignores_roundoff_between_tied_peaks(eps):
     assert fixed[7] == pytest.approx(2.0 * np.exp(-2.8j), abs=1e-11)
 
 
+# (m, n) of K^m L^n and whether the weights are those of a solved metric
+# (the class oracle's) or the background's with the vertex scaling (the
+# kernel search's)
+_STENCIL_NORMALS = [((2, 0), False), ((2, -1), False), ((2, 1), False),
+                    ((-1, 1), True), ((-1, -1), True)]
+
+
+@pytest.mark.parametrize("r", [2, 3])
+@pytest.mark.parametrize("bundle, metric", _STENCIL_NORMALS,
+                         ids=["K2", "K2Linv", "K2L", "Kinv_L", "Kinv_Linv"])
+def test_stencil_normal_equals_the_sparse_product(request, r, bundle, metric):
+    mesh = request.getfixturevalue(f"mesh_r{r}")
+    m, n = bundle
+    dbar = bundles.dbar_operator(mesh, bundles.make_line_bundle(mesh, 1), m, n)
+    M = dbar.matrix
+    # the products the class oracle and the kernel search used to form
+    if metric:
+        u = 0.3 * np.sin(np.arange(mesh.n_vertices))
+        c, (_, w) = None, bundles.dbar_weights(mesh, m, u)
+        ref = (M.conj().T @ sp.diags(w) @ M).tocsr()
+    else:
+        w_in, w = bundles.dbar_weights(mesh, m)
+        c = 1.0 / np.sqrt(w_in)
+        B = sp.diags(np.sqrt(w)) @ M @ sp.diags(c)
+        ref = (B.conj().T @ B).tocsr()
+    pattern, values = bundles._stencil_normal(dbar, w, c)
+    assert np.array_equal(pattern.indptr, ref.indptr)
+    assert np.array_equal(pattern.indices, ref.indices)
+    assert np.max(np.abs(values - ref.data)) <= 1e-14 * np.max(np.abs(ref.data))
+    assert np.max(np.abs(values[pattern.diagonal] - ref.diagonal())) <= 1e-14 * np.max(
+        np.abs(ref.data))
+    # one pattern per mesh, whatever the bundle and weights
+    assert bundles._stencil_normal(dbar, np.ones(mesh.n_faces))[0] is pattern
+
+
 class _SuperLUFactor:
     """SuperLU in place of the band factor, for the shift-invert solves."""
 
-    def __init__(self, A, plan):
-        self.lu = spla.splu(sp.csc_matrix(A))
+    def __init__(self, pattern, values):
+        self.lu = spla.splu(pattern.csr(values).tocsc())
         self.nnz = self.lu.nnz
 
     def solve(self, b):
@@ -192,9 +227,9 @@ def test_kernel_search_factors_once_on_the_band(mesh_r3, monkeypatch):
         calls["splu"] += 1
         return splu(*args, **kwargs)
 
-    def counted_band(A, plan):
+    def counted_band(pattern, values):
         calls["band"] += 1
-        return factor.factor_hpd(A, plan)
+        return factor.factor_hpd(pattern, values)
 
     monkeypatch.setattr(arpack, "splu", counted_splu)
     monkeypatch.setattr(spla, "splu", counted_splu)
@@ -251,17 +286,18 @@ def test_mesh_order_factor_solves_class_oracle_matrix_like_colamd(mesh_r3, basis
     beta = rng.standard_normal(mesh_r3.n_faces) + 1j * rng.standard_normal(mesh_r3.n_faces)
     matrices = []
 
-    def recording(A, plan):
-        matrices.append((A, plan))
-        return factor.factor_hpd(A, plan)
+    def recording(pattern, values):
+        matrices.append((pattern, values))
+        return factor.factor_hpd(pattern, values)
 
     monkeypatch.setattr(bundles, "factor_hpd", recording)
     bundles.class_is_trivial(mesh_r3, beta, sol.u, dbar)
-    ((A, plan),) = matrices
+    ((pattern, values),) = matrices
+    A = pattern.csr(values)
     assert abs(A - A.conj().T).max() <= 1e-14 * abs(A).max()
     b = rng.standard_normal(A.shape[0]) + 1j * rng.standard_normal(A.shape[0])
-    ref = spla.splu(sp.csc_matrix(A)).solve(b)
-    x = factor.factor_hpd(A, plan).solve(b)
+    ref = spla.splu(A.tocsc()).solve(b)
+    x = factor.factor_hpd(pattern, values).solve(b)
     assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
 
 

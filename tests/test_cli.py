@@ -217,8 +217,8 @@ def test_kernel_factor_failure_ends_in_report(tmp_path, monkeypatch):
 def test_bundle_dims_record_the_kernel_band(tmp_path, monkeypatch):
     factors = []
 
-    def recording(A, plan):
-        factors.append(factor.factor_hpd(A, plan))
+    def recording(pattern, values):
+        factors.append(factor.factor_hpd(pattern, values))
         return factors[-1]
 
     monkeypatch.setattr(bundles, "factor_hpd", recording)
@@ -721,6 +721,32 @@ def test_unwritable_plot_csv_ends_in_report(tmp_path):
     assert [row["failed_at"] for row in rows] == ["invariants", None]
     assert rows[1]["verdict"] is not None
     assert (sweep_dir / "amplitude_0.4" / "fields.csv").is_file()
+
+
+def test_unwritable_report_fails_at_config(tmp_path):
+    # report.json is a directory: the run returns its failed_at record and
+    # raises nothing
+    (tmp_path / "out" / "report.json").mkdir(parents=True)
+    rep = run(RunConfig(resolution=1, output_dir=str(tmp_path / "out")), last_stage="mesh")
+    failed = rep["failed_at"]
+    assert failed["stage"] == "config"
+    assert failed["error"] == "InvalidParameterError"
+    assert "report.json" in failed["message"] and "Is a directory" in failed["message"]
+    assert "mesh" not in rep
+    # in a sweep, the other value still runs and writes its report
+    cfg = RunConfig(resolution=3, target="rh3", data_spec="basis:0:0.4",
+                    output_dir=str(tmp_path / "sweep"))
+    (tmp_path / "sweep" / "amplitude_0.2" / "report.json").mkdir(parents=True)
+    rows, reports = sweep(cfg, "amplitude", [0.2, 0.4])
+    assert [row["failed_at"] for row in rows] == ["config", None]
+    with open(tmp_path / "sweep" / "amplitude_0.4" / "report.json") as fh:
+        assert json.load(fh) == reports[1]
+    assert (tmp_path / "sweep" / "sweep_amplitude.csv").is_file()
+    # an unwritable sweep CSV fails the sweep before any value runs
+    (tmp_path / "bad" / "sweep_amplitude.csv").mkdir(parents=True)
+    with pytest.raises(InvalidParameterError, match="sweep_amplitude.csv"):
+        sweep(replace(cfg, output_dir=str(tmp_path / "bad")), "amplitude", [0.2, 0.4])
+    assert os.listdir(tmp_path / "bad") == ["sweep_amplitude.csv"]
 
 
 # stage -> (module or class, function its step calls, the report key it adds)

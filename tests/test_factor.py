@@ -25,9 +25,9 @@ def _bandwidth(A, rank):
 def test_band_order_is_a_permutation(mesh_r3):
     V = mesh_r3.n_vertices
     S = hypmesh.laplacian(mesh_r3)
-    A = (S.T @ S + sp.identity(V)).tocsc()
-    plan = factor.band_plan(A)
-    lu = factor.factor_hpd(A, plan)
+    A = (S.T @ S + sp.identity(V)).tocsr()
+    pattern = factor.HermitianPattern(A.indptr, A.indices)
+    lu = factor.factor_hpd(pattern, A.data)
     assert np.array_equal(np.sort(lu.perm), np.arange(V))
     rank = np.argsort(lu.perm)
     assert lu.bandwidth == _bandwidth(A, rank)
@@ -36,9 +36,10 @@ def test_band_order_is_a_permutation(mesh_r3):
     b = np.random.default_rng(0).standard_normal(V)
     ref = spla.spsolve(A, b)
     assert np.linalg.norm(lu.solve(b) - ref) <= 1e-12 * np.linalg.norm(ref)
-    for shape in ((V + 1, V), (V, V + 1)):
+    # one value per stored entry
+    for values in (A.data[:-1], np.append(A.data, 1.0)):
         with pytest.raises(ShapeError):
-            factor.factor_hpd(sp.identity(V + 1, format="csc")[:shape[0], :shape[1]], plan)
+            factor.factor_hpd(pattern, values)
 
 
 @pytest.fixture(scope="module")
@@ -51,12 +52,12 @@ def solved_r4(mesh_r4, L1_r4, basis_K2L_r4, basis_K2Linv_r4):
 
 
 def _first_factored(monkeypatch, module, call):
-    """The first matrix that call factors through module.factor_hpd, and
-    its factor."""
+    """The first matrix that call factors through module.factor_hpd, as a
+    CSR matrix, and its factor."""
     factored = []
 
-    def recording(A, plan):
-        factored.append((A, factor.factor_hpd(A, plan)))
+    def recording(pattern, values):
+        factored.append((pattern.csr(values), factor.factor_hpd(pattern, values)))
         return factored[-1][1]
 
     monkeypatch.setattr(module, "factor_hpd", recording)
@@ -94,11 +95,11 @@ def test_indefinite_matrix_fails_to_factor_and_ends_in_linear_solve_error(
         mesh_r3, basis_K2_r3, monkeypatch):
     # Hermitian with eigenvalues -1 and 3
     with pytest.raises(np.linalg.LinAlgError):
-        A = sp.csc_matrix(np.array([[1.0, 2j], [-2j, 1.0]]))
-        factor.factor_hpd(A, factor.band_plan(A))
+        A = sp.csr_matrix(np.array([[1.0, 2j], [-2j, 1.0]]))
+        factor.factor_hpd(factor.HermitianPattern(A.indptr, A.indices), A.data)
 
-    def negated(A, plan):
-        return factor.factor_hpd(-A, plan)
+    def negated(pattern, values):
+        return factor.factor_hpd(pattern, -values)
 
     monkeypatch.setattr(germsolve, "factor_hpd", negated)
     monkeypatch.setattr(bundles, "factor_hpd", negated)
@@ -146,33 +147,3 @@ def test_sweep_orders_each_pattern_once(tmp_path, monkeypatch):
     _, reports = sweep(cfg, "amplitude", [0.1, 0.4, 0.8], write_files=False)
     assert not any("failed_at" in rep for rep in reports)
     assert len(orders) == 2
-
-
-def test_plan_of_another_pattern_is_not_kept(mesh_r3):
-    # the class oracle's normal matrix on the mesh's stencil plan, and the
-    # same matrix without one off-diagonal pair of entries
-    V = mesh_r3.n_vertices
-    M = bundles.dbar_operator(mesh_r3, None, -1, 0).matrix
-    A = (M.conj().T @ M).tocsr()
-    A = A + 2.0 * abs(A.diagonal()).max() * sp.identity(V, format="csr")
-    plan = mesh_r3.memo("stencil_band_plan", lambda: factor.band_plan(A))
-    kept = (plan.kd, plan.perm.copy(), plan.slot.copy(), plan.indices.copy())
-    assert plan.matches(A)
-    row = 5
-    col = next(c for c in A.indices[A.indptr[row]:A.indptr[row + 1]] if c != row)
-    B = A.tolil()
-    B[row, col] = B[col, row] = 0.0
-    B = B.tocsr()
-    B.eliminate_zeros()
-    assert B.nnz == A.nnz - 2 and not plan.matches(B)
-    b = np.random.default_rng(2).standard_normal(V) + 0j
-    x = factor.factor_hpd(B, plan).solve(b)
-    ref = factor.factor_hpd(B, factor.band_plan(B)).solve(b)
-    assert np.linalg.norm(x - ref) <= 1e-13 * np.linalg.norm(ref)
-    dense = np.linalg.solve(B.toarray(), b)
-    assert np.linalg.norm(x - dense) <= 1e-12 * np.linalg.norm(dense)
-    assert mesh_r3.memo("stencil_band_plan", None) is plan
-    assert plan.kd == kept[0]
-    for now, before in zip((plan.perm, plan.slot, plan.indices), kept[1:]):
-        assert np.array_equal(now, before)
-    assert plan.matches(A)

@@ -191,7 +191,7 @@ def test_polish_normal_matrix_equals_the_damped_product(mesh_r3, target, vanish)
     x = 0.3 * rng.standard_normal(n * mesh_r3.n_vertices)
     normal = germsolve._PolishNormal(mesh_r3.fd_laplacian_matrix(weighted=True),
                                      mesh_r3.vertex_areas, n)
-    N = normal.matrix(eqs.df(*eqs.fields(x)), 0.03)
+    N = normal.pattern.csr(normal.matrix(eqs.df(*eqs.fields(x)), 0.03))
     # the product every factorization used to form
     J = jacobian(x)
     ref = (J.T @ sp.diags(np.tile(mesh_r3.vertex_areas, n)) @ J).tocsr()
@@ -208,18 +208,25 @@ def test_polish_normal_matrix_equals_the_damped_product(mesh_r3, target, vanish)
 
 @pytest.mark.parametrize("target, vanish", [("rh3", None), ("rh4", slice(0, None, 7))])
 def test_polish_plan_is_the_band_plan_of_its_first_matrix(mesh_r3, target, vanish):
-    # the plan comes from the kept pattern, which every N fills, stored
-    # zeros included, so it is the plan the first N would make
+    # the plan is made at the first factorization, from the kept pattern,
+    # which every N fills, stored zeros included, so it is the plan the
+    # first N's CSR matrix would make
+    from scipy.sparse.csgraph import reverse_cuthill_mckee
+
     rng = np.random.default_rng(17)
     data = _random_data(mesh_r3, target, rng, vanish)
     eqs = germsolve.CurvatureEquations(data)
     normal = germsolve._PolishNormal(mesh_r3.fd_laplacian_matrix(weighted=True),
                                      mesh_r3.vertex_areas, eqs.n)
+    assert "band" not in vars(normal.pattern)
     x = 0.3 * rng.standard_normal(eqs.n * mesh_r3.n_vertices)
-    ref = factor.band_plan(normal.matrix(eqs.df(*eqs.fields(x)), 0.03))
-    assert normal.plan.kd == ref.kd
-    assert np.array_equal(normal.plan.perm, ref.perm)
-    assert np.array_equal(normal.plan.slot, ref.slot)
+    N = normal.matrix(eqs.df(*eqs.fields(x)), 0.03)
+    lu = factor.factor_hpd(normal.pattern, N)
+    A = normal.pattern.csr(N)
+    assert np.array_equal(lu.perm, reverse_cuthill_mckee(A, symmetric_mode=True))
+    b = rng.standard_normal(A.shape[0])
+    ref = spla.spsolve(A.tocsc(), b)
+    assert np.linalg.norm(lu.solve(b) - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
 def test_jacobian_pattern_built_once_per_mesh_and_operator(monkeypatch):
@@ -381,9 +388,9 @@ def _factor_every_step(data, sol, steps=4):
 def count_factor(monkeypatch):
     calls = []
 
-    def counting(A, plan):
+    def counting(pattern, values):
         calls.append(1)
-        return factor.factor_hpd(A, plan)
+        return factor.factor_hpd(pattern, values)
 
     monkeypatch.setattr(germsolve, "factor_hpd", counting)
     return calls
@@ -428,27 +435,27 @@ def test_polish_refactors_when_cg_fails(solved_r3, count_factor, monkeypatch):
     assert [s["cg_iterations"] for s in polished.polish["steps"]] == [0] * 4
 
 
-def _colamd(A, plan):
+def _colamd(pattern, values):
     """SuperLU with its default COLAMD ordering and partial pivoting, in
     the caller's order: the oracle for the banded factor.  Its factor
     object has the solve and nnz that the polish reads."""
-    return spla.splu(sp.csc_matrix(A))
+    return spla.splu(pattern.csr(values).tocsc())
 
 
 def test_mesh_order_factor_solves_polish_matrix_like_colamd(solved_r3, monkeypatch):
     data, sol = solved_r3
     matrices = []
 
-    def recording(A, plan):
-        matrices.append((A, plan))
-        return factor.factor_hpd(A, plan)
+    def recording(pattern, values):
+        matrices.append((pattern, values))
+        return factor.factor_hpd(pattern, values)
 
     monkeypatch.setattr(germsolve, "factor_hpd", recording)
     germsolve.polish_solution(data, _fresh(sol.u, sol.w), iterations=1)
-    ((N, plan),) = matrices
-    b = np.random.default_rng(0).standard_normal(N.shape[0])
-    ref = _colamd(N, plan).solve(b)
-    x = factor.factor_hpd(N, plan).solve(b)
+    ((pattern, N),) = matrices
+    b = np.random.default_rng(0).standard_normal(pattern.n)
+    ref = _colamd(pattern, N).solve(b)
+    x = factor.factor_hpd(pattern, N).solve(b)
     assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
 
 

@@ -83,34 +83,6 @@ def test_gauge_zero_rejected(rh3_assembly):
         higgs.gauge_scale(rh3_assembly, 0.0)
 
 
-def test_gauge_matrix_preserves_pairing(rh4_assembly):
-    G = higgs.gauge_matrix(rh4_assembly, 2.0)
-    Q = rh4_assembly.Q_V
-    assert np.array_equal(G.T @ Q @ G, Q.astype(complex))
-
-
-def test_lift_matrix_preserves_pairing(rh4_assembly):
-    G = higgs.lift_matrix(rh4_assembly, 2.0)
-    Q = rh4_assembly.Q_V
-    assert np.array_equal(G.T @ Q @ G, Q.astype(complex))
-
-
-def test_cx_lift_acts_on_beta(rh4_assembly):
-    out = higgs.cx_lift(rh4_assembly, 2.0)
-    beta1, beta2 = rh4_assembly.beta_blocks()
-    n1, n2 = out.beta_blocks()
-    assert np.array_equal(n1, 2.0 * beta1)
-    assert np.array_equal(n2, beta2 / 2.0)
-    assert np.array_equal(out.phi, rh4_assembly.phi)
-
-
-@pytest.mark.parametrize("act", [higgs.cx_lift, higgs.lift_matrix],
-                         ids=["cx_lift", "lift_matrix"])
-def test_cx_lift_needs_rank_two_w(rh3_assembly, act):
-    with pytest.raises(InvalidParameterError):
-        act(rh3_assembly, 2.0)
-
-
 def test_hodge_flag(mesh_r4, L1_r4, basis_K2Linv_r4, rh4_assembly):
     assert not higgs.hodge_flag(rh4_assembly)
     # one section solves only at a degree of its sign: theta2 needs l > 0
@@ -129,16 +101,12 @@ def test_hodge_flag(mesh_r4, L1_r4, basis_K2Linv_r4, rh4_assembly):
 _LAYOUT_PINS = {
     "rh3": {
         "Q_V": [[0, 0, 1, 0], [0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1]],
-        "gauge": [0.5, 1, 2, 1],
-        "lift": None,
         "bundles": {"W<-K": (-1, 0), "Kinv<-W": (-1, 0), "Kinv<-Kinv": (-1, 0),
                     "W<-W": (0, 0), "K<-K": (1, 0), "one<-one": (0, 0)},
     },
     "rh4": {
         "Q_V": [[0, 0, 0, 1, 0], [0, 0, 1, 0, 0], [0, 1, 0, 0, 0], [1, 0, 0, 0, 0],
                 [0, 0, 0, 0, 1]],
-        "gauge": [0.5, 1, 1, 2, 1],
-        "lift": [1, 0.5, 2, 1, 1],
         "bundles": {"Linv<-K": (-1, -1), "Kinv<-L": (-1, -1), "L<-K": (-1, 1),
                     "Kinv<-Linv": (-1, 1), "Kinv<-Kinv": (-1, 0), "L<-L": (0, 1),
                     "Linv<-Linv": (0, -1), "K<-K": (1, 0), "one<-one": (0, 0)},
@@ -151,9 +119,6 @@ def test_block_layout_pinned(request, target):
     asm = request.getfixturevalue(f"{target}_assembly")
     pins = _LAYOUT_PINS[target]
     assert np.array_equal(asm.Q_V, np.array(pins["Q_V"], dtype=float))
-    assert np.array_equal(higgs.gauge_matrix(asm, 2), np.diag(pins["gauge"]))
-    if pins["lift"] is not None:
-        assert np.array_equal(higgs.lift_matrix(asm, 2), np.diag(pins["lift"]))
     pinned = {tuple(key.split("<-")): t for key, t in pins["bundles"].items()}
     # the diagonal entries pin the summand types in block order, the others
     # the blocks held and the bundle K^m L^k each takes values in
