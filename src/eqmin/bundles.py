@@ -108,13 +108,16 @@ class DiscreteSection:
                 raise ShapeError("section was saved for a different mesh")
         try:
             values = np.array([float(a) + 1j * float(b) for a, b in data["values"]])
-            bundle_type, degree_l = (int(data["m"]), int(data["n"])), int(data["l"])
-        except (TypeError, ValueError) as exc:
+            found = [data[key] for key in "mnl"]
+            m, n, l = map(int, found)
+            if [m, n, l] != found:
+                raise ValueError(f"(m, n, l) = {tuple(found)} are not integers")
+        except (TypeError, ValueError, OverflowError) as exc:
             raise InvalidParameterError(f"section file {path!r}: {exc}") from exc
         if mesh is not None and len(values) != mesh.n_vertices:
             raise InvalidParameterError(f"section file {path!r} holds {len(values)} values "
                                         f"for {mesh.n_vertices} vertices")
-        return DiscreteSection(bundle_type, values, degree_l=degree_l)
+        return DiscreteSection((m, n), values, degree_l=l)
 
 
 def tensor_weight(z, m, u=None):
@@ -284,9 +287,8 @@ class BasisResult(list):
 def _smallest_singular(pattern, N, k):
     """The k smallest eigenvalues (ascending) of the Hermitian positive
     semi-definite matrix with values N on pattern, as singular values
-    (their square roots), their eigenvectors (columns), the square root of
-    the largest eigenvalue and the stored entries of the shift-invert
-    factor.
+    (their square roots), their eigenvectors (columns) and the stored
+    entries of the shift-invert factor.
 
     ARPACK finds them in shift-invert mode about a tiny negative shift
     sigma, so that N - sigma I stays positive definite when the kernel is
@@ -298,7 +300,6 @@ def _smallest_singular(pattern, N, k):
     n = pattern.n
     if k >= n - 1:
         lam, vecs = np.linalg.eigh(A.toarray())
-        lam_max = lam[-1]
         lam, vecs = lam[:k], vecs[:, :k]
         factor_nnz = None
     else:
@@ -310,8 +311,6 @@ def _smallest_singular(pattern, N, k):
             lu = factor_hpd(pattern, shifted)
             OPinv = spla.LinearOperator(A.shape, matvec=lu.solve, dtype=A.dtype)
             lam, vecs = spla.eigsh(A, k, sigma=sigma, which="LM", v0=v0, OPinv=OPinv)
-            lam_max = spla.eigsh(A, 1, which="LA", v0=v0,
-                                 return_eigenvectors=False)[0]
         except spla.ArpackNoConvergence as exc:
             lam = np.sort(exc.eigenvalues.real)
             raise IndeterminateKernelError(
@@ -323,8 +322,7 @@ def _smallest_singular(pattern, N, k):
         order = np.argsort(lam)
         lam, vecs = lam[order], vecs[:, order]
         factor_nnz = lu.nnz
-    s = np.sqrt(np.maximum(lam, 0.0))
-    return s, vecs, float(np.sqrt(max(lam_max, 0.0))), factor_nnz
+    return np.sqrt(np.maximum(lam, 0.0)), vecs, factor_nnz
 
 
 # relative modulus within which a section's peaks count as tied
@@ -351,9 +349,10 @@ def holomorphic_basis(dbar, gap_floor=10.0):
     The kernel is detected by the largest ratio of consecutive singular
     values of the metric-normalized operator B = diag(sqrt(w_out)) M
     diag(1 / sqrt(w_in)) among the smallest few, found as eigenvalues of
-    its normal matrix B^H B (_stencil_normal, _smallest_singular); a
-    ratio below gap_floor raises an indeterminate-kernel error carrying
-    the singular values.  Each basis section's phase is fixed by making
+    its normal matrix N = B^H B (_stencil_normal, _smallest_singular)
+    with denominators floored at 1e-14 sqrt(max |diag N|); a ratio below
+    gap_floor raises an indeterminate-kernel error carrying the singular
+    values.  Each basis section's phase is fixed by making
     real and positive its value at the lowest-index vertex whose modulus
     is within PEAK_RTOL of the largest: on symmetric surfaces a section
     peaks at several vertices whose moduli agree only to roundoff, so
@@ -364,8 +363,8 @@ def holomorphic_basis(dbar, gap_floor=10.0):
     w_in, w_out = dbar_weights(mesh, dbar.m)
     upper = min(KERNEL_MAX_DIM, mesh.n_vertices - 1)
     pattern, N = _stencil_normal(dbar, w_out, 1.0 / np.sqrt(w_in))
-    s, vecs, s_max, factor_nnz = _smallest_singular(pattern, N, upper + 1)
-    ratios = s[1:] / np.maximum(s[:-1], 1e-14 * s_max)
+    s, vecs, factor_nnz = _smallest_singular(pattern, N, upper + 1)
+    ratios = s[1:] / np.maximum(s[:-1], 1e-14 * np.sqrt(np.max(np.abs(N[pattern.diagonal]))))
     d = int(np.argmax(ratios)) + 1
     gap = float(ratios[d - 1])
     if gap < gap_floor:

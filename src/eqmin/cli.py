@@ -23,12 +23,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import bundles, germsolve, higgs, hypmesh, invariants, moduli
-from .errors import (
-    EqminError,
-    IndeterminateKernelError,
-    InvalidParameterError,
-    NonConvergenceError,
-)
+from .errors import EqminError, InvalidParameterError
 
 __all__ = ["RunConfig", "run", "sweep", "main"]
 
@@ -103,6 +98,11 @@ _TARGET_BUNDLES = {
     "rh3": (("K2", 0),),
     "rh4": (("K2Linv", -1), ("K2L", 1)),
 }
+
+
+# The largest relative dbar norm of a file: section: basis sections read at
+# most 0.087, in the wrong bundle or conjugated at least 0.37 (README).
+FILE_DBAR_BOUND = 0.2
 
 
 # data spec kind -> (admissible argument counts, type of each argument)
@@ -213,8 +213,9 @@ def _build_mesh(st):
 
 def _draw_data(st):
     """Germ data of the parsed data spec, with the bases it draws from
-    kept on the mesh and recorded under bundle_dims.  As the last stage
-    it records every basis of the target instead and draws no data."""
+    kept on the mesh and recorded under bundle_dims (file: data draws from
+    none, and its sections' dbar norms must be <= FILE_DBAR_BOUND).  As the
+    last stage it records every basis of the target and draws no data."""
     cfg, mesh, report = st.cfg, st.mesh, st.report
     (kind, args), slots = st.spec, _TARGET_BUNDLES[cfg.target]
     # the configured line bundle L; the 3-space target has none
@@ -228,12 +229,18 @@ def _draw_data(st):
     if kind == "manufactured":
         extra["u_star"] = args[0]
         t_field = germsolve.manufactured_forcing(mesh, args[0])
+    elif kind == "file":
+        for path, (key, n) in zip(args, slots):
+            sec = bundles.DiscreteSection.load(path, mesh=mesh)
+            found, wanted = (*sec.bundle_type, sec.degree_l), (2, n, L.degree if L else 0)
+            if found != wanted:
+                raise InvalidParameterError(f"section file {path!r} holds (m, n, l) = "
+                                            f"{found}, {key} needs {wanted}")
+            sections.append(sec)
     elif kind != "zero":
-        # the first section's basis is found and recorded for every spec
-        # with sections, the others only when the spec draws from them
+        # a basis spec draws from the slots it names, a random spec from all
         bases = []
-        n_bases = len(slots) if kind == "random" or len(args) == 4 else 1
-        for key, n in slots[:n_bases]:
+        for key, n in slots[:len(slots) if kind == "random" else len(args) // 2]:
             basis, dims = _basis_for(mesh, L, n)
             report.setdefault("bundle_dims", {})[key] = dims
             bases.append(basis)
@@ -245,7 +252,7 @@ def _draw_data(st):
                     raise InvalidParameterError(
                         f"basis index {i} outside the {len(basis)}-dimensional basis")
                 sections.append(_combination(basis, amp * np.eye(len(basis))[i]))
-        elif kind == "random":
+        else:
             extra.update({"amplitude": args[0], "rng": "numpy default_rng", "seed": cfg.seed})
             rng = np.random.default_rng(cfg.seed)
             # seeded complex Gaussian coefficients of total norm amp; the
@@ -254,16 +261,13 @@ def _draw_data(st):
                 n = len(basis)
                 coef = rng.standard_normal(n) + 1j * rng.standard_normal(n)
                 sections.append(_combination(basis, coef * (args[0] / np.linalg.norm(coef))))
-        else:
-            l = 0 if L is None else L.degree
-            for k, path in enumerate(args):
-                sec = bundles.DiscreteSection.load(path, mesh=mesh)
-                found, wanted = (*sec.bundle_type, sec.degree_l), (2, slots[k][1], l)
-                if found != wanted:
-                    raise InvalidParameterError(f"section file {path!r} holds (m, n, l) = "
-                                                f"{found}, {slots[k][0]} needs {wanted}")
-                sections.append(sec)
     st.data = germsolve.GermData(mesh, L, sections, t_field=t_field)
+    for path, (_, n) in zip(args, slots) if kind == "file" else ():
+        norm = st.data.dbar_norms[n]
+        if not norm <= FILE_DBAR_BOUND:  # NaN included
+            raise InvalidParameterError(f"section file {path!r} is not holomorphic: relative "
+                                        f"dbar norm {norm:.3g} > bound {FILE_DBAR_BOUND}",
+                                        relative_dbar_norm=norm)
     report["config_echo"].update(extra)
 
 
@@ -351,12 +355,10 @@ def _write_plot_csv(path, mesh, rep):
 
 
 def _failure_record(stage, exc):
-    """failed_at record of a stage that raised exc, with the error payload."""
+    """failed_at record of a stage that raised exc, with the payload of an
+    eqmin error."""
     record = {"stage": stage, "error": type(exc).__name__, "message": str(exc)}
-    if isinstance(exc, IndeterminateKernelError):
-        record["singular_values"] = exc.singular_values
-    if isinstance(exc, NonConvergenceError):
-        record["trace"] = exc.trace
+    record.update(getattr(exc, "payload", {}))
     return record
 
 

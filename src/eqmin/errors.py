@@ -2,7 +2,13 @@
 
 
 class EqminError(Exception):
-    """Base class for all eqmin errors."""
+    """Base class for all eqmin errors.  Its keyword arguments, the payload,
+    become attributes, and a failed_at record carries them."""
+
+    def __init__(self, message="", **payload):
+        super().__init__(message)
+        self.payload = payload
+        vars(self).update(payload)
 
 
 class InvalidParameterError(EqminError):
@@ -25,8 +31,7 @@ class IndeterminateKernelError(EqminError):
     """Raised when no clear singular-value gap separates a numerical kernel."""
 
     def __init__(self, message, singular_values=None):
-        super().__init__(message)
-        self.singular_values = singular_values
+        super().__init__(message, singular_values=singular_values)
 
 
 class LinearSolveError(EqminError):
@@ -37,8 +42,7 @@ class NonConvergenceError(EqminError):
     """Newton iteration failed; carries the residual trace."""
 
     def __init__(self, message, trace=None):
-        super().__init__(message)
-        self.trace = trace or []
+        super().__init__(message, trace=trace or [])
 
 
 class StagnationError(NonConvergenceError):

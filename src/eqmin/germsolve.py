@@ -23,12 +23,13 @@ Both systems are solved by damped Newton iteration from u = w = 0 with a
 backtracking (halving) line search on the area-weighted residual norm.
 """
 
+from functools import cached_property
+
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from . import moduli
-from .bundles import tensor_weight
+from . import bundles, moduli
 from .errors import (
     InvalidParameterError,
     LinearSolveError,
@@ -59,7 +60,7 @@ def _exp(x):
 def t_density(mesh, values):
     """Pointwise h-norm density of a quadratic-differential-type section:
     |f|^2 (2/lambda^2)^2 at the vertices."""
-    return np.abs(np.asarray(values)) ** 2 * tensor_weight(mesh.vertices, 2)
+    return np.abs(np.asarray(values)) ** 2 * bundles.tensor_weight(mesh.vertices, 2)
 
 
 class GermData:
@@ -92,6 +93,15 @@ class GermData:
             self.t[0] = np.asarray(t_field, dtype=float)
             if self.t[0].shape[0] != mesh.n_vertices:
                 raise ShapeError("t field length does not match the mesh")
+
+    @cached_property
+    def dbar_norms(self):
+        """Each power n's relative dbar norm of the values of its section of
+        K^2 L^n (0 without one), computed on first use."""
+        return {n: 0.0 if sec is None else float(bundles.relative_dbar_norm(
+                    self.mesh, 2, bundles.dbar_operator(self.mesh, self.L, 2, n)(sec.values),
+                    sec.values))
+                for n, sec in self.sections.items()}
 
 
 class GermSolution:

@@ -22,7 +22,6 @@ import math
 
 import numpy as np
 
-from . import bundles
 from .errors import StaleSolutionError
 from .germsolve import CurvatureEquations, polish_solution
 from .hypmesh import integrate, laplacian
@@ -85,16 +84,6 @@ def _sup_norm(norm_sq):
     return float(np.max(np.sqrt(np.abs(norm_sq))))
 
 
-def _codazzi_norm(mesh, L, sec):
-    """Metric-normalized L2 norm of dbar of a K^m L^n section, applied to
-    its values (zero without a section)."""
-    if sec is None:
-        return 0.0
-    m, n = sec.bundle_type
-    dbar = bundles.dbar_operator(mesh, L, m, n)
-    return float(bundles.relative_dbar_norm(mesh, m, dbar(sec.values), sec.values))
-
-
 def _quartic_norm_sq(ii_sq, th1_sq, th2_sq):
     """||U4||^2: 4 ||theta_1||^2 ||theta_2||^2, or ||II||^4 in 3-space."""
     return ii_sq**2 if th1_sq is None else 4.0 * th1_sq * th2_sq
@@ -134,8 +123,8 @@ def _frame_equations(data, u, norms, kappa_perp):
     Returns the pointwise residual fields at the vertices (the first frame
     (Gauss) equation, and for hyperbolic 4-space the Ricci equation as the
     mismatch of the two kappa_perp formulas) and the residuals: the sup
-    norm of each field, and the Codazzi line as the relative dbar norm of
-    the holomorphic data, read from the sections' values.
+    norm of each field, and the Codazzi line as the largest relative dbar
+    norm of the holomorphic data's sections (GermData.dbar_norms).
     """
     mesh = data.mesh
 
@@ -157,8 +146,7 @@ def _frame_equations(data, u, norms, kappa_perp):
     residuals = {k: float(np.max(np.abs(r))) for k, r in fields.items()}
     # in 3-space there is no normal bundle to carry a Ricci equation
     residuals.setdefault("ricci_frame", 0.0)
-    residuals["codazzi_frame"] = max(_codazzi_norm(mesh, data.L, sec)
-                                     for sec in data.sections.values())
+    residuals["codazzi_frame"] = max(data.dbar_norms.values())
     return fields, residuals
 
 

@@ -217,6 +217,21 @@ def test_band_and_superlu_shift_invert_give_the_same_sections(mesh_r3, monkeypat
         assert np.max(np.abs(a.values - b.values)) <= 1e-8 * np.max(np.abs(a.values))
 
 
+def test_kernel_search_runs_one_eigensolve(mesh_r3, monkeypatch):
+    # the gap ratios' floor is read from N's diagonal, not from a second
+    # eigensolve for the largest singular value
+    eigsh, calls = bundles.spla.eigsh, []
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("which"))
+        return eigsh(*args, **kwargs)
+
+    monkeypatch.setattr(bundles.spla, "eigsh", counted)
+    for L, n in ((None, 0), (bundles.make_line_bundle(mesh_r3, 1), 1)):
+        bundles.holomorphic_basis(bundles.dbar_operator(mesh_r3, L, 2, n))
+    assert calls == ["LM", "LM"]
+
+
 def test_kernel_search_factors_once_on_the_band(mesh_r3, monkeypatch):
     # ARPACK's own shift-invert calls the splu bound in its module
     arpack = sys.modules[spla.eigsh.__module__]

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
-from eqmin import bundles, factor, germsolve, higgs, hypmesh, invariants, moduli
+from eqmin import bundles, cli, factor, germsolve, higgs, hypmesh, invariants, moduli
 from eqmin.bundles import DiscreteSection
 from eqmin.cli import RunConfig, main, run, sweep
 from eqmin.errors import EqminError, InvalidParameterError
@@ -459,12 +459,19 @@ def test_sweep_continues_past_invalid_value():
     ("file:list.json", "bundles"),
     ("file:short.json", "bundles"),
     ("file:k2l.json", "bundles"),
+    ("file:fractional_m.json", "bundles"),
+    ("file:infinite_l.json", "bundles"),
 ])
 def test_malformed_data_spec_ends_in_report(tmp_path, monkeypatch, mesh_r3, spec, stage):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "not_json.txt").write_text("not json")
     (tmp_path / "object.json").write_text("{}")
     (tmp_path / "list.json").write_text("[1, 2]")
+    # m = 2.7 once loaded as m = 2; l = Infinity cannot be an integer
+    values = [["0.1", "0"]] * mesh_r3.n_vertices
+    for name, m, l in (("fractional_m", 2.7, 0), ("infinite_l", 2, float("inf"))):
+        (tmp_path / f"{name}.json").write_text(json.dumps(
+            {"m": m, "n": 0, "l": l, "mesh_hash": "", "values": values}))
     # saved without a mesh hash: too short for the mesh, or a section of
     # K^2 L at l=1 where the 3-space target reads K^2
     V = mesh_r3.n_vertices
@@ -498,12 +505,16 @@ def test_config_data_and_verdict_share_one_degree_window(mesh_r2, monkeypatch, p
 
 def test_rh4_file_section_in_the_wrong_slot_fails_at_bundles(tmp_path, monkeypatch, mesh_r3):
     # the spec's first slot is K^2 L^-1; a K^2 L section there is refused
-    # before any data is made, though the data would file it by its bundle
+    # before any data is made, though the data would file it by its bundle.
+    # At l=1 the K^2 L^-1 kernel search would fail (gap 8.71 at r=3), but
+    # file: data runs none
     monkeypatch.chdir(tmp_path)
-    DiscreteSection((2, 1), np.ones(mesh_r3.n_vertices)).save("k2l.json")
-    cfg = RunConfig(genus=2, resolution=3, target="rh4", l=0, data_spec="file:k2l.json")
-    failed = run(cfg, write_files=False)["failed_at"]
-    assert (failed["stage"], failed["error"]) == ("bundles", "InvalidParameterError")
+    for l in (0, 1):
+        DiscreteSection((2, 1), np.ones(mesh_r3.n_vertices), degree_l=l).save("k2l.json")
+        cfg = RunConfig(genus=2, resolution=3, target="rh4", l=l, data_spec="file:k2l.json")
+        failed = run(cfg, write_files=False)["failed_at"]
+        assert (failed["stage"], failed["error"]) == ("bundles", "InvalidParameterError")
+        assert "holds (m, n, l)" in failed["message"]
 
 
 def _codazzi_line(spec):
@@ -523,15 +534,74 @@ def test_file_section_reports_the_codazzi_line_of_its_values(tmp_path, monkeypat
     assert _codazzi_line("file:sec.json") == pytest.approx(expected, rel=1e-12)
 
 
-def test_non_holomorphic_file_section_fails_the_codazzi_line(tmp_path, monkeypatch, mesh_r3,
-                                                             basis_K2_r3):
-    monkeypatch.chdir(tmp_path)
+def _door_sections(mesh, basis):
+    """Sections that are not holomorphic data of K^2 at l = 0, as (target,
+    l, bundle type, values): seeded complex noise of the size of 0.4
+    basis[0], that section with one value NaN or infinite, or conjugated,
+    and a K^2 L basis section at l = 1 read as a section of K^2 L^-1."""
     rng = np.random.default_rng(0)
-    V = mesh_r3.n_vertices
+    V = mesh.n_vertices
     noise = rng.standard_normal(V) + 1j * rng.standard_normal(V)
-    noise *= 0.4 * np.max(np.abs(basis_K2_r3[0].values)) / np.max(np.abs(noise))
-    DiscreteSection((2, 0), noise).save("noise.json", mesh=mesh_r3)
-    assert _codazzi_line("file:noise.json") > 1.0
+    noise *= 0.4 * np.max(np.abs(basis[0].values)) / np.max(np.abs(noise))
+    L = bundles.make_line_bundle(mesh, 1)
+    k2l = bundles.holomorphic_basis(bundles.dbar_operator(mesh, L, 2, 1))[0].values
+    sec = 0.4 * basis[0].values
+    return {
+        "noise": ("rh3", 0, (2, 0), noise),
+        "nan": ("rh3", 0, (2, 0), np.where(np.arange(V) == 7, np.nan, sec)),
+        "inf": ("rh3", 0, (2, 0), np.where(np.arange(V) == 7, np.inf, sec)),
+        "conjugate": ("rh3", 0, (2, 0), np.conj(sec)),
+        "wrong-bundle": ("rh4", 1, (2, -1), 0.4 * k2l),
+    }
+
+
+@pytest.mark.parametrize("kind", ["noise", "nan", "inf", "conjugate", "wrong-bundle"])
+def test_non_holomorphic_file_section_fails_at_bundles(tmp_path, monkeypatch, mesh_r3,
+                                                       basis_K2_r3, kind):
+    # the door check reads the section's relative dbar norm; a NaN norm
+    # fails it too
+    monkeypatch.chdir(tmp_path)
+    target, l, bundle_type, values = _door_sections(mesh_r3, basis_K2_r3)[kind]
+    DiscreteSection(bundle_type, values, degree_l=l).save("bad.json", mesh=mesh_r3)
+    cfg = RunConfig(genus=2, resolution=3, target=target, l=l, data_spec="file:bad.json")
+    rep = run(cfg, write_files=False)
+    failed = rep["failed_at"]
+    assert (failed["stage"], failed["error"]) == ("bundles", "InvalidParameterError")
+    norm = failed["relative_dbar_norm"]
+    assert not norm <= cli.FILE_DBAR_BOUND
+    assert "'bad.json'" in failed["message"] and str(cli.FILE_DBAR_BOUND) in failed["message"]
+    assert "bundle_dims" not in rep and "solution" not in rep
+
+
+def test_file_run_searches_no_basis_and_applies_dbar_once(tmp_path, monkeypatch, mesh_r3,
+                                                         basis_K2_r3):
+    # the door check and the Codazzi line read one dbar norm of the
+    # section; the class oracle's dbar is of K^-1
+    monkeypatch.chdir(tmp_path)
+    DiscreteSection((2, 0), 0.4 * basis_K2_r3[0].values).save("sec.json", mesh=mesh_r3)
+    calls = {"basis": 0, "dbar": []}
+    holomorphic_basis, dbar_operator = bundles.holomorphic_basis, bundles.dbar_operator
+
+    def counted_basis(*args, **kwargs):
+        calls["basis"] += 1
+        return holomorphic_basis(*args, **kwargs)
+
+    def counted_dbar(mesh, L, m, n):
+        calls["dbar"].append((m, n))
+        return dbar_operator(mesh, L, m, n)
+
+    monkeypatch.setattr(bundles, "holomorphic_basis", counted_basis)
+    monkeypatch.setattr(bundles, "dbar_operator", counted_dbar)
+    rep = run(RunConfig(genus=2, resolution=3, target="rh3", data_spec="file:sec.json"),
+              write_files=False)
+    assert "failed_at" not in rep and "bundle_dims" not in rep
+    assert calls["basis"] == 0
+    assert calls["dbar"].count((2, 0)) == 1
+    # the basis subcommand still records every basis of the target
+    rep = run(RunConfig(genus=2, resolution=3, target="rh4", l=0), write_files=False,
+              last_stage="bundles")
+    assert list(rep["bundle_dims"]) == ["K2Linv", "K2L"]
+    assert calls["basis"] == 2
 
 
 def test_huge_resolution_fails_at_mesh_at_once():
