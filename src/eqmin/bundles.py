@@ -30,6 +30,7 @@ from .errors import (
 )
 from .factor import HermitianPattern, factor_hpd
 from .mobius import conformal_factor
+from .moduli import h1_dim
 
 __all__ = [
     "LineBundleConnection",
@@ -167,10 +168,13 @@ def dbar_weights(mesh, m, u_vertex=None):
 
 def relative_dbar_norm(mesh, m, dbar_values, values):
     """Background-weighted L2 norm of the dbar face values of a K^m L^n
-    section, normalized by the section's own norm."""
+    section, normalized by the section's own norm; NaN when that norm is
+    not finite."""
     w_in, w_out = dbar_weights(mesh, m)
-    num = np.sqrt(np.sum(w_out * np.abs(dbar_values) ** 2))
     den = np.sqrt(np.sum(w_in * np.abs(values) ** 2))
+    if not np.isfinite(den):
+        return np.nan
+    num = np.sqrt(np.sum(w_out * np.abs(dbar_values) ** 2))
     return num / max(den, 1e-300)
 
 
@@ -273,14 +277,15 @@ def dbar_operator(mesh, L, m, n):
 
 class BasisResult(list):
     """List of DiscreteSection with kernel-detection diagnostics attached:
-    the singular values, the gap ratio, and factor_nnz, the stored entries
-    of the shift-invert factor (None when the search took the dense
-    path)."""
+    the singular values, the gap ratio, h, the Riemann-Roch dimension the
+    search window was sized from, and factor_nnz, the stored entries of
+    the shift-invert factor (None when the search took the dense path)."""
 
-    def __init__(self, sections, singular_values, gap_ratio, factor_nnz=None):
+    def __init__(self, sections, singular_values, gap_ratio, h, factor_nnz=None):
         super().__init__(sections)
         self.singular_values = singular_values
         self.gap_ratio = gap_ratio
+        self.h = h
         self.factor_nnz = factor_nnz
 
 
@@ -338,32 +343,30 @@ def _fix_phase(vals):
     return vals * (np.conj(peak) / abs(peak))
 
 
-# the largest kernel dimension holomorphic_basis looks for: it computes the
-# KERNEL_MAX_DIM + 1 smallest singular values
-KERNEL_MAX_DIM = 24
-
-
 def holomorphic_basis(dbar, gap_floor=10.0):
-    """Orthonormal basis (area-weighted) of the numerical dbar kernel.
+    """Orthonormal basis (area-weighted) of the numerical dbar kernel on
+    sections of K^2 L^n.
 
     The kernel is detected by the largest ratio of consecutive singular
     values of the metric-normalized operator B = diag(sqrt(w_out)) M
-    diag(1 / sqrt(w_in)) among the smallest few, found as eigenvalues of
-    its normal matrix N = B^H B (_stencil_normal, _smallest_singular)
+    diag(1 / sqrt(w_in)) among its 2h + 2 smallest, h = 3(g-1) + n l being
+    the Riemann-Roch dimension the search confirms, found as eigenvalues
+    of its normal matrix N = B^H B (_stencil_normal, _smallest_singular)
     with denominators floored at 1e-14 sqrt(max |diag N|); a ratio below
     gap_floor raises an indeterminate-kernel error carrying the singular
-    values.  Each basis section's phase is fixed by making
-    real and positive its value at the lowest-index vertex whose modulus
-    is within PEAK_RTOL of the largest: on symmetric surfaces a section
-    peaks at several vertices whose moduli agree only to roundoff, so
-    the largest modulus alone would pick the vertex, and the phase, by
-    roundoff.
+    values.  A kernel of any dimension up to 2h + 1 is found as such, so
+    one that is too large or too small is still reported.  Each basis
+    section's phase is fixed by making real and positive its value at
+    the lowest-index vertex whose modulus is within PEAK_RTOL of the
+    largest: on symmetric surfaces a section peaks at several vertices
+    whose moduli agree only to roundoff, so the largest modulus alone
+    would pick the vertex, and the phase, by roundoff.
     """
-    mesh = dbar.mesh
-    w_in, w_out = dbar_weights(mesh, dbar.m)
-    upper = min(KERNEL_MAX_DIM, mesh.n_vertices - 1)
+    l = 0 if dbar.bundle is None else dbar.bundle.degree
+    h = h1_dim(dbar.mesh.genus, dbar.n * l)
+    w_in, w_out = dbar_weights(dbar.mesh, dbar.m)
     pattern, N = _stencil_normal(dbar, w_out, 1.0 / np.sqrt(w_in))
-    s, vecs, factor_nnz = _smallest_singular(pattern, N, upper + 1)
+    s, vecs, factor_nnz = _smallest_singular(pattern, N, 2 * h + 2)
     ratios = s[1:] / np.maximum(s[:-1], 1e-14 * np.sqrt(np.max(np.abs(N[pattern.diagonal]))))
     d = int(np.argmax(ratios)) + 1
     gap = float(ratios[d - 1])
@@ -372,10 +375,9 @@ def holomorphic_basis(dbar, gap_floor=10.0):
             f"no singular-value gap >= {gap_floor} (best {gap:.2f})",
             singular_values=s.tolist(),
         )
-    l = 0 if dbar.bundle is None else dbar.bundle.degree
     sections = [DiscreteSection((dbar.m, dbar.n), _fix_phase(vecs[:, i] / np.sqrt(w_in)),
                                 degree_l=l) for i in range(d)]
-    return BasisResult(sections, s, gap, factor_nnz=factor_nnz)
+    return BasisResult(sections, s, gap, h, factor_nnz=factor_nnz)
 
 
 def class_is_trivial(mesh, beta, metric_u, dbar, tol=1e-3):

@@ -155,10 +155,9 @@ def _basis_for(mesh, L, n_weight):
     Riemann-Roch dimension, gap ratio, the smallest singular values, the
     stored entries of the shift-invert factor)."""
     l = None if L is None else L.degree
-    expected = moduli.h1_dim(mesh.genus, n_weight * (l or 0))
     basis = mesh.memo(("basis", l, n_weight), lambda: bundles.holomorphic_basis(
         bundles.dbar_operator(mesh, L, 2, n_weight)))
-    return basis, {"detected": len(basis), "expected": expected, "gap_ratio": basis.gap_ratio,
+    return basis, {"detected": len(basis), "expected": basis.h, "gap_ratio": basis.gap_ratio,
                    "singular_values": basis.singular_values.tolist(),
                    "factor_nnz": basis.factor_nnz}
 

@@ -110,8 +110,11 @@ def test_kernel_search_matches_dense_svd(mesh_r3, name, n):
     # K^2 L^-1 has gap 8.7 at r=3; the floor is lowered so both searches
     # report their dimension and gap
     basis = bundles.holomorphic_basis(dbar, gap_floor=1.0)
+    # the search reads the 2h + 2 smallest singular values, h = 3 + n, and
+    # decides as the 25-value dense search does
     s = np.asarray(basis.singular_values)
-    assert np.max(np.abs(s - s_ref) / s_ref) < 1e-8
+    assert basis.h == 3 + n and len(s) == 2 * basis.h + 2
+    assert np.max(np.abs(s - s_ref[:len(s)]) / s_ref[:len(s)]) < 1e-8
     assert len(basis) == d_ref
     assert basis.gap_ratio == pytest.approx(gap_ref, rel=1e-8)
     w_in, _ = bundles.dbar_weights(dbar.mesh, dbar.m)
@@ -120,9 +123,10 @@ def test_kernel_search_matches_dense_svd(mesh_r3, name, n):
 
 
 def test_small_mesh_kernel_search_matches_dense_svd():
-    # V = 14 is too small for ARPACK's k < V - 1, so the dense eigh runs
-    mesh = hypmesh.build_surface(2, 1)
-    dbar = bundles.dbar_operator(mesh, None, 2, 0)
+    # K^2 L at l = 3 on g3r1: V = 20 is too small for ARPACK's k < V - 1
+    # with k = 2h + 2 = 20, so the dense eigh runs
+    mesh = hypmesh.build_surface(3, 1)
+    dbar = bundles.dbar_operator(mesh, bundles.make_line_bundle(mesh, 3), 2, 1)
     s_ref = _dense_oracle(dbar)[0]
     with pytest.raises(IndeterminateKernelError) as err:
         bundles.holomorphic_basis(dbar)

@@ -94,8 +94,9 @@ def test_failed_run_writes_partial_report(tmp_path):
     assert "mesh" in rep
     # the record carries the error payload: the smallest singular values
     assert failed["error"] == "IndeterminateKernelError"
+    # the 2h + 2 = 8 smallest, h = 3 for K^2 at g = 2
     s = failed["singular_values"]
-    assert len(s) == 25 and s == sorted(s)
+    assert len(s) == 8 and s == sorted(s)
     with open(tmp_path / "report.json") as fh:
         assert json.load(fh)["failed_at"]["singular_values"] == s
 
@@ -128,23 +129,23 @@ def test_report_file_equals_returned_report(tmp_path, kw):
         trace = rep["solution"]["newton_trace"]
         assert [row[0] for row in trace] == list(range(rep["solution"]["iterations"] + 1))
         assert trace[-1][1] == rep["solution"]["residual"]
-        # the smallest KERNEL_MAX_DIM + 1 = 25 singular values of each kernel search
+        # the 2h + 2 smallest singular values of each kernel search
         for entry in rep["bundle_dims"].values():
             s = entry["singular_values"]
-            assert type(s) is list and len(s) == 25 and s == sorted(s)
+            assert type(s) is list and len(s) == 2 * entry["expected"] + 2 and s == sorted(s)
     if kw["target"] == "rh4":
         assert rep["moduli"]["class_flags"]["proportional"] is True
 
 
 def test_smallest_mesh_fails_at_bundles(tmp_path):
-    # resolution 1 has V = 14 vertices, fewer than the kernel search's
-    # 25 singular values
+    # resolution 1 has V = 14 vertices; ARPACK finds the 8 smallest
+    # singular values and no gap among them
     cfg = RunConfig(genus=2, resolution=1, target="rh3", data_spec="basis:0:0.1",
                     output_dir=str(tmp_path))
     failed = run(cfg)["failed_at"]
     assert failed["stage"] == "bundles"
     assert failed["error"] == "IndeterminateKernelError"
-    assert len(failed["singular_values"]) == 14
+    assert len(failed["singular_values"]) == 8
 
 
 def _arpack_no_convergence(*args, **kwargs):
@@ -308,9 +309,28 @@ def test_basis_command_reports_undetected_kernel(capsys):
     assert failed["stage"] == "bundles"
     assert failed["error"] == "IndeterminateKernelError"
     assert "8.71" in failed["message"]
+    # the 2h + 2 = 6 smallest, h = 2 for K^2 L^-1 at l = 1
     s = failed["singular_values"]
-    assert len(s) == 25 and s == sorted(s)
+    assert len(s) == 6 and s == sorted(s)
     assert abs(s[2] / s[1] - 8.71) < 0.005
+
+
+@pytest.mark.parametrize("h", [1, 0])
+def test_kernel_beyond_the_window_is_reported(capsys, monkeypatch, h):
+    # the g2r3 K^2 kernel has dimension 3; a search sized for h = 1 reads
+    # 4 singular values and reports it against the expected 1, one sized
+    # for h = 0 reads 2 and finds no gap
+    monkeypatch.setattr(bundles, "h1_dim", lambda g, l: h)
+    code = main(["basis", "--target", "rh3", "--resolution", "3"])
+    out = json.loads(capsys.readouterr().out)
+    if h == 0:
+        assert code == 1
+        failed = out["failed_at"]
+        assert (failed["stage"], failed["error"]) == ("bundles", "IndeterminateKernelError")
+        assert len(failed["singular_values"]) == 2
+    else:
+        k2 = out["K2"]
+        assert (k2["detected"], k2["expected"], len(k2["singular_values"])) == (3, 1, 4)
 
 
 def test_mesh_info_command_rejects_bad_config(capsys):
@@ -555,11 +575,12 @@ def _door_sections(mesh, basis):
     }
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("kind", ["noise", "nan", "inf", "conjugate", "wrong-bundle"])
 def test_non_holomorphic_file_section_fails_at_bundles(tmp_path, monkeypatch, mesh_r3,
                                                        basis_K2_r3, kind):
     # the door check reads the section's relative dbar norm; a NaN norm
-    # fails it too
+    # fails it too, and a NaN or infinite value gives one without a warning
     monkeypatch.chdir(tmp_path)
     target, l, bundle_type, values = _door_sections(mesh_r3, basis_K2_r3)[kind]
     DiscreteSection(bundle_type, values, degree_l=l).save("bad.json", mesh=mesh_r3)
