@@ -279,6 +279,7 @@ def _solve(st):
         "iterations": len(sol.newton_trace) - 1,
         "residual": sol.newton_trace[-1][1],
         "newton_trace": [list(entry) for entry in sol.newton_trace],
+        "start": sol.start,
         "u_max": float(np.max(np.abs(sol.u))),
     }
     if st.spec[0] == "manufactured":

@@ -19,8 +19,10 @@ gamma-norms are then ||theta_1||^2 = e^{-4u} e^{2w} t_1 and
 ||theta_2||^2 = e^{-4u} e^{-2w} t_2, and the normal curvature satisfies
 kappa_perp = e^{-2u}(rho_0 - Delta_h w) = ||theta_2||^2 - ||theta_1||^2.
 
-Both systems are solved by damped Newton iteration from u = w = 0 with a
-backtracking (halving) line search on the area-weighted residual norm.
+Both systems are solved by damped Newton iteration with a backtracking
+(halving) line search on the area-weighted residual norm, started from
+the constant state that solves the integrated equations (_constant_start),
+or from u = w = 0 when there is none.
 """
 
 from functools import cached_property
@@ -114,9 +116,12 @@ class GermSolution:
     obtained (see polish_solution).
     """
 
-    def __init__(self, u, w=None, newton_trace=None, converged=False):
+    def __init__(self, u, w=None, newton_trace=None, converged=False, start=None):
         self.u = u
         self.w = w
+        # the constant Newton started from, {"u": a} or {"u": a, "w": b};
+        # None for the zero start
+        self.start = start
         self.newton_trace = newton_trace or []
         self.converged = converged
         self.u_smooth = None
@@ -149,10 +154,14 @@ class CurvatureEquations:
     kappa_perp = e^{-2u}(rho_0 - Delta_h w) satisfy the Gauss equation
     kappa_gamma = -1 - ||II||^2 and the Ricci equation
     kappa_perp = ||theta_2||^2 - ||theta_1||^2 exactly at a solution.
+
+    t, when given, replaces data.t: the densities of each power n, of any
+    one length, that f and df read.
     """
 
-    def __init__(self, data):
+    def __init__(self, data, t=None):
         self.data = data
+        self.t = data.t if t is None else t
         self.coupled = data.L is not None
         # the number of fields, and the vertex areas stacked once per field:
         # the weights of the area-weighted norms of a state or a residual
@@ -171,9 +180,9 @@ class CurvatureEquations:
         the theta norms are None for the scalar equation."""
         em4u = _exp(-4.0 * u)
         if not self.coupled:
-            return em4u * self.data.t[0], None, None
-        th1 = em4u * _exp(2.0 * w) * self.data.t[1]
-        th2 = em4u * _exp(-2.0 * w) * self.data.t[-1]
+            return em4u * self.t[0], None, None
+        th1 = em4u * _exp(2.0 * w) * self.t[1]
+        th2 = em4u * _exp(-2.0 * w) * self.t[-1]
         return th1 + th2, th1, th2
 
     def curvatures(self, u, lap_u, lap_w=None):
@@ -353,19 +362,20 @@ def _jacobian_solver():
     return solve
 
 
-def _newton(x0, residual, jacobian, areas, tol, max_iter):
+def _newton(x0, residual, jacobian, areas, tol, max_iter, solve=None):
     """Damped Newton with halving line search on the weighted residual norm.
 
     residual returns the area-weighted equation values R (so the geometric
     equation is R / areas); the norm tracked is the L2 norm of R / areas
-    against the area element, sqrt(sum R^2 / areas).  The Jacobians are
-    factored by _jacobian_solver, which orders their columns once per solve.
+    against the area element, sqrt(sum R^2 / areas).  solve (J, b) ->
+    J^-1 b defaults to a _jacobian_solver, which factors sparse Jacobians
+    and orders their columns once per solve.
     """
 
     def norm(R):
         return float(np.sqrt(np.sum(R**2 / areas)))
 
-    solve = _jacobian_solver()
+    solve = solve or _jacobian_solver()
     x = x0.copy()
     R = residual(x)
     nrm = norm(R)
@@ -403,17 +413,51 @@ def _newton(x0, residual, jacobian, areas, tol, max_iter):
     )
 
 
+# The constant start's scalar Newton: its tolerance on the norm of f, and
+# its iteration limit.
+_START_TOL = 1e-13
+_START_MAX_ITER = 50
+
+
+def _constant_start(eqs):
+    """The constant state, one value per field, that solves the reaction
+    equations f = 0 at the area-mean densities sum A t / sum A; None when
+    the damped Newton from 0 finds none.
+
+    f is linear in the densities and the cotangent Laplacian's columns
+    sum to zero, so at a constant state each field's summed Newton
+    residual is -sum(A) f at the means: these are the discrete integrated
+    Gauss and Ricci equations over constant states.  For 3-space the root
+    is e^{2a} = (1 + sqrt(1 - 4 t)) / 2, which exists iff the mean density
+    t <= 1/4.  The means cost O(V) once, each Newton step O(1): f and df
+    run on one-element arrays, and the n x n Jacobian is solved densely.
+    """
+    a = eqs.data.mesh.vertex_areas
+    mean = CurvatureEquations(eqs.data, {n: np.array([a @ t / a.sum()])
+                                         for n, t in eqs.t.items()})
+    try:
+        x, _, _ = _newton(np.zeros(eqs.n), lambda x: np.concatenate(mean.f(*x[:, None])),
+                          lambda x: np.array(mean.df(*x[:, None]))[..., 0], np.ones(eqs.n),
+                          _START_TOL, _START_MAX_ITER, solve=np.linalg.solve)
+    except (LinearSolveError, NonConvergenceError):
+        return None
+    return x
+
+
 def _solve(data, tol, max_iter):
-    """Damped Newton from x = 0 on the cotangent discretization of the
-    curvature equations of data."""
+    """Damped Newton on the cotangent discretization of the curvature
+    equations of data, from their constant solution (_constant_start) or,
+    when there is none, from x = 0."""
     if tol <= 0:
         raise InvalidParameterError("tol must be positive")
     eqs = CurvatureEquations(data)
     residual, jacobian = eqs.system("cotangent", data.mesh.vertex_areas)
-    x, trace, ok = _newton(np.zeros(len(eqs.areas)), residual, jacobian, eqs.areas, tol,
-                           max_iter)
+    c = _constant_start(eqs)
+    x0 = np.zeros(len(eqs.areas)) if c is None else np.repeat(c, data.mesh.n_vertices)
+    x, trace, ok = _newton(x0, residual, jacobian, eqs.areas, tol, max_iter)
     u, w = eqs.fields(x)
-    return GermSolution(u=u, w=w, newton_trace=trace, converged=ok)
+    start = None if c is None else dict(zip("uw", c.tolist()))
+    return GermSolution(u=u, w=w, newton_trace=trace, converged=ok, start=start)
 
 
 def solve_gauss3(data, tol=1e-10, max_iter=30):
@@ -441,6 +485,7 @@ def solve_gauss_ricci4(data, tol=1e-10, max_iter=30):
         # block is S)
         sol = solve_gauss3(GermData(data.mesh), tol=tol, max_iter=max_iter)
         sol.w = np.zeros(data.mesh.n_vertices)
+        sol.start["w"] = 0.0
         return sol
     return _solve(data, tol, max_iter)
 

@@ -102,8 +102,9 @@ def test_failed_run_writes_partial_report(tmp_path):
 
 
 def test_failed_at_carries_newton_trace(tmp_path):
-    cfg = RunConfig(genus=2, resolution=2, target="rh3",
-                    data_spec="manufactured:0.1", max_iter=1,
+    # a datum that takes 3 Newton iterations from its constant start
+    cfg = RunConfig(genus=2, resolution=3, target="rh3",
+                    data_spec="basis:0:0.8", max_iter=1,
                     output_dir=str(tmp_path))
     rep = run(cfg, last_stage="germsolve")
     failed = rep["failed_at"]
@@ -118,7 +119,7 @@ def test_failed_at_carries_newton_trace(tmp_path):
     dict(resolution=3, target="rh4", l=0, data_spec="basis:0:0.3:0:0.3"),
     # failures carrying singular values and a Newton trace
     dict(resolution=2, target="rh3", data_spec="basis:0:0.5"),
-    dict(resolution=2, target="rh3", data_spec="manufactured:0.1", max_iter=1),
+    dict(resolution=3, target="rh3", data_spec="basis:0:0.8", max_iter=1),
 ], ids=["rh3", "rh4-l0", "failed-kernel", "failed-newton"])
 def test_report_file_equals_returned_report(tmp_path, kw):
     rep = run(RunConfig(genus=2, output_dir=str(tmp_path), **kw))
@@ -245,6 +246,20 @@ def test_manufactured_run_records_error(tmp_path):
                     data_spec="manufactured:0.1", output_dir=str(tmp_path))
     rep = run(cfg, last_stage="germsolve")
     assert rep["solution"]["mms_error"] < 1e-10
+
+
+def test_solution_records_the_constant_start(tmp_path):
+    def solution(**kw):
+        cfg = RunConfig(genus=2, resolution=3, output_dir=str(tmp_path), **kw)
+        return run(cfg, last_stage="germsolve")["solution"]
+
+    mms = solution(target="rh3", data_spec="manufactured:0.1")
+    assert mms["start"] == {"u": pytest.approx(0.1, abs=1e-14)} and mms["iterations"] == 0
+    # zero rh4 data at l = 0: the decoupled scalar solve, with w = 0
+    zero = solution(target="rh4", l=0, data_spec="zero")
+    assert zero["start"] == {"u": 0.0, "w": 0.0} and zero["iterations"] == 0
+    rh3 = solution(target="rh3", data_spec="basis:0:0.4")
+    assert set(rh3["start"]) == {"u"} and -0.1 < rh3["start"]["u"] < 0.0
 
 
 def test_seeded_random_data_is_deterministic(tmp_path):

@@ -6,7 +6,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from eqmin import bundles, factor, germsolve, hypmesh
-from eqmin.errors import InvalidParameterError, LinearSolveError
+from eqmin.errors import InvalidParameterError, LinearSolveError, StagnationError
 from conftest import make_section
 
 
@@ -25,6 +25,15 @@ def test_manufactured_constant_recovered(mesh_r3):
     assert sol.converged
     assert np.max(np.abs(sol.u - u_star)) < 1e-10
     assert len(sol.newton_trace) - 1 <= 12
+    # the constant is the start, and from zero the Newton driver finds it
+    assert len(sol.newton_trace) == 1
+    assert sol.start["u"] == pytest.approx(u_star, abs=1e-14)
+    eqs = germsolve.CurvatureEquations(data)
+    residual, jacobian = eqs.system("cotangent", mesh_r3.vertex_areas)
+    u, trace, ok = germsolve._newton(np.zeros(mesh_r3.n_vertices), residual, jacobian,
+                                     eqs.areas, 1e-12, 30)
+    assert ok and len(trace) > 2
+    assert np.max(np.abs(u - u_star)) < 1e-10
 
 
 def test_newton_residual_decreases(mesh_r3, basis_K2_r3):
@@ -134,21 +143,21 @@ def test_system_jacobian_matches_finite_differences(mesh_r2, target):
     assert np.max(np.abs(J.toarray() - J_fd)) < 1e-6 * np.max(np.abs(J_fd))
 
 
-def _random_data(mesh, target, rng, vanish=None):
-    """Arbitrary data (the equations need no holomorphy); with vanish, both
-    sections are zero at those vertices, so the coupling blocks of the
-    Jacobian hold exact zeros there."""
+def _random_data(mesh, target, rng, vanish=None, l=0):
+    """Arbitrary data (the equations need no holomorphy), for 4-space at
+    degree l; with vanish, both sections are zero at those vertices, so
+    the coupling blocks of the Jacobian hold exact zeros there."""
     V = mesh.n_vertices
 
     def section(weight):
         vals = 0.5 * (rng.standard_normal(V) + 1j * rng.standard_normal(V))
         if vanish is not None:
             vals[vanish] = 0.0
-        return bundles.DiscreteSection((2, weight), vals, degree_l=0)
+        return bundles.DiscreteSection((2, weight), vals, degree_l=l)
 
     if target == "rh3":
         return germsolve.GermData(mesh, sections=[section(0)])
-    L = bundles.make_line_bundle(mesh, 0)
+    L = bundles.make_line_bundle(mesh, l)
     return germsolve.GermData(mesh, L, [section(1), section(-1)])
 
 
@@ -269,10 +278,10 @@ def test_jacobian_pattern_places_entries_past_int32_keys():
             assert np.array_equal(indices[diagonals[i][j]], j * V + k)
 
 
-def _rh4_r3_data(mesh_r3, basis_K2_r3):
+def _rh4_r3_data(mesh_r3, basis_K2_r3, amplitudes=(0.3, 0.5)):
     L = bundles.make_line_bundle(mesh_r3, 0)
-    theta1 = make_section(L, 2, 1, 0.3 * basis_K2_r3[0].values)
-    theta2 = make_section(L, 2, -1, 0.5 * basis_K2_r3[1].values)
+    theta1 = make_section(L, 2, 1, amplitudes[0] * basis_K2_r3[0].values)
+    theta2 = make_section(L, 2, -1, amplitudes[1] * basis_K2_r3[1].values)
     return germsolve.GermData(mesh_r3, L, [theta1, theta2])
 
 
@@ -299,7 +308,8 @@ def test_sections_outside_the_target_rejected(mesh_r3, basis_K2_r3):
 
 
 def test_newton_orders_columns_once_per_solve(mesh_r3, basis_K2_r3, monkeypatch):
-    data = _rh4_r3_data(mesh_r3, basis_K2_r3)
+    # amplitudes that take 3 iterations from the constant start
+    data = _rh4_r3_data(mesh_r3, basis_K2_r3, (0.5, 0.8))
     splu = spla.splu
     specs = []
 
@@ -333,6 +343,58 @@ def test_newton_later_factorization_failure_is_a_linear_solve_error(mesh_r3, bas
     monkeypatch.setattr(spla, "splu", failing_later)
     with pytest.raises(LinearSolveError, match="Newton linear solve failed"):
         germsolve.solve_gauss_ricci4(data, tol=1e-11)
+
+
+@pytest.mark.parametrize("target, l", [("rh3", 0), ("rh4", -1), ("rh4", 0), ("rh4", 1)])
+def test_constant_start_solves_the_integrated_equations(mesh_r3, target, l):
+    data = _random_data(mesh_r3, target, np.random.default_rng(19), l=l)
+    eqs = germsolve.CurvatureEquations(data)
+    c = germsolve._constant_start(eqs)
+    assert c.shape == (eqs.n,)
+    residual, _ = eqs.system("cotangent", mesh_r3.vertex_areas)
+    R = residual(np.repeat(c, mesh_r3.n_vertices))
+    a = mesh_r3.vertex_areas
+    for field in eqs.fields(R)[:eqs.n]:
+        assert abs(field.sum()) <= 1e-12 * a.sum()
+    if target == "rh3":
+        # the closed form of the integrated Gauss equation's stable root
+        t = a @ data.t[0] / a.sum()
+        assert np.exp(2.0 * c[0]) == pytest.approx((1.0 + np.sqrt(1.0 - 4.0 * t)) / 2.0,
+                                                   rel=1e-14)
+
+
+def test_data_without_a_constant_state_start_from_zero(mesh_r3, basis_K2_r3):
+    # the mean density exceeds 1/4, so the integrated Gauss equation has
+    # no constant solution; Newton starts from 0 and stagnates
+    data = germsolve.GermData(mesh_r3, sections=[make_section(None, 2, 0,
+                                                              2.0 * basis_K2_r3[0].values)])
+    a = mesh_r3.vertex_areas
+    assert a @ data.t[0] / a.sum() > 0.25
+    eqs = germsolve.CurvatureEquations(data)
+    assert germsolve._constant_start(eqs) is None
+    residual, _ = eqs.system("cotangent", a)
+    with pytest.raises(StagnationError) as failure:
+        germsolve.solve_gauss3(data)
+    R = residual(np.zeros(mesh_r3.n_vertices))
+    assert failure.value.payload["trace"][0][1] == float(np.sqrt(np.sum(R**2 / a)))
+
+
+def test_baseline_datum_converges_in_three_factorizations(mesh_r4, L1_r4, basis_K2Linv_r4,
+                                                          basis_K2L_r4, monkeypatch):
+    splu = spla.splu
+    calls = []
+
+    def counting(A, **kwargs):
+        calls.append(1)
+        return splu(A, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", counting)
+    data = germsolve.GermData(mesh_r4, L1_r4, [
+        make_section(L1_r4, 2, -1, 0.4 * basis_K2Linv_r4[0].values),
+        make_section(L1_r4, 2, 1, 0.3 * basis_K2L_r4[0].values)])
+    sol = germsolve.solve_gauss_ricci4(data)
+    assert sol.converged and sol.start is not None
+    assert len(calls) <= 3
 
 
 def test_damped_normal_operator_applies_the_damped_normal_matrix(mesh_r3):
