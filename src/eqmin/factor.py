@@ -17,6 +17,15 @@ pattern alone: the order, kd and each entry's place in the band are
 computed once per pattern, at its first factorization, and
 factor_hpd(pattern, values) only scatters the values into a new band and
 factors it.
+
+A factor has the precision of the values it was made from: float32
+values give a float32 band, factored by LAPACK's spbtrf, at half the
+storage of a float64 one.  BandFactor.solve casts a right-hand side to
+the band's precision, keeping it complex when it is, and returns the
+result in the common type of the two,
+so a float64 right-hand side of a float32 factor gets a float64 result,
+accurate to single precision: the polish uses such a factor as the
+preconditioner of a double-precision conjugate-gradient solve.
 """
 
 import functools
@@ -32,7 +41,9 @@ __all__ = ["BandFactor", "HermitianPattern", "factor_hpd"]
 
 class BandFactor:
     """Lower banded Cholesky factor of a matrix in band order; solve takes
-    and returns vectors in the caller's order."""
+    and returns vectors in the caller's order, b cast to the band's
+    precision (keeping its kind, real or complex) and the result in
+    np.result_type(b, band)."""
 
     def __init__(self, cb, perm):
         self.cb = cb
@@ -42,9 +53,14 @@ class BandFactor:
         self.nnz = int(cb.size)
 
     def solve(self, b):
-        y = cho_solve_banded((self.cb, True), np.asarray(b)[self.perm],
+        b = np.asarray(b)
+        # the band's precision, and b's kind: a complex b on a real band
+        # stays complex
+        work = np.promote_types(self.cb.dtype, np.complex64 if np.iscomplexobj(b)
+                                else self.cb.dtype)
+        y = cho_solve_banded((self.cb, True), b[self.perm].astype(work, copy=False),
                              check_finite=False)
-        x = np.empty_like(y)
+        x = np.empty(y.shape, dtype=np.result_type(b, self.cb))
         x[self.perm] = y
         return x
 
@@ -104,9 +120,10 @@ class HermitianPattern:
 
 def factor_hpd(pattern, values):
     """Factor the Hermitian positive-definite matrix (real or complex) with
-    the given values on pattern, a HermitianPattern; returns a BandFactor.
-    Raises ShapeError unless there is one value per stored entry, and
-    numpy's LinAlgError when the matrix is not positive definite."""
+    the given values on pattern, a HermitianPattern, in the precision of
+    the values; returns a BandFactor.  Raises ShapeError unless there is
+    one value per stored entry, and numpy's LinAlgError when the matrix
+    is not positive definite."""
     values = np.asarray(values)
     if values.shape != pattern.indices.shape:
         raise ShapeError(f"{values.shape} values for a pattern of "

@@ -493,8 +493,9 @@ def solve_gauss_ricci4(data, tol=1e-10, max_iter=30):
 # The polish's Marquardt damping: its normal matrices are N + this |diag N|.
 _POLISH_DAMPING = 0.03
 
-# Polish steps after the first solve their normal equations by CG to this
-# relative residual, within this many iterations (3-4 are used at r=4).
+# Polish steps solve their normal equations by CG, preconditioned with a
+# single-precision factor, to this relative residual within this many
+# iterations (2-5 are used at r=3-5).
 _PCG_RTOL = 1e-12
 _PCG_MAXITER = 25
 
@@ -624,21 +625,25 @@ def polish_solution(data, sol, iterations=4):
 
     The damped normal matrix N = J^T W J + _POLISH_DAMPING diag|N| is symmetric
     positive definite.  Between steps only the diagonal reaction terms of
-    the Jacobian J move, by O(h^2), so N is formed and factored once, as a
-    band in reverse Cuthill-McKee order by factor_hpd, at the first step.
-    N is formed without sparse products, at the stored places of the
-    mesh's normal pattern (_PolishNormal), which also keeps the band plan
-    it is factored with; both are kept on the mesh, per field count.
-    Each later step solves its own normal equations by conjugate
-    gradients preconditioned with that factorization, applying N as
+    the Jacobian J move, by O(h^2), so N is formed and factored once, at
+    the first step, in single precision, as a band in reverse
+    Cuthill-McKee order by factor_hpd.  The damping bounds N's diagonally
+    scaled condition number by about (rho + damping) / damping, rho the
+    largest eigenvalue of the scaled J^T W J, which keeps the float32
+    Cholesky far from breakdown.  N is formed without sparse products, at
+    the stored places of the mesh's normal pattern (_PolishNormal), which
+    also keeps the band plan it is factored with; both are kept on the
+    mesh, per field count.  Every step, the first included, solves its
+    own normal equations in double precision by conjugate gradients
+    preconditioned with that factorization, applying N as
     v -> J^T W J v + damping |diag N| v without forming it.  When CG does
-    not reach its tolerance the current N is formed, factored and solved
-    directly, and its factorization preconditions the remaining steps.
-    sol.polish records each step (weighted collocation residual before
-    and after, accepted line-search fraction, CG iterations, 0 for a
-    direct solve), the number of factorizations and the storage of each
-    (factor_nnz, the band's entries, (kd + 1) * n for half-bandwidth kd
-    and size n).
+    not reach its tolerance, or the float32 factorization fails, the
+    current N is formed, factored in float64 and solved directly, and its
+    factorization preconditions the remaining steps.  sol.polish records
+    each step (weighted collocation residual before and after, accepted
+    line-search fraction, CG iterations, 0 for a direct solve), the
+    number of factorizations and the storage of each (factor_nnz, the
+    band's entries, (kd + 1) * n for half-bandwidth kd and size n).
     """
     mesh = data.mesh
     eqs = CurvatureEquations(data)
@@ -651,9 +656,19 @@ def polish_solution(data, sol, iterations=4):
     def wnorm(R):
         return float(np.sqrt(np.sum(aa * R**2)))
 
-    lu = None
+    def factored(dtype):
+        """The factor of N at the current x, in dtype's precision."""
+        N = normal.matrix(eqs.df(*eqs.fields(x)), _POLISH_DAMPING).astype(dtype, copy=False)
+        lu = factor_hpd(normal.pattern, N)
+        factor_nnz.append(lu.nnz)
+        return lu
+
     steps = []
     factor_nnz = []
+    try:
+        lu = factored(np.float32)
+    except np.linalg.LinAlgError:
+        lu = None
     R = resid(x)
     for _ in range(iterations):
         J = jac(x)
@@ -664,13 +679,11 @@ def polish_solution(data, sol, iterations=4):
                 _damped_normal_operator(J, aa, _POLISH_DAMPING), rhs, lu)
         if step is None:
             lu = None  # release the old factors before making new ones
-            N = normal.matrix(eqs.df(*eqs.fields(x)), _POLISH_DAMPING)
             try:
-                lu = factor_hpd(normal.pattern, N)
+                lu = factored(np.float64)
                 step = lu.solve(rhs)
             except Exception as exc:
                 raise LinearSolveError(f"polish solve failed: {exc}") from exc
-            factor_nnz.append(lu.nnz)
             cg_iterations = 0
         base = wnorm(R)
         after = base

@@ -102,17 +102,29 @@ def _polished(eqs, sol):
     return u, eqs.norms(u, w), curv
 
 
+# sup norm of a pointwise residual below which it sits at roundoff or
+# Newton tolerance, so the vertex of its maximum is noise.  It assumes the
+# default solver tolerance, 1e-10, at which gauss_identity reads 1e-13 to
+# 6e-11; a run with --tol looser than about 1e-7 can put gauss_identity
+# above it, and its site then names a vertex again
+SITE_FLOOR = 1e-8
+
+
 def _residual_site(mesh, r):
     """Where the pointwise residual |r| peaks: the vertex of its maximum
     (the first, on ties), that vertex's |z| and valence (the faces at its
-    class), and the 99th percentile of |r| over the vertices."""
+    class), and the 99th percentile of |r| over the vertices.  Below
+    SITE_FLOOR the vertex, |z| and valence are None."""
     r = np.abs(r)
+    p99 = float(np.percentile(r, 99))
+    if np.max(r) < SITE_FLOOR:
+        return {"vertex": None, "abs_z": None, "valence": None, "p99": p99}
     v = int(np.argmax(r))
     return {
         "vertex": v,
         "abs_z": float(abs(mesh.vertices[v])),
         "valence": int(np.count_nonzero(mesh.faces == v)),
-        "p99": float(np.percentile(r, 99)),
+        "p99": p99,
     }
 
 

@@ -362,10 +362,11 @@ def test_report_records_polish(tmp_path):
     rep = run(cfg, write_files=False, last_stage="invariants")
     polish = rep["solution"]["polish"]
     assert polish["factorizations"] == 1
-    # the fill of the one factorization of the 254 x 254 normal matrix
+    # the fill of the one (single-precision) factorization of the 254 x 254
+    # normal matrix, which preconditions a CG solve on every step
     (fill,) = polish["factor_nnz"]
     assert type(fill) is int and fill > 254
-    assert [s["cg_iterations"] > 0 for s in polish["steps"]] == [False] + [True] * 3
+    assert all(0 < s["cg_iterations"] <= 10 for s in polish["steps"])
     for step in polish["steps"]:
         assert step["residual_after"] < step["residual_before"]
         assert step["step_fraction"] == 1.0

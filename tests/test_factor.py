@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import cho_solve_banded
 
 from eqmin import bundles, factor, germsolve, hypmesh
 from eqmin.cli import RunConfig, sweep
@@ -40,6 +41,68 @@ def test_band_order_is_a_permutation(mesh_r3):
     for values in (A.data[:-1], np.append(A.data, 1.0)):
         with pytest.raises(ShapeError):
             factor.factor_hpd(pattern, values)
+
+
+@pytest.fixture(scope="module")
+def polish_normal_r3(mesh_r3, basis_K2_r3):
+    """The pattern and float64 values of the polish's damped normal matrix
+    at a solved rh4 datum at g=2, r=3, l=0."""
+    L = bundles.make_line_bundle(mesh_r3, 0)
+    data = germsolve.GermData(mesh_r3, L, [make_section(L, 2, 1, 0.3 * basis_K2_r3[0].values),
+                                           make_section(L, 2, -1, 0.5 * basis_K2_r3[1].values)])
+    sol = germsolve.solve_gauss_ricci4(data, tol=1e-11)
+    eqs = germsolve.CurvatureEquations(data)
+    normal = germsolve._PolishNormal(mesh_r3.fd_laplacian_matrix(weighted=True),
+                                     mesh_r3.vertex_areas, 2)
+    return normal.pattern, normal.matrix(eqs.df(sol.u, sol.w), germsolve._POLISH_DAMPING)
+
+
+def _solve_in_band_dtype(lu, b):
+    """A band factor's solve as LAPACK's pbtrs gives it, with b in the
+    band's dtype and no cast of the result."""
+    y = cho_solve_banded((lu.cb, True), b[lu.perm], check_finite=False)
+    x = np.empty_like(y)
+    x[lu.perm] = y
+    return x
+
+
+def test_float32_values_give_a_float32_band_with_float64_solves(polish_normal_r3):
+    pattern, N = polish_normal_r3
+    lu64 = factor.factor_hpd(pattern, N)
+    lu32 = factor.factor_hpd(pattern, N.astype(np.float32))
+    assert lu64.cb.dtype == np.float64 and lu32.cb.dtype == np.float32
+    assert (lu32.bandwidth, lu32.nnz) == (lu64.bandwidth, lu64.nnz)
+    assert lu32.cb.nbytes == lu64.cb.nbytes // 2
+    b = np.random.default_rng(2).standard_normal(pattern.n)
+    ref = lu64.solve(b)
+    x = lu32.solve(b)
+    assert x.dtype == np.float64
+    assert np.linalg.norm(x - ref) <= 1e-5 * np.linalg.norm(ref)
+    # a float32 right-hand side stays in float32
+    assert lu32.solve(b.astype(np.float32)).dtype == np.float32
+
+
+def test_float64_and_complex128_factors_solve_as_before(polish_normal_r3):
+    pattern, N = polish_normal_r3
+    rng = np.random.default_rng(4)
+    b = rng.standard_normal(pattern.n)
+    lu = factor.factor_hpd(pattern, N)
+    x = lu.solve(b)
+    assert x.dtype == np.float64 and np.array_equal(x, _solve_in_band_dtype(lu, b))
+    lu = factor.factor_hpd(pattern, N.astype(np.complex128))
+    assert lu.cb.dtype == np.complex128
+    for rhs in (b, b + 1j * rng.standard_normal(pattern.n)):
+        x = lu.solve(rhs)
+        assert x.dtype == np.complex128
+        assert np.array_equal(x, _solve_in_band_dtype(lu, rhs.astype(np.complex128)))
+    # a complex right-hand side of a real factor keeps its imaginary part
+    c = b + 1j * rng.standard_normal(pattern.n)
+    for values, rtol in ((N, 1e-14), (N.astype(np.float32), 1e-5)):
+        lu = factor.factor_hpd(pattern, values)
+        x = lu.solve(c)
+        assert x.dtype == np.complex128
+        ref = lu.solve(c.real) + 1j * lu.solve(c.imag)
+        assert np.linalg.norm(x - ref) <= rtol * np.linalg.norm(ref)
 
 
 @pytest.fixture(scope="module")

@@ -471,8 +471,8 @@ def test_polish_factors_once_and_matches_factor_every_step(solved_r3, count_fact
     assert type(fill) is int and fill > 0
     steps = record["steps"]
     assert len(steps) == 4
-    assert steps[0]["cg_iterations"] == 0
-    assert all(0 < s["cg_iterations"] <= 10 for s in steps[1:])
+    # every step, the first included, is a CG solve on the one factor
+    assert all(0 < s["cg_iterations"] <= 10 for s in steps)
     for s in steps:
         assert s["step_fraction"] == 1.0
         assert s["residual_after"] < s["residual_before"]
@@ -490,18 +490,65 @@ def test_polish_refactors_when_cg_fails(solved_r3, count_factor, monkeypatch):
     monkeypatch.setattr(spla, "cg", no_convergence)
     del count_factor[:]
     polished = germsolve.polish_solution(data, _fresh(sol.u, sol.w))
-    assert len(count_factor) == 4
+    # the float32 factor, then a float64 one for each step's direct solve
+    assert len(count_factor) == 5
     assert np.max(np.abs(_smoothed(polished) - ref)) < 1e-10
-    assert polished.polish["factorizations"] == 4
-    assert len(polished.polish["factor_nnz"]) == 4
+    assert polished.polish["factorizations"] == 5
+    assert len(polished.polish["factor_nnz"]) == 5
     assert [s["cg_iterations"] for s in polished.polish["steps"]] == [0] * 4
 
 
-def _colamd(pattern, values):
+@pytest.fixture
+def no_float32_factor(monkeypatch):
+    """Band factors fail on float32 values, as LAPACK's spbtrf would on a
+    matrix that loses definiteness in single precision."""
+    cholesky_banded = factor.cholesky_banded
+
+    def failing_in_float32(ab, **kwargs):
+        if ab.dtype == np.float32:
+            raise np.linalg.LinAlgError("1-th leading minor not positive definite")
+        return cholesky_banded(ab, **kwargs)
+
+    monkeypatch.setattr(factor, "cholesky_banded", failing_in_float32)
+
+
+def test_polish_falls_back_to_float64_when_float32_factor_fails(solved_r3, count_factor,
+                                                                no_float32_factor):
+    data, sol = solved_r3
+    ref = _factor_every_step(data, sol)
+    del count_factor[:]
+    polished = germsolve.polish_solution(data, _fresh(sol.u, sol.w))
+    assert np.max(np.abs(_smoothed(polished) - ref)) < 1e-10
+    # the float32 attempt, then one float64 factor: a direct first step,
+    # whose factor preconditions the later steps
+    assert len(count_factor) == 2
+    assert polished.polish["factorizations"] == 1
+    steps = polished.polish["steps"]
+    assert steps[0]["cg_iterations"] == 0
+    assert all(0 < s["cg_iterations"] <= 10 for s in steps[1:])
+
+
+class _colamd:
     """SuperLU with its default COLAMD ordering and partial pivoting, in
-    the caller's order: the oracle for the banded factor.  Its factor
-    object has the solve and nnz that the polish reads."""
-    return spla.splu(pattern.csr(values).tocsc())
+    the caller's order and the precision of the values: the oracle for
+    the banded factor.  It has the solve and nnz that the polish reads,
+    and solves by the band factor's precision rule."""
+
+    def __init__(self, pattern, values):
+        self.lu = spla.splu(pattern.csr(values).tocsc())
+        self.nnz = self.lu.nnz
+        self.dtype = values.dtype
+
+    def solve(self, b):
+        return self.lu.solve(b.astype(self.dtype)).astype(np.result_type(b, self.dtype))
+
+
+def _colamd_float64(pattern, values):
+    """_colamd that fails on float32 values, like the band factor under
+    no_float32_factor."""
+    if values.dtype == np.float32:
+        raise np.linalg.LinAlgError("single precision disabled")
+    return _colamd(pattern, values)
 
 
 def test_mesh_order_factor_solves_polish_matrix_like_colamd(solved_r3, monkeypatch):
@@ -515,6 +562,10 @@ def test_mesh_order_factor_solves_polish_matrix_like_colamd(solved_r3, monkeypat
     monkeypatch.setattr(germsolve, "factor_hpd", recording)
     germsolve.polish_solution(data, _fresh(sol.u, sol.w), iterations=1)
     ((pattern, N),) = matrices
+    # the polish factors N in single precision; the band factor is
+    # compared with COLAMD in double
+    assert N.dtype == np.float32
+    N = N.astype(np.float64)
     b = np.random.default_rng(0).standard_normal(pattern.n)
     ref = _colamd(pattern, N).solve(b)
     x = factor.factor_hpd(pattern, N).solve(b)
@@ -527,6 +578,23 @@ def test_polish_in_mesh_order_matches_colamd_polish(solved_r3, monkeypatch):
     monkeypatch.setattr(germsolve, "factor_hpd", _colamd)
     ref = germsolve.polish_solution(data, _fresh(sol.u, sol.w))
     assert np.max(np.abs(_smoothed(polished) - _smoothed(ref))) <= 1e-13
+    # the two single-precision factors differ by their roundoff, about 1e-7
+    # relative, so CG may take one iteration more on either (rh3: 2 and 3
+    # at the first step); the float64 path below compares them exactly
+    for s, r in zip(polished.polish["steps"], ref.polish["steps"]):
+        assert 0 < s["cg_iterations"] <= 10 and abs(s["cg_iterations"] - r["cg_iterations"]) <= 1
+
+
+def test_float64_polish_in_mesh_order_matches_colamd_polish(solved_r3, no_float32_factor,
+                                                            monkeypatch):
+    # on the float64 path both factors are accurate to double precision,
+    # so CG takes the same iterations on either, step by step
+    data, sol = solved_r3
+    polished = germsolve.polish_solution(data, _fresh(sol.u, sol.w))
+    monkeypatch.setattr(germsolve, "factor_hpd", _colamd_float64)
+    ref = germsolve.polish_solution(data, _fresh(sol.u, sol.w))
+    assert np.max(np.abs(_smoothed(polished) - _smoothed(ref))) <= 1e-13
+    assert polished.polish["steps"][0]["cg_iterations"] == 0
     assert ([s["cg_iterations"] for s in polished.polish["steps"]]
             == [s["cg_iterations"] for s in ref.polish["steps"]])
 

@@ -140,16 +140,37 @@ def test_residual_sites_locate_each_pointwise_sup(which, request):
     assert invariants.compute_invariants(data, sol).residual_sites == sites
     faces_at = np.bincount(mesh.faces.ravel(), minlength=mesh.n_vertices)
     for key, site in sites.items():
+        assert 0.0 <= site["p99"] <= rep.residuals[key]
         v = site["vertex"]
+        if rep.residuals[key] < invariants.SITE_FLOOR:
+            assert v is site["abs_z"] is site["valence"] is None
+            continue
         assert type(v) is int and type(site["valence"]) is int
         assert site["abs_z"] == abs(mesh.vertices[v])
         assert site["valence"] == faces_at[v]
-        assert 0.0 <= site["p99"] <= rep.residuals[key]
-    # the Gauss identity's field is on the report: check its site in full
+    # the Gauss identity's field is on the report: check its site in full;
+    # at Newton tolerance it names no vertex
     r = np.abs(rep.kappa_gamma + 1.0 + rep.ii_norm_sq)
     site = sites["gauss_identity"]
-    assert r[site["vertex"]] == rep.residuals["gauss_identity"] == np.max(r)
+    assert rep.residuals["gauss_identity"] == np.max(r) < invariants.SITE_FLOOR
+    assert site["vertex"] is None
     assert site["p99"] == np.percentile(r, 99)
+    assert type(sites["kappaperp_identity"]["vertex"]) is int
+
+
+def test_residual_site_at_roundoff_names_no_vertex(mesh_r3, basis_K2_r3):
+    # equal sections at l=0 solve with w = 0, so the Ricci equation holds
+    # to roundoff, while the curvature identity keeps its truncation error
+    L = bundles.make_line_bundle(mesh_r3, 0)
+    values = 0.4 * basis_K2_r3[0].values
+    data = germsolve.GermData(mesh_r3, L, [make_section(L, 2, 1, values),
+                                           make_section(L, 2, -1, values)])
+    rep = invariants.compute_invariants(data, germsolve.solve_gauss_ricci4(data, tol=1e-11))
+    assert rep.residuals["ricci_frame"] < 1e-12
+    sites = rep.residual_sites
+    assert sites["ricci_frame"]["vertex"] is None and sites["ricci_frame"]["p99"] >= 0.0
+    assert rep.residuals["kappaperp_identity"] > invariants.SITE_FLOOR
+    assert type(sites["kappaperp_identity"]["vertex"]) is int
 
 
 def test_residual_site_takes_the_first_maximum_of_the_modulus(mesh_r3):
@@ -158,3 +179,7 @@ def test_residual_site_takes_the_first_maximum_of_the_modulus(mesh_r3):
     site = invariants._residual_site(mesh_r3, r)
     assert site["vertex"] == 7
     assert site["p99"] == np.percentile(np.abs(r), 99)
+    # below SITE_FLOOR only the percentile is kept
+    site = invariants._residual_site(mesh_r3, 1e-13 * r)
+    assert site["vertex"] is site["abs_z"] is site["valence"] is None
+    assert site["p99"] == np.percentile(np.abs(1e-13 * r), 99)
