@@ -25,6 +25,7 @@ the constant state that solves the integrated equations (_constant_start),
 or from u = w = 0 when there is none.
 """
 
+import itertools
 from functools import cached_property
 
 import numpy as np
@@ -259,55 +260,48 @@ _LAPLACIANS = {
 }
 
 
-def _flagged_union(parts):
-    """The union of the patterns of the canonical CSR matrices parts, as a
-    canonical complex CSR matrix whose imaginary parts flag the parts that
-    hold each entry (bit b for parts[b]): the entries of parts[b], in its
-    own order, sit at np.flatnonzero(flags & 2**b) of the union."""
-    return sum(sp.csr_matrix((np.full(p.nnz, 2.0**b * 1j), p.indices, p.indptr), shape=p.shape)
-               for b, p in enumerate(parts))
+def _flagged_unions(parts):
+    """The unions of the patterns of the first 1, 2, ... of the canonical
+    CSR matrices parts, at most 8, each a canonical uint8 CSR matrix whose
+    values flag the parts that hold each entry (bit b for parts[b]): the
+    entries of parts[b], in its own order, sit at
+    np.flatnonzero(flags & 2**b) of every union that includes it."""
+    return list(itertools.accumulate(
+        sp.csr_matrix((np.full(p.nnz, 2**b, dtype=np.uint8), p.indices, p.indptr), shape=p.shape)
+        for b, p in enumerate(parts)))
 
 
-class _BlockPattern:
-    """The CSR pattern of an n x n block matrix whose diagonal blocks have
-    the pattern of diag and whose off-diagonal blocks have that of off,
-    both _flagged_unions of at most 8 V x V parts.  Row r of block row i
-    holds the rows r of the blocks (i, 0), ..., (i, n - 1) in turn;
-    indices and indptr are int32 unless there are more entries than int32
-    counts.  Of diag and off only their row pointers and flags are kept.
+def _block_layout(parts, shared, n):
+    """The CSR pattern of an n x n block matrix whose diagonal blocks hold
+    the union of the patterns of parts, a list of at most 8 canonical
+    V x V CSR matrices, and whose off-diagonal blocks that of the first
+    shared of them, with the places of every part's entries in every
+    block.
+
+    Returns (indptr, indices, places): the CSR index arrays of the block
+    matrix, and places[i, j][b], the places in its value array of the
+    entries of part b of block (i, j), in that part's own order.
     """
-
-    def __init__(self, diag, off, n):
-        self.n = n
-        kinds = {True: diag, False: off}
-        self.ptr = {kind: P.indptr for kind, P in kinds.items()}
-        self.flags = {kind: P.data.imag.astype(np.uint8) for kind, P in kinds.items()}
-        V = diag.shape[0]
-        row_length = np.diff(diag.indptr) + (n - 1) * np.diff(off.indptr)
-        indptr = np.concatenate([[0], np.cumsum(np.tile(row_length, n))])
-        index = np.int32 if indptr[-1] <= np.iinfo(np.int32).max else np.int64
-        self.indptr = indptr.astype(index)
-        self.indices = np.empty(indptr[-1], dtype=index)
-        for i, j, at in self.blocks():
-            self.indices[at] = kinds[i == j].indices + j * V
-
-    def places(self, kind, bit):
-        """The places in a block of this kind (True: a diagonal block) of
-        the entries of the part flagged bit, in that part's order."""
-        return np.flatnonzero(self.flags[kind] & bit).astype(self.indptr.dtype)
-
-    def blocks(self):
-        """(i, j, at) for each block (i, j), at the global place of each
-        of its entries."""
-        V = len(self.ptr[True]) - 1
-        for i in range(self.n):
-            start = self.indptr[i * V:(i + 1) * V]
-            for j in range(self.n):
-                ptr = self.ptr[i == j]
-                length = np.diff(ptr)
-                at = np.repeat(start - ptr[:-1], length) + np.arange(ptr[-1], dtype=start.dtype)
-                yield i, j, at
-                start = start + length
+    unions = _flagged_unions(parts)
+    kinds = {True: unions[-1], False: unions[shared - 1]}
+    layout = sp.bmat([[kinds[i == j] for j in range(n)] for i in range(n)], format="csr")
+    # the places of each kind of block's parts in the block, in their order
+    local = {kind: [np.flatnonzero((union.data & 2**b) != 0)
+                    for b in range(len(parts) if kind else shared)]
+             for kind, union in kinds.items()}
+    V = parts[0].shape[0]
+    places = {}
+    for i in range(n):
+        # the first place of each row of block row i; block (i, j)'s part
+        # of the row follows those of the blocks before it
+        first = layout.indptr[i * V:(i + 1) * V]
+        for j in range(n):
+            ptr = kinds[i == j].indptr
+            length = np.diff(ptr)
+            at = np.repeat(first - ptr[:-1], length) + np.arange(ptr[-1], dtype=first.dtype)
+            places[i, j] = [at[on] for on in local[i == j]]
+            first = first + length
+    return layout.indptr, layout.indices, places
 
 
 def _jacobian_pattern(lap, n):
@@ -323,17 +317,13 @@ def _jacobian_pattern(lap, n):
     if not lap.has_sorted_indices:
         lap = lap.sorted_indices()
     eye = sp.identity(lap.shape[0], format="csr")
-    # diagonal blocks: the identity (flag 1) and lap (flag 2); off-diagonal
-    # blocks: the identity
-    pattern = _BlockPattern(_flagged_union([eye, lap]), _flagged_union([eye]), n)
-    on_lap = pattern.places(True, 2)
-    base = np.zeros(len(pattern.indices))
-    diagonals = [[] for _ in range(n)]
-    for i, j, at in pattern.blocks():
-        if i == j:
-            base[at[on_lap]] = lap.data
-        diagonals[i].append(at[pattern.places(i == j, 1)])
-    return pattern.indices, pattern.indptr, base, diagonals
+    # diagonal blocks: the identity and lap; off-diagonal blocks: the identity
+    indptr, indices, places = _block_layout([eye, lap], 1, n)
+    base = np.zeros(len(indices))
+    for i in range(n):
+        base[places[i, i][1]] = lap.data
+    diagonals = [[places[i, j][0] for j in range(n)] for i in range(n)]
+    return indices, indptr, base, diagonals
 
 
 def _jacobian_solver():
@@ -500,22 +490,6 @@ _PCG_RTOL = 1e-12
 _PCG_MAXITER = 25
 
 
-def _preconditioned_cg(A, rhs, lu):
-    """Solve A x = rhs by conjugate gradients preconditioned with the
-    factorization of a nearby matrix; A is a matrix or a LinearOperator.
-    Returns (x, iterations), with x None when CG did not reach _PCG_RTOL."""
-    iterations = 0
-
-    def count(_):
-        nonlocal iterations
-        iterations += 1
-
-    M = spla.LinearOperator(A.shape, matvec=lu.solve, dtype=float)
-    x, info = spla.cg(A, rhs, rtol=_PCG_RTOL, maxiter=_PCG_MAXITER, M=M,
-                      callback=count)
-    return (x if info == 0 else None), iterations
-
-
 def _damped_normal_operator(J, aa, damping):
     """The polish's damped normal matrix N + damping (|diag N| + 1e-300),
     N = J^T diag(aa) J, as the operator v -> J^T (aa J v) + d v, without
@@ -539,14 +513,14 @@ class _PolishNormal:
 
     where L^T W L has the blocks Q = lap^T W lap on its diagonal, block
     (i, j) of E is diag(a df[j][i]) lap, and D^T W D is diagonal in each
-    block.  Q and the pattern of N (laid out by a _BlockPattern, layout)
-    depend on the mesh alone and are kept, with the places of lap's
-    entries, of their transposes and of the diagonal in each kind of
-    block; matrix(df, damping) writes Q, the reaction terms and the
-    damping at those places, with no sparse products, and returns the
-    values.  pattern is N's HermitianPattern, on which every N is
-    factored; it makes its band plan at the first factorization, once the
-    arrays that built the pattern are freed.
+    block.  Q and the pattern of N (laid out by _block_layout) depend on
+    the mesh alone and are kept, with the places, in every block, of the
+    identity's entries, of lap's, of their transposes and of Q's;
+    matrix(df, damping) writes Q, the reaction terms and the damping at
+    those places, with no sparse products, and returns the values.
+    pattern is N's HermitianPattern, on which every N is factored; it
+    makes its band plan at the first factorization, once the arrays that
+    built the pattern are freed.
 
     A diagonal block's pattern is that of Q, lap, lap^T and the identity,
     an off-diagonal block's that of lap, lap^T and the identity: the
@@ -568,21 +542,22 @@ class _PolishNormal:
         weighted = sp.csr_matrix((np.repeat(a, np.diff(lap.indptr)) * lap.data, lap.indices,
                                   lap.indptr), shape=lap.shape)
         Q = (lap.T @ weighted).tocsr()
-        # an off-diagonal block's pattern, flagged (1 diagonal, 2 lap, 4
-        # lap^T), and a diagonal block's, with Q's values as real parts
-        off = _flagged_union([sp.identity(V, format="csr"), lap, number_t])
-        diag = Q + off
-        self.layout = _BlockPattern(diag, off, n)
-        self.pattern = HermitianPattern(self.layout.indptr, self.layout.indices)
-        self.q = diag.data.real.copy()
-        # each kind of block: the places in it of the identity's and lap's
-        # entries and of lap's transposed entries
-        self.kinds = {}
-        for kind in (False, True):
-            on_eye, on_lap, on_t = (self.layout.places(kind, b) for b in (1, 2, 4))
+        # canonical, as every part of a block layout is
+        Q.sum_duplicates()
+        self.q = Q.data
+        # every block holds the identity, lap and lap^T; a diagonal block Q too
+        parts = [sp.identity(V, format="csr"), lap, number_t, Q]
+        indptr, indices, places = _block_layout(parts, 3, n)
+        self.pattern = HermitianPattern(indptr, indices)
+        # Q's places in each diagonal block, and each block's places of the
+        # identity's and lap's entries and of lap's transposed entries, in
+        # the order of the entries of lap
+        self.on_q = [places[i, i][3] for i in range(n)]
+        self.places = {}
+        for block, (on_eye, on_lap, on_t, *_) in places.items():
             transposing = np.empty_like(on_t)
             transposing[number_t.data] = on_t
-            self.kinds[kind] = on_eye, on_lap, transposing
+            self.places[block] = on_eye, on_lap, transposing
 
     def matrix(self, df, damping):
         """N + damping (|diag N| + 1e-300) for the reaction-term diagonals
@@ -594,13 +569,12 @@ class _PolishNormal:
         # holds scaled[i][j] at their transposes
         scaled = [[np.repeat(a * d, row_count) * lap.data for d in row] for row in df]
         data = np.zeros(len(self.pattern.indices))
-        for i, j, at in self.layout.blocks():
-            on_eye, on_lap, on_t = self.kinds[i == j]
-            if i == j:
-                data[at] = self.q
-            data[at[on_lap]] -= scaled[j][i]
-            data[at[on_t]] -= scaled[i][j]
-            data[at[on_eye]] += sum(a * df[k][i] * df[k][j] for k in range(n))
+        for at in self.on_q:
+            data[at] = self.q
+        for (i, j), (on_eye, on_lap, on_t) in self.places.items():
+            data[on_lap] -= scaled[j][i]
+            data[on_t] -= scaled[i][j]
+            data[on_eye] += sum(a * df[k][i] * df[k][j] for k in range(n))
         diagonal = self.pattern.diagonal
         data[diagonal] += damping * (np.abs(data[diagonal]) + 1e-300)
         return data
@@ -636,14 +610,17 @@ def polish_solution(data, sol, iterations=4):
     mesh, per field count.  Every step, the first included, solves its
     own normal equations in double precision by conjugate gradients
     preconditioned with that factorization, applying N as
-    v -> J^T W J v + damping |diag N| v without forming it.  When CG does
-    not reach its tolerance, or the float32 factorization fails, the
-    current N is formed, factored in float64 and solved directly, and its
-    factorization preconditions the remaining steps.  sol.polish records
-    each step (weighted collocation residual before and after, accepted
-    line-search fraction, CG iterations, 0 for a direct solve), the
-    number of factorizations and the storage of each (factor_nnz, the
-    band's entries, (kd + 1) * n for half-bandwidth kd and size n).
+    v -> J^T W J v + damping |diag N| v without forming it.
+
+    When the float32 factorization fails, or CG does not reach _PCG_RTOL
+    within _PCG_MAXITER iterations, the polish raises LinearSolveError,
+    with the payload step (the failed step's number, from 1),
+    cg_iterations (0 when the factorization failed) and
+    relative_residual, the relative residual CG reached (1.0 when it did
+    not run).  sol.polish records each step (weighted collocation residual
+    before and after, accepted line-search fraction, CG iterations) and
+    the factor's storage, factor_nnz: the band's entries, (kd + 1) * n
+    for half-bandwidth kd and size n.
     """
     mesh = data.mesh
     eqs = CurvatureEquations(data)
@@ -656,35 +633,29 @@ def polish_solution(data, sol, iterations=4):
     def wnorm(R):
         return float(np.sqrt(np.sum(aa * R**2)))
 
-    def factored(dtype):
-        """The factor of N at the current x, in dtype's precision."""
-        N = normal.matrix(eqs.df(*eqs.fields(x)), _POLISH_DAMPING).astype(dtype, copy=False)
-        lu = factor_hpd(normal.pattern, N)
-        factor_nnz.append(lu.nnz)
-        return lu
-
-    steps = []
-    factor_nnz = []
+    df = eqs.df(*eqs.fields(x))
     try:
-        lu = factored(np.float32)
-    except np.linalg.LinAlgError:
-        lu = None
+        lu = factor_hpd(normal.pattern, normal.matrix(df, _POLISH_DAMPING).astype(np.float32))
+    except np.linalg.LinAlgError as exc:
+        raise LinearSolveError(f"polish solve failed: {exc}", step=1, cg_iterations=0,
+                               relative_residual=1.0) from exc
+    M = spla.LinearOperator((len(x),) * 2, matvec=lu.solve, dtype=float)
+    steps = []
     R = resid(x)
-    for _ in range(iterations):
+    for k in range(1, iterations + 1):
         J = jac(x)
+        A = _damped_normal_operator(J, aa, _POLISH_DAMPING)
         rhs = -(J.T @ (aa * R))
-        step = None
-        if lu is not None:
-            step, cg_iterations = _preconditioned_cg(
-                _damped_normal_operator(J, aa, _POLISH_DAMPING), rhs, lu)
-        if step is None:
-            lu = None  # release the old factors before making new ones
-            try:
-                lu = factored(np.float64)
-                step = lu.solve(rhs)
-            except Exception as exc:
-                raise LinearSolveError(f"polish solve failed: {exc}") from exc
-            cg_iterations = 0
+        # cg hands each iterate to the callback once per iteration
+        iterates = []
+        step, info = spla.cg(A, rhs, rtol=_PCG_RTOL, maxiter=_PCG_MAXITER, M=M,
+                             callback=iterates.append)
+        if info != 0:
+            reached = float(np.linalg.norm(rhs - A @ step) / np.linalg.norm(rhs))
+            raise LinearSolveError(
+                f"polish solve failed: CG reached relative residual {reached:.3g}, not "
+                f"{_PCG_RTOL:g}, in {len(iterates)} iterations at step {k}",
+                step=k, cg_iterations=len(iterates), relative_residual=reached)
         base = wnorm(R)
         after = base
         accepted = 0.0
@@ -701,9 +672,8 @@ def polish_solution(data, sol, iterations=4):
             "residual_before": base,
             "residual_after": after,
             "step_fraction": accepted,
-            "cg_iterations": cg_iterations,
+            "cg_iterations": len(iterates),
         })
-    sol.polish = {"steps": steps, "factorizations": len(factor_nnz),
-                  "factor_nnz": factor_nnz}
+    sol.polish = {"steps": steps, "factor_nnz": lu.nnz}
     sol.u_smooth, sol.w_smooth = eqs.fields(x)
     return sol

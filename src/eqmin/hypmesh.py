@@ -179,7 +179,7 @@ class SurfaceMesh:
     Operators and results that only the mesh determines are built on
     first use and kept on the mesh (see memo): the patch fits and both
     patch-fit Laplacians, the cotangent Laplacian, the dbar stencil rows,
-    the block patterns (germsolve._BlockPattern) of the curvature
+    the block patterns (germsolve._jacobian_pattern) of the curvature
     equations' Jacobians, the polish's normal matrices
     (germsolve._PolishNormal), the pattern of the dbar stencil's normal
     matrices with the place in it of each stencil pair

@@ -126,7 +126,8 @@ def test_report_file_equals_returned_report(tmp_path, kw):
     with open(tmp_path / "report.json") as fh:
         assert json.load(fh) == rep
     if "failed_at" not in rep:
-        assert len(rep["solution"]["polish"]["factor_nnz"]) == 1
+        polish = rep["solution"]["polish"]
+        assert type(polish["factor_nnz"]) is int and "factorizations" not in polish
         trace = rep["solution"]["newton_trace"]
         assert [row[0] for row in trace] == list(range(rep["solution"]["iterations"] + 1))
         assert trace[-1][1] == rep["solution"]["residual"]
@@ -199,6 +200,43 @@ def test_class_oracle_factor_failure_ends_in_report(tmp_path, monkeypatch):
     assert failed["error"] == "LinearSolveError"
     assert "harmonic projection" in failed["message"]
     assert rep["invariants"] and "moduli" not in rep
+
+
+def _fail_in_float32(cholesky_banded):
+    """cholesky_banded failing on float32 bands, which only the polish
+    factors."""
+    def failing(ab, **kwargs):
+        if ab.dtype == np.float32:
+            raise np.linalg.LinAlgError("1-th leading minor not positive definite")
+        return cholesky_banded(ab, **kwargs)
+
+    return failing
+
+
+def _one_cg_iteration(cg):
+    """cg capped at one iteration, which misses the polish's tolerance."""
+    return lambda A, b, **kwargs: cg(A, b, **{**kwargs, "maxiter": 1})
+
+
+@pytest.mark.parametrize("module, name, fail, cg_iterations", [
+    (factor, "cholesky_banded", _fail_in_float32, 0),
+    (spla, "cg", _one_cg_iteration, 1),
+], ids=["factor", "cg"])
+def test_polish_failure_ends_in_report(tmp_path, monkeypatch, module, name, fail,
+                                       cg_iterations):
+    monkeypatch.setattr(module, name, fail(getattr(module, name)))
+    cfg = RunConfig(genus=2, resolution=3, target="rh3", data_spec="basis:0:0.4",
+                    output_dir=str(tmp_path))
+    rep = run(cfg)
+    failed = rep["failed_at"]
+    assert failed["stage"] == "invariants"
+    assert failed["error"] == "LinearSolveError"
+    assert "polish solve failed" in failed["message"]
+    assert (failed["step"], failed["cg_iterations"]) == (1, cg_iterations)
+    assert 1e-12 < failed["relative_residual"] <= 1.0
+    assert rep["solution"]["converged"] and "invariants" not in rep
+    with open(tmp_path / "report.json") as fh:
+        assert json.load(fh) == rep
 
 
 def test_kernel_factor_failure_ends_in_report(tmp_path, monkeypatch):
@@ -361,10 +399,10 @@ def test_report_records_polish(tmp_path):
                     output_dir=str(tmp_path))
     rep = run(cfg, write_files=False, last_stage="invariants")
     polish = rep["solution"]["polish"]
-    assert polish["factorizations"] == 1
+    assert "factorizations" not in polish
     # the fill of the one (single-precision) factorization of the 254 x 254
     # normal matrix, which preconditions a CG solve on every step
-    (fill,) = polish["factor_nnz"]
+    fill = polish["factor_nnz"]
     assert type(fill) is int and fill > 254
     assert all(0 < s["cg_iterations"] <= 10 for s in polish["steps"])
     for step in polish["steps"]:

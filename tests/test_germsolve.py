@@ -466,8 +466,8 @@ def test_polish_factors_once_and_matches_factor_every_step(solved_r3, count_fact
     assert len(count_factor) == 1
     assert np.max(np.abs(_smoothed(polished) - ref)) < 1e-10
     record = polished.polish
-    assert record["factorizations"] == 1
-    (fill,) = record["factor_nnz"]
+    assert "factorizations" not in record
+    fill = record["factor_nnz"]
     assert type(fill) is int and fill > 0
     steps = record["steps"]
     assert len(steps) == 4
@@ -480,22 +480,20 @@ def test_polish_factors_once_and_matches_factor_every_step(solved_r3, count_fact
         assert nxt["residual_before"] == prev["residual_after"]
 
 
-def test_polish_refactors_when_cg_fails(solved_r3, count_factor, monkeypatch):
+def test_polish_cg_miss_is_a_linear_solve_error(solved_r3, monkeypatch):
+    # CG capped at one iteration misses its tolerance at the first step
     data, sol = solved_r3
-    ref = _factor_every_step(data, sol)
+    cg = spla.cg
 
-    def no_convergence(A, b, **kwargs):
-        return np.zeros_like(b), kwargs["maxiter"]
+    def one_iteration(A, b, **kwargs):
+        return cg(A, b, **{**kwargs, "maxiter": 1})
 
-    monkeypatch.setattr(spla, "cg", no_convergence)
-    del count_factor[:]
-    polished = germsolve.polish_solution(data, _fresh(sol.u, sol.w))
-    # the float32 factor, then a float64 one for each step's direct solve
-    assert len(count_factor) == 5
-    assert np.max(np.abs(_smoothed(polished) - ref)) < 1e-10
-    assert polished.polish["factorizations"] == 5
-    assert len(polished.polish["factor_nnz"]) == 5
-    assert [s["cg_iterations"] for s in polished.polish["steps"]] == [0] * 4
+    monkeypatch.setattr(spla, "cg", one_iteration)
+    with pytest.raises(LinearSolveError, match="polish solve failed") as failed:
+        germsolve.polish_solution(data, _fresh(sol.u, sol.w))
+    payload = failed.value.payload
+    assert (payload["step"], payload["cg_iterations"]) == (1, 1)
+    assert germsolve._PCG_RTOL < payload["relative_residual"] < 1.0
 
 
 @pytest.fixture
@@ -512,20 +510,12 @@ def no_float32_factor(monkeypatch):
     monkeypatch.setattr(factor, "cholesky_banded", failing_in_float32)
 
 
-def test_polish_falls_back_to_float64_when_float32_factor_fails(solved_r3, count_factor,
-                                                                no_float32_factor):
+def test_polish_float32_factor_failure_is_a_linear_solve_error(solved_r3, no_float32_factor):
     data, sol = solved_r3
-    ref = _factor_every_step(data, sol)
-    del count_factor[:]
-    polished = germsolve.polish_solution(data, _fresh(sol.u, sol.w))
-    assert np.max(np.abs(_smoothed(polished) - ref)) < 1e-10
-    # the float32 attempt, then one float64 factor: a direct first step,
-    # whose factor preconditions the later steps
-    assert len(count_factor) == 2
-    assert polished.polish["factorizations"] == 1
-    steps = polished.polish["steps"]
-    assert steps[0]["cg_iterations"] == 0
-    assert all(0 < s["cg_iterations"] <= 10 for s in steps[1:])
+    with pytest.raises(LinearSolveError, match="polish solve failed") as failed:
+        germsolve.polish_solution(data, _fresh(sol.u, sol.w))
+    assert isinstance(failed.value.__cause__, np.linalg.LinAlgError)
+    assert failed.value.payload == {"step": 1, "cg_iterations": 0, "relative_residual": 1.0}
 
 
 class _colamd:
@@ -543,12 +533,11 @@ class _colamd:
         return self.lu.solve(b.astype(self.dtype)).astype(np.result_type(b, self.dtype))
 
 
-def _colamd_float64(pattern, values):
-    """_colamd that fails on float32 values, like the band factor under
-    no_float32_factor."""
-    if values.dtype == np.float32:
-        raise np.linalg.LinAlgError("single precision disabled")
-    return _colamd(pattern, values)
+def _rounded_in_float64(factorize):
+    """factorize, a factor_hpd stand-in, applied to the polish's float32
+    values of N cast to float64: a double-precision factor of the
+    single-precision N."""
+    return lambda pattern, values: factorize(pattern, values.astype(np.float64))
 
 
 def test_mesh_order_factor_solves_polish_matrix_like_colamd(solved_r3, monkeypatch):
@@ -580,21 +569,23 @@ def test_polish_in_mesh_order_matches_colamd_polish(solved_r3, monkeypatch):
     assert np.max(np.abs(_smoothed(polished) - _smoothed(ref))) <= 1e-13
     # the two single-precision factors differ by their roundoff, about 1e-7
     # relative, so CG may take one iteration more on either (rh3: 2 and 3
-    # at the first step); the float64 path below compares them exactly
+    # at the first step); factored in double precision, as below, they
+    # agree exactly
     for s, r in zip(polished.polish["steps"], ref.polish["steps"]):
         assert 0 < s["cg_iterations"] <= 10 and abs(s["cg_iterations"] - r["cg_iterations"]) <= 1
 
 
-def test_float64_polish_in_mesh_order_matches_colamd_polish(solved_r3, no_float32_factor,
-                                                            monkeypatch):
-    # on the float64 path both factors are accurate to double precision,
-    # so CG takes the same iterations on either, step by step
+def test_polish_in_mesh_order_matches_colamd_polish_factored_in_float64(solved_r3,
+                                                                      monkeypatch):
+    # the band and SuperLU with COLAMD, each factoring the single-precision
+    # N in double precision, are both accurate to double precision, so CG
+    # takes the same iterations on either, step by step
     data, sol = solved_r3
+    monkeypatch.setattr(germsolve, "factor_hpd", _rounded_in_float64(factor.factor_hpd))
     polished = germsolve.polish_solution(data, _fresh(sol.u, sol.w))
-    monkeypatch.setattr(germsolve, "factor_hpd", _colamd_float64)
+    monkeypatch.setattr(germsolve, "factor_hpd", _rounded_in_float64(_colamd))
     ref = germsolve.polish_solution(data, _fresh(sol.u, sol.w))
     assert np.max(np.abs(_smoothed(polished) - _smoothed(ref))) <= 1e-13
-    assert polished.polish["steps"][0]["cg_iterations"] == 0
     assert ([s["cg_iterations"] for s in polished.polish["steps"]]
             == [s["cg_iterations"] for s in ref.polish["steps"]])
 
