@@ -579,6 +579,19 @@ class _PolishNormal:
         data[diagonal] += damping * (np.abs(data[diagonal]) + 1e-300)
         return data
 
+    def single(self, values):
+        """values of matrix() in float32, each coupling block zeroed that is
+        all below float32 resolution of max|N|: that is roundoff, whose fill
+        would run the factorization in subnormal arithmetic, 10-20x slower.
+        N is positive definite, so max|N| is its largest diagonal entry."""
+        single = values.astype(np.float32)
+        floor = np.finfo(np.float32).eps * np.max(values[self.pattern.diagonal])
+        for (i, j), block in self.places.items():
+            if i != j and max(np.max(np.abs(values[at])) for at in block) < floor:
+                for at in block:
+                    single[at] = 0.0
+        return single
+
 
 def polish_solution(data, sol, iterations=4):
     """Damped collocation polish of a converged solution for pointwise
@@ -601,15 +614,17 @@ def polish_solution(data, sol, iterations=4):
     positive definite.  Between steps only the diagonal reaction terms of
     the Jacobian J move, by O(h^2), so N is formed and factored once, at
     the first step, in single precision, as a band in reverse
-    Cuthill-McKee order by factor_hpd.  The damping bounds N's diagonally
-    scaled condition number by about (rho + damping) / damping, rho the
-    largest eigenvalue of the scaled J^T W J, which keeps the float32
-    Cholesky far from breakdown.  N is formed without sparse products, at
-    the stored places of the mesh's normal pattern (_PolishNormal), which
-    also keeps the band plan it is factored with; both are kept on the
-    mesh, per field count.  Every step, the first included, solves its
-    own normal equations in double precision by conjugate gradients
-    preconditioned with that factorization, applying N as
+    Cuthill-McKee order by factor_hpd; a coupling block of N below float32
+    resolution is zeroed first (_PolishNormal.single).  The damping
+    bounds N's diagonally scaled condition number by about
+    (rho + damping) / damping, rho the largest eigenvalue of the scaled
+    J^T W J, which keeps the float32 Cholesky far from breakdown.  N is
+    formed without sparse products, at the stored places of the mesh's
+    normal pattern (_PolishNormal), which also keeps the band plan it is
+    factored with; both are kept on the mesh, per field count.  Every
+    step, the first included, solves its own normal equations in double
+    precision by conjugate gradients preconditioned with that
+    factorization, applying N as
     v -> J^T W J v + damping |diag N| v without forming it.
 
     When the float32 factorization fails, or CG does not reach _PCG_RTOL
@@ -635,7 +650,7 @@ def polish_solution(data, sol, iterations=4):
 
     df = eqs.df(*eqs.fields(x))
     try:
-        lu = factor_hpd(normal.pattern, normal.matrix(df, _POLISH_DAMPING).astype(np.float32))
+        lu = factor_hpd(normal.pattern, normal.single(normal.matrix(df, _POLISH_DAMPING)))
     except np.linalg.LinAlgError as exc:
         raise LinearSolveError(f"polish solve failed: {exc}", step=1, cg_iterations=0,
                                relative_residual=1.0) from exc

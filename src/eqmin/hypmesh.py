@@ -14,6 +14,26 @@ Tensor conventions used throughout the package:
   polygon chart, in a global unitary gauge for L;
 * pointwise squared h-norm of f dz^m is |f|^2 (2/lambda^2)^m (the tensor
   norm, in which ||dz||^2_h = 2/lambda^2).
+
+The line bundle L of degree l carries the connection i c omega0, c its
+curvature density, with omega0 = 2 Im(conj(z) dz) / (1 - |z|^2) =
+i (d' - d'') log(1 - |z|^2), whose differential is the area form
+lambda^2 dx dy.  Its integrals are closed forms:
+
+* along z0 + t d, d = z1 - z0, Im(conj(z) dz) = Im(conj(z0) z1) dt is
+  constant and 1 - |z|^2 quadratic in t, which gives (_segment_omega0)
+      2 Im(conj(z0) z1) / (1 - Re(conj(z0) z1)) atanh(x) / x,
+      x = sqrt(beta^2 + (1 - |z0|^2) |d|^2) / (1 - Re(conj(z0) z1)),
+  beta = Re(conj(z0) d), atanh(x) / x = 1 at x = 0, x < 1 iff |z1| < 1;
+* a disk automorphism sigma(z) = (a z + b) / j(z), j(z) = conj(b) z +
+  conj(a), has 1 - |sigma z|^2 = (1 - |z|^2) / |j|^2, so sigma^* omega0 -
+  omega0 = 2 d arg j and G_sigma(z) = int_base^z (omega0 - sigma^* omega0)
+  = -2 arg(j(z) / j(base)) (_pairing_cocycle), the principal value being
+  exact as Re(j / conj(a)) > 0 on the disk (|b| < |a|).  exp(i c G_sigma)
+  are the unitary factors of automorphy that glue L across the side
+  pairings; j_{sigma^-1}(sigma z) j_sigma(z) = 1 gives G_{sigma^-1}(sigma z)
+  = -G_sigma(z) based at sigma(base).  Only the polygon's radius is
+  specific to the regular 4g-gon: both hold for any disk automorphism.
 """
 
 import math
@@ -33,7 +53,6 @@ from .mobius import (
     conformal_factor,
     hyp_dist,
     hyp_midpoint,
-    polygon_circumradius,
     triangle_angles_from_lengths,
 )
 
@@ -46,44 +65,28 @@ __all__ = [
     "restrict_field",
 ]
 
-_GAUSS_N = 16
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(_GAUSS_N)
-_GL_T = 0.5 * (_GL_NODES + 1.0)  # nodes on [0, 1]
-_GL_W = 0.5 * _GL_WEIGHTS
-
-
-def _omega0_rate(z, dz):
-    """Integrand of omega0 = (cosh(rho)-1) d(arg z) at the points z of a
-    path with velocity dz: (cosh(rho)-1) Im(dz / z), where cosh(rho)-1 =
-    2|z|^2 / (1-|z|^2); the apparent pole at z=0 cancels."""
-    r2 = np.abs(z) ** 2
-    return 2.0 * r2 / (1.0 - r2) * np.imag(dz * np.conj(z)) / np.maximum(r2, 1e-300)
-
 
 def _segment_omega0(z0, z1):
-    """Integral of omega0 along the straight segment z0 -> z1.
-
-    Vectorized over equal-length arrays of endpoints.
-    """
+    """Integral of omega0 along the straight segment z0 -> z1, in closed
+    form, vectorized over equal-length arrays of endpoints."""
     z0 = np.asarray(z0, dtype=complex)
     z1 = np.asarray(z1, dtype=complex)
-    dz = (z1 - z0)[..., None]
-    return np.sum(_omega0_rate(z0[..., None] + dz * _GL_T, dz) * _GL_W, axis=-1)
+    d = z1 - z0
+    p = np.conj(z0) * z1
+    den = 1.0 - p.real
+    x = np.sqrt((np.conj(z0) * d).real ** 2 + (1.0 - np.abs(z0) ** 2) * np.abs(d) ** 2) / den
+    # atanh(x) / x, which is 1 at x = 0 (a zero-length segment)
+    ratio = np.divide(np.arctanh(x), x, out=np.ones_like(x), where=x > 0.0)
+    return 2.0 * p.imag / den * ratio
 
 
-def _segment_cocycle(sigma, base, z1):
-    """Cocycle primitive G_sigma(z1) = integral of (omega0 - sigma^* omega0)
-    from base to z1 along the straight path.
-
-    The sign makes the transition functions exp(i c G_sigma) compatible
-    with the connection form i c omega0 used for all parallel transports:
-    sigma^* A - A = -d log(transition).
-    """
-    dz = z1 - base
-    z = base + dz * _GL_T
-    f1 = _omega0_rate(sigma(z), sigma.deriv(z) * dz)
-    f0 = _omega0_rate(z, dz)
-    return float(np.sum((f0 - f1) * _GL_W))
+def _pairing_cocycle(sigma, base, z):
+    """G_sigma(z) = -2 arg(j(z) / j(base)), j the automorphy factor of
+    sigma, vectorized over z.  The sign makes exp(i c G_sigma) the
+    transition functions of the connection A = i c omega0 used for all
+    parallel transports: sigma^* A - A = -d log(transition)."""
+    j = np.conj(sigma.b) * np.asarray(z) + np.conj(sigma.a)
+    return -2.0 * np.angle(j / (np.conj(sigma.b) * base + np.conj(sigma.a)))
 
 
 class FundamentalDomain:
@@ -100,7 +103,9 @@ class FundamentalDomain:
         self.genus = genus
         k = 4 * genus
         self.n_sides = k
-        r_euc = math.tanh(0.5 * polygon_circumradius(genus))
+        # the circumradius R of the regular 4g-gon with interior angles
+        # pi/(2g) has cosh R = cot^2(pi/4g), so tanh(R/2) = sqrt(cos(pi/2g))
+        r_euc = math.sqrt(math.cos(math.pi / (2 * genus)))
         self.polygon_vertices = np.array(
             [r_euc * cmath.exp(2j * math.pi * j / k) for j in range(k)]
         )
@@ -314,6 +319,9 @@ _MAX_VERTICES = 400_000
 _MIN_ANGLE_DEG = 10.0
 # vertices per block of the patch search; bounds the memory of its chains
 _PATCH_BLOCK = 64
+# patches per chunk of a patch-fit size group; bounds the memory of its
+# designs and QR factors
+_FIT_CHUNK = 256
 # the two other corners of a face, by corner
 _OTHER_CORNERS = np.array([[1, 2], [0, 2], [0, 1]])
 
@@ -430,8 +438,9 @@ def _glue(dom, verts, bnd, bnd_side):
         dst = targets[nearest]
         match[s, src] = dst
         match[sp_, dst] = src
-        for u, w in zip(src.tolist(), dst.tolist()):
-            uf.union(u, w, sigma, _segment_cocycle(sigma, base, verts[u]))
+        cocycle = _pairing_cocycle(sigma, base, verts[src])
+        for u, w, g_uw in zip(src.tolist(), dst.tolist(), cocycle.tolist()):
+            uf.union(u, w, sigma, g_uw)
 
     # cocycle defects must be multiples of the total area 4 pi (g-1)
     period = 4.0 * math.pi * (dom.genus - 1)
@@ -499,18 +508,12 @@ def _stencil(dom, verts, faces, twin, side, copy_class, copy_T, copy_kderiv, cop
     for h in np.flatnonzero(side != side[twin]).tolist():
         i, a = divmod(h, 3)
         s = int(side[h])
-        sp_, sig = dom.side_map[s]
+        sig = dom.side_map[s][1]
         sig_inv = sig.inv()
         c = corners[i, 3 + a]
-        zo = complex(verts[c])
-        znew = sig_inv(zo)
+        znew = sig_inv(complex(verts[c]))
         # cocycle of sig at znew: f(sig z) = exp(i c G_sig(z)) f(z)
-        if s < sp_:
-            g_sig = _segment_cocycle(sig, hyp_midpoint(*dom.side_endpoints(s)), znew)
-        else:
-            # G of the inverse map: G_sig(y) = -G_sigma(sig(y))
-            sigma = dom.side_map[sp_][1]
-            g_sig = -_segment_cocycle(sigma, hyp_midpoint(*dom.side_endpoints(sp_)), zo)
+        g_sig = _pairing_cocycle(sig, hyp_midpoint(*dom.side_endpoints(s)), znew)
         stencil_coord[i, 3 + a] = znew
         stencil_kderiv[i, 3 + a] = (sig_inv * copy_T[c]).deriv(class_coord[copy_class[c]])
         stencil_gshift[i, 3 + a] = copy_G[c] - g_sig
@@ -644,7 +647,8 @@ def _closest_images(vtx, cls, z, dist):
 
 def _patch_fit_rows(vertices, patch_coord, patch_ptr):
     """Laplacian-of-fit rows of the flat vertex patches for the raw,
-    clamped (at 0.1) and unit weights, batched by patch size.
+    clamped (at 0.1) and unit weights, batched by patch size in chunks of
+    _FIT_CHUNK patches.
 
     A patch is centered on its vertex and scaled to unit radius; the fit
     is quartic on 18 or more points, cubic on 12 or more, else quadratic.
@@ -658,33 +662,35 @@ def _patch_fit_rows(vertices, patch_coord, patch_ptr):
     zc = patch_coord - np.repeat(vertices, size)
     rows = {key: np.empty(len(zc)) for key in ("raw", "clamped", "unit")}
     for n in np.unique(size).tolist():
-        idx = patch_ptr[:-1][size == n][:, None] + np.arange(n)
-        z = zc[idx]
-        scale = np.max(np.abs(z), axis=1)
-        z = z / scale[:, None]
-        x, y = z.real, z.imag
-        # the cubes and fourth powers stay libm's pow: products differ in
-        # the last bit, and the ill-conditioned g=3 r=1 fits carry that to
-        # 1e-12 in the rows
-        x2, xy = x * x, x * y
-        terms = [np.ones_like(x), x, y, x2, xy, y * y]
-        if n >= 12:
-            x3, x2y, y3 = x**3, x2 * y, y**3
-            terms += [x3, x2y, xy * y, y3]
-        if n >= 18:
-            terms += [x**4, x3 * y, x2y * y, x * y3, y**4]
-        # one row per monomial, so that LAPACK reads each design's columns
-        # contiguously
-        design = np.stack(terms, axis=1)
-        # downweight the outer ring for a smaller fit-error constant
-        r = np.abs(z)
-        raw = 1.0 / (1.0 + (r / np.maximum(np.median(r, axis=1), 1e-30)[:, None]) ** 4)
-        raw[r == 0.0] = 1.0
-        for key, w in (("raw", raw), ("clamped", np.maximum(raw, 0.1)),
-                       ("unit", np.ones_like(raw))):
-            sw = np.sqrt(w)
-            q_z = _householder_laplacian_row(design * sw[:, None, :])
-            rows[key][idx] = 2.0 * q_z * sw / scale[:, None] ** 2
+        group = patch_ptr[:-1][size == n]
+        for first in range(0, len(group), _FIT_CHUNK):
+            idx = group[first:first + _FIT_CHUNK, None] + np.arange(n)
+            z = zc[idx]
+            scale = np.max(np.abs(z), axis=1)
+            z = z / scale[:, None]
+            x, y = z.real, z.imag
+            # the cubes and fourth powers stay libm's pow: products differ in
+            # the last bit, and the ill-conditioned g=3 r=1 fits carry that to
+            # 1e-12 in the rows
+            x2, xy = x * x, x * y
+            terms = [np.ones_like(x), x, y, x2, xy, y * y]
+            if n >= 12:
+                x3, x2y, y3 = x**3, x2 * y, y**3
+                terms += [x3, x2y, xy * y, y3]
+            if n >= 18:
+                terms += [x**4, x3 * y, x2y * y, x * y3, y**4]
+            # one row per monomial, so that LAPACK reads each design's columns
+            # contiguously
+            design = np.stack(terms, axis=1)
+            # downweight the outer ring for a smaller fit-error constant
+            r = np.abs(z)
+            raw = 1.0 / (1.0 + (r / np.maximum(np.median(r, axis=1), 1e-30)[:, None]) ** 4)
+            raw[r == 0.0] = 1.0
+            for key, w in (("raw", raw), ("clamped", np.maximum(raw, 0.1)),
+                           ("unit", np.ones_like(raw))):
+                sw = np.sqrt(w)
+                q_z = _householder_laplacian_row(design * sw[:, None, :])
+                rows[key][idx] = 2.0 * q_z * sw / scale[:, None] ** 2
     return rows
 
 

@@ -14,7 +14,6 @@ __all__ = [
     "conformal_factor",
     "hyp_dist",
     "hyp_midpoint",
-    "polygon_circumradius",
     "triangle_angles_from_lengths",
 ]
 
@@ -106,36 +105,6 @@ def hyp_midpoint(p, q):
         return complex(p)
     m = math.tanh(0.5 * math.atanh(r)) * (w / r)
     return t.inv()(m)
-
-
-def _polygon_angle(r_hyp, k):
-    """Interior angle of the regular hyperbolic k-gon with circumradius r_hyp."""
-    # right triangle: angle pi/k at the centre, hypotenuse r_hyp
-    # cosh(hyp) = cot(pi/k) * cot(beta) with beta half the interior angle
-    beta = math.atan(1.0 / (math.cosh(r_hyp) * math.tan(math.pi / k)))
-    return 2.0 * beta
-
-
-# width of the bracket at which the circumradius bisection stops
-CIRCUMRADIUS_TOL = 1e-14
-
-
-def polygon_circumradius(genus):
-    """Circumradius of the regular 4g-gon whose angles sum to 2*pi.
-
-    Found by bisection on the interior-angle condition angle = pi/(2g).
-    """
-    k = 4 * genus
-    target = math.pi / (2 * genus)
-    lo, hi = 1e-6, 30.0
-    # angle decreases with radius
-    while hi - lo > CIRCUMRADIUS_TOL:
-        mid = 0.5 * (lo + hi)
-        if _polygon_angle(mid, k) > target:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
 
 
 def triangle_angles_from_lengths(a, b, c):

@@ -274,6 +274,20 @@ def test_section_save_load_roundtrip(tmp_path, mesh_r3, basis_K2_r3):
     assert np.allclose(back.values, basis_K2_r3[0].values)
 
 
+def test_mesh_fingerprints_are_pinned():
+    # a saved section names its mesh by this hash, so a file: section
+    # keeps loading only while every geometry refactor keeps it
+    pinned = {
+        (2, 1): "b36742c919cc6f37", (2, 2): "452e14f8f3bad4dd",
+        (2, 3): "fc085a411871f22d", (2, 4): "81b03d928d1b3ff2",
+        (3, 1): "60f606c0fac4ac39", (3, 2): "ada3d8be6f6c4822",
+        (3, 3): "8fd2f99e5f29e9bc", (3, 4): "5d7c5b27409b5f92",
+    }
+    for (genus, resolution), digest in pinned.items():
+        mesh = hypmesh.build_surface(genus, resolution)
+        assert bundles.mesh_fingerprint(mesh) == digest, (genus, resolution)
+
+
 def test_section_load_rejects_wrong_mesh(tmp_path, mesh_r2, mesh_r3, basis_K2_r3):
     path = tmp_path / "q.json"
     basis_K2_r3[0].save(str(path), mesh=mesh_r3)

@@ -480,6 +480,39 @@ def test_polish_factors_once_and_matches_factor_every_step(solved_r3, count_fact
         assert nxt["residual_before"] == prev["residual_after"]
 
 
+def test_roundoff_coupling_leaves_the_float32_factor_normal(mesh_r3, basis_K2_r3,
+                                                            monkeypatch):
+    # proportional sections at l = 0 decouple u and w: the coupling blocks
+    # of N are roundoff, which the polish zeroes before the float32
+    # factorization, so its fill does not run in subnormal arithmetic
+    L = bundles.make_line_bundle(mesh_r3, 0)
+    q = basis_K2_r3[0].values
+    data = germsolve.GermData(mesh_r3, L, [make_section(L, 2, 1, 0.4 * q),
+                                           make_section(L, 2, -1, 0.3 * q)])
+    sol = germsolve.solve_gauss_ricci4(data)
+    factors = []
+
+    def recording(pattern, values):
+        factors.append(factor.factor_hpd(pattern, values))
+        return factors[-1]
+
+    monkeypatch.setattr(germsolve, "factor_hpd", recording)
+    germsolve.polish_solution(data, sol)
+    cb = factors[0].cb
+    assert cb.dtype == np.float32
+    assert np.count_nonzero((cb != 0.0) & (np.abs(cb) < np.finfo(np.float32).tiny)) == 0
+
+
+def test_polish_keeps_a_coupling_above_float32_resolution(solved_r3):
+    data, sol = solved_r3
+    eqs = germsolve.CurvatureEquations(data)
+    normal = germsolve._PolishNormal(data.mesh.fd_laplacian_matrix(weighted=True),
+                                     data.mesh.vertex_areas, eqs.n)
+    N = normal.matrix(eqs.df(*eqs.fields(np.concatenate(
+        [sol.u, sol.w] if eqs.coupled else [sol.u]))), 0.03)
+    assert np.array_equal(normal.single(N), N.astype(np.float32))
+
+
 def test_polish_cg_miss_is_a_linear_solve_error(solved_r3, monkeypatch):
     # CG capped at one iteration misses its tolerance at the first step
     data, sol = solved_r3

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from eqmin import hypmesh
 from eqmin.errors import (
@@ -11,7 +12,12 @@ from eqmin.errors import (
     MeshQualityError,
     ResourceBudgetError,
 )
-from eqmin.mobius import conformal_factor, hyp_dist, triangle_angles_from_lengths
+from eqmin.mobius import (
+    conformal_factor,
+    hyp_dist,
+    hyp_midpoint,
+    triangle_angles_from_lengths,
+)
 
 
 def test_domain_angle_sum_closes():
@@ -22,6 +28,69 @@ def test_domain_angle_sum_closes():
         radius = hyp_dist(0.0, v0)
         _, base, _ = triangle_angles_from_lengths(hyp_dist(v0, v1), radius, radius)
         assert abs(2.0 * base - math.pi / (2 * g)) < 1e-12
+
+
+def _omega0_rate(z, dz):
+    """omega0 = 2 Im(conj(z) dz) / (1 - |z|^2) at z along the velocity dz."""
+    return 2.0 * np.imag(np.conj(z) * dz) / (1.0 - abs(z) ** 2)
+
+
+def _quad_along(rate, z0, z1):
+    """Adaptive quadrature of rate(z, dz) along the segment z0 -> z1."""
+    d = z1 - z0
+    return quad(lambda t: rate(z0 + t * d, d), 0.0, 1.0, epsabs=1e-14, epsrel=1e-13,
+                limit=200)[0]
+
+
+def _disk_points(rng, n, radius):
+    return radius * np.sqrt(rng.random(n)) * np.exp(2j * np.pi * rng.random(n))
+
+
+def test_segment_omega0_matches_quadrature():
+    rng = np.random.default_rng(11)
+    z0, z1 = _disk_points(rng, 200, 0.95), _disk_points(rng, 200, 0.95)
+    got = hypmesh._segment_omega0(z0, z1)
+    ref = np.array([_quad_along(_omega0_rate, a, b) for a, b in zip(z0, z1)])
+    assert np.max(np.abs(got - ref)) <= 1e-12
+    # zero-length and radial segments (through the origin, or from it)
+    # carry no omega0, which is a multiple of d(arg z)
+    radial = np.array([0.0, 0.3 - 0.4j, 0.9j, -0.95])
+    for ends in ((z0, z0), (radial, 0.5 * radial), (-0.7 * radial, radial),
+                 (np.zeros(4), radial)):
+        assert np.max(np.abs(hypmesh._segment_omega0(*ends))) <= 1e-15
+
+
+@pytest.mark.parametrize("genus", [2, 3])
+def test_pairing_cocycle_matches_quadrature(genus):
+    # G_sigma(z) integrates omega0 - sigma^* omega0 from the side's midpoint
+    # to z; sigma^* omega0 reads omega0 at sigma(z) along sigma'(z) dz
+    dom = hypmesh.FundamentalDomain(genus)
+    rng = np.random.default_rng(genus)
+    points = np.concatenate([_disk_points(rng, 6, 0.9), dom.polygon_vertices])
+    for s in range(dom.n_sides):
+        sigma = dom.side_map[s][1]
+        base = hyp_midpoint(*dom.side_endpoints(s))
+
+        def rate(z, dz):
+            return _omega0_rate(z, dz) - _omega0_rate(sigma(z), sigma.deriv(z) * dz)
+
+        ref = np.array([_quad_along(rate, base, z) for z in points])
+        assert np.max(np.abs(hypmesh._pairing_cocycle(sigma, base, points) - ref)) <= 1e-12
+
+
+@pytest.mark.parametrize("genus", [2, 3])
+def test_pairing_cocycle_of_the_inverse_map(genus):
+    # G_{sigma^-1}(sigma z) = -G_sigma(z), based at the partner's midpoint:
+    # the stencil reads every pairing's cocycle at its own side's midpoint
+    dom = hypmesh.FundamentalDomain(genus)
+    z = _disk_points(np.random.default_rng(5), 50, 0.9)
+    for s in range(dom.n_sides):
+        partner, sigma = dom.side_map[s]
+        inverse = dom.side_map[partner][1]
+        got = hypmesh._pairing_cocycle(inverse, hyp_midpoint(*dom.side_endpoints(partner)),
+                                       sigma(z))
+        ref = -hypmesh._pairing_cocycle(sigma, hyp_midpoint(*dom.side_endpoints(s)), z)
+        assert np.max(np.abs(got - ref)) <= 1e-13
 
 
 def test_euler_characteristic(mesh_r2):
