@@ -1,13 +1,14 @@
 """Banded Cholesky factorization of Hermitian positive-definite matrices.
 
-The normal matrices of the polish step and of the dbar stencil (the
-class oracle's projection and the kernel search's shifted operator)
-couple each vertex to a patch of patches, so their factors are about half
-dense under any fill-reducing ordering.  They are therefore factored as
-bands: the rows and columns are put in reverse Cuthill-McKee order,
-computed from the sparsity pattern, which narrows the band to a fraction
-of the size, and the band is factored by LAPACK's pbtrf, whose dense
-updates run in the tuned BLAS.  The factor's storage is the band,
+The polish's normal matrices, a diagonal block per field, and the normal
+matrices of the dbar stencil (the class oracle's projection and the
+kernel search's shifted operator) couple each vertex to a patch of
+patches, so their factors are about half dense under any fill-reducing
+ordering.  They are therefore factored as bands: the rows and columns
+are put in reverse Cuthill-McKee order, computed from the sparsity
+pattern, which narrows the band to a fraction of the size, and the band
+is factored by LAPACK's pbtrf, whose dense updates run in the tuned
+BLAS.  The factor's storage is the band,
 (kd + 1) * n entries for half-bandwidth kd and size n.
 
 Each of these matrices is written at the stored places of a pattern its
@@ -22,10 +23,11 @@ A factor has the precision of the values it was made from: float32
 values give a float32 band, factored by LAPACK's spbtrf, at half the
 storage of a float64 one.  BandFactor.solve casts a right-hand side to
 the band's precision, keeping it complex when it is, and returns the
-result in the common type of the two,
-so a float64 right-hand side of a float32 factor gets a float64 result,
-accurate to single precision: the polish uses such a factor as the
-preconditioner of a double-precision conjugate-gradient solve.
+result in the common type of the two, so a float64 right-hand side of a
+float32 factor gets a float64 result, accurate to single precision: the
+polish factors each field's block in float32 and uses the factors as the
+block-Jacobi preconditioner of a double-precision conjugate-gradient
+solve.
 """
 
 import functools

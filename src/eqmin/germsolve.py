@@ -484,10 +484,11 @@ def solve_gauss_ricci4(data, tol=1e-10, max_iter=30):
 _POLISH_DAMPING = 0.03
 
 # Polish steps solve their normal equations by CG, preconditioned with a
-# single-precision factor, to this relative residual within this many
-# iterations (2-5 are used at r=3-5).
+# single-precision factor of each field's block, to this relative residual
+# within this many iterations (rh4 data take up to 11, 45, 20, 11-14, 7 and
+# 5 per step at r=1, 2, 3, 4, 5 and 6; rh3 data up to 5).
 _PCG_RTOL = 1e-12
-_PCG_MAXITER = 25
+_PCG_MAXITER = 100
 
 
 def _damped_normal_operator(J, aa, damping):
@@ -502,7 +503,8 @@ def _damped_normal_operator(J, aa, damping):
 
 
 class _PolishNormal:
-    """The polish's damped normal matrices on one mesh, for n fields.
+    """The diagonal blocks of the polish's damped normal matrices on one
+    mesh, one V x V block per field.
 
     The polish Jacobian is J = L - D (CurvatureEquations.system): L is the
     block diagonal of n copies of the weighted patch-fit Laplacian lap,
@@ -511,30 +513,26 @@ class _PolishNormal:
 
         N = J^T W J = L^T W L - E - E^T + D^T W D,   E = D^T W L,
 
-    where L^T W L has the blocks Q = lap^T W lap on its diagonal, block
-    (i, j) of E is diag(a df[j][i]) lap, and D^T W D is diagonal in each
-    block.  Q and the pattern of N (laid out by _block_layout) depend on
-    the mesh alone and are kept, with the places, in every block, of the
-    identity's entries, of lap's, of their transposes and of Q's;
-    matrix(df, damping) writes Q, the reaction terms and the damping at
-    those places, with no sparse products, and returns the values.
-    pattern is N's HermitianPattern, on which every N is factored; it
-    makes its band plan at the first factorization, once the arrays that
-    built the pattern are freed.
+    so N's diagonal block i is
 
-    A diagonal block's pattern is that of Q, lap, lap^T and the identity,
-    an off-diagonal block's that of lap, lap^T and the identity: the
-    pattern the product J^T W J has when no sum in it cancels.  Stored
-    entries that do cancel (sections that vanish at a vertex zero a
-    reaction block there) hold zeros, so the pattern, and a band plan
-    made from it, serve every J.
+        Q - diag(a df[i][i]) lap - lap^T diag(a df[i][i]) + diag(sum_k a df[k][i]^2),
+
+    Q = lap^T W lap.  Q and the pattern of a block, the union of those of
+    Q, lap, lap^T and the identity, depend on the mesh alone and are kept,
+    with the places in it of each part's entries; block(df, i, damping)
+    writes Q, the reaction terms and the damping at those places, with no
+    sparse products, and returns the values.  pattern is the blocks'
+    HermitianPattern, on which every field's block is factored; it makes
+    its band plan at the first factorization, once the arrays that built
+    the pattern are freed.  The pattern is that of the product when no sum
+    in it cancels; stored entries that do cancel hold zeros, so the
+    pattern, and a band plan made from it, serve every J.
     """
 
-    def __init__(self, lap, a, n):
+    def __init__(self, lap, a):
         if not lap.has_sorted_indices:
             lap = lap.sorted_indices()
-        self.lap, self.a, self.n = lap, a, n
-        V = lap.shape[0]
+        self.lap, self.a = lap, a
         # for each entry of lap^T, in its canonical order, the number of the
         # entry of lap it transposes
         number_t = sp.csr_matrix((np.arange(lap.nnz), lap.indices, lap.indptr),
@@ -542,55 +540,34 @@ class _PolishNormal:
         weighted = sp.csr_matrix((np.repeat(a, np.diff(lap.indptr)) * lap.data, lap.indices,
                                   lap.indptr), shape=lap.shape)
         Q = (lap.T @ weighted).tocsr()
-        # canonical, as every part of a block layout is
+        # canonical, as every part of a flagged union is
         Q.sum_duplicates()
         self.q = Q.data
-        # every block holds the identity, lap and lap^T; a diagonal block Q too
-        parts = [sp.identity(V, format="csr"), lap, number_t, Q]
-        indptr, indices, places = _block_layout(parts, 3, n)
-        self.pattern = HermitianPattern(indptr, indices)
-        # Q's places in each diagonal block, and each block's places of the
-        # identity's and lap's entries and of lap's transposed entries, in
-        # the order of the entries of lap
-        self.on_q = [places[i, i][3] for i in range(n)]
-        self.places = {}
-        for block, (on_eye, on_lap, on_t, *_) in places.items():
-            transposing = np.empty_like(on_t)
-            transposing[number_t.data] = on_t
-            self.places[block] = on_eye, on_lap, transposing
+        union = _flagged_unions([sp.identity(lap.shape[0], format="csr"), lap, number_t, Q])[-1]
+        self.pattern = HermitianPattern(union.indptr, union.indices)
+        # the places of the identity's and lap's entries and of lap's
+        # transposed entries, in the order of the entries of lap, and Q's
+        self.on_eye, self.on_lap, on_t, self.on_q = (
+            np.flatnonzero(union.data & 2**b) for b in range(4))
+        self.on_t = np.empty_like(on_t)
+        self.on_t[number_t.data] = on_t
 
-    def matrix(self, df, damping):
-        """N + damping (|diag N| + 1e-300) for the reaction-term diagonals
-        df of CurvatureEquations.df, as its values on the kept pattern."""
-        a, lap, n = self.a, self.lap, self.n
-        row_count = np.diff(lap.indptr)
-        # a df[i][j] times lap's values, row by row: block (i, j) of E
-        # holds scaled[j][i] at lap's places, and block (i, j) of E^T
-        # holds scaled[i][j] at their transposes
-        scaled = [[np.repeat(a * d, row_count) * lap.data for d in row] for row in df]
+    def block(self, df, i, damping):
+        """Diagonal block i of N + damping (|diag N| + 1e-300) for the
+        reaction-term diagonals df of CurvatureEquations.df, as its values
+        on the kept pattern."""
+        a, lap = self.a, self.lap
+        # a df[i][i] times lap's values, row by row: E's block (i, i) at
+        # lap's places and E^T's at their transposes
+        scaled = np.repeat(a * df[i][i], np.diff(lap.indptr)) * lap.data
         data = np.zeros(len(self.pattern.indices))
-        for at in self.on_q:
-            data[at] = self.q
-        for (i, j), (on_eye, on_lap, on_t) in self.places.items():
-            data[on_lap] -= scaled[j][i]
-            data[on_t] -= scaled[i][j]
-            data[on_eye] += sum(a * df[k][i] * df[k][j] for k in range(n))
+        data[self.on_q] = self.q
+        data[self.on_lap] -= scaled
+        data[self.on_t] -= scaled
+        data[self.on_eye] += sum(a * row[i] * row[i] for row in df)
         diagonal = self.pattern.diagonal
         data[diagonal] += damping * (np.abs(data[diagonal]) + 1e-300)
         return data
-
-    def single(self, values):
-        """values of matrix() in float32, each coupling block zeroed that is
-        all below float32 resolution of max|N|: that is roundoff, whose fill
-        would run the factorization in subnormal arithmetic, 10-20x slower.
-        N is positive definite, so max|N| is its largest diagonal entry."""
-        single = values.astype(np.float32)
-        floor = np.finfo(np.float32).eps * np.max(values[self.pattern.diagonal])
-        for (i, j), block in self.places.items():
-            if i != j and max(np.max(np.abs(values[at])) for at in block) < floor:
-                for at in block:
-                    single[at] = 0.0
-        return single
 
 
 def polish_solution(data, sol, iterations=4):
@@ -612,49 +589,59 @@ def polish_solution(data, sol, iterations=4):
 
     The damped normal matrix N = J^T W J + _POLISH_DAMPING diag|N| is symmetric
     positive definite.  Between steps only the diagonal reaction terms of
-    the Jacobian J move, by O(h^2), so N is formed and factored once, at
-    the first step, in single precision, as a band in reverse
-    Cuthill-McKee order by factor_hpd; a coupling block of N below float32
-    resolution is zeroed first (_PolishNormal.single).  The damping
-    bounds N's diagonally scaled condition number by about
+    the Jacobian J move, by O(h^2), so N's diagonal block of each field is
+    formed and factored once, at the first step, in single precision, as a
+    band in reverse Cuthill-McKee order by factor_hpd; the blocks are
+    formed one at a time, without sparse products, at the stored places of
+    the mesh's one block pattern (_PolishNormal), which also keeps the band
+    plan both fields are factored with, and is kept on the mesh.  The
+    damping bounds a block's diagonally scaled condition number by about
     (rho + damping) / damping, rho the largest eigenvalue of the scaled
-    J^T W J, which keeps the float32 Cholesky far from breakdown.  N is
-    formed without sparse products, at the stored places of the mesh's
-    normal pattern (_PolishNormal), which also keeps the band plan it is
-    factored with; both are kept on the mesh, per field count.  Every
-    step, the first included, solves its own normal equations in double
-    precision by conjugate gradients preconditioned with that
-    factorization, applying N as
-    v -> J^T W J v + damping |diag N| v without forming it.
+    J^T W J, which keeps the float32 Cholesky far from breakdown.  Every
+    step, the first included, solves its own normal equations on the whole
+    coupled N in double precision by conjugate gradients, preconditioned
+    block-Jacobi with those factors, applying N as
+    v -> J^T W J v + damping |diag N| v without forming it.  The (u, w)
+    coupling blocks of N are small beside its diagonal blocks, and vanish
+    for proportional sections at l = 0, so the factors precondition N well:
+    CG takes a few times the iterations a factor of the coupled N would
+    need (see _PCG_MAXITER).
 
-    When the float32 factorization fails, or CG does not reach _PCG_RTOL
+    When a float32 factorization fails, or CG does not reach _PCG_RTOL
     within _PCG_MAXITER iterations, the polish raises LinearSolveError,
     with the payload step (the failed step's number, from 1),
-    cg_iterations (0 when the factorization failed) and
+    cg_iterations (0 when a factorization failed) and
     relative_residual, the relative residual CG reached (1.0 when it did
     not run).  sol.polish records each step (weighted collocation residual
     before and after, accepted line-search fraction, CG iterations) and
-    the factor's storage, factor_nnz: the band's entries, (kd + 1) * n
-    for half-bandwidth kd and size n.
+    the factors' storage, factor_nnz: the sum over the fields of their
+    bands' entries, (kd + 1) * V each for half-bandwidth kd and V
+    vertices.
     """
     mesh = data.mesh
     eqs = CurvatureEquations(data)
     resid, jac = eqs.system("patch_fit", 1.0)
     x = np.concatenate([sol.u, sol.w] if eqs.coupled else [sol.u])
     aa, n = eqs.areas, eqs.n
-    normal = mesh.memo(("polish_normal", n), lambda: _PolishNormal(
-        _LAPLACIANS["patch_fit"](mesh), mesh.vertex_areas, n))
+    normal = mesh.memo("polish_normal", lambda: _PolishNormal(
+        _LAPLACIANS["patch_fit"](mesh), mesh.vertex_areas))
 
     def wnorm(R):
         return float(np.sqrt(np.sum(aa * R**2)))
 
     df = eqs.df(*eqs.fields(x))
     try:
-        lu = factor_hpd(normal.pattern, normal.single(normal.matrix(df, _POLISH_DAMPING)))
+        lus = [factor_hpd(normal.pattern, normal.block(df, i, _POLISH_DAMPING).astype(np.float32))
+               for i in range(n)]
     except np.linalg.LinAlgError as exc:
         raise LinearSolveError(f"polish solve failed: {exc}", step=1, cg_iterations=0,
                                relative_residual=1.0) from exc
-    M = spla.LinearOperator((len(x),) * 2, matvec=lu.solve, dtype=float)
+
+    def block_jacobi(r):
+        return np.concatenate([lu.solve(part) for lu, part in zip(lus, np.split(r, n))])
+
+    M = spla.LinearOperator((len(x),) * 2, matvec=lus[0].solve if n == 1 else block_jacobi,
+                            dtype=float)
     steps = []
     R = resid(x)
     for k in range(1, iterations + 1):
@@ -689,6 +676,6 @@ def polish_solution(data, sol, iterations=4):
             "step_fraction": accepted,
             "cg_iterations": len(iterates),
         })
-    sol.polish = {"steps": steps, "factor_nnz": lu.nnz}
+    sol.polish = {"steps": steps, "factor_nnz": sum(lu.nnz for lu in lus)}
     sol.u_smooth, sol.w_smooth = eqs.fields(x)
     return sol

@@ -45,16 +45,16 @@ def test_band_order_is_a_permutation(mesh_r3):
 
 @pytest.fixture(scope="module")
 def polish_normal_r3(mesh_r3, basis_K2_r3):
-    """The pattern and float64 values of the polish's damped normal matrix
-    at a solved rh4 datum at g=2, r=3, l=0."""
+    """The pattern and float64 values of u's block of the polish's damped
+    normal matrix at a solved rh4 datum at g=2, r=3, l=0."""
     L = bundles.make_line_bundle(mesh_r3, 0)
     data = germsolve.GermData(mesh_r3, L, [make_section(L, 2, 1, 0.3 * basis_K2_r3[0].values),
                                            make_section(L, 2, -1, 0.5 * basis_K2_r3[1].values)])
     sol = germsolve.solve_gauss_ricci4(data, tol=1e-11)
     eqs = germsolve.CurvatureEquations(data)
     normal = germsolve._PolishNormal(mesh_r3.fd_laplacian_matrix(weighted=True),
-                                     mesh_r3.vertex_areas, 2)
-    return normal.pattern, normal.matrix(eqs.df(sol.u, sol.w), germsolve._POLISH_DAMPING)
+                                     mesh_r3.vertex_areas)
+    return normal.pattern, normal.block(eqs.df(sol.u, sol.w), 0, germsolve._POLISH_DAMPING)
 
 
 def _solve_in_band_dtype(lu, b):
@@ -114,9 +114,9 @@ def solved_r4(mesh_r4, L1_r4, basis_K2L_r4, basis_K2Linv_r4):
     return data, germsolve.solve_gauss_ricci4(data, tol=1e-11)
 
 
-def _first_factored(monkeypatch, module, call):
-    """The first matrix that call factors through module.factor_hpd, as a
-    CSR matrix, and its factor."""
+def _factored(monkeypatch, module, call):
+    """The matrices that call factors through module.factor_hpd, each as a
+    CSR matrix with its factor."""
     factored = []
 
     def recording(pattern, values):
@@ -125,19 +125,28 @@ def _first_factored(monkeypatch, module, call):
 
     monkeypatch.setattr(module, "factor_hpd", recording)
     call()
-    return factored[0]
+    return factored
+
+
+def _first_factored(monkeypatch, module, call):
+    """The first matrix that call factors through module.factor_hpd, as a
+    CSR matrix, and its factor."""
+    return _factored(monkeypatch, module, call)[0]
 
 
 def test_polish_band_stays_narrow_at_r4(solved_r4, monkeypatch):
     data, sol = solved_r4
     fresh = germsolve.GermSolution(u=sol.u, w=sol.w, converged=True)
-    N, lu = _first_factored(monkeypatch, germsolve,
-                            lambda: germsolve.polish_solution(data, fresh, iterations=1))
-    n = N.shape[0]
-    assert n == 2 * data.mesh.n_vertices
-    # the mesh's own numbering spans nearly the whole matrix
-    assert _bandwidth(N, np.arange(n)) > 0.9 * n
-    assert lu.bandwidth < 0.55 * n
+    factored = _factored(monkeypatch, germsolve,
+                         lambda: germsolve.polish_solution(data, fresh, iterations=1))
+    # one block per field
+    assert len(factored) == 2
+    for N, lu in factored:
+        n = N.shape[0]
+        assert n == data.mesh.n_vertices
+        # the mesh's own numbering spans nearly the whole matrix
+        assert _bandwidth(N, np.arange(n)) > 0.9 * n
+        assert lu.bandwidth < 0.55 * n
 
 
 def test_class_oracle_band_stays_narrow_at_r4(solved_r4, monkeypatch):

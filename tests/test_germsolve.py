@@ -199,20 +199,19 @@ def test_polish_normal_matrix_equals_the_damped_product(mesh_r3, target, vanish)
     _, jacobian = eqs.system("patch_fit", 1.0)
     x = 0.3 * rng.standard_normal(n * mesh_r3.n_vertices)
     normal = germsolve._PolishNormal(mesh_r3.fd_laplacian_matrix(weighted=True),
-                                     mesh_r3.vertex_areas, n)
-    N = normal.pattern.csr(normal.matrix(eqs.df(*eqs.fields(x)), 0.03))
+                                     mesh_r3.vertex_areas)
     # the product every factorization used to form
     J = jacobian(x)
     ref = (J.T @ sp.diags(np.tile(mesh_r3.vertex_areas, n)) @ J).tocsr()
     ref = ref + 0.03 * sp.diags(np.abs(ref.diagonal()) + 1e-300)
-    assert abs(N - ref).max() <= 1e-14 * abs(ref).max()
-    if vanish is None:
-        assert N.nnz == ref.nnz
-    else:
-        # the product drops the coupling entries that cancel; N keeps them,
-        # as zeros
-        assert ref.nnz < N.nnz
-        assert (N - N.multiply(ref != 0)).count_nonzero() == 0
+    V = mesh_r3.n_vertices
+    for i in range(n):
+        N = normal.pattern.csr(normal.block(eqs.df(*eqs.fields(x)), i, 0.03))
+        ref_i = ref[i * V:(i + 1) * V, i * V:(i + 1) * V]
+        assert abs(N - ref_i).max() <= 1e-14 * abs(ref_i).max()
+        # the entries that cancel where the sections vanish lie in the
+        # coupling blocks, which no block holds
+        assert N.nnz == ref_i.nnz
 
 
 @pytest.mark.parametrize("target, vanish", [("rh3", None), ("rh4", slice(0, None, 7))])
@@ -226,10 +225,10 @@ def test_polish_plan_is_the_band_plan_of_its_first_matrix(mesh_r3, target, vanis
     data = _random_data(mesh_r3, target, rng, vanish)
     eqs = germsolve.CurvatureEquations(data)
     normal = germsolve._PolishNormal(mesh_r3.fd_laplacian_matrix(weighted=True),
-                                     mesh_r3.vertex_areas, eqs.n)
+                                     mesh_r3.vertex_areas)
     assert "band" not in vars(normal.pattern)
     x = 0.3 * rng.standard_normal(eqs.n * mesh_r3.n_vertices)
-    N = normal.matrix(eqs.df(*eqs.fields(x)), 0.03)
+    N = normal.block(eqs.df(*eqs.fields(x)), 0, 0.03)
     lu = factor.factor_hpd(normal.pattern, N)
     A = normal.pattern.csr(N)
     assert np.array_equal(lu.perm, reverse_cuthill_mckee(A, symmetric_mode=True))
@@ -463,7 +462,8 @@ def test_polish_factors_once_and_matches_factor_every_step(solved_r3, count_fact
     ref = _factor_every_step(data, sol)
     del count_factor[:]
     polished = germsolve.polish_solution(data, _fresh(sol.u, sol.w))
-    assert len(count_factor) == 1
+    # one factorization per field: 1 for rh3, 2 for rh4
+    assert len(count_factor) == germsolve.CurvatureEquations(data).n
     assert np.max(np.abs(_smoothed(polished) - ref)) < 1e-10
     record = polished.polish
     assert "factorizations" not in record
@@ -471,7 +471,7 @@ def test_polish_factors_once_and_matches_factor_every_step(solved_r3, count_fact
     assert type(fill) is int and fill > 0
     steps = record["steps"]
     assert len(steps) == 4
-    # every step, the first included, is a CG solve on the one factor
+    # every step, the first included, is a CG solve on the same factors
     assert all(0 < s["cg_iterations"] <= 10 for s in steps)
     for s in steps:
         assert s["step_fraction"] == 1.0
@@ -483,8 +483,8 @@ def test_polish_factors_once_and_matches_factor_every_step(solved_r3, count_fact
 def test_roundoff_coupling_leaves_the_float32_factor_normal(mesh_r3, basis_K2_r3,
                                                             monkeypatch):
     # proportional sections at l = 0 decouple u and w: the coupling blocks
-    # of N are roundoff, which the polish zeroes before the float32
-    # factorization, so its fill does not run in subnormal arithmetic
+    # of N are roundoff, which no factor holds, so no factor's fill runs in
+    # subnormal arithmetic
     L = bundles.make_line_bundle(mesh_r3, 0)
     q = basis_K2_r3[0].values
     data = germsolve.GermData(mesh_r3, L, [make_section(L, 2, 1, 0.4 * q),
@@ -498,19 +498,33 @@ def test_roundoff_coupling_leaves_the_float32_factor_normal(mesh_r3, basis_K2_r3
 
     monkeypatch.setattr(germsolve, "factor_hpd", recording)
     germsolve.polish_solution(data, sol)
-    cb = factors[0].cb
-    assert cb.dtype == np.float32
-    assert np.count_nonzero((cb != 0.0) & (np.abs(cb) < np.finfo(np.float32).tiny)) == 0
+    assert len(factors) == 2
+    for f in factors:
+        assert f.cb.dtype == np.float32
+        assert np.count_nonzero((f.cb != 0.0) & (np.abs(f.cb) < np.finfo(np.float32).tiny)) == 0
 
 
-def test_polish_keeps_a_coupling_above_float32_resolution(solved_r3):
+def test_polish_preconditions_each_field_with_its_own_block(solved_r3, monkeypatch):
     data, sol = solved_r3
+    calls = []
+
+    def recording(pattern, values):
+        calls.append((pattern, values, factor.factor_hpd(pattern, values)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(germsolve, "factor_hpd", recording)
+    polished = germsolve.polish_solution(data, _fresh(sol.u, sol.w))
     eqs = germsolve.CurvatureEquations(data)
-    normal = germsolve._PolishNormal(data.mesh.fd_laplacian_matrix(weighted=True),
-                                     data.mesh.vertex_areas, eqs.n)
-    N = normal.matrix(eqs.df(*eqs.fields(np.concatenate(
-        [sol.u, sol.w] if eqs.coupled else [sol.u]))), 0.03)
-    assert np.array_equal(normal.single(N), N.astype(np.float32))
+    # the mesh's one block pattern, kept by the polish
+    normal = data.mesh.memo("polish_normal", lambda: None)
+    assert len(calls) == eqs.n
+    assert all(pattern is normal.pattern for pattern, _, _ in calls)
+    assert normal.pattern.n == data.mesh.n_vertices
+    df = eqs.df(sol.u, sol.w) if eqs.coupled else eqs.df(sol.u)
+    for i, (_, values, _) in enumerate(calls):
+        expected = normal.block(df, i, germsolve._POLISH_DAMPING).astype(np.float32)
+        assert values.dtype == np.float32 and np.array_equal(values, expected)
+    assert polished.polish["factor_nnz"] == sum(lu.cb.size for _, _, lu in calls)
 
 
 def test_polish_cg_miss_is_a_linear_solve_error(solved_r3, monkeypatch):
@@ -583,15 +597,17 @@ def test_mesh_order_factor_solves_polish_matrix_like_colamd(solved_r3, monkeypat
 
     monkeypatch.setattr(germsolve, "factor_hpd", recording)
     germsolve.polish_solution(data, _fresh(sol.u, sol.w), iterations=1)
-    ((pattern, N),) = matrices
-    # the polish factors N in single precision; the band factor is
-    # compared with COLAMD in double
-    assert N.dtype == np.float32
-    N = N.astype(np.float64)
-    b = np.random.default_rng(0).standard_normal(pattern.n)
-    ref = _colamd(pattern, N).solve(b)
-    x = factor.factor_hpd(pattern, N).solve(b)
-    assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+    assert len(matrices) == germsolve.CurvatureEquations(data).n
+    rng = np.random.default_rng(0)
+    for pattern, N in matrices:
+        # the polish factors each field's block in single precision; the
+        # band factor is compared with COLAMD in double
+        assert N.dtype == np.float32
+        N = N.astype(np.float64)
+        b = rng.standard_normal(pattern.n)
+        ref = _colamd(pattern, N).solve(b)
+        x = factor.factor_hpd(pattern, N).solve(b)
+        assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
 def test_polish_in_mesh_order_matches_colamd_polish(solved_r3, monkeypatch):
