@@ -315,7 +315,8 @@ def _smallest_singular(pattern, N, k):
         try:
             lu = factor_hpd(pattern, shifted)
             OPinv = spla.LinearOperator(A.shape, matvec=lu.solve, dtype=A.dtype)
-            lam, vecs = spla.eigsh(A, k, sigma=sigma, which="LM", v0=v0, OPinv=OPinv)
+            lam, vecs = spla.eigsh(A, k, sigma=sigma, which="LM", v0=v0, OPinv=OPinv,
+                                    tol=_ARPACK_TOL)
         except spla.ArpackNoConvergence as exc:
             lam = np.sort(exc.eigenvalues.real)
             raise IndeterminateKernelError(
@@ -332,6 +333,8 @@ def _smallest_singular(pattern, N, k):
 
 # relative modulus within which a section's peaks count as tied
 PEAK_RTOL = 1e-6
+# relative accuracy of ARPACK's eigenvalues (its default is machine precision)
+_ARPACK_TOL = 1e-12
 
 
 def _fix_phase(vals):

@@ -322,8 +322,6 @@ _PATCH_BLOCK = 64
 # patches per chunk of a patch-fit size group; bounds the memory of its
 # designs and QR factors
 _FIT_CHUNK = 256
-# the two other corners of a face, by corner
-_OTHER_CORNERS = np.array([[1, 2], [0, 2], [0, 1]])
 
 
 def build_surface(genus, resolution):
@@ -373,8 +371,8 @@ def build_surface(genus, resolution):
     np.add.at(vertex_areas, face_cls.ravel(), np.repeat(face_area / 3.0, 3))
 
     twin, side = _twins(dom, verts, faces, bnd, bnd_side, match)
-    stencil = _stencil(dom, verts, faces, twin, side, copy_class, copy_T, copy_kderiv,
-                       copy_G, class_coord, face_centroid)
+    stencil, stencil_point = _stencil(dom, verts, faces, twin, side, copy_class, copy_T,
+                                      copy_kderiv, copy_G, class_coord, face_centroid)
     return SurfaceMesh(
         genus=genus,
         resolution=resolution,
@@ -388,8 +386,8 @@ def build_surface(genus, resolution):
         **stencil,
         copy_class=copy_class,
         class_root_copy=roots,
-        **_patches(faces, copy_class, copy_T, face_centroid,
-                   stencil["stencil_class"], stencil["stencil_coord"], class_coord),
+        **_patches(faces, copy_class, copy_T, stencil["stencil_class"],
+                   stencil["stencil_coord"], stencil_point, class_coord),
     )
 
 
@@ -498,8 +496,10 @@ def _stencil(dom, verts, faces, twin, side, copy_class, copy_T, copy_kderiv, cop
              class_coord, face_centroid):
     """Six-point dbar stencil: slots 0-2 hold face i's corners, slot 3 + a
     the far corner of the neighbour across the edge opposite corner a,
-    expressed in face i's chart."""
+    expressed in face i's chart.  Also returns each slot's point as an
+    integer: its copy c, or c + n (s + 1) for c carried across side s."""
     corners = np.concatenate([faces, faces.ravel()[twin].reshape(-1, 3)], axis=1)
+    point = corners.copy()
     stencil_coord = verts[corners]
     stencil_kderiv = copy_kderiv[corners]
     stencil_gshift = copy_G[corners]
@@ -517,6 +517,7 @@ def _stencil(dom, verts, faces, twin, side, copy_class, copy_T, copy_kderiv, cop
         stencil_coord[i, 3 + a] = znew
         stencil_kderiv[i, 3 + a] = (sig_inv * copy_T[c]).deriv(class_coord[copy_class[c]])
         stencil_gshift[i, 3 + a] = copy_G[c] - g_sig
+        point[i, 3 + a] = c + len(verts) * (s + 1)
     cen6 = np.repeat(face_centroid[:, None], 6, axis=1)
     return dict(
         stencil_class=copy_class[corners],
@@ -524,7 +525,7 @@ def _stencil(dom, verts, faces, twin, side, copy_class, copy_T, copy_kderiv, cop
         stencil_kderiv=stencil_kderiv,
         stencil_gshift=stencil_gshift,
         stencil_omega=_segment_omega0(stencil_coord, cen6),
-    )
+    ), point
 
 
 def _mobius_mul(p, q):
@@ -537,53 +538,101 @@ def _mobius_apply(p, z):
     return (p[0] * z + p[1]) / (np.conj(p[1]) * z + np.conj(p[0]))
 
 
-def _patches(faces, copy_class, copy_T, face_centroid, stencil_class, stencil_coord,
+def _distinct(key):
+    """The sorted distinct values of an integer array, by one sort."""
+    key = np.sort(key, axis=None)
+    return key[np.concatenate([[True], key[1:] != key[:-1]])]
+
+
+def _ranges(start, u):
+    """The ranges start[u]:start[u + 1] of the entries of u, concatenated, and their entries."""
+    deg = start[u + 1] - start[u]
+    rep = np.repeat(np.arange(len(u)), deg)
+    return rep, start[u][rep] + np.arange(len(rep)) - np.repeat(np.cumsum(deg) - deg, deg)
+
+
+def _deck_ids(a, b):
+    """Ids of disk automorphisms (a, b) equal up to roundoff, numbered in
+    order of first occurrence, and each id's first index.  Deck
+    transformations are told apart by their images of 0 to 6 decimals: the
+    group acts freely, and a mesh's chain maps move 0 by a few polygon
+    diameters at most, where distinct images lie far apart."""
+    z = b / np.conj(a)
+    key = (np.rint(z.real * 1e6).astype(np.int64) * 2_000_001
+           + np.rint(z.imag * 1e6).astype(np.int64))
+    distinct = _distinct(key)
+    ids = np.searchsorted(distinct, key)
+    first = np.full(len(distinct), len(key))
+    np.minimum.at(first, ids, np.arange(len(key)))
+    return np.argsort(np.argsort(first))[ids], np.sort(first)
+
+
+def _patches(faces, copy_class, copy_T, stencil_class, stencil_coord, stencil_point,
              class_coord):
     """Vertex patches for the local polynomial fits: the classes and chart
     coordinates of every vertex's patch, flat and in vertex order, with the
     offsets of each vertex's slice.
 
-    The chart of face j enters vertex v's chart along each chain v -> face
-    i incident to v -> another corner u of i -> face j incident to u.  A
-    face keeps every distinct image (they differ by deck transformations
-    near the side pairings): of the chains whose images of the face's
-    centroid agree to 10 digits the first one built (_first_chains).  Each
-    class keeps its stencil-point image closest to v (_closest_images).
+    Face j enters vertex v's chart along each chain v -> face i at v ->
+    another corner u of i -> face j at u, by the map inv(T_p) T_q inv(T_r)
+    of the chain's corners p (i at v), q (i at u) and r (j at u), T a
+    corner's chart map from its class chart.  These maps are the few deck
+    transformations that the copies' maps compose; each gets an integer id
+    and one set of coefficients (_deck_ids), so the search dedupes by
+    integer keys and computes each distinct (map, stencil point) image
+    once.  Each class keeps its image closest to v (_closest_images).
     Built in blocks of _PATCH_BLOCK vertices.
     """
-    V = len(class_coord)
-    # each corner's chart map from its class chart, as Mobius coefficients
-    corner_a = np.array([T.a for T in copy_T])[faces].ravel()
-    corner_b = np.array([T.b for T in copy_T])[faces].ravel()
+    V, F = len(class_coord), len(faces)
+    a, b = np.array([T.a for T in copy_T]), np.array([T.b for T in copy_T])
+    copy_map, rep = _deck_ids(a, b)
+    ca, cb, K = a[rep], b[rep], len(rep)
+    corner_map = copy_map[faces].ravel()
     corner_cls = copy_class[faces].ravel()
+    # the two other corners of each corner's face
+    other = np.arange(3 * F)[:, None] + np.tile([[1, 2], [-1, 1], [-2, -1]], (F, 1))
     incident = np.argsort(corner_cls, kind="stable")
     start = np.searchsorted(corner_cls[incident], np.arange(V + 1))
+    # the chain maps that occur: the map ids of a corner p, of another
+    # corner q of its face and of any copy of q's class
+    p, q = np.repeat(np.arange(3 * F), 2), other.ravel()
+    pq = _distinct((corner_map[p] * K + corner_map[q]) * V + corner_cls[q])
+    class_maps = _distinct(copy_class * K + copy_map)
+    at, i = _ranges(np.searchsorted(class_maps // K, np.arange(V + 1)), pq % V)
+    triple = _distinct(pq[at] // V * K + class_maps[i] % K)
+    i, j, k = triple // K**2, triple // K % K, triple % K
+    chain = _mobius_mul(_mobius_mul((np.conj(ca[i]), -cb[i]), (ca[j], cb[j])),
+                        (np.conj(ca[k]), -cb[k]))
+    chain_id, rep = _deck_ids(*chain)
+    chain = (chain[0][rep], chain[1][rep])
+    E = len(rep)
+    # stencil points, numbered class by class
+    n_keys = int(np.max(stencil_point)) + 1
+    keys = _distinct(stencil_class * n_keys + stencil_point)
+    point = np.searchsorted(keys, stencil_class * n_keys + stencil_point)
+    point_class = keys // n_keys
+    point_coord = np.empty(len(keys), dtype=complex)
+    point_coord[point] = stencil_coord
+    P = len(keys)
     classes, coords, sizes = [], [], []
     for v0 in range(0, V, _PATCH_BLOCK):
         v1 = min(v0 + _PATCH_BLOCK, V)
-        # ring 1: corner p of face i at v; chart of i -> chart of v
         p = incident[start[v0]:start[v1]]
-        m1 = (np.conj(corner_a[p]), -corner_b[p])
-        # ring 2: each other corner q of face i, of class u, and each corner
-        # r at u; chart of r's face -> chart of u -> chart of v
-        q = ((p - p % 3)[:, None] + _OTHER_CORNERS[p % 3]).ravel()
-        to_u = _mobius_mul((np.repeat(m1[0], 2), np.repeat(m1[1], 2)), (corner_a[q], corner_b[q]))
-        u = corner_cls[q]
-        deg = start[u + 1] - start[u]
-        rep = np.repeat(np.arange(len(u)), deg)
-        r = incident[start[u][rep] + np.arange(len(rep)) - np.repeat(np.cumsum(deg) - deg, deg)]
-        m2 = _mobius_mul((to_u[0][rep], to_u[1][rep]), (np.conj(corner_a[r]), -corner_b[r]))
-        vtx = np.concatenate([corner_cls[p], np.repeat(corner_cls[p], 2)[rep]])
-        face = np.concatenate([p // 3, r // 3])
-        chain = (np.concatenate([m1[0], m2[0]]), np.concatenate([m1[1], m2[1]]))
-        # one chain per (vertex, face, centroid image): the first one built
-        key = np.round(_mobius_apply(chain, face_centroid[face]), 10)
-        keep = _first_chains(vtx, face, key)
-        vtx, face = vtx[keep], face[keep]
-        z = _mobius_apply((chain[0][keep, None], chain[1][keep, None]), stencil_coord[face])
-        dist = np.abs(z - class_coord[vtx][:, None]).ravel()
-        vtx, cls, z = _closest_images(np.repeat(vtx, 6), stencil_class[face].ravel(),
-                                      z.ravel(), dist)
+        p, q = np.repeat(p, 2), other[p].ravel()
+        at, r = _ranges(start, corner_cls[q])
+        p, q, r = p[at], q[at], incident[r]
+        el = chain_id[np.searchsorted(
+            triple, (corner_map[p] * K + corner_map[q]) * K + corner_map[r])]
+        # one chain per (vertex, face, chain map), and one candidate per
+        # (vertex, stencil point, chain map), sorted by vertex and class
+        key = _distinct(((corner_cls[p] - v0) * F + r // 3) * E + el)
+        el, key = key % E, key // E
+        key = _distinct(((key // F)[:, None] * P + point[key % F]) * E + el[:, None])
+        el, key = key % E, key // E
+        vtx, pt = key // P + v0, key % P
+        z = _mobius_apply((chain[0][el], chain[1][el]), point_coord[pt])
+        vtx, cls, z = _closest_images(vtx, point_class[pt], z,
+                                      np.abs(z - class_coord[vtx]))
         # v itself sits at its class coordinate
         z[cls == vtx] = class_coord[vtx[cls == vtx]]
         classes.append(cls)
@@ -596,53 +645,22 @@ def _patches(faces, copy_class, copy_T, face_centroid, stencil_class, stencil_co
     )
 
 
-def _first_chains(vtx, face, key):
-    """Indices, in increasing order, of the first chain of each distinct
-    (vertex, face, key), as np.unique(rows, axis=0, return_index=True)
-    finds them (-0.0 and 0.0 are one key).  A stable sort groups the
-    chains by (vertex, face), and a chain repeats when an earlier chain of
-    its group has its key; a group holds a few chains."""
-    group = vtx * (np.max(face) + 1) + face
-    order = np.argsort(group, kind="stable")
-    group, key = group[order], key[order]
-    repeat = np.zeros(len(order), dtype=bool)
-    for s in range(1, len(order)):
-        same = group[s:] == group[:-s]
-        if not same.any():
-            break
-        repeat[s:] |= same & (key[s:] == key[:-s])
-    return np.sort(order[~repeat])
-
-
 def _closest_images(vtx, cls, z, dist):
-    """The image z closest to its vertex for each (vertex, class), sorted
-    by vertex and class.  Images equidistant up to roundoff are told apart
-    by keys that do not depend on summation order: the distance rounded to
-    12 digits, then the image's rounded real and imaginary parts.  Copies
-    of one image reached along different chains agree in all three; the
-    closest copy by the unrounded distance is kept.
-
-    Rounding is monotone, so the closest copy has the smallest rounded
-    distance; only a pair with another image at that rounded distance but
-    at a different rounded position needs the three keys sorted.
-    """
+    """The image z closest to its vertex for each (vertex, class), of
+    candidates grouped by vertex and class in increasing order.  Images
+    equidistant up to roundoff are told apart by keys that do not depend
+    on summation order: the distance rounded to 12 digits, then the
+    image's rounded real and imaginary parts; copies of one image agree in
+    all three, and the first at the smallest unrounded distance is kept."""
     pair = vtx * (np.max(cls) + 1) + cls
-    order = np.argsort(pair, kind="stable")
-    pair, dist = pair[order], dist[order]
-    head = np.diff(pair, prepend=-1) != 0
-    run = np.cumsum(head) - 1
-    # the closest copy of each pair, the first one on exact ties
-    closest = np.flatnonzero(dist == np.minimum.reduceat(dist, np.flatnonzero(head))[run])
-    pick = closest[np.diff(run[closest], prepend=-1) != 0]
-    keys = np.round(np.stack([dist, z.real[order], z.imag[order]]), 12)
-    at_pick = keys[:, pick[run]]
-    tied = (keys[0] == at_pick[0]) & np.any(keys[1:] != at_pick[1:], axis=0)
-    tied_runs = np.unique(run[tied])
-    sub = np.flatnonzero(np.isin(run, tied_runs))
-    sub = sub[np.lexsort((dist[sub], keys[2, sub], keys[1, sub], keys[0, sub], pair[sub]))]
-    pick[tied_runs] = sub[np.diff(pair[sub], prepend=-1) != 0]
-    first = order[pick]
-    return vtx[first], cls[first], z[first]
+    head = np.flatnonzero(np.diff(pair, prepend=-1) != 0)
+    several = np.flatnonzero(np.diff(head, append=len(pair)) > 1)
+    run, sub = _ranges(np.append(head, len(pair)), several)
+    keys = np.round(np.stack([dist[sub], z.real[sub], z.imag[sub]]), 12)
+    order = np.lexsort((dist[sub], keys[2], keys[1], keys[0], run))
+    pick = head
+    pick[several] = sub[order][np.diff(run[order], prepend=-1) != 0]
+    return vtx[pick], cls[pick], z[pick]
 
 
 def _patch_fit_rows(vertices, patch_coord, patch_ptr):
@@ -652,11 +670,10 @@ def _patch_fit_rows(vertices, patch_coord, patch_ptr):
 
     A patch is centered on its vertex and scaled to unit radius; the fit
     is quartic on 18 or more points, cubic on 12 or more, else quadratic.
-    With sqrt(w) A = Q R, the row of the fit's flat Laplacian
-    2 (c_xx + c_yy) / scale^2 is 2 (Q z) sqrt(w) / scale^2, R^T z = e_xx + e_yy.
-    Q is never formed: each group's QR is LAPACK's Householder form
-    (qr mode "raw"), z comes from R^T by forward substitution, and Q z is
-    the k reflectors applied to [z; 0].
+    One thin QR factorization A = Q R of each design serves all three
+    weightings: with R^T z = e_xx + e_yy, the row of the fit's flat
+    Laplacian 2 (c_xx + c_yy) / scale^2 is 2 W Q (Q^T W Q)^-1 z / scale^2,
+    2 Q z / scale^2 for unit W; Q^T W Q is conditioned as W, not A, is.
     """
     size = np.diff(patch_ptr)
     zc = patch_coord - np.repeat(vertices, size)
@@ -669,52 +686,27 @@ def _patch_fit_rows(vertices, patch_coord, patch_ptr):
             scale = np.max(np.abs(z), axis=1)
             z = z / scale[:, None]
             x, y = z.real, z.imag
-            # the cubes and fourth powers stay libm's pow: products differ in
-            # the last bit, and the ill-conditioned g=3 r=1 fits carry that to
-            # 1e-12 in the rows
-            x2, xy = x * x, x * y
-            terms = [np.ones_like(x), x, y, x2, xy, y * y]
-            if n >= 12:
-                x3, x2y, y3 = x**3, x2 * y, y**3
-                terms += [x3, x2y, xy * y, y3]
-            if n >= 18:
-                terms += [x**4, x3 * y, x2y * y, x * y3, y**4]
-            # one row per monomial, so that LAPACK reads each design's columns
-            # contiguously
-            design = np.stack(terms, axis=1)
             # downweight the outer ring for a smaller fit-error constant
-            r = np.abs(z)
-            raw = 1.0 / (1.0 + (r / np.maximum(np.median(r, axis=1), 1e-30)[:, None]) ** 4)
-            raw[r == 0.0] = 1.0
-            for key, w in (("raw", raw), ("clamped", np.maximum(raw, 0.1)),
-                           ("unit", np.ones_like(raw))):
-                sw = np.sqrt(w)
-                q_z = _householder_laplacian_row(design * sw[:, None, :])
-                rows[key][idx] = 2.0 * q_z * sw / scale[:, None] ** 2
+            rho = np.abs(z)
+            t = (rho / np.maximum(np.median(rho, axis=1), 1e-30)[:, None]) ** 2
+            raw = 1.0 / (1.0 + t * t)
+            raw[rho == 0.0] = 1.0
+            # the design is a temporary, freed before the weighted solves
+            x2, xy, y2 = x * x, x * y, y * y
+            q, r = np.linalg.qr(np.stack(
+                [np.ones_like(x), x, y, x2, xy, y2]
+                + ([x2 * x, x2 * y, xy * y, y2 * y] if n >= 12 else [])
+                + ([x2 * x2, x2 * xy, x2 * y2, xy * y2, y2 * y2] if n >= 18 else []), axis=2))
+            # x^2 and y^2 are monomials 3 and 5
+            e = np.zeros((r.shape[2], 1))
+            e[[3, 5]] = 1.0
+            z = np.linalg.solve(np.swapaxes(r, 1, 2), e)
+            f = 2.0 / scale[:, None] ** 2
+            rows["unit"][idx] = f * (q @ z)[:, :, 0]
+            for key, w in (("raw", raw), ("clamped", np.maximum(raw, 0.1))):
+                v = np.linalg.solve(np.swapaxes(q, 1, 2) @ (w[:, :, None] * q), z)
+                rows[key][idx] = f * w * (q @ v)[:, :, 0]
     return rows
-
-
-def _householder_laplacian_row(design):
-    """Q z for each design in the stack (groups x monomials x points, the
-    transposed least-squares matrix A), where A = Q R is the thin QR
-    factorization and R^T z = e_xx + e_yy (x^2 and y^2 are monomials 3
-    and 5)."""
-    # h[:, j, :j + 1] is row j of R^T and h[:, j, j + 1:] reflector j
-    # below its implicit unit entry
-    h, tau = np.linalg.qr(np.swapaxes(design, 1, 2), mode="raw")
-    k = len(tau[0])
-    y = np.zeros(design.shape[::2])
-    # z vanishes above its first nonzero right-hand side, entry 3
-    for j in range(3, k):
-        rhs = float(j in (3, 5)) - np.einsum("gi,gi->g", h[:, j, :j], y[:, :j])
-        y[:, j] = rhs / h[:, j, j]
-    # Q [z; 0] = H_0 H_1 ... H_{k-1} [z; 0], H_j = I - tau_j v_j v_j^T
-    for j in reversed(range(k)):
-        v = h[:, j, j + 1:]
-        d = tau[:, j] * (y[:, j] + np.einsum("gi,gi->g", v, y[:, j + 1:]))
-        y[:, j] -= d
-        y[:, j + 1:] -= d[:, None] * v
-    return y
 
 
 def laplacian(mesh):

@@ -349,13 +349,6 @@ def test_equidistant_images_pick_the_smallest_rounded_key(genus, resolution, mon
     assert ties > 0
 
 
-def _unique_first_chains(vtx, face, key):
-    """Reference for the chain dedupe: the first row of each distinct
-    (vertex, face, key) by a row-wise np.unique."""
-    rows = np.stack([vtx, face, key.real, key.imag], axis=1)
-    return np.sort(np.unique(rows, axis=0, return_index=True)[1])
-
-
 def _lexsort_closest_images(vtx, cls, z, dist):
     """Reference for the closest-image rule: all its keys in one lexsort."""
     pair = vtx * (np.max(cls) + 1) + cls
@@ -365,41 +358,79 @@ def _lexsort_closest_images(vtx, cls, z, dist):
     return vtx[first], cls[first], z[first]
 
 
+def _brute_force_patches(mesh, genus, resolution):
+    """Reference for the patch search, one vertex at a time with Mobius
+    objects: every chain v -> face i at v -> corner u of i -> face j at u,
+    its chart map composed from the copies' own maps, every stencil point
+    of j carried into v's chart, and per class the image that
+    _lexsort_closest_images picks; v itself at its class coordinate.
+    Returns the patches' classes, coordinates and sizes, and every chain
+    map as coefficient arrays."""
+    dom = hypmesh.FundamentalDomain(genus)
+    verts, faces, bnd, bnd_side = hypmesh._triangulate(dom, resolution)
+    copy_class, _, copy_T, *_ = hypmesh._glue(dom, verts, bnd, bnd_side)
+    corners = [np.argwhere(copy_class[faces] == v) for v in range(mesh.n_vertices)]
+    classes, coords, maps = [], [], []
+    for v, at_v in enumerate(corners):
+        cls, z = [], []
+        for i, a in at_v:
+            for b in {0, 1, 2} - {a}:
+                to_u = copy_T[faces[i, a]].inv() * copy_T[faces[i, b]]
+                for j, c in corners[copy_class[faces[i, b]]]:
+                    m = to_u * copy_T[faces[j, c]].inv()
+                    maps.append((m.a, m.b))
+                    cls.append(mesh.stencil_class[j])
+                    z.append(m(mesh.stencil_coord[j]))
+        cls, z = np.concatenate(cls), np.concatenate(z)
+        _, cls, z = _lexsort_closest_images(np.full(len(cls), v), cls, z,
+                                            np.abs(z - mesh.vertices[v]))
+        z[cls == v] = mesh.vertices[v]
+        classes.append(cls)
+        coords.append(z)
+    return (np.concatenate(classes), np.concatenate(coords), [len(c) for c in classes],
+            np.array(maps).T)
+
+
 @pytest.mark.parametrize("genus, resolution", [(2, 1), (3, 1), (2, 2), (3, 2), (2, 3)])
 def test_patch_search_matches_its_reference_rules(genus, resolution, monkeypatch):
-    # every block of a real build: the chain dedupe keeps the rows a
-    # row-wise unique keeps, and the closest images are the lexsort's
-    blocks = {"dedupe": [], "closest": []}
-    dedupe, closest = hypmesh._first_chains, hypmesh._closest_images
-
-    def recording_dedupe(*args):
-        blocks["dedupe"].append(args)
-        return dedupe(*args)
+    # the built patches are the brute-force search's: the closest image of
+    # each class, equidistant images ordered by their rounded keys; the
+    # chain maps get one integer id per deck transformation; and every
+    # block's closest images are the lexsort's
+    blocks = []
+    closest = hypmesh._closest_images
 
     def recording_closest(*args):
-        blocks["closest"].append(args)
+        blocks.append(args)
         return closest(*args)
 
-    monkeypatch.setattr(hypmesh, "_first_chains", recording_dedupe)
     monkeypatch.setattr(hypmesh, "_closest_images", recording_closest)
-    hypmesh.build_surface(genus, resolution)
-    assert blocks["dedupe"] and blocks["closest"]
-    for args in blocks["dedupe"]:
-        assert np.array_equal(dedupe(*args), _unique_first_chains(*args))
-    for args in blocks["closest"]:
+    mesh = hypmesh.build_surface(genus, resolution)
+    assert blocks
+    for args in blocks:
         for got, ref in zip(closest(*args), _lexsort_closest_images(*args)):
             assert np.array_equal(got, ref)
+    cls, coord, sizes, (a, b) = _brute_force_patches(mesh, genus, resolution)
+    assert np.array_equal(mesh.patch_ptr, np.cumsum([0] + sizes))
+    assert np.array_equal(mesh.patch_class, cls)
+    assert np.max(np.abs(mesh.patch_coord - coord)) < 1e-12
+    # each id's maps act as its first one does; the ids' maps differ
+    ids, first = hypmesh._deck_ids(a, b)
+    probe = np.array([0.0, 0.5, 0.3j, -0.4 - 0.2j])
+    act = hypmesh._mobius_apply((a[:, None], b[:, None]), probe)
+    assert np.max(np.abs(act - act[first[ids]])) < 1e-9
+    apart = np.abs(act[first, None, 0] - act[None, first, 0]) + np.eye(len(first))
+    assert np.min(apart) > 1e-3
 
 
 def test_patch_search_rules_on_repeats_signed_zeros_and_ties():
-    # dedupe: rows repeat out of order, and -0.0 and 0.0 are one key
-    vtx = np.array([0, 0, 1, 0, 1, 0, 0, 1])
-    face = np.array([3, 3, 2, 3, 2, 1, 3, 2])
-    key = np.array([complex(0.5, -0.0), 0.5, complex(-0.0, 1.0), 0.5, 1j, 0.5, 0.25, 1j])
-    assert np.signbit(key.imag[0]) and np.signbit(key.real[2])
-    keep = hypmesh._first_chains(vtx, face, key)
-    assert np.array_equal(keep, _unique_first_chains(vtx, face, key))
-    assert keep.tolist() == [0, 2, 5, 6]
+    # deck ids: maps repeat out of order, up to sign, signed zeros and
+    # roundoff; numbered by first occurrence
+    a = np.array([2.0, 1.0, complex(1.0, -0.0), -2.0, 1.0 + 1e-15, 2.0, 1.5])
+    b = np.array([1.0j, 0.0, complex(-0.0, 0.0), -1.0j, 1e-16j, complex(1.0, 1e-16), 0.5])
+    ids, first = hypmesh._deck_ids(a, b)
+    assert ids.tolist() == [0, 1, 1, 0, 1, 2, 3]
+    assert first.tolist() == [0, 1, 5, 6]
     # closest images: pair (0, 1) has the unrounded closest copy at a
     # larger rounded position than an image at the same rounded distance,
     # pair (1, 2) holds two copies of one image and a farther one
@@ -411,3 +442,21 @@ def test_patch_search_rules_on_repeats_signed_zeros_and_ties():
     for a, b in zip(got, _lexsort_closest_images(vtx, cls, z, dist)):
         assert np.array_equal(a, b)
     assert got[2].tolist() == [0.3 + 0.1j, 0.5j + 1e-15]
+
+
+@pytest.mark.parametrize("genus", [2, 3])
+@pytest.mark.parametrize("resolution", [1, 2, 3])
+def test_patches_and_fit_rows_do_not_depend_on_the_block_sizes(genus, resolution,
+                                                               monkeypatch):
+    # _PATCH_BLOCK and _FIT_CHUNK bound memory only: a small block and one
+    # block for the whole mesh give the same arrays, bit for bit
+    def build(block, chunk):
+        monkeypatch.setattr(hypmesh, "_PATCH_BLOCK", block)
+        monkeypatch.setattr(hypmesh, "_FIT_CHUNK", chunk)
+        mesh = hypmesh.build_surface(genus, resolution)
+        return [mesh.patch_class, mesh.patch_ptr, mesh.patch_coord, *mesh._fit_rows().values()]
+
+    ref = build(hypmesh._PATCH_BLOCK, hypmesh._FIT_CHUNK)
+    for block, chunk in ((5, 3), (10**6, 10**6)):
+        for got, want in zip(build(block, chunk), ref):
+            assert np.array_equal(got, want)
