@@ -17,6 +17,7 @@ import json
 import math
 import numbers
 import os
+import sys
 from dataclasses import asdict, dataclass, field, fields, replace
 from types import SimpleNamespace
 
@@ -85,6 +86,12 @@ class RunConfig:
         kind, args = _parse_spec(self.data_spec)
         if kind == "manufactured" and self.target != "rh3":
             raise InvalidParameterError("manufactured data is a 3-space solver check")
+        # the forcing t = e^{2u*} (1 - e^{2u*}) is summed over the surface
+        # (area 4 pi (g - 1)): |t| times twice the area must be a double
+        top = (math.log(sys.float_info.max) - math.log(8.0 * math.pi * (self.genus - 1))) / 4.0
+        if kind == "manufactured" and args[0] > top:
+            raise InvalidParameterError(f"manufactured u_star {args[0]!r} is over {top:.10g}: "
+                                        "its forcing summed over the surface overflows a double")
         n_sections = len(_TARGET_BUNDLES[self.target])
         if kind in ("basis", "file") and len(args) > _SPEC_ARGS[kind][0][0] * n_sections:
             raise InvalidParameterError(f"data spec {self.data_spec!r}: the {self.target} "

@@ -327,14 +327,13 @@ def _jacobian_pattern(lap, n):
 
 
 def _jacobian_solver():
-    """A solve (J, b) -> J^-1 b by SuperLU for the Jacobians of one Newton
-    solve.
+    """A solve (J, b) -> J^-1 b by SuperLU for Jacobians of one pattern.
 
-    The Jacobians share one sparsity pattern, and COLAMD's fill-reducing
-    column order reads only the pattern.  So the first call factors with
-    SuperLU's default COLAMD and keeps its column order; each later call
-    factors J with its columns already in that order (permc_spec
-    "NATURAL") and un-permutes the solution.
+    COLAMD's fill-reducing column order reads only the pattern.  So the
+    first call factors with SuperLU's default COLAMD and keeps its column
+    order; each later call factors J with its columns already in that
+    order (permc_spec "NATURAL") and un-permutes the solution.  _solve
+    keeps one per mesh and field count: a surface orders columns once.
     """
     order = None
 
@@ -357,18 +356,21 @@ def _newton(x0, residual, jacobian, areas, tol, max_iter, solve=None):
 
     residual returns the area-weighted equation values R (so the geometric
     equation is R / areas); the norm tracked is the L2 norm of R / areas
-    against the area element, sqrt(sum R^2 / areas).  solve (J, b) ->
-    J^-1 b defaults to a _jacobian_solver, which factors sparse Jacobians
-    and orders their columns once per solve.
+    against the area element, sqrt(sum R^2 / areas), inf when it
+    overflows: the start's then ends the solve, a trial state's is
+    rejected.  solve (J, b) -> J^-1 b defaults to a _jacobian_solver.
     """
 
     def norm(R):
-        return float(np.sqrt(np.sum(R**2 / areas)))
+        with np.errstate(over="ignore"):
+            return float(np.sqrt(np.sum(R**2 / areas)))
 
     solve = solve or _jacobian_solver()
     x = x0.copy()
     R = residual(x)
     nrm = norm(R)
+    if not np.isfinite(nrm):
+        raise NonConvergenceError("the starting residual's norm overflows a double")
     trace = [[0, nrm, 1.0]]
     for it in range(1, max_iter + 1):
         if nrm <= tol:
@@ -442,9 +444,11 @@ def _solve(data, tol, max_iter):
         raise InvalidParameterError("tol must be positive")
     eqs = CurvatureEquations(data)
     residual, jacobian = eqs.system("cotangent", data.mesh.vertex_areas)
+    # the Jacobians' column order, kept next to their pattern
+    solve = data.mesh.memo(("jacobian", "cotangent", eqs.n, "solver"), _jacobian_solver)
     c = _constant_start(eqs)
     x0 = np.zeros(len(eqs.areas)) if c is None else np.repeat(c, data.mesh.n_vertices)
-    x, trace, ok = _newton(x0, residual, jacobian, eqs.areas, tol, max_iter)
+    x, trace, ok = _newton(x0, residual, jacobian, eqs.areas, tol, max_iter, solve)
     u, w = eqs.fields(x)
     start = None if c is None else dict(zip("uw", c.tolist()))
     return GermSolution(u=u, w=w, newton_trace=trace, converged=ok, start=start)

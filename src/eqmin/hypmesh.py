@@ -32,8 +32,26 @@ lambda^2 dx dy.  Its integrals are closed forms:
   exact as Re(j / conj(a)) > 0 on the disk (|b| < |a|).  exp(i c G_sigma)
   are the unitary factors of automorphy that glue L across the side
   pairings; j_{sigma^-1}(sigma z) j_sigma(z) = 1 gives G_{sigma^-1}(sigma z)
-  = -G_sigma(z) based at sigma(base).  Only the polygon's radius is
-  specific to the regular 4g-gon: both hold for any disk automorphism.
+  = -G_sigma(z) based at sigma(base).
+
+The side pairings are in closed form too.  Side s has its midpoint at
+the inradius d from 0, cosh d = cot(pi/4g), in the direction theta_s = 2 pi
+(s + 1/2) / 4g.  Its pairing with side s' = partner[s] rotates the
+midpoint onto the positive axis, translates by -2d and rotates -d onto
+theta_s'; with Rot(phi) = (e^{i phi/2}, 0) and Tr(t) = (cosh(t/2),
+sinh(t/2)) in the coefficients (a, b) of eqmin.mobius,
+
+    sigma_s = Rot(theta_s' + pi) o Tr(-2d) o Rot(-theta_s),
+    a = e^{i (theta_s' - theta_s + pi)/2} cosh d, b = -e^{i (theta_s' + theta_s + pi)/2} sinh d,
+
+which takes vertex s to vertex s' + 1 and vertex s + 1 to vertex s'.  For
+s = 4i + k, k = 0, 1, s' = s + 2: theta_s' - theta_s = pi/g and (theta_s +
+theta_s')/2 = theta_{s+1}, so a = i e^{i pi/2g} cosh d, b = -i e^{i
+theta_{s+1}} sinh d, and sigma_s' is the inverse of sigma_s.  The trace
+gives every pairing's translation length l: cosh(l/2) = |Re a| =
+cot(pi/4g) sin(pi/2g) = 1 + cos(pi/2g).  Only the polygon's radius and
+this closed form are specific to the regular 4g-gon: omega0's integrals
+and the cocycle hold for any disk automorphism.
 """
 
 import math
@@ -49,10 +67,13 @@ from .errors import (
     ShapeError,
 )
 from .mobius import (
-    Mobius,
+    apply,
+    compose,
     conformal_factor,
+    derivative,
     hyp_dist,
     hyp_midpoint,
+    invert,
     triangle_angles_from_lengths,
 )
 
@@ -82,19 +103,22 @@ def _segment_omega0(z0, z1):
 
 def _pairing_cocycle(sigma, base, z):
     """G_sigma(z) = -2 arg(j(z) / j(base)), j the automorphy factor of
-    sigma, vectorized over z.  The sign makes exp(i c G_sigma) the
-    transition functions of the connection A = i c omega0 used for all
-    parallel transports: sigma^* A - A = -d log(transition)."""
-    j = np.conj(sigma.b) * np.asarray(z) + np.conj(sigma.a)
-    return -2.0 * np.angle(j / (np.conj(sigma.b) * base + np.conj(sigma.a)))
+    sigma = (a, b), vectorized over sigma, base and z.  The sign makes
+    exp(i c G_sigma) the transition functions of the connection A = i c
+    omega0 used for all parallel transports: sigma^* A - A = -d
+    log(transition)."""
+    a, b = np.conj(sigma[0]), np.conj(sigma[1])
+    return -2.0 * np.angle((b * np.asarray(z) + a) / (b * base + a))
 
 
 class FundamentalDomain:
     """Regular hyperbolic 4g-gon with standard side pairings.
 
     Sides are numbered so that side j runs from polygon vertex j to j+1.
-    The pairing pattern is a b a^-1 b^-1 repeated: side 4i+k is glued to
-    side 4i+k+2 (k = 0, 1) with endpoints swapped.
+    The pairing pattern is a b a^-1 b^-1 repeated: side s = 4i+k is glued
+    to side partner[s] = 4i+k+2 (k = 0, 1) with endpoints swapped, by the
+    disk automorphism pairing[:, s] (coefficients (a, b), eqmin.mobius) in
+    closed form (module docstring); pairing[:, partner[s]] is its inverse.
     """
 
     def __init__(self, genus):
@@ -106,63 +130,78 @@ class FundamentalDomain:
         # the circumradius R of the regular 4g-gon with interior angles
         # pi/(2g) has cosh R = cot^2(pi/4g), so tanh(R/2) = sqrt(cos(pi/2g))
         r_euc = math.sqrt(math.cos(math.pi / (2 * genus)))
+        self.radius = 2.0 * math.atanh(r_euc)
         self.polygon_vertices = np.array(
             [r_euc * cmath.exp(2j * math.pi * j / k) for j in range(k)]
         )
-        # side_map[s] = (partner side, Mobius mapping side s onto the partner)
-        self.side_map = {}
+        # the pairings in closed form (module docstring): the inradius d has
+        # cosh d = 1/t and sinh d = sqrt(1 - t^2)/t, t = tan(pi/4g), and side
+        # j's midpoint lies in the direction theta_j
+        s = np.arange(k)
+        self.partner = s ^ 2
+        t = math.tan(math.pi / k)
+        self.inradius = math.acosh(1.0 / t)
+        direction = np.exp(1j * (2.0 * math.pi * (s + 0.5) / k))
         v = self.polygon_vertices
-        for i in range(genus):
-            for kk in (0, 1):
-                s = 4 * i + kk
-                sp_ = 4 * i + kk + 2
-                # endpoints swap: vertex s -> vertex sp_+1, vertex s+1 -> vertex sp_
-                g = Mobius.from_two_points(
-                    v[s], v[(s + 1) % k], v[(sp_ + 1) % k], v[sp_]
-                )
-                self.side_map[s] = (sp_, g)
-                self.side_map[sp_] = (s, g.inv())
+        self.side_midpoints = np.array([hyp_midpoint(v[j], v[(j + 1) % k]) for j in range(k)])
+        self.pairing = np.array([np.full(k, 1j * cmath.exp(0.5j * math.pi / genus) / t),
+                                 -1j * np.roll(direction, -1) * (math.sqrt(1.0 - t * t) / t)])
+        upper = s % 4 >= 2
+        self.pairing[:, upper] = invert(self.pairing[:, s[upper] ^ 2])
 
-    def side_endpoints(self, s):
-        k = self.n_sides
-        return self.polygon_vertices[s], self.polygon_vertices[(s + 1) % k]
+    def elements(self, max_displacement):
+        """The elements of the surface group that move 0 by at most
+        max_displacement (up to roundoff), as coefficients (a, b) of shape
+        (2, n), the identity first, then by word length in the pairings.
+
+        Breadth first, each computed once as h o sigma of a kept h one
+        pairing sigma shorter.  Distinct elements move 0 at least 2d apart,
+        so an element is new unless its image of 0 lies within d of a kept
+        one's; words are no ids, as the two ways round a polygon vertex
+        name one element.  Elements that move 0 farther are not extended:
+        the polygon is the Dirichlet domain of 0, so the tiles that the
+        geodesic from 0 to g(0) crosses lie no farther from 0 than g(0).
+        """
+        kept = new = np.array([[1.0 + 0.0j], [0.0j]])
+        while new.shape[1]:
+            new = np.array(compose(new[:, :, None], self.pairing[:, None, :])).reshape(2, -1)
+            new = new[:, hyp_dist(0.0, new[1] / np.conj(new[0])) <= max_displacement + 1e-9]
+            z, n = new[1] / np.conj(new[0]), kept.shape[1]
+            near = hyp_dist(z[:, None], np.append(kept[1] / np.conj(kept[0]), z)) < self.inradius
+            new = new[:, ~(near[:, :n].any(axis=1) | np.tril(near[:, n:], -1).any(axis=1))]
+            kept = np.concatenate([kept, new], axis=1)
+        return kept
 
 
 class _UnionFind:
-    """Union-find over vertex copies, tracking the chart transform to the root.
+    """Union-find over vertex copies, tracking the L-cocycle to the root.
 
-    For copy i with root r: z_i = T[i](z_r) and the L-cocycle accumulator
-    G[i] satisfies f(z_i) = exp(i c G[i]) f(z_r) for curvature scale c.
+    For copy i with root r, the accumulator G[i] satisfies f(z_i) =
+    exp(i c G[i]) f(z_r) for curvature scale c.
     """
 
     def __init__(self, n):
         self.parent = list(range(n))
-        self.T = [Mobius.identity() for _ in range(n)]
         self.G = [0.0] * n
         self.defects = []
 
     def find(self, i):
-        if self.parent[i] == i:
-            return i, Mobius.identity(), 0.0
-        root, Tp, Gp = self.find(self.parent[i])
-        T = self.T[i] * Tp
-        G = self.G[i] + Gp
-        self.parent[i] = root
-        self.T[i] = T
-        self.G[i] = G
-        return root, T, G
+        # a root's accumulator stays 0
+        if self.parent[i] != i:
+            root, G = self.find(self.parent[i])
+            self.parent[i], self.G[i] = root, self.G[i] + G
+        return self.parent[i], self.G[i]
 
-    def union(self, u, w, sigma, g_uw):
-        """Record z_w = sigma(z_u), f(z_w) = exp(i c g_uw) f(z_u)."""
-        ru, Tu, Gu = self.find(u)
-        rw, Tw, Gw = self.find(w)
+    def union(self, u, w, g_uw):
+        """Record f(z_w) = exp(i c g_uw) f(z_u) for glued copies u and w."""
+        ru, Gu = self.find(u)
+        rw, Gw = self.find(w)
         if ru == rw:
             # redundant gluing: record the cocycle defect for validation
             self.defects.append(Gu + g_uw - Gw)
             return
         # attach rw below ru
         self.parent[rw] = ru
-        self.T[rw] = Tw.inv() * sigma * Tu
         self.G[rw] = Gu + g_uw - Gw
 
 
@@ -185,13 +224,14 @@ class SurfaceMesh:
     first use and kept on the mesh (see memo): the patch fits and both
     patch-fit Laplacians, the cotangent Laplacian, the dbar stencil rows,
     the block patterns (germsolve._jacobian_pattern) of the curvature
-    equations' Jacobians, the one pattern of the per-field blocks of the
-    polish's normal matrices (germsolve._PolishNormal), the pattern of the
-    dbar stencil's normal matrices with the place in it of each stencil
-    pair (bundles._stencil_pattern), each Hermitian pattern with the band
-    plan of its first factorization (factor.HermitianPattern), and the
-    holomorphic bases of the bundles a run uses (under ("basis", degree
-    of L or None, n)).  Callers share them and must not modify them.
+    equations' Jacobians with the column order of Newton's first sparse
+    LU (germsolve._jacobian_solver), the one pattern of the per-field
+    blocks of the polish's normal matrices (germsolve._PolishNormal), the
+    pattern of the dbar stencil's normal matrices with the place in it of
+    each stencil pair (bundles._stencil_pattern), each Hermitian pattern
+    with the band plan of its first factorization (factor.HermitianPattern),
+    and the holomorphic bases of the bundles a run uses (under ("basis",
+    degree of L or None, n)).  Callers share them and must not modify them.
     """
 
     def __init__(self, **kw):
@@ -343,8 +383,11 @@ def build_surface(genus, resolution):
             f"{_MAX_VERTICES} vertices"
         )
     dom = FundamentalDomain(genus)
+    # the deck transformations whose tiles meet the polygon: every chart
+    # map of the copies and of the patch search's chains is one of them
+    deck = dom.elements(2.0 * dom.radius)
     verts, faces, bnd, bnd_side = _triangulate(dom, resolution)
-    copy_class, roots, copy_T, copy_kderiv, copy_G, match = _glue(dom, verts, bnd, bnd_side)
+    copy_class, roots, copy_deck, copy_G, match = _glue(dom, deck, verts, bnd, bnd_side)
     class_coord = verts[roots]
 
     # --- metric data ---------------------------------------------------
@@ -371,8 +414,8 @@ def build_surface(genus, resolution):
     np.add.at(vertex_areas, face_cls.ravel(), np.repeat(face_area / 3.0, 3))
 
     twin, side = _twins(dom, verts, faces, bnd, bnd_side, match)
-    stencil, stencil_point = _stencil(dom, verts, faces, twin, side, copy_class, copy_T,
-                                      copy_kderiv, copy_G, class_coord, face_centroid)
+    stencil, stencil_point = _stencil(dom, deck, verts, faces, twin, side, copy_class,
+                                      copy_deck, copy_G, class_coord, face_centroid)
     return SurfaceMesh(
         genus=genus,
         resolution=resolution,
@@ -386,7 +429,7 @@ def build_surface(genus, resolution):
         **stencil,
         copy_class=copy_class,
         class_root_copy=roots,
-        **_patches(faces, copy_class, copy_T, stencil["stencil_class"],
+        **_patches(deck, faces, copy_class, copy_deck, stencil["stencil_class"],
                    stencil["stencil_coord"], stencil_point, class_coord),
     )
 
@@ -408,27 +451,25 @@ def _triangulate(dom, resolution):
             np.array(list(boundary)), np.array(list(boundary.values())))
 
 
-def _glue(dom, verts, bnd, bnd_side):
+def _glue(dom, deck, verts, bnd, bnd_side):
     """Glue the boundary copies by the side pairings and number the classes.
 
     This is the one place that decides which copies a pairing glues:
     match[s, u] = w records that copy u on side s is glued to copy w on
     the partner side, in both directions (-1 for copies off side s).
-    Returns each copy's class, the root copy of each class, and per copy
-    the chart map from its root (Mobius), that map's derivative at the
-    root, the L-cocycle accumulator, and match.
+    Returns each copy's class, the root copy of each class, per copy the
+    id in the table deck of its chart map from its root (the deck
+    transformation that takes the root copy onto it, _identify) and the
+    L-cocycle accumulator, and match.
     """
     n = len(verts)
     uf = _UnionFind(n)
     match = np.full((dom.n_sides, n), -1)
-    for s in range(dom.n_sides):
-        sp_, sigma = dom.side_map[s]
-        if s > sp_:
-            continue
-        base = hyp_midpoint(*dom.side_endpoints(s))
+    for s in np.flatnonzero(np.arange(dom.n_sides) < dom.partner).tolist():
+        sp_, sigma = dom.partner[s], dom.pairing[:, s]
         src = np.unique(bnd[bnd_side == s])
         targets = np.unique(bnd[bnd_side == sp_])
-        dist = np.abs(verts[targets][None, :] - sigma(verts[src])[:, None])
+        dist = np.abs(verts[targets][None, :] - apply(sigma, verts[src])[:, None])
         nearest = np.argmin(dist, axis=1)
         mismatch = np.max(dist[np.arange(len(src)), nearest])
         if mismatch > 1e-8:
@@ -436,9 +477,9 @@ def _glue(dom, verts, bnd, bnd_side):
         dst = targets[nearest]
         match[s, src] = dst
         match[sp_, dst] = src
-        cocycle = _pairing_cocycle(sigma, base, verts[src])
+        cocycle = _pairing_cocycle(sigma, dom.side_midpoints[s], verts[src])
         for u, w, g_uw in zip(src.tolist(), dst.tolist(), cocycle.tolist()):
-            uf.union(u, w, sigma, g_uw)
+            uf.union(u, w, g_uw)
 
     # cocycle defects must be multiples of the total area 4 pi (g-1)
     period = 4.0 * math.pi * (dom.genus - 1)
@@ -447,18 +488,28 @@ def _glue(dom, verts, bnd, bnd_side):
     if defect > 1e-7:
         raise MeshQualityError(f"line-bundle cocycle defect {defect:.2e}")
 
-    root_of = np.empty(n, dtype=int)
-    copy_T = [None] * n
-    copy_kderiv = np.empty(n, dtype=complex)
-    copy_G = np.zeros(n)
-    for i in range(n):
-        r, T, G = uf.find(i)
-        root_of[i] = r
-        copy_T[i] = T
-        copy_kderiv[i] = T.deriv(verts[r])
-        copy_G[i] = G
+    # copies off the boundary are their own roots, with the identity map
+    root_of, copy_G = np.arange(n), np.zeros(n)
+    glued = np.unique(bnd)
+    for i in glued.tolist():
+        root_of[i], copy_G[i] = uf.find(i)
+    copy_deck = np.zeros(n, dtype=int)
+    copy_deck[glued] = _identify(deck, verts[root_of[glued]], verts[glued])
     roots, copy_class = np.unique(root_of, return_inverse=True)
-    return copy_class, roots, copy_T, copy_kderiv, copy_G, match
+    return copy_class, roots, copy_deck, copy_G, match
+
+
+def _identify(deck, z, image):
+    """Per entry, the id of the deck transformation that maps z onto
+    image: the column of the table deck whose image of z lies nearest.
+    A nearest image farther than roundoff means the map is not in the
+    table."""
+    dist = hyp_dist(apply(deck[:, :, None], z), image)
+    ids = np.argmin(dist, axis=0)
+    miss = np.max(dist[ids, np.arange(len(ids))], initial=0.0)
+    if miss > 1e-8:
+        raise MeshQualityError(f"a chart map is not in the deck table: {miss:.2e}")
+    return ids
 
 
 def _twins(dom, verts, faces, bnd, bnd_side, match):
@@ -478,8 +529,7 @@ def _twins(dom, verts, faces, bnd, bnd_side, match):
     order = np.argsort(bnd_key)
     row = order[np.minimum(np.searchsorted(bnd_key[order], key), len(order) - 1)]
     side = np.where(bnd_key[row] == key, bnd_side[row], -1)
-    partner = np.array([dom.side_map[s][0] for s in range(dom.n_sides)])
-    upper = np.flatnonzero((side >= 0) & (side > partner[side]))
+    upper = np.flatnonzero((side >= 0) & (side > dom.partner[side]))
     image = match[side[upper], np.stack([tail[upper], head[upper]])]
     key[upper] = image.min(axis=0) * n + image.max(axis=0)
 
@@ -492,7 +542,7 @@ def _twins(dom, verts, faces, bnd, bnd_side, match):
     return twin, side
 
 
-def _stencil(dom, verts, faces, twin, side, copy_class, copy_T, copy_kderiv, copy_G,
+def _stencil(dom, deck, verts, faces, twin, side, copy_class, copy_deck, copy_G,
              class_coord, face_centroid):
     """Six-point dbar stencil: slots 0-2 hold face i's corners, slot 3 + a
     the far corner of the neighbour across the edge opposite corner a,
@@ -501,23 +551,20 @@ def _stencil(dom, verts, faces, twin, side, copy_class, copy_T, copy_kderiv, cop
     corners = np.concatenate([faces, faces.ravel()[twin].reshape(-1, 3)], axis=1)
     point = corners.copy()
     stencil_coord = verts[corners]
-    stencil_kderiv = copy_kderiv[corners]
+    # the derivative of each copy's chart map from its class chart
+    stencil_kderiv = derivative(deck[:, copy_deck], class_coord[copy_class])[corners]
     stencil_gshift = copy_G[corners]
-    # a neighbour across a side pairing is carried into face i's chart by
-    # the inverse of the pairing sig of the edge's side
-    for h in np.flatnonzero(side != side[twin]).tolist():
-        i, a = divmod(h, 3)
-        s = int(side[h])
-        sig = dom.side_map[s][1]
-        sig_inv = sig.inv()
-        c = corners[i, 3 + a]
-        znew = sig_inv(complex(verts[c]))
-        # cocycle of sig at znew: f(sig z) = exp(i c G_sig(z)) f(z)
-        g_sig = _pairing_cocycle(sig, hyp_midpoint(*dom.side_endpoints(s)), znew)
-        stencil_coord[i, 3 + a] = znew
-        stencil_kderiv[i, 3 + a] = (sig_inv * copy_T[c]).deriv(class_coord[copy_class[c]])
-        stencil_gshift[i, 3 + a] = copy_G[c] - g_sig
-        point[i, 3 + a] = c + len(verts) * (s + 1)
+    # a neighbour across a side pairing sigma is carried into face i's
+    # chart by the inverse of sigma, the pairing of the edge's side; the
+    # cocycle of sigma at the image: f(sigma z) = exp(i c G_sigma(z)) f(z)
+    i, a = np.divmod(np.flatnonzero(side != side[twin]), 3)
+    s, c = side[3 * i + a], corners[i, 3 + a]
+    sigma = dom.pairing[:, s]
+    stencil_coord[i, 3 + a] = apply(invert(sigma), verts[c])
+    stencil_kderiv[i, 3 + a] *= derivative(invert(sigma), verts[c])
+    stencil_gshift[i, 3 + a] = copy_G[c] - _pairing_cocycle(
+        sigma, dom.side_midpoints[s], stencil_coord[i, 3 + a])
+    point[i, 3 + a] = c + len(verts) * (s + 1)
     cen6 = np.repeat(face_centroid[:, None], 6, axis=1)
     return dict(
         stencil_class=copy_class[corners],
@@ -526,16 +573,6 @@ def _stencil(dom, verts, faces, twin, side, copy_class, copy_T, copy_kderiv, cop
         stencil_gshift=stencil_gshift,
         stencil_omega=_segment_omega0(stencil_coord, cen6),
     ), point
-
-
-def _mobius_mul(p, q):
-    """p o q for disk automorphisms given as coefficient arrays (a, b), as
-    Mobius.__mul__ without the normalisation."""
-    return p[0] * q[0] + p[1] * np.conj(q[1]), p[0] * q[1] + p[1] * np.conj(q[0])
-
-
-def _mobius_apply(p, z):
-    return (p[0] * z + p[1]) / (np.conj(p[1]) * z + np.conj(p[0]))
 
 
 def _distinct(key):
@@ -551,24 +588,8 @@ def _ranges(start, u):
     return rep, start[u][rep] + np.arange(len(rep)) - np.repeat(np.cumsum(deg) - deg, deg)
 
 
-def _deck_ids(a, b):
-    """Ids of disk automorphisms (a, b) equal up to roundoff, numbered in
-    order of first occurrence, and each id's first index.  Deck
-    transformations are told apart by their images of 0 to 6 decimals: the
-    group acts freely, and a mesh's chain maps move 0 by a few polygon
-    diameters at most, where distinct images lie far apart."""
-    z = b / np.conj(a)
-    key = (np.rint(z.real * 1e6).astype(np.int64) * 2_000_001
-           + np.rint(z.imag * 1e6).astype(np.int64))
-    distinct = _distinct(key)
-    ids = np.searchsorted(distinct, key)
-    first = np.full(len(distinct), len(key))
-    np.minimum.at(first, ids, np.arange(len(key)))
-    return np.argsort(np.argsort(first))[ids], np.sort(first)
-
-
-def _patches(faces, copy_class, copy_T, stencil_class, stencil_coord, stencil_point,
-             class_coord):
+def _patches(deck, faces, copy_class, copy_deck, stencil_class, stencil_coord,
+             stencil_point, class_coord):
     """Vertex patches for the local polynomial fits: the classes and chart
     coordinates of every vertex's patch, flat and in vertex order, with the
     offsets of each vertex's slice.
@@ -576,18 +597,15 @@ def _patches(faces, copy_class, copy_T, stencil_class, stencil_coord, stencil_po
     Face j enters vertex v's chart along each chain v -> face i at v ->
     another corner u of i -> face j at u, by the map inv(T_p) T_q inv(T_r)
     of the chain's corners p (i at v), q (i at u) and r (j at u), T a
-    corner's chart map from its class chart.  These maps are the few deck
-    transformations that the copies' maps compose; each gets an integer id
-    and one set of coefficients (_deck_ids), so the search dedupes by
-    integer keys and computes each distinct (map, stencil point) image
-    once.  Each class keeps its image closest to v (_closest_images).
-    Built in blocks of _PATCH_BLOCK vertices.
+    corner's chart map from its class chart.  Those maps are deck
+    transformations of the table deck: each chain's is identified by its
+    image of 0 (_identify) and applied with the table's coefficients, so
+    the search dedupes by integer keys and computes each distinct (map,
+    stencil point) image once.  Each class keeps its image closest to v
+    (_closest_images).  Built in blocks of _PATCH_BLOCK vertices.
     """
-    V, F = len(class_coord), len(faces)
-    a, b = np.array([T.a for T in copy_T]), np.array([T.b for T in copy_T])
-    copy_map, rep = _deck_ids(a, b)
-    ca, cb, K = a[rep], b[rep], len(rep)
-    corner_map = copy_map[faces].ravel()
+    V, F, K = len(class_coord), len(faces), deck.shape[1]
+    corner_map = copy_deck[faces].ravel()
     corner_cls = copy_class[faces].ravel()
     # the two other corners of each corner's face
     other = np.arange(3 * F)[:, None] + np.tile([[1, 2], [-1, 1], [-2, -1]], (F, 1))
@@ -597,15 +615,12 @@ def _patches(faces, copy_class, copy_T, stencil_class, stencil_coord, stencil_po
     # corner q of its face and of any copy of q's class
     p, q = np.repeat(np.arange(3 * F), 2), other.ravel()
     pq = _distinct((corner_map[p] * K + corner_map[q]) * V + corner_cls[q])
-    class_maps = _distinct(copy_class * K + copy_map)
+    class_maps = _distinct(copy_class * K + copy_deck)
     at, i = _ranges(np.searchsorted(class_maps // K, np.arange(V + 1)), pq % V)
     triple = _distinct(pq[at] // V * K + class_maps[i] % K)
-    i, j, k = triple // K**2, triple // K % K, triple % K
-    chain = _mobius_mul(_mobius_mul((np.conj(ca[i]), -cb[i]), (ca[j], cb[j])),
-                        (np.conj(ca[k]), -cb[k]))
-    chain_id, rep = _deck_ids(*chain)
-    chain = (chain[0][rep], chain[1][rep])
-    E = len(rep)
+    chain = compose(compose(invert(deck[:, triple // K**2]), deck[:, triple // K % K]),
+                    invert(deck[:, triple % K]))
+    chain_id = _identify(deck, 0.0, chain[1] / np.conj(chain[0]))
     # stencil points, numbered class by class
     n_keys = int(np.max(stencil_point)) + 1
     keys = _distinct(stencil_class * n_keys + stencil_point)
@@ -625,12 +640,12 @@ def _patches(faces, copy_class, copy_T, stencil_class, stencil_coord, stencil_po
             triple, (corner_map[p] * K + corner_map[q]) * K + corner_map[r])]
         # one chain per (vertex, face, chain map), and one candidate per
         # (vertex, stencil point, chain map), sorted by vertex and class
-        key = _distinct(((corner_cls[p] - v0) * F + r // 3) * E + el)
-        el, key = key % E, key // E
-        key = _distinct(((key // F)[:, None] * P + point[key % F]) * E + el[:, None])
-        el, key = key % E, key // E
+        key = _distinct(((corner_cls[p] - v0) * F + r // 3) * K + el)
+        el, key = key % K, key // K
+        key = _distinct(((key // F)[:, None] * P + point[key % F]) * K + el[:, None])
+        el, key = key % K, key // K
         vtx, pt = key // P + v0, key % P
-        z = _mobius_apply((chain[0][el], chain[1][el]), point_coord[pt])
+        z = apply(deck[:, el], point_coord[pt])
         vtx, cls, z = _closest_images(vtx, point_class[pt], z,
                                       np.abs(z - class_coord[vtx]))
         # v itself sits at its class coordinate

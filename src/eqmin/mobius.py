@@ -1,19 +1,26 @@
-"""Moebius transformations of the unit disk and hyperbolic trigonometry.
+"""Disk automorphisms as coefficient pairs, and hyperbolic trigonometry.
 
 All geometry lives in the Poincare disk with curvature -1, conformal factor
 lambda(z) = 2 / (1 - |z|^2).
+
+A holomorphic automorphism of the disk is a pair p = (a, b) (p[0] and
+p[1]: a tuple, or an array of shape (2, ...)) acting by z -> (a z + b) /
+(conj(b) z + conj(a)); its matrix [[a, b], [conj(b), conj(a)]] has
+determinant |a|^2 - |b|^2 > 0, and (a, b) and (-a, -b) are one map.
 """
 
-import cmath
 import math
 
 import numpy as np
 
 __all__ = [
-    "Mobius",
+    "apply",
+    "compose",
     "conformal_factor",
+    "derivative",
     "hyp_dist",
     "hyp_midpoint",
+    "invert",
     "triangle_angles_from_lengths",
 ]
 
@@ -33,78 +40,43 @@ def hyp_dist(p, q):
     return 2.0 * np.arctanh(num / den)
 
 
-class Mobius:
-    """Holomorphic automorphism of the unit disk.
+def apply(p, z):
+    """The image p(z)."""
+    return (p[0] * z + p[1]) / (np.conj(p[1]) * z + np.conj(p[0]))
 
-    Stored as a 2x2 complex matrix [[a, b], [conj(b), conj(a)]] acting by
-    z -> (a z + b) / (conj(b) z + conj(a)), normalised to |a|^2 - |b|^2 = 1.
-    """
 
-    __slots__ = ("a", "b")
+def compose(p, q):
+    """p o q, (p o q)(z) = p(q(z)): the matrix product, not normalised."""
+    return p[0] * q[0] + p[1] * np.conj(q[1]), p[0] * q[1] + p[1] * np.conj(q[0])
 
-    def __init__(self, a, b):
-        n = math.sqrt(abs(abs(a) ** 2 - abs(b) ** 2))
-        self.a = a / n
-        self.b = b / n
 
-    @staticmethod
-    def identity():
-        return Mobius(1.0 + 0.0j, 0.0j)
+def invert(p):
+    """The inverse map, by the adjugate matrix."""
+    return np.conj(p[0]), -p[1]
 
-    @staticmethod
-    def translate_to_zero(p):
-        """The isometry z -> (z - p) / (1 - conj(p) z)."""
-        # matrix form: a = 1, b = -p up to the common factor
-        return Mobius(1.0 + 0.0j, -complex(p))
 
-    @staticmethod
-    def rotation(phi):
-        return Mobius(cmath.exp(0.5j * phi), 0.0j)
+def derivative(p, z):
+    """p'(z) = 1 / (conj(b) z + conj(a))^2, for |a|^2 - |b|^2 = 1."""
+    return 1.0 / (np.conj(p[1]) * z + np.conj(p[0])) ** 2
 
-    @staticmethod
-    def from_two_points(p, q, p_img, q_img):
-        """Unique disk isometry with p -> p_img and q -> q_img.
 
-        Requires hyp_dist(p, q) == hyp_dist(p_img, q_img).
-        """
-        tp = Mobius.translate_to_zero(p)
-        ti = Mobius.translate_to_zero(p_img)
-        w = tp(q)
-        wi = ti(q_img)
-        if abs(abs(w) - abs(wi)) > 1e-9 * (1.0 + abs(w)):
-            raise ValueError("point pairs are not isometric")
-        phi = cmath.phase(wi) - cmath.phase(w)
-        return ti.inv() * Mobius.rotation(phi) * tp
-
-    def __call__(self, z):
-        return (self.a * z + self.b) / (np.conj(self.b) * z + np.conj(self.a))
-
-    def deriv(self, z):
-        """Complex derivative; |a|^2 - |b|^2 = 1 so this is 1/(conj(b) z + conj(a))^2."""
-        return 1.0 / (np.conj(self.b) * z + np.conj(self.a)) ** 2
-
-    def inv(self):
-        return Mobius(np.conj(self.a), -self.b)
-
-    def __mul__(self, other):
-        # composition: (self * other)(z) = self(other(z))
-        a = self.a * other.a + self.b * np.conj(other.b)
-        b = self.a * other.b + self.b * np.conj(other.a)
-        return Mobius(a, b)
-
-    def __repr__(self):
-        return f"Mobius(a={self.a!r}, b={self.b!r})"
+def _unit(p):
+    """p scaled to |a|^2 - |b|^2 = 1."""
+    n = math.sqrt(abs(abs(p[0]) ** 2 - abs(p[1]) ** 2))
+    return p[0] / n, p[1] / n
 
 
 def hyp_midpoint(p, q):
-    """Hyperbolic midpoint of the geodesic segment from p to q."""
-    t = Mobius.translate_to_zero(p)
-    w = t(q)
+    """Hyperbolic midpoint of the geodesic segment from p to q: q carried
+    to w by t(z) = (z - p) / (1 - conj(p) z), w moved to the point of half
+    its distance from 0, and carried back."""
+    t = _unit((1.0 + 0.0j, -complex(p)))
+    w = apply(t, q)
     r = abs(w)
     if r == 0.0:
         return complex(p)
     m = math.tanh(0.5 * math.atanh(r)) * (w / r)
-    return t.inv()(m)
+    return apply(_unit(invert(t)), m)
 
 
 def triangle_angles_from_lengths(a, b, c):

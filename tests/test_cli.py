@@ -286,6 +286,24 @@ def test_manufactured_run_records_error(tmp_path):
     assert rep["solution"]["mms_error"] < 1e-10
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_large_manufactured_values_end_in_failed_at_records():
+    # at g2r1 the Newton residual's norm overflows from u* = 88.4 on, and
+    # the forcing summed over the surface from 176.64 on: no overflow
+    # escapes a run, whose report stays plain JSON.  Outcomes below 88.4:
+    # the clipped exponentials of the equations let no u* > 30 converge
+    outcomes = {-400.0: None, -40.0: None, 40.0: ("germsolve", "NonConvergenceError"),
+                88.0: ("germsolve", "NonConvergenceError")}
+    outcomes.update({u: ("germsolve", "NonConvergenceError") for u in (88.44, 100.0, 170.0)})
+    outcomes.update({u: ("config", "InvalidParameterError") for u in (176.64, 400.0, 1e3)})
+    for u_star, outcome in outcomes.items():
+        rep = run(RunConfig(genus=2, resolution=1, target="rh3",
+                            data_spec=f"manufactured:{u_star}"), write_files=False)
+        failed = rep.get("failed_at")
+        assert (failed and (failed["stage"], failed["error"])) == outcome, (u_star, failed)
+        json.dumps(rep, allow_nan=False)
+
+
 def test_solution_records_the_constant_start(tmp_path):
     def solution(**kw):
         cfg = RunConfig(genus=2, resolution=3, output_dir=str(tmp_path), **kw)
@@ -750,6 +768,24 @@ def test_stages_not_a_pipeline_prefix_end_in_report(tmp_path, last_stage):
     assert "mesh" not in rep
     with open(tmp_path / "report.json") as fh:
         assert json.load(fh) == rep
+
+
+def test_sweep_orders_newton_columns_once(monkeypatch):
+    # the runs of a sweep share their surface, and with it the column
+    # order of the first Newton factorization: one COLAMD in all
+    splu = spla.splu
+    specs = []
+
+    def recording(A, **kwargs):
+        specs.append(kwargs.get("permc_spec"))
+        return splu(A, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", recording)
+    cfg = RunConfig(genus=2, resolution=3, target="rh3", data_spec="basis:0:0.1")
+    _, reports = sweep(cfg, "amplitude", [0.2, 0.4, 0.6], write_files=False)
+    assert not any("failed_at" in rep for rep in reports)
+    assert specs.count(None) == 1 and specs[0] is None
+    assert len(specs) >= len(reports)
 
 
 # axis -> (base config, values, builds of the sweep: meshes, bases)

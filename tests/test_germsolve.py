@@ -306,9 +306,14 @@ def test_sections_outside_the_target_rejected(mesh_r3, basis_K2_r3):
             germsolve.GermData(mesh_r3, target_L, sections)
 
 
-def test_newton_orders_columns_once_per_solve(mesh_r3, basis_K2_r3, monkeypatch):
-    # amplitudes that take 3 iterations from the constant start
-    data = _rh4_r3_data(mesh_r3, basis_K2_r3, (0.5, 0.8))
+def test_newton_orders_columns_once_per_surface(basis_K2_r3, monkeypatch):
+    # a mesh of its own, whose memo holds no column order yet; amplitudes
+    # that take 3 iterations from the constant start
+    def solve_twice():
+        mesh = hypmesh.build_surface(2, 3)
+        data = _rh4_r3_data(mesh, basis_K2_r3, (0.5, 0.8))
+        return [germsolve.solve_gauss_ricci4(data, tol=1e-11) for _ in range(2)]
+
     splu = spla.splu
     specs = []
 
@@ -317,16 +322,18 @@ def test_newton_orders_columns_once_per_solve(mesh_r3, basis_K2_r3, monkeypatch)
         return splu(A, **kwargs)
 
     monkeypatch.setattr(spla, "splu", recording)
-    sol = germsolve.solve_gauss_ricci4(data, tol=1e-11)
-    iterations = len(sol.newton_trace) - 1
+    sols = solve_twice()
+    iterations = len(sols[0].newton_trace) - 1
     assert iterations >= 3
-    assert specs == [None] + ["NATURAL"] * (iterations - 1)
+    # the first factorization on the surface orders the columns, by
+    # COLAMD; every later one, also in the second solve, keeps that order
+    assert specs == [None] + ["NATURAL"] * (2 * iterations - 1)
     # reference: SuperLU's default COLAMD ordering on every iteration
     monkeypatch.setattr(germsolve, "_jacobian_solver",
                         lambda: lambda J, b: splu(J.tocsc()).solve(b))
-    ref = germsolve.solve_gauss_ricci4(data, tol=1e-11)
-    assert sol.newton_trace == ref.newton_trace
-    assert np.array_equal(sol.u, ref.u) and np.array_equal(sol.w, ref.w)
+    for sol, ref in zip(sols, solve_twice()):
+        assert sol.newton_trace == ref.newton_trace
+        assert np.array_equal(sol.u, ref.u) and np.array_equal(sol.w, ref.w)
 
 
 def test_newton_later_factorization_failure_is_a_linear_solve_error(mesh_r3, basis_K2_r3,
