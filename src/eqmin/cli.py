@@ -92,6 +92,14 @@ class RunConfig:
         if kind == "manufactured" and args[0] > top:
             raise InvalidParameterError(f"manufactured u_star {args[0]!r} is over {top:.10g}: "
                                         "its forcing summed over the surface overflows a double")
+        # e^{2a} = e^{2u*} and 1 - e^{2u*} both solve the integrated equation
+        # e^{4a} - e^{2a} + t = 0, and Newton starts from the larger root
+        # (germsolve._constant_start): below -ln 2 / 2 it is the other one
+        bottom = -math.log(2.0) / 2.0
+        if kind == "manufactured" and args[0] < bottom:
+            raise InvalidParameterError(
+                f"manufactured u_star {args[0]!r} is below -ln 2 / 2 = {bottom:.10g}: the "
+                "solve would find the other constant solution, ln(1 - e^{2 u_star}) / 2")
         n_sections = len(_TARGET_BUNDLES[self.target])
         if kind in ("basis", "file") and len(args) > _SPEC_ARGS[kind][0][0] * n_sections:
             raise InvalidParameterError(f"data spec {self.data_spec!r}: the {self.target} "
@@ -157,13 +165,20 @@ def _format_spec(kind, args):
 
 
 def _basis_for(mesh, L, n_weight):
-    """Holomorphic basis of K^2 L^{n_weight}, found on its first use on
-    the mesh, and a new bundle_dims entry for it (detected and
-    Riemann-Roch dimension, gap ratio, the smallest singular values, the
-    stored entries of the shift-invert factor)."""
-    l = None if L is None else L.degree
-    basis = mesh.memo(("basis", l, n_weight), lambda: bundles.holomorphic_basis(
+    """Holomorphic basis of K^2 L^{n_weight}, and a new bundle_dims entry
+    for it (detected and Riemann-Roch dimension, gap ratio, the smallest
+    singular values, the stored entries of the shift-invert factor).
+
+    The dbar of K^2 L^n reads L only through the degree n l of L^n, to the
+    last bit, so the bundles of one n l share their kernel search (at
+    l = 0, K^2 L^-1, K^2 L and K^2): it runs on the first use of that n l
+    on the mesh, and each bundle's basis carries its own bundle type."""
+    l = 0 if L is None else L.degree
+    found = mesh.memo(("basis", n_weight * l), lambda: bundles.holomorphic_basis(
         bundles.dbar_operator(mesh, L, 2, n_weight)))
+    basis = bundles.BasisResult(
+        [bundles.DiscreteSection((2, n_weight), sec.values, degree_l=l) for sec in found],
+        found.singular_values, found.gap_ratio, found.h, factor_nnz=found.factor_nnz)
     return basis, {"detected": len(basis), "expected": basis.h, "gap_ratio": basis.gap_ratio,
                    "singular_values": basis.singular_values.tolist(),
                    "factor_nnz": basis.factor_nnz}
@@ -286,6 +301,7 @@ def _solve(st):
         "iterations": len(sol.newton_trace) - 1,
         "residual": sol.newton_trace[-1][1],
         "newton_trace": [list(entry) for entry in sol.newton_trace],
+        "newton_steps": [dict(entry) for entry in sol.newton_steps],
         "start": sol.start,
         "u_max": float(np.max(np.abs(sol.u))),
     }

@@ -1,10 +1,13 @@
-"""Banded Cholesky factorization of Hermitian positive-definite matrices.
+"""Banded Cholesky factorization of Hermitian positive-definite matrices,
+the package's one factorization.
 
-The polish's normal matrices, a diagonal block per field, and the normal
-matrices of the dbar stencil (the class oracle's projection and the
-kernel search's shifted operator) couple each vertex to a patch of
-patches.  They are factored as bands because LAPACK's band kernels are
-faster at these sizes, not because a band stores less.  At g=2, r=4,
+Its users are Newton's preconditioner (the cotangent Laplacian plus a
+positive diagonal, one factor per step), the polish's normal matrices
+(a diagonal block per field) and the normal matrices of the dbar
+stencil (the class oracle's projection and the kernel search's shifted
+operator); the last two couple each vertex to a patch of patches.  They
+are factored as bands because LAPACK's band kernels are faster at these
+sizes, not because a band stores less.  At g=2, r=4,
 against SuperLU in MMD_AT_PLUS_A order: the K^2 L stencil normal
 matrix's band (kd 221) holds 226,884 entries and L + U 153,330, but it
 factors in 5.2 ms against 11.7 ms and solves in 0.24 ms against 0.30 ms;

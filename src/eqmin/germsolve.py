@@ -22,7 +22,11 @@ kappa_perp = e^{-2u}(rho_0 - Delta_h w) = ||theta_2||^2 - ||theta_1||^2.
 Both systems are solved by damped Newton iteration with a backtracking
 (halving) line search on the area-weighted residual norm, started from
 the constant state that solves the integrated equations (_constant_start),
-or from u = w = 0 when there is none.
+or from u = w = 0 when there is none.  Each Newton step is a GMRES solve
+preconditioned with one band Cholesky factor of the cotangent Laplacian
+plus a positive diagonal (_gmres_step); for the coupled system it runs
+in the rotated fields u - w and u + w, in which both diagonal blocks of
+the Jacobian are that one matrix.
 """
 
 import itertools
@@ -117,13 +121,17 @@ class GermSolution:
     obtained (see polish_solution).
     """
 
-    def __init__(self, u, w=None, newton_trace=None, converged=False, start=None):
+    def __init__(self, u, w=None, newton_trace=None, newton_steps=None, converged=False,
+                 start=None):
         self.u = u
         self.w = w
         # the constant Newton started from, {"u": a} or {"u": a, "w": b};
         # None for the zero start
         self.start = start
         self.newton_trace = newton_trace or []
+        # each Newton step's linear solve: its GMRES iterations and the
+        # relative residual GMRES reached (_gmres_step)
+        self.newton_steps = newton_steps or []
         self.converged = converged
         self.u_smooth = None
         self.w_smooth = None
@@ -214,12 +222,24 @@ class CurvatureEquations:
         kp = th2 - th1
         return [[d_uu, -e2u2 * kp], [e2u2 * kp, e2u2 * ii]]
 
+    def residual(self, operator, weight):
+        """Residual x -> lap x - weight f(x), lap acting on each field, as a
+        callable.  operator names the mesh's Laplacian lap: "cotangent"
+        (laplacian(mesh), the Newton solve's) or "patch_fit" (the weighted
+        patch-fit Laplacian, the polish's)."""
+        lap = _LAPLACIANS[operator](self.data.mesh)
+
+        def residual(x):
+            xs = self.fields(x)
+            return np.concatenate(
+                [lap @ y - weight * fy for y, fy in zip(xs, self.f(*xs))]
+            )
+
+        return residual
+
     def system(self, operator, weight):
-        """Residual x -> lap x - weight f(x), lap acting on each field, and
-        its Jacobian x -> CSR matrix, as a pair of callables.  operator
-        names the mesh's Laplacian lap: "cotangent" (laplacian(mesh), the
-        Newton solve's) or "patch_fit" (the weighted patch-fit Laplacian,
-        the polish's).
+        """The residual of residual(operator, weight) and its Jacobian
+        x -> CSR matrix, as a pair of callables.
 
         Every Jacobian of the system has one sparsity pattern, the block
         Laplacian plus the diagonal of each block (_jacobian_pattern).  It
@@ -231,13 +251,6 @@ class CurvatureEquations:
         """
         mesh = self.data.mesh
         lap = _LAPLACIANS[operator](mesh)
-
-        def residual(x):
-            xs = self.fields(x)
-            return np.concatenate(
-                [lap @ y - weight * fy for y, fy in zip(xs, self.f(*xs))]
-            )
-
         shape = (len(self.areas),) * 2
         indices, indptr, base, diagonals = mesh.memo(
             ("jacobian", operator, self.n), lambda: _jacobian_pattern(lap, self.n))
@@ -249,11 +262,12 @@ class CurvatureEquations:
                     data[pos] -= weight * d
             return sp.csr_matrix((data, indices, indptr), shape=shape)
 
-        return residual, jacobian
+        return self.residual(operator, weight), jacobian
 
 
 # the Laplacians the curvature equations are written with, each kept on
-# the mesh, by the operator name CurvatureEquations.system takes
+# the mesh, by the operator name CurvatureEquations.residual and system
+# take
 _LAPLACIANS = {
     "cotangent": laplacian,
     "patch_fit": lambda mesh: mesh.fd_laplacian_matrix(weighted=True),
@@ -326,46 +340,23 @@ def _jacobian_pattern(lap, n):
     return indices, indptr, base, diagonals
 
 
-def _jacobian_solver():
-    """A solve (J, b) -> J^-1 b by SuperLU for Jacobians of one pattern.
-
-    COLAMD's fill-reducing column order reads only the pattern.  So the
-    first call factors with SuperLU's default COLAMD and keeps its column
-    order; each later call factors J with its columns already in that
-    order (permc_spec "NATURAL") and un-permutes the solution.  _solve
-    keeps one per mesh and field count: a surface orders columns once.
-    """
-    order = None
-
-    def solve(J, b):
-        nonlocal order
-        J = J.tocsc()
-        if order is None:
-            lu = spla.splu(J)
-            order = np.argsort(lu.perm_c)
-            return lu.solve(b)
-        x = np.empty_like(b)
-        x[order] = spla.splu(J[:, order], permc_spec="NATURAL").solve(b)
-        return x
-
-    return solve
-
-
-def _newton(x0, residual, jacobian, areas, tol, max_iter, solve=None):
+def _newton(x0, residual, solve_step, areas, tol, max_iter):
     """Damped Newton with halving line search on the weighted residual norm.
 
     residual returns the area-weighted equation values R (so the geometric
     equation is R / areas); the norm tracked is the L2 norm of R / areas
     against the area element, sqrt(sum R^2 / areas), inf when it
     overflows: the start's then ends the solve, a trial state's is
-    rejected.  solve (J, b) -> J^-1 b defaults to a _jacobian_solver.
+    rejected.  solve_step(x, R) returns the Newton step at the state x of
+    residual R, a solution, exact or inexact, of J(x) delta = -R; when it
+    raises, or returns a non-finite step, the solve raises
+    LinearSolveError with the trace so far.
     """
 
     def norm(R):
         with np.errstate(over="ignore"):
             return float(np.sqrt(np.sum(R**2 / areas)))
 
-    solve = solve or _jacobian_solver()
     x = x0.copy()
     R = residual(x)
     nrm = norm(R)
@@ -375,13 +366,12 @@ def _newton(x0, residual, jacobian, areas, tol, max_iter, solve=None):
     for it in range(1, max_iter + 1):
         if nrm <= tol:
             return x, trace, True
-        J = jacobian(x)
         try:
-            delta = solve(J, -R)
+            delta = solve_step(x, R)
         except Exception as exc:
-            raise LinearSolveError(f"Newton linear solve failed: {exc}") from exc
+            raise LinearSolveError(f"Newton linear solve failed: {exc}", trace=trace) from exc
         if not np.all(np.isfinite(delta)):
-            raise LinearSolveError("Newton step is non-finite")
+            raise LinearSolveError("Newton step is non-finite", trace=trace)
         step = 1.0
         while True:
             x_try = x + step * delta
@@ -403,6 +393,101 @@ def _newton(x0, residual, jacobian, areas, tol, max_iter, solve=None):
         f"(residual {nrm:g})",
         trace=trace,
     )
+
+
+# Each Newton step solves its linear system by GMRES to this relative
+# residual, restarted every _GMRES_RESTART iterations, for at most
+# _GMRES_MAXITER restart cycles (rh4 data take 5-10 iterations per step,
+# rh3 data 1 while ||II||^2 <= 1, and rh3 data past the fold of the
+# solution branch up to 17 before the line search stagnates).
+_GMRES_RTOL = 1e-10
+_GMRES_RESTART = 50
+_GMRES_MAXITER = 4
+
+
+def _newton_block(lap):
+    """-lap, the cotangent Laplacian negated (positive semi-definite), and
+    the HermitianPattern of its entries, on which every Newton step
+    factors its diagonal block; lap stores its diagonal."""
+    neg = -lap
+    return neg, HermitianPattern(neg.indptr, neg.indices)
+
+
+def _gmres_step(eqs, records):
+    """The Newton step of the cotangent discretization of eqs, as the
+    solve_step(x, R) of _newton; each call appends to records its GMRES
+    iterations and the relative residual GMRES reached.
+
+    The Jacobian is J = S - A df: S the cotangent Laplacian on each field
+    and A df the reaction terms, diagonal in each block (vertex areas A,
+    CurvatureEquations.df).  For 3-space the step solves -J delta = R by
+    GMRES, preconditioned with the band Cholesky factor of
+    Y = -S + diag(A |df_uu|), which is -J itself where df_uu >= 0, that is
+    where ||II||^2 <= 1; there GMRES converges in one iteration.  For
+    4-space the coupling of J is skew, d f_u / d w = -d f_w / d u, so in
+    the rotated fields alpha = u - w, beta = u + w both diagonal blocks of
+    -J are Y = -S + diag(A e^{2u}), symmetric positive definite at every
+    state, and the off-diagonal blocks are diagonal:
+
+        -J = [[Y, diag(A e^{2u} (1 - 4 ||theta_2||^2))],
+              [diag(A e^{2u} (1 - 4 ||theta_1||^2)), Y]]
+
+    in (alpha, beta).  GMRES solves that system, preconditioned by its
+    block lower triangle, which takes two solves with one factor of Y.
+    Y is factored once per step, in double precision, by factor_hpd on
+    the pattern of S, which the mesh keeps with its band plan.  GMRES runs
+    to the relative residual _GMRES_RTOL, and its iterate is the step even
+    when it does not get there within its cap: _newton's residual test
+    and line search judge the step.
+    """
+    mesh = eqs.data.mesh
+    neg, pattern = mesh.memo("newton_block", lambda: _newton_block(laplacian(mesh)))
+    a, n = mesh.vertex_areas, eqs.n
+    shape = (n * mesh.n_vertices,) * 2
+
+    def step(x, R):
+        df = eqs.df(*eqs.fields(x))
+        if eqs.coupled:
+            # df[1][0] = -df[0][1]: the rotated blocks need only df[0][1]
+            (d_uu, d_uw), (_, d_ww) = df
+            mean, half = 0.5 * (d_uu + d_ww), 0.5 * (d_uu - d_ww)
+            c = [[a * mean, a * (half + d_uw)], [a * (half - d_uw), a * mean]]
+            R_u, R_w = np.split(R, 2)
+            b = np.concatenate([R_u - R_w, R_u + R_w])
+        else:
+            c = [[a * df[0][0]]]
+            b = R
+        values = neg.data.copy()
+        values[pattern.diagonal] += np.abs(c[0][0])
+        lu = factor_hpd(pattern, values)
+
+        def matvec(z):
+            zs = np.split(z, n)
+            return np.concatenate([neg @ z_i + sum(c_ij * z_j for c_ij, z_j in zip(row, zs))
+                                   for z_i, row in zip(zs, c)])
+
+        def block_lower(r):
+            r_a, r_b = np.split(r, 2)
+            p_a = lu.solve(r_a)
+            return np.concatenate([p_a, lu.solve(r_b - c[1][0] * p_a)])
+
+        A = spla.LinearOperator(shape, matvec=matvec, dtype=float)
+        M = spla.LinearOperator(shape, matvec=block_lower if eqs.coupled else lu.solve,
+                                dtype=float)
+        # gmres hands the residual norm to the callback once per iteration
+        norms = []
+        z, _ = spla.gmres(A, b, rtol=_GMRES_RTOL, atol=0.0, restart=_GMRES_RESTART,
+                          maxiter=_GMRES_MAXITER, M=M, callback=norms.append,
+                          callback_type="pr_norm")
+        records.append({"gmres_iterations": len(norms),
+                        "relative_residual": float(np.linalg.norm(b - A @ z)
+                                                   / np.linalg.norm(b))})
+        if not eqs.coupled:
+            return z
+        z_a, z_b = np.split(z, 2)
+        return np.concatenate([0.5 * (z_a + z_b), 0.5 * (z_b - z_a)])
+
+    return step
 
 
 # The constant start's scalar Newton: its tolerance on the norm of f, and
@@ -428,9 +513,10 @@ def _constant_start(eqs):
     mean = CurvatureEquations(eqs.data, {n: np.array([a @ t / a.sum()])
                                          for n, t in eqs.t.items()})
     try:
-        x, _, _ = _newton(np.zeros(eqs.n), lambda x: np.concatenate(mean.f(*x[:, None])),
-                          lambda x: np.array(mean.df(*x[:, None]))[..., 0], np.ones(eqs.n),
-                          _START_TOL, _START_MAX_ITER, solve=np.linalg.solve)
+        x, _, _ = _newton(
+            np.zeros(eqs.n), lambda x: np.concatenate(mean.f(*x[:, None])),
+            lambda x, R: np.linalg.solve(np.array(mean.df(*x[:, None]))[..., 0], -R),
+            np.ones(eqs.n), _START_TOL, _START_MAX_ITER)
     except (LinearSolveError, NonConvergenceError):
         return None
     return x
@@ -443,15 +529,15 @@ def _solve(data, tol, max_iter):
     if tol <= 0:
         raise InvalidParameterError("tol must be positive")
     eqs = CurvatureEquations(data)
-    residual, jacobian = eqs.system("cotangent", data.mesh.vertex_areas)
-    # the Jacobians' column order, kept next to their pattern
-    solve = data.mesh.memo(("jacobian", "cotangent", eqs.n, "solver"), _jacobian_solver)
+    residual = eqs.residual("cotangent", data.mesh.vertex_areas)
+    steps = []
     c = _constant_start(eqs)
     x0 = np.zeros(len(eqs.areas)) if c is None else np.repeat(c, data.mesh.n_vertices)
-    x, trace, ok = _newton(x0, residual, jacobian, eqs.areas, tol, max_iter, solve)
+    x, trace, ok = _newton(x0, residual, _gmres_step(eqs, steps), eqs.areas, tol, max_iter)
     u, w = eqs.fields(x)
     start = None if c is None else dict(zip("uw", c.tolist()))
-    return GermSolution(u=u, w=w, newton_trace=trace, converged=ok, start=start)
+    return GermSolution(u=u, w=w, newton_trace=trace, newton_steps=steps, converged=ok,
+                        start=start)
 
 
 def solve_gauss3(data, tol=1e-10, max_iter=30):

@@ -38,7 +38,7 @@ def test_criterion_01_superminimal_area():
     err = abs(rep.area - 2.0 * math.pi) / (2.0 * math.pi)
     ok = err < 0.02 and elapsed < 60.0
     _line(1, ok, "superminimal area = 2 pi",
-          f"area={rep.area:.6f}, rel err={err:.2e}, {elapsed:.1f}s")
+          f"area={rep.area:.6f}, rel err={err:.1e}, {elapsed:.1f}s")
     assert invariants.superminimal_test(rep) == "SuperminimalPlus"
 
 

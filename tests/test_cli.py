@@ -131,6 +131,11 @@ def test_report_file_equals_returned_report(tmp_path, kw):
         trace = rep["solution"]["newton_trace"]
         assert [row[0] for row in trace] == list(range(rep["solution"]["iterations"] + 1))
         assert trace[-1][1] == rep["solution"]["residual"]
+        # one GMRES record per Newton step
+        steps = rep["solution"]["newton_steps"]
+        assert len(steps) == rep["solution"]["iterations"]
+        assert all(type(s["gmres_iterations"]) is int and s["gmres_iterations"] >= 1
+                   and s["relative_residual"] <= 1e-10 for s in steps)
         # the 2h + 2 smallest singular values of each kernel search
         for entry in rep["bundle_dims"].values():
             s = entry["singular_values"]
@@ -286,13 +291,31 @@ def test_manufactured_run_records_error(tmp_path):
     assert rep["solution"]["mms_error"] < 1e-10
 
 
+@pytest.mark.parametrize("resolution", [1, 3])
+def test_manufactured_values_below_the_fold_are_config_failures(resolution):
+    # the forcing of u* has the constant solutions e^{2u*} and 1 - e^{2u*}
+    # of e^{2a}, and Newton finds the larger: u* itself from -ln 2 / 2 on
+    def run_at(u_star):
+        return run(RunConfig(genus=2, resolution=resolution, target="rh3",
+                             data_spec=f"manufactured:{u_star}"), write_files=False)
+
+    assert run_at(-0.345)["solution"]["mms_error"] < 1e-10
+    for u_star in (-0.35, -1.0, -5.0):
+        failed = run_at(u_star)["failed_at"]
+        assert (failed["stage"], failed["error"]) == ("config", "InvalidParameterError")
+        assert "-ln 2 / 2 = -0.3465735903" in failed["message"]
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_large_manufactured_values_end_in_failed_at_records():
     # at g2r1 the Newton residual's norm overflows from u* = 88.4 on, and
     # the forcing summed over the surface from 176.64 on: no overflow
     # escapes a run, whose report stays plain JSON.  Outcomes below 88.4:
-    # the clipped exponentials of the equations let no u* > 30 converge
-    outcomes = {-400.0: None, -40.0: None, 40.0: ("germsolve", "NonConvergenceError"),
+    # the clipped exponentials of the equations let no u* > 30 converge,
+    # and a u* below -ln 2 / 2 is refused at stage config
+    outcomes = {-400.0: ("config", "InvalidParameterError"),
+                -40.0: ("config", "InvalidParameterError"),
+                40.0: ("germsolve", "NonConvergenceError"),
                 88.0: ("germsolve", "NonConvergenceError")}
     outcomes.update({u: ("germsolve", "NonConvergenceError") for u in (88.44, 100.0, 170.0)})
     outcomes.update({u: ("config", "InvalidParameterError") for u in (176.64, 400.0, 1e3)})
@@ -690,11 +713,39 @@ def test_file_run_searches_no_basis_and_applies_dbar_once(tmp_path, monkeypatch,
     assert "failed_at" not in rep and "bundle_dims" not in rep
     assert calls["basis"] == 0
     assert calls["dbar"].count((2, 0)) == 1
-    # the basis subcommand still records every basis of the target
+    # the basis subcommand still records every basis of the target; at
+    # l = 0 both bundles have the dbar of K^2 and share one kernel search
     rep = run(RunConfig(genus=2, resolution=3, target="rh4", l=0), write_files=False,
               last_stage="bundles")
     assert list(rep["bundle_dims"]) == ["K2Linv", "K2L"]
-    assert calls["basis"] == 2
+    assert rep["bundle_dims"]["K2Linv"] == rep["bundle_dims"]["K2L"]
+    assert calls["basis"] == 1
+
+
+def test_bundles_of_one_degree_share_their_kernel_search(monkeypatch):
+    # the dbar of K^2 L^n reads L only through n l, to the last bit, so at
+    # l = 0 K^2 L^-1 and K^2 L take the basis of K^2, each with its own
+    # bundle type
+    mesh = hypmesh.build_surface(2, 3)
+    L0, L1, Lm1 = (bundles.make_line_bundle(mesh, l) for l in (0, 1, -1))
+    for (La, na), (Lb, nb) in (((None, 0), (L0, 1)), ((L0, -1), (L0, 1)), ((L1, -1), (Lm1, 1))):
+        assert np.array_equal(bundles.dbar_operator(mesh, La, 2, na).entries,
+                              bundles.dbar_operator(mesh, Lb, 2, nb).entries)
+    searches = []
+    holomorphic_basis = bundles.holomorphic_basis
+
+    def counted_basis(dbar, **kwargs):
+        searches.append(dbar.n)
+        return holomorphic_basis(dbar, **kwargs)
+
+    monkeypatch.setattr(bundles, "holomorphic_basis", counted_basis)
+    found = {n: cli._basis_for(mesh, None if n == 0 else L0, n) for n in (0, -1, 1)}
+    assert searches == [0]
+    for n, (basis, dims) in found.items():
+        assert [sec.bundle_type for sec in basis] == [(2, n)] * 3
+        assert all(sec.degree_l == 0 for sec in basis)
+        assert dims == found[0][1]
+        assert all(np.array_equal(a.values, b.values) for a, b in zip(basis, found[0][0]))
 
 
 def test_huge_resolution_fails_at_mesh_at_once():
@@ -770,30 +821,32 @@ def test_stages_not_a_pipeline_prefix_end_in_report(tmp_path, last_stage):
         assert json.load(fh) == rep
 
 
-def test_sweep_orders_newton_columns_once(monkeypatch):
-    # the runs of a sweep share their surface, and with it the column
-    # order of the first Newton factorization: one COLAMD in all
-    splu = spla.splu
-    specs = []
+def test_sweep_keeps_one_newton_band_plan(monkeypatch):
+    # the runs of a sweep share their surface, and with it the pattern
+    # every Newton step factors on, with its band plan
+    patterns = []
 
-    def recording(A, **kwargs):
-        specs.append(kwargs.get("permc_spec"))
-        return splu(A, **kwargs)
+    def recording(pattern, values):
+        patterns.append((pattern, values.dtype))
+        return factor.factor_hpd(pattern, values)
 
-    monkeypatch.setattr(spla, "splu", recording)
+    monkeypatch.setattr(germsolve, "factor_hpd", recording)
     cfg = RunConfig(genus=2, resolution=3, target="rh3", data_spec="basis:0:0.1")
     _, reports = sweep(cfg, "amplitude", [0.2, 0.4, 0.6], write_files=False)
     assert not any("failed_at" in rep for rep in reports)
-    assert specs.count(None) == 1 and specs[0] is None
-    assert len(specs) >= len(reports)
+    # the polish factors in float32 on a pattern of its own
+    newton = [p for p, dtype in patterns if dtype == np.float64]
+    assert len(newton) == sum(rep["solution"]["iterations"] for rep in reports) >= len(reports)
+    assert all(p is newton[0] for p in newton)
 
 
 # axis -> (base config, values, builds of the sweep: meshes, bases)
 _REUSE_CASES = {
     "amplitude": (dict(resolution=3, target="rh3", data_spec="basis:0:0.1"), [0.2, 0.4], 1, 1),
     "basis_index": (dict(resolution=3, target="rh3", data_spec="basis:0:0.1"), [0, 2], 1, 1),
-    # both sections are drawn: 2 bases per l
-    "l": (dict(resolution=4, target="rh4", data_spec="random:0.3"), [0, 1], 1, 4),
+    # both sections are drawn: at l = 0 one basis serves both (the dbar of
+    # K^2 L^n reads only n l), at l = 1 there are 2
+    "l": (dict(resolution=4, target="rh4", data_spec="random:0.3"), [0, 1], 1, 3),
     # the r=2 kernel search fails at bundles; r=3 succeeds
     "resolution": (dict(target="rh3", data_spec="basis:0:0.1"), [2, 3], 2, 2),
 }

@@ -173,10 +173,13 @@ def test_indefinite_matrix_fails_to_factor_and_ends_in_linear_solve_error(
     def negated(pattern, values):
         return factor.factor_hpd(pattern, -values)
 
-    monkeypatch.setattr(germsolve, "factor_hpd", negated)
-    monkeypatch.setattr(bundles, "factor_hpd", negated)
     data = germsolve.GermData(mesh_r3, sections=[basis_K2_r3[0]])
     sol = germsolve.solve_gauss3(data, tol=1e-10)
+    monkeypatch.setattr(germsolve, "factor_hpd", negated)
+    monkeypatch.setattr(bundles, "factor_hpd", negated)
+    with pytest.raises(LinearSolveError, match="Newton linear solve failed") as failed:
+        germsolve.solve_gauss3(data, tol=1e-10)
+    assert isinstance(failed.value.__cause__, np.linalg.LinAlgError)
     with pytest.raises(LinearSolveError, match="polish solve failed") as failed:
         germsolve.polish_solution(data, sol)
     assert isinstance(failed.value.__cause__, np.linalg.LinAlgError)
@@ -202,8 +205,9 @@ def test_cli_import_leaves_csgraph_unloaded():
 
 def test_sweep_orders_each_pattern_once(tmp_path, monkeypatch):
     # a sweep's runs share the mesh and with it the band plans of the dbar
-    # stencil's normal pattern (the kernel search and the class oracle) and
-    # of the polish's normal pattern
+    # stencil's normal pattern (the kernel search and the class oracle), of
+    # the cotangent Laplacian's pattern (Newton) and of the polish's normal
+    # pattern
     import scipy.sparse.csgraph as csgraph
 
     rcm = csgraph.reverse_cuthill_mckee
@@ -218,4 +222,4 @@ def test_sweep_orders_each_pattern_once(tmp_path, monkeypatch):
                     output_dir=str(tmp_path))
     _, reports = sweep(cfg, "amplitude", [0.1, 0.4, 0.8], write_files=False)
     assert not any("failed_at" in rep for rep in reports)
-    assert len(orders) == 2
+    assert len(orders) == 3

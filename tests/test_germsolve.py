@@ -29,9 +29,9 @@ def test_manufactured_constant_recovered(mesh_r3):
     assert len(sol.newton_trace) == 1
     assert sol.start["u"] == pytest.approx(u_star, abs=1e-14)
     eqs = germsolve.CurvatureEquations(data)
-    residual, jacobian = eqs.system("cotangent", mesh_r3.vertex_areas)
-    u, trace, ok = germsolve._newton(np.zeros(mesh_r3.n_vertices), residual, jacobian,
-                                     eqs.areas, 1e-12, 30)
+    residual = eqs.residual("cotangent", mesh_r3.vertex_areas)
+    u, trace, ok = germsolve._newton(np.zeros(mesh_r3.n_vertices), residual,
+                                     germsolve._gmres_step(eqs, []), eqs.areas, 1e-12, 30)
     assert ok and len(trace) > 2
     assert np.max(np.abs(u - u_star)) < 1e-10
 
@@ -250,13 +250,17 @@ def test_jacobian_pattern_built_once_per_mesh_and_operator(monkeypatch):
     t = germsolve.manufactured_forcing(mesh, 0.1)
     rng = np.random.default_rng(3)
     for data in (germsolve.GermData(mesh, t_field=t), _random_data(mesh, "rh4", rng)):
+        eqs = germsolve.CurvatureEquations(data)
         for _ in range(2):
             sol = (germsolve.solve_gauss3(data) if data.L is None
                    else germsolve.solve_gauss_ricci4(data))
             assert sol.converged
             germsolve.polish_solution(data, sol)
+            # Newton reads no Jacobian matrix: the cotangent pattern is built
+            # when that system is asked for
+            eqs.system("cotangent", mesh.vertex_areas)
     cot, fd = id(hypmesh.laplacian(mesh)), id(mesh.fd_laplacian_matrix(weighted=True))
-    assert built == [(cot, 1), (fd, 1), (cot, 2), (fd, 2)]
+    assert built == [(fd, 1), (cot, 1), (fd, 2), (cot, 2)]
 
 
 def test_jacobian_pattern_places_entries_past_int32_keys():
@@ -306,49 +310,146 @@ def test_sections_outside_the_target_rejected(mesh_r3, basis_K2_r3):
             germsolve.GermData(mesh_r3, target_L, sections)
 
 
-def test_newton_orders_columns_once_per_surface(basis_K2_r3, monkeypatch):
-    # a mesh of its own, whose memo holds no column order yet; amplitudes
+def test_newton_keeps_one_band_plan_per_surface(basis_K2_r3, monkeypatch):
+    # a mesh of its own, whose memo holds no Newton pattern yet; amplitudes
     # that take 3 iterations from the constant start
-    def solve_twice():
-        mesh = hypmesh.build_surface(2, 3)
-        data = _rh4_r3_data(mesh, basis_K2_r3, (0.5, 0.8))
-        return [germsolve.solve_gauss_ricci4(data, tol=1e-11) for _ in range(2)]
+    import scipy.sparse.csgraph as csgraph
 
-    splu = spla.splu
-    specs = []
+    mesh = hypmesh.build_surface(2, 3)
+    data = _rh4_r3_data(mesh, basis_K2_r3, (0.5, 0.8))
+    rcm = csgraph.reverse_cuthill_mckee
+    orders, patterns = [], []
 
-    def recording(A, **kwargs):
-        specs.append(kwargs.get("permc_spec"))
-        return splu(A, **kwargs)
+    def counting(A, **kwargs):
+        orders.append(A.shape)
+        return rcm(A, **kwargs)
 
-    monkeypatch.setattr(spla, "splu", recording)
-    sols = solve_twice()
+    def recording(pattern, values):
+        patterns.append(pattern)
+        return factor.factor_hpd(pattern, values)
+
+    monkeypatch.setattr(csgraph, "reverse_cuthill_mckee", counting)
+    monkeypatch.setattr(germsolve, "factor_hpd", recording)
+    sols = [germsolve.solve_gauss_ricci4(data, tol=1e-11) for _ in range(2)]
     iterations = len(sols[0].newton_trace) - 1
     assert iterations >= 3
-    # the first factorization on the surface orders the columns, by
-    # COLAMD; every later one, also in the second solve, keeps that order
-    assert specs == [None] + ["NATURAL"] * (2 * iterations - 1)
-    # reference: SuperLU's default COLAMD ordering on every iteration
-    monkeypatch.setattr(germsolve, "_jacobian_solver",
-                        lambda: lambda J, b: splu(J.tocsc()).solve(b))
-    for sol, ref in zip(sols, solve_twice()):
-        assert sol.newton_trace == ref.newton_trace
-        assert np.array_equal(sol.u, ref.u) and np.array_equal(sol.w, ref.w)
+    # one factorization per step, every one on the pattern of the
+    # cotangent Laplacian that the mesh keeps, whose band plan the first
+    # made: one reverse Cuthill-McKee order in both solves
+    assert len(patterns) == 2 * iterations
+    assert all(p is patterns[0] for p in patterns)
+    lap = hypmesh.laplacian(mesh)
+    assert np.array_equal(patterns[0].indptr, lap.indptr)
+    assert np.array_equal(patterns[0].indices, lap.indices)
+    assert orders == [(mesh.n_vertices,) * 2]
+    assert sols[0].newton_trace == sols[1].newton_trace
+    assert np.array_equal(sols[0].u, sols[1].u) and np.array_equal(sols[0].w, sols[1].w)
 
 
 def test_newton_later_factorization_failure_is_a_linear_solve_error(mesh_r3, basis_K2_r3,
                                                                     monkeypatch):
     data = _rh4_r3_data(mesh_r3, basis_K2_r3)
-    splu = spla.splu
+    calls = []
 
-    def failing_later(A, **kwargs):
-        if kwargs.get("permc_spec") == "NATURAL":
-            raise RuntimeError("Factor is exactly singular")
-        return splu(A, **kwargs)
+    def failing_later(pattern, values):
+        calls.append(1)
+        if len(calls) > 1:
+            raise np.linalg.LinAlgError("2-th leading minor not positive definite")
+        return factor.factor_hpd(pattern, values)
 
-    monkeypatch.setattr(spla, "splu", failing_later)
-    with pytest.raises(LinearSolveError, match="Newton linear solve failed"):
+    monkeypatch.setattr(germsolve, "factor_hpd", failing_later)
+    with pytest.raises(LinearSolveError, match="Newton linear solve failed") as failed:
         germsolve.solve_gauss_ricci4(data, tol=1e-11)
+    assert isinstance(failed.value.__cause__, np.linalg.LinAlgError)
+    # the trace up to the failed second step
+    assert [row[0] for row in failed.value.payload["trace"]] == [0, 1]
+
+
+def test_newton_non_finite_step_is_a_linear_solve_error(mesh_r3, basis_K2_r3, monkeypatch):
+    data = _rh4_r3_data(mesh_r3, basis_K2_r3)
+    monkeypatch.setattr(germsolve.spla, "gmres", lambda A, b, **kw: (np.full_like(b, np.nan), 0))
+    with pytest.raises(LinearSolveError, match="Newton step is non-finite") as failed:
+        germsolve.solve_gauss_ricci4(data, tol=1e-11)
+    assert [row[0] for row in failed.value.payload["trace"]] == [0]
+
+
+def test_rotated_jacobian_has_equal_spd_diagonal_blocks(mesh_r3):
+    # in alpha = u - w, beta = u + w the Newton Jacobian's diagonal blocks
+    # are both -Y, Y = -S + diag(A e^{2u}), and its off-diagonal blocks
+    # diagonal, at any state
+    rng = np.random.default_rng(23)
+    a, V = mesh_r3.vertex_areas, mesh_r3.n_vertices
+    S = hypmesh.laplacian(mesh_r3)
+    rotate = sp.bmat([[sp.identity(V), -sp.identity(V)], [sp.identity(V), sp.identity(V)]])
+    for l in (-1, 0, 1):
+        data = _random_data(mesh_r3, "rh4", rng, l=l)
+        eqs = germsolve.CurvatureEquations(data)
+        _, jacobian = eqs.system("cotangent", a)
+        for _ in range(3):
+            x = 0.5 * rng.standard_normal(2 * V)
+            u, w = eqs.fields(x)
+            _, th1, th2 = eqs.norms(u, w)
+            e2u = a * np.exp(2.0 * u)
+            Y = -S + sp.diags(e2u)
+            ref = sp.bmat([[Y, sp.diags(e2u * (1.0 - 4.0 * th2))],
+                           [sp.diags(e2u * (1.0 - 4.0 * th1)), Y]])
+            rotated = -(rotate @ jacobian(x) @ rotate.T) / 2.0
+            assert abs(rotated - ref).max() <= 1e-13 * abs(ref).max()
+            np.linalg.cholesky(Y.toarray())
+
+
+def test_newton_steps_record_their_gmres_solves(mesh_r3, basis_K2_r3):
+    # rh3 data with ||II||^2 <= 1 everywhere: the preconditioner is -J
+    # itself, so GMRES converges in one iteration on every step
+    data = germsolve.GermData(mesh_r3, sections=[make_section(None, 2, 0,
+                                                              0.8 * basis_K2_r3[0].values)])
+    sol = germsolve.solve_gauss3(data, tol=1e-11)
+    eqs = germsolve.CurvatureEquations(data)
+    assert np.max(eqs.norms(sol.u)[0]) < 1.0
+    iterations = len(sol.newton_trace) - 1
+    assert iterations >= 2 and len(sol.newton_steps) == iterations
+    for step in sol.newton_steps:
+        assert step["gmres_iterations"] == 1
+        assert type(step["relative_residual"]) is float
+        assert step["relative_residual"] <= germsolve._GMRES_RTOL
+
+
+def _superlu_step(eqs, records):
+    """The Newton step by SuperLU on the Jacobian matrix: the oracle for
+    the GMRES step."""
+    _, jacobian = eqs.system("cotangent", eqs.data.mesh.vertex_areas)
+    return lambda x, R: spla.splu(jacobian(x).tocsc()).solve(-R)
+
+
+def _assert_solves_like_superlu(data, monkeypatch):
+    sol = (germsolve.solve_gauss3 if data.L is None else germsolve.solve_gauss_ricci4)(data)
+    with monkeypatch.context() as m:
+        m.setattr(germsolve, "_gmres_step", _superlu_step)
+        ref = (germsolve.solve_gauss3 if data.L is None else germsolve.solve_gauss_ricci4)(data)
+    assert sol.converged and ref.converged
+    assert len(sol.newton_trace) == len(ref.newton_trace)
+    assert np.max(np.abs(sol.u - ref.u)) <= 1e-12
+    if data.L is not None:
+        assert np.max(np.abs(sol.w - ref.w)) <= 1e-12
+    return sol
+
+
+def test_newton_solves_like_superlu_at_g2r3_rh3(mesh_r3, basis_K2_r3, monkeypatch):
+    for amp in (0.4, 1.2):
+        data = germsolve.GermData(mesh_r3, sections=[make_section(None, 2, 0,
+                                                                  amp * basis_K2_r3[0].values)])
+        _assert_solves_like_superlu(data, monkeypatch)
+
+
+@pytest.mark.parametrize("l", [-3, 3])
+def test_newton_solves_like_superlu_at_g3r4(l, monkeypatch):
+    mesh = hypmesh.build_surface(3, 4)
+    L = bundles.make_line_bundle(mesh, l)
+    sections = [make_section(L, 2, n, amp * bundles.holomorphic_basis(
+                    bundles.dbar_operator(mesh, L, 2, n))[0].values)
+                for n, amp in ((-1, 0.4), (1, 0.3))]
+    sol = _assert_solves_like_superlu(germsolve.GermData(mesh, L, sections), monkeypatch)
+    assert all(1 <= s["gmres_iterations"] <= 12 for s in sol.newton_steps)
 
 
 @pytest.mark.parametrize("target, l", [("rh3", 0), ("rh4", -1), ("rh4", 0), ("rh4", 1)])
@@ -387,20 +488,23 @@ def test_data_without_a_constant_state_start_from_zero(mesh_r3, basis_K2_r3):
 
 def test_baseline_datum_converges_in_three_factorizations(mesh_r4, L1_r4, basis_K2Linv_r4,
                                                           basis_K2L_r4, monkeypatch):
-    splu = spla.splu
     calls = []
 
-    def counting(A, **kwargs):
+    def counting(pattern, values):
         calls.append(1)
-        return splu(A, **kwargs)
+        return factor.factor_hpd(pattern, values)
 
-    monkeypatch.setattr(spla, "splu", counting)
+    monkeypatch.setattr(germsolve, "factor_hpd", counting)
     data = germsolve.GermData(mesh_r4, L1_r4, [
         make_section(L1_r4, 2, -1, 0.4 * basis_K2Linv_r4[0].values),
         make_section(L1_r4, 2, 1, 0.3 * basis_K2L_r4[0].values)])
     sol = germsolve.solve_gauss_ricci4(data)
     assert sol.converged and sol.start is not None
-    assert len(calls) <= 3
+    # one factorization per step, and 5-10 GMRES iterations on each
+    assert len(calls) <= 3 and len(calls) == len(sol.newton_steps)
+    for step in sol.newton_steps:
+        assert 5 <= step["gmres_iterations"] <= 10
+        assert step["relative_residual"] <= germsolve._GMRES_RTOL
 
 
 def test_damped_normal_operator_applies_the_damped_normal_matrix(mesh_r3):
