@@ -131,13 +131,13 @@ def tensor_weight(z, m, u=None):
 
 
 class DbarOperator:
-    """Sparse covariant (0,1)-derivative from vertex fields to face fields:
-    the F x V matrix, and entries, its F x 6 stencil entries (entry (f, a)
-    multiplies the value of class mesh.stencil_class[f, a]; a class that
-    recurs in a face's stencil has one entry per occurrence)."""
+    """Covariant (0,1)-derivative from vertex fields to face fields, held
+    as its F x 6 stencil entries: entry (f, a) multiplies the value of
+    class mesh.stencil_class[f, a], and a class that recurs in a face's
+    stencil has one entry per occurrence.  Calling it applies the F x V
+    matrix M of these entries; adjoint applies M^H."""
 
-    def __init__(self, matrix, entries, mesh, bundle, m, n):
-        self.matrix = matrix
+    def __init__(self, entries, mesh, bundle, m, n):
         self.entries = entries
         self.mesh = mesh
         self.bundle = bundle
@@ -145,7 +145,17 @@ class DbarOperator:
         self.n = int(n)
 
     def __call__(self, values):
-        return self.matrix @ np.asarray(values, dtype=complex)
+        return np.sum(self.entries * np.asarray(values, dtype=complex)[self.mesh.stencil_class],
+                      axis=1)
+
+    def adjoint(self, y):
+        """M^H y: each face's conj(entries) y scattered onto the classes of
+        its stencil."""
+        scattered = (np.conj(self.entries) * np.asarray(y)[:, None]).ravel()
+        classes, V = self.mesh.stencil_class.ravel(), self.mesh.n_vertices
+        out = np.bincount(classes, weights=scattered.real, minlength=V).astype(complex)
+        out.imag = np.bincount(classes, weights=scattered.imag, minlength=V)
+        return out
 
 
 def dbar_weights(mesh, m, u_vertex=None):
@@ -255,7 +265,7 @@ def _stencil_normal(dbar, w, c=None):
 
 
 def dbar_operator(mesh, L, m, n):
-    """Assemble the discrete dbar on sections of K^m L^n.
+    """The discrete dbar on sections of K^m L^n, as its stencil entries.
 
     L may be None when n = 0.  Kernel contains the constants exactly for
     (m, n) = (0, 0) since the stencil model includes the constant term.
@@ -264,15 +274,8 @@ def dbar_operator(mesh, L, m, n):
     """
     if n != 0 and L is None:
         raise InvalidParameterError("a line bundle is required when n != 0")
-    F = mesh.n_faces
     rows_coef = mesh.memo("dbar_rows", lambda: _stencil_dbar_rows(mesh))
-    entries = rows_coef * stencil_read(mesh, m, n, L)
-    rows = np.repeat(np.arange(F), 6)
-    cols = mesh.stencil_class.ravel()
-    M = sp.csr_matrix(
-        (entries.ravel(), (rows, cols)), shape=(F, mesh.n_vertices), dtype=complex
-    )
-    return DbarOperator(M, entries, mesh, L, m, n)
+    return DbarOperator(rows_coef * stencil_read(mesh, m, n, L), mesh, L, m, n)
 
 
 class BasisResult(list):
@@ -400,18 +403,17 @@ def class_is_trivial(mesh, beta, metric_u, dbar, tol=1e-3):
     if beta.shape[0] != mesh.n_faces:
         raise ShapeError("beta must be a face field")
     w_in, w_out = dbar_weights(dbar.mesh, dbar.m, metric_u)
-    M = dbar.matrix
     pattern, lhs = _stencil_normal(dbar, w_out)
     # small Tikhonov floor keeps the solve well posed if the discrete
     # kernel is only numerically trivial
     lhs[pattern.diagonal] += 1e-12 * float(np.max(np.abs(lhs[pattern.diagonal])))
-    rhs = M.conj().T @ (w_out * beta)
+    rhs = dbar.adjoint(w_out * beta)
     try:
         psi = factor_hpd(pattern, lhs).solve(rhs)
     except Exception as exc:
         raise LinearSolveError(f"harmonic projection solve failed: {exc}") from exc
     if not np.all(np.isfinite(psi)):
         raise LinearSolveError("harmonic projection returned non-finite values")
-    resid = beta - M @ psi
+    resid = beta - dbar(psi)
     norm = float(np.sqrt(np.sum(w_out * np.abs(resid) ** 2)))
     return norm < tol, norm

@@ -366,15 +366,17 @@ def _higgs_and_moduli(st):
 
 def _write_plot_csv(path, mesh, rep):
     """fields.csv: one row per vertex, numbers to 12 significant digits,
-    with the \\r\\n line ends of the csv module's default dialect; built as
-    one string and written at once."""
+    with the \\r\\n line ends of the csv module's default dialect; the
+    whole table is formatted by one % on the row format repeated V times
+    and written at once."""
+    V = mesh.n_vertices
     u4 = np.sqrt(np.abs(rep.u4_norm_sq))
-    kp = rep.kappa_perp if rep.kappa_perp is not None else np.zeros(mesh.n_vertices)
-    columns = (mesh.vertices.real, mesh.vertices.imag, rep.kappa_gamma, kp, u4)
-    rows = [f"{i},{x:.12g},{y:.12g},{kg:.12g},{kq:.12g},{n4:.12g}\r\n"
-            for i, (x, y, kg, kq, n4) in enumerate(zip(*(c.tolist() for c in columns)))]
+    kp = rep.kappa_perp if rep.kappa_perp is not None else np.zeros(V)
+    table = np.column_stack((np.arange(V), mesh.vertices.real, mesh.vertices.imag,
+                             rep.kappa_gamma, kp, u4))
     with open(path, "w", newline="") as fh:
-        fh.write("vertex,x,y,kappa_gamma,kappa_perp,u4_norm\r\n" + "".join(rows))
+        fh.write("vertex,x,y,kappa_gamma,kappa_perp,u4_norm\r\n"
+                 + ("%d,%.12g,%.12g,%.12g,%.12g,%.12g\r\n" * V) % tuple(table.ravel().tolist()))
 
 
 def _failure_record(stage, exc):

@@ -39,10 +39,11 @@ class LinearSolveError(EqminError):
 
 
 class NonConvergenceError(EqminError):
-    """Newton iteration failed; carries the residual trace."""
+    """Newton iteration failed; carries the residual trace and any further
+    payload."""
 
-    def __init__(self, message, trace=None):
-        super().__init__(message, trace=trace or [])
+    def __init__(self, message, trace=None, **payload):
+        super().__init__(message, trace=trace or [], **payload)
 
 
 class StagnationError(NonConvergenceError):

@@ -29,7 +29,6 @@ in the rotated fields u - w and u + w, in which both diagonal blocks of
 the Jacobian are that one matrix.
 """
 
-import itertools
 from functools import cached_property
 
 import numpy as np
@@ -239,28 +238,18 @@ class CurvatureEquations:
 
     def system(self, operator, weight):
         """The residual of residual(operator, weight) and its Jacobian
-        x -> CSR matrix, as a pair of callables.
-
-        Every Jacobian of the system has one sparsity pattern, the block
-        Laplacian plus the diagonal of each block (_jacobian_pattern).  It
-        is built once per mesh, operator and number of fields and kept on
-        the mesh; each call copies the Laplacian's values and subtracts
-        weight * df on those diagonals, so no sparse assembly runs per
-        call.  The matrices returned share the pattern's index arrays and
-        must not be modified in place.
+        x -> CSR matrix, as a pair of callables: block (i, j) of the
+        Jacobian is lap - diag(weight df[i][i]) on the diagonal and
+        -diag(weight df[i][j]) off it, assembled by scipy.sparse.bmat.
+        Newton and the polish apply the Jacobian field by field without
+        forming it; this matrix is the reference they are checked with.
         """
-        mesh = self.data.mesh
-        lap = _LAPLACIANS[operator](mesh)
-        shape = (len(self.areas),) * 2
-        indices, indptr, base, diagonals = mesh.memo(
-            ("jacobian", operator, self.n), lambda: _jacobian_pattern(lap, self.n))
+        lap = _LAPLACIANS[operator](self.data.mesh)
 
         def jacobian(x):
-            data = base.copy()
-            for pos_row, df_row in zip(diagonals, self.df(*self.fields(x))):
-                for pos, d in zip(pos_row, df_row):
-                    data[pos] -= weight * d
-            return sp.csr_matrix((data, indices, indptr), shape=shape)
+            D = [[sp.diags(weight * d) for d in row] for row in self.df(*self.fields(x))]
+            return sp.bmat([[lap - D_ij if i == j else -D_ij for j, D_ij in enumerate(row)]
+                            for i, row in enumerate(D)], format="csr")
 
         return self.residual(operator, weight), jacobian
 
@@ -274,73 +263,17 @@ _LAPLACIANS = {
 }
 
 
-def _flagged_unions(parts):
-    """The unions of the patterns of the first 1, 2, ... of the canonical
-    CSR matrices parts, at most 8, each a canonical uint8 CSR matrix whose
-    values flag the parts that hold each entry (bit b for parts[b]): the
-    entries of parts[b], in its own order, sit at
-    np.flatnonzero(flags & 2**b) of every union that includes it."""
-    return list(itertools.accumulate(
-        sp.csr_matrix((np.full(p.nnz, 2**b, dtype=np.uint8), p.indices, p.indptr), shape=p.shape)
-        for b, p in enumerate(parts)))
+def _flagged_union(parts):
+    """The union of the patterns of the canonical CSR matrices parts, at
+    most 8, as a canonical uint8 CSR matrix whose values flag the parts
+    that hold each entry (bit b for parts[b]): the entries of parts[b], in
+    its own order, sit at np.flatnonzero(flags & 2**b)."""
+    flags = [sp.csr_matrix((np.full(p.nnz, 2**b, dtype=np.uint8), p.indices, p.indptr),
+                           shape=p.shape) for b, p in enumerate(parts)]
+    return sum(flags[1:], flags[0])
 
 
-def _block_layout(parts, shared, n):
-    """The CSR pattern of an n x n block matrix whose diagonal blocks hold
-    the union of the patterns of parts, a list of at most 8 canonical
-    V x V CSR matrices, and whose off-diagonal blocks that of the first
-    shared of them, with the places of every part's entries in every
-    block.
-
-    Returns (indptr, indices, places): the CSR index arrays of the block
-    matrix, and places[i, j][b], the places in its value array of the
-    entries of part b of block (i, j), in that part's own order.
-    """
-    unions = _flagged_unions(parts)
-    kinds = {True: unions[-1], False: unions[shared - 1]}
-    layout = sp.bmat([[kinds[i == j] for j in range(n)] for i in range(n)], format="csr")
-    # the places of each kind of block's parts in the block, in their order
-    local = {kind: [np.flatnonzero((union.data & 2**b) != 0)
-                    for b in range(len(parts) if kind else shared)]
-             for kind, union in kinds.items()}
-    V = parts[0].shape[0]
-    places = {}
-    for i in range(n):
-        # the first place of each row of block row i; block (i, j)'s part
-        # of the row follows those of the blocks before it
-        first = layout.indptr[i * V:(i + 1) * V]
-        for j in range(n):
-            ptr = kinds[i == j].indptr
-            length = np.diff(ptr)
-            at = np.repeat(first - ptr[:-1], length) + np.arange(ptr[-1], dtype=first.dtype)
-            places[i, j] = [at[on] for on in local[i == j]]
-            first = first + length
-    return layout.indptr, layout.indices, places
-
-
-def _jacobian_pattern(lap, n):
-    """The sparsity pattern of the Jacobians of n fields coupled through
-    diagonal reaction terms, with lap acting on each field: the union of
-    the block diagonal of n copies of lap and the diagonal of every block.
-
-    Returns (indices, indptr, base, diagonals): the CSR index arrays of
-    the pattern, the block Laplacian's values on it (zeros elsewhere), and
-    diagonals[i][j], the positions in the value array of the diagonal of
-    block (i, j).
-    """
-    if not lap.has_sorted_indices:
-        lap = lap.sorted_indices()
-    eye = sp.identity(lap.shape[0], format="csr")
-    # diagonal blocks: the identity and lap; off-diagonal blocks: the identity
-    indptr, indices, places = _block_layout([eye, lap], 1, n)
-    base = np.zeros(len(indices))
-    for i in range(n):
-        base[places[i, i][1]] = lap.data
-    diagonals = [[places[i, j][0] for j in range(n)] for i in range(n)]
-    return indices, indptr, base, diagonals
-
-
-def _newton(x0, residual, solve_step, areas, tol, max_iter):
+def _newton(x0, residual, solve_step, areas, tol, max_iter, steps=None):
     """Damped Newton with halving line search on the weighted residual norm.
 
     residual returns the area-weighted equation values R (so the geometric
@@ -350,8 +283,11 @@ def _newton(x0, residual, solve_step, areas, tol, max_iter):
     rejected.  solve_step(x, R) returns the Newton step at the state x of
     residual R, a solution, exact or inexact, of J(x) delta = -R; when it
     raises, or returns a non-finite step, the solve raises
-    LinearSolveError with the trace so far.
+    LinearSolveError with the trace so far.  steps, when given, is the
+    list to which solve_step appends a record of each linear solve; every
+    error the solve raises carries it as newton_steps, besides the trace.
     """
+    payload = {} if steps is None else {"newton_steps": steps}
 
     def norm(R):
         with np.errstate(over="ignore"):
@@ -361,7 +297,7 @@ def _newton(x0, residual, solve_step, areas, tol, max_iter):
     R = residual(x)
     nrm = norm(R)
     if not np.isfinite(nrm):
-        raise NonConvergenceError("the starting residual's norm overflows a double")
+        raise NonConvergenceError("the starting residual's norm overflows a double", **payload)
     trace = [[0, nrm, 1.0]]
     for it in range(1, max_iter + 1):
         if nrm <= tol:
@@ -369,9 +305,10 @@ def _newton(x0, residual, solve_step, areas, tol, max_iter):
         try:
             delta = solve_step(x, R)
         except Exception as exc:
-            raise LinearSolveError(f"Newton linear solve failed: {exc}", trace=trace) from exc
+            raise LinearSolveError(f"Newton linear solve failed: {exc}", trace=trace,
+                                   **payload) from exc
         if not np.all(np.isfinite(delta)):
-            raise LinearSolveError("Newton step is non-finite", trace=trace)
+            raise LinearSolveError("Newton step is non-finite", trace=trace, **payload)
         step = 1.0
         while True:
             x_try = x + step * delta
@@ -382,7 +319,7 @@ def _newton(x0, residual, solve_step, areas, tol, max_iter):
             step *= 0.5
             if step < 1e-8:
                 raise StagnationError(
-                    f"line search stagnated at iteration {it}", trace=trace
+                    f"line search stagnated at iteration {it}", trace=trace, **payload
                 )
         x, R, nrm = x_try, R_try, n_try
         trace.append([it, nrm, step])
@@ -392,6 +329,7 @@ def _newton(x0, residual, solve_step, areas, tol, max_iter):
         f"Newton did not reach tol {tol:g} in {max_iter} iterations "
         f"(residual {nrm:g})",
         trace=trace,
+        **payload,
     )
 
 
@@ -533,7 +471,8 @@ def _solve(data, tol, max_iter):
     steps = []
     c = _constant_start(eqs)
     x0 = np.zeros(len(eqs.areas)) if c is None else np.repeat(c, data.mesh.n_vertices)
-    x, trace, ok = _newton(x0, residual, _gmres_step(eqs, steps), eqs.areas, tol, max_iter)
+    x, trace, ok = _newton(x0, residual, _gmres_step(eqs, steps), eqs.areas, tol, max_iter,
+                           steps)
     u, w = eqs.fields(x)
     start = None if c is None else dict(zip("uw", c.tolist()))
     return GermSolution(u=u, w=w, newton_trace=trace, newton_steps=steps, converged=ok,
@@ -581,20 +520,35 @@ _PCG_RTOL = 1e-12
 _PCG_MAXITER = 100
 
 
-def _damped_normal_operator(J, aa, damping):
-    """The polish's damped normal matrix N + damping (|diag N| + 1e-300),
-    N = J^T diag(aa) J, as the operator v -> J^T (aa J v) + d v, without
-    forming N.  diag N = sum_i aa_i J_ij^2 is summed over J's entries."""
-    weights = np.repeat(aa, np.diff(J.indptr)) * J.data**2
-    d = damping * (np.bincount(J.indices, weights=weights, minlength=J.shape[1]) + 1e-300)
-    JT = J.T
-    return spla.LinearOperator(J.shape, matvec=lambda v: JT @ (aa * (J @ v)) + d * v,
-                               dtype=float)
+def _pcg(apply, b, precondition):
+    """Preconditioned conjugate gradients for apply(x) = b from x = 0,
+    iteration by iteration as scipy.sparse.linalg.cg runs them: each
+    iteration starts by testing ||r|| < _PCG_RTOL ||b||.  Returns x and
+    the iterations run: 0 with x = 0 for a zero b, and _PCG_MAXITER when
+    they end short of the tolerance."""
+    x = np.zeros_like(b)
+    bound = _PCG_RTOL * np.linalg.norm(b)
+    if bound == 0.0:
+        return x, 0
+    r = b.copy()
+    for it in range(_PCG_MAXITER):
+        if np.linalg.norm(r) < bound:
+            return x, it
+        z = precondition(r)
+        rho = np.dot(r, z)
+        p = z if it == 0 else z + (rho / rho_prev) * p
+        q = apply(p)
+        alpha = rho / np.dot(p, q)
+        x += alpha * p
+        r -= alpha * q
+        rho_prev = rho
+    return x, _PCG_MAXITER
 
 
 class _PolishNormal:
-    """The diagonal blocks of the polish's damped normal matrices on one
-    mesh, one V x V block per field.
+    """The polish's damped normal matrices on one mesh: their diagonal
+    blocks, one V x V block per field, their diagonals, and the Jacobian
+    products that apply them.
 
     The polish Jacobian is J = L - D (CurvatureEquations.system): L is the
     block diagonal of n copies of the weighted patch-fit Laplacian lap,
@@ -616,7 +570,11 @@ class _PolishNormal:
     its band plan at the first factorization, once the arrays that built
     the pattern are freed.  The pattern is that of the product when no sum
     in it cancels; stored entries that do cancel hold zeros, so the
-    pattern, and a band plan made from it, serve every J.
+    pattern, and a band plan made from it, serve every J.  diagonal(df, j)
+    is the diagonal of block j in closed form, from diag Q and the
+    diagonal of lap, also kept; jacobian and jacobian_t apply J and J^T
+    field by field, the latter through lap_t, a CSC view of lap that
+    copies nothing, so no step forms J.
     """
 
     def __init__(self, lap, a):
@@ -633,7 +591,11 @@ class _PolishNormal:
         # canonical, as every part of a flagged union is
         Q.sum_duplicates()
         self.q = Q.data
-        union = _flagged_unions([sp.identity(lap.shape[0], format="csr"), lap, number_t, Q])[-1]
+        self.q_diagonal, self.lap_diagonal = Q.diagonal(), lap.diagonal()
+        # a CSC view of lap, sharing its arrays; made once, as each .T
+        # builds and checks a new matrix object
+        self.lap_t = lap.T
+        union = _flagged_union([sp.identity(lap.shape[0], format="csr"), lap, number_t, Q])
         self.pattern = HermitianPattern(union.indptr, union.indices)
         # the places of the identity's and lap's entries and of lap's
         # transposed entries, in the order of the entries of lap, and Q's
@@ -658,6 +620,23 @@ class _PolishNormal:
         diagonal = self.pattern.diagonal
         data[diagonal] += damping * (np.abs(data[diagonal]) + 1e-300)
         return data
+
+    def diagonal(self, df, j):
+        """diag N of field j, in closed form: diag Q - 2 a lap_jj df[j][j]
+        + sum_i a df[i][j]^2, lap_jj the diagonal of lap."""
+        a = self.a
+        return (self.q_diagonal - 2.0 * a * self.lap_diagonal * df[j][j]
+                + sum(a * row[j] * row[j] for row in df))
+
+    def jacobian(self, df, v):
+        """J v, field by field, for the fields v: lap v_i - sum_j df[i][j] v_j."""
+        return [self.lap @ v_i - sum(d * v_j for d, v_j in zip(row, v))
+                for v_i, row in zip(v, df)]
+
+    def jacobian_t(self, df, y):
+        """J^T y, field by field: lap^T y_j - sum_i df[i][j] y_i."""
+        return [self.lap_t @ y_j - sum(row[j] * y_i for row, y_i in zip(df, y))
+                for j, y_j in enumerate(y)]
 
 
 def polish_solution(data, sol, iterations=4):
@@ -689,9 +668,10 @@ def polish_solution(data, sol, iterations=4):
     (rho + damping) / damping, rho the largest eigenvalue of the scaled
     J^T W J, which keeps the float32 Cholesky far from breakdown.  Every
     step, the first included, solves its own normal equations on the whole
-    coupled N in double precision by conjugate gradients, preconditioned
-    block-Jacobi with those factors, applying N as
-    v -> J^T W J v + damping |diag N| v without forming it.  The (u, w)
+    coupled N in double precision by conjugate gradients (_pcg),
+    preconditioned block-Jacobi with those factors, applying N as
+    v -> J^T W J v + damping |diag N| v field by field, with diag N in
+    closed form, so no step forms J or N (_PolishNormal).  The (u, w)
     coupling blocks of N are small beside its diagonal blocks, and vanish
     for proportional sections at l = 0, so the factors precondition N well:
     CG takes a few times the iterations a factor of the coupled N would
@@ -710,9 +690,9 @@ def polish_solution(data, sol, iterations=4):
     """
     mesh = data.mesh
     eqs = CurvatureEquations(data)
-    resid, jac = eqs.system("patch_fit", 1.0)
+    resid = eqs.residual("patch_fit", 1.0)
     x = np.concatenate([sol.u, sol.w] if eqs.coupled else [sol.u])
-    aa, n = eqs.areas, eqs.n
+    aa, a, n = eqs.areas, mesh.vertex_areas, eqs.n
     normal = mesh.memo("polish_normal", lambda: _PolishNormal(
         _LAPLACIANS["patch_fit"](mesh), mesh.vertex_areas))
 
@@ -728,26 +708,27 @@ def polish_solution(data, sol, iterations=4):
                                relative_residual=1.0) from exc
 
     def block_jacobi(r):
-        return np.concatenate([lu.solve(part) for lu, part in zip(lus, np.split(r, n))])
+        return np.concatenate([lu.solve(part) for lu, part in zip(lus, r.reshape(n, -1))])
 
-    M = spla.LinearOperator((len(x),) * 2, matvec=lus[0].solve if n == 1 else block_jacobi,
-                            dtype=float)
     steps = []
     R = resid(x)
     for k in range(1, iterations + 1):
-        J = jac(x)
-        A = _damped_normal_operator(J, aa, _POLISH_DAMPING)
-        rhs = -(J.T @ (aa * R))
-        # cg hands each iterate to the callback once per iteration
-        iterates = []
-        step, info = spla.cg(A, rhs, rtol=_PCG_RTOL, maxiter=_PCG_MAXITER, M=M,
-                             callback=iterates.append)
-        if info != 0:
-            reached = float(np.linalg.norm(rhs - A @ step) / np.linalg.norm(rhs))
+        df = eqs.df(*eqs.fields(x))
+        d = _POLISH_DAMPING * (np.concatenate([normal.diagonal(df, j) for j in range(n)])
+                               + 1e-300)
+
+        def apply(v):
+            Jv = normal.jacobian(df, v.reshape(n, -1))
+            return np.concatenate(normal.jacobian_t(df, [a * r for r in Jv])) + d * v
+
+        rhs = -np.concatenate(normal.jacobian_t(df, [a * r for r in R.reshape(n, -1)]))
+        step, cg_iterations = _pcg(apply, rhs, lus[0].solve if n == 1 else block_jacobi)
+        if cg_iterations == _PCG_MAXITER:
+            reached = float(np.linalg.norm(rhs - apply(step)) / np.linalg.norm(rhs))
             raise LinearSolveError(
                 f"polish solve failed: CG reached relative residual {reached:.3g}, not "
-                f"{_PCG_RTOL:g}, in {len(iterates)} iterations at step {k}",
-                step=k, cg_iterations=len(iterates), relative_residual=reached)
+                f"{_PCG_RTOL:g}, in {cg_iterations} iterations at step {k}",
+                step=k, cg_iterations=cg_iterations, relative_residual=reached)
         base = wnorm(R)
         after = base
         accepted = 0.0
@@ -764,7 +745,7 @@ def polish_solution(data, sol, iterations=4):
             "residual_before": base,
             "residual_after": after,
             "step_fraction": accepted,
-            "cg_iterations": len(iterates),
+            "cg_iterations": cg_iterations,
         })
     sol.polish = {"steps": steps, "factor_nnz": sum(lu.nnz for lu in lus)}
     sol.u_smooth, sol.w_smooth = eqs.fields(x)

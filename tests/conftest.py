@@ -1,7 +1,9 @@
 """Shared meshes and holomorphic bases (session scoped, they are the
 expensive part of every test)."""
 
+import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from eqmin import bundles, hypmesh
 
@@ -47,3 +49,13 @@ def basis_K2Linv_r4(mesh_r4, L1_r4):
 def make_section(L, m, n, values):
     """DiscreteSection of K^m L^n (L None for n = 0) with the given values."""
     return bundles.DiscreteSection((m, n), values, degree_l=0 if L is None else L.degree)
+
+
+def dbar_matrix(dbar):
+    """The F x V sparse matrix of a DbarOperator, assembled from its stencil
+    entries; the entries of a class that recurs in a face's stencil are
+    summed."""
+    mesh = dbar.mesh
+    rows = np.repeat(np.arange(mesh.n_faces), 6)
+    return sp.csr_matrix((dbar.entries.ravel(), (rows, mesh.stencil_class.ravel())),
+                         shape=(mesh.n_faces, mesh.n_vertices), dtype=complex)

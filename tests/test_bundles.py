@@ -7,6 +7,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from conftest import dbar_matrix
 from eqmin import bundles, factor, germsolve, hypmesh
 from eqmin.errors import IndeterminateKernelError, InvalidParameterError, ShapeError
 
@@ -61,9 +62,10 @@ def test_dbar_stencil_inverse_computed_once_per_mesh(monkeypatch):
     L_fresh = bundles.make_line_bundle(fresh, 1)
     for op, (bundle, m, n) in zip(ops, twists):
         ref = _dbar_reference(fresh, None if bundle is None else L_fresh, m, n)
-        assert np.array_equal(op.matrix.indptr, ref.indptr)
-        assert np.array_equal(op.matrix.indices, ref.indices)
-        assert np.array_equal(op.matrix.data, ref.data)
+        M = dbar_matrix(op)
+        assert np.array_equal(M.indptr, ref.indptr)
+        assert np.array_equal(M.indices, ref.indices)
+        assert np.array_equal(M.data, ref.data)
 
 
 def test_quadratic_differentials_dimension(basis_K2_r3):
@@ -93,7 +95,7 @@ def _dense_oracle(dbar, max_dim=24):
     smallest singular values, the detected dimension and gap, and the
     kernel projector in the weighted coordinates."""
     w_in, w_out = bundles.dbar_weights(dbar.mesh, dbar.m)
-    B = sp.diags(np.sqrt(w_out)) @ dbar.matrix @ sp.diags(1.0 / np.sqrt(w_in))
+    B = sp.diags(np.sqrt(w_out)) @ dbar_matrix(dbar) @ sp.diags(1.0 / np.sqrt(w_in))
     _, svals, Vh = np.linalg.svd(B.toarray())
     s = svals[::-1][: max_dim + 1]
     ratios = s[1:] / np.maximum(s[:-1], 1e-14 * svals[0])
@@ -176,7 +178,7 @@ def test_stencil_normal_equals_the_sparse_product(request, r, bundle, metric):
     mesh = request.getfixturevalue(f"mesh_r{r}")
     m, n = bundle
     dbar = bundles.dbar_operator(mesh, bundles.make_line_bundle(mesh, 1), m, n)
-    M = dbar.matrix
+    M = dbar_matrix(dbar)
     # the products the class oracle and the kernel search used to form
     if metric:
         u = 0.3 * np.sin(np.arange(mesh.n_vertices))
@@ -293,6 +295,23 @@ def test_section_load_rejects_wrong_mesh(tmp_path, mesh_r2, mesh_r3, basis_K2_r3
     basis_K2_r3[0].save(str(path), mesh=mesh_r3)
     with pytest.raises(ShapeError):
         bundles.DiscreteSection.load(str(path), mesh=mesh_r2)
+
+
+def test_dbar_adjoint_is_the_conjugate_transpose():
+    # <M v, y> = <v, M^H y>, on a mesh where some faces' stencils repeat a
+    # class, and both against the matrix of the entries
+    mesh = hypmesh.build_surface(2, 1)
+    classes = np.sort(mesh.stencil_class, axis=1)
+    assert np.any(classes[:, 1:] == classes[:, :-1])
+    rng = np.random.default_rng(9)
+    dbar = bundles.dbar_operator(mesh, bundles.make_line_bundle(mesh, 1), -1, 1)
+    M = dbar_matrix(dbar)
+    v = rng.standard_normal(mesh.n_vertices) + 1j * rng.standard_normal(mesh.n_vertices)
+    y = rng.standard_normal(mesh.n_faces) + 1j * rng.standard_normal(mesh.n_faces)
+    Mv, MHy = dbar(v), dbar.adjoint(y)
+    assert np.vdot(y, Mv) == pytest.approx(np.vdot(MHy, v), rel=1e-13)
+    assert np.linalg.norm(Mv - M @ v) <= 1e-14 * np.linalg.norm(Mv)
+    assert np.linalg.norm(MHy - M.conj().T @ y) <= 1e-14 * np.linalg.norm(MHy)
 
 
 def test_coboundary_class_is_trivial(mesh_r3):

@@ -218,14 +218,10 @@ def _fail_in_float32(cholesky_banded):
     return failing
 
 
-def _one_cg_iteration(cg):
-    """cg capped at one iteration, which misses the polish's tolerance."""
-    return lambda A, b, **kwargs: cg(A, b, **{**kwargs, "maxiter": 1})
-
-
 @pytest.mark.parametrize("module, name, fail, cg_iterations", [
     (factor, "cholesky_banded", _fail_in_float32, 0),
-    (spla, "cg", _one_cg_iteration, 1),
+    # CG capped at one iteration, which misses the polish's tolerance
+    (germsolve, "_PCG_MAXITER", lambda maxiter: 1, 1),
 ], ids=["factor", "cg"])
 def test_polish_failure_ends_in_report(tmp_path, monkeypatch, module, name, fail,
                                        cg_iterations):
@@ -242,6 +238,22 @@ def test_polish_failure_ends_in_report(tmp_path, monkeypatch, module, name, fail
     assert rep["solution"]["converged"] and "invariants" not in rep
     with open(tmp_path / "report.json") as fh:
         assert json.load(fh) == rep
+
+
+def test_newton_failure_record_carries_its_gmres_records():
+    # past the fold of the rh3 branch the line search stagnates; the record
+    # holds one GMRES record per attempted step, the rejected one included,
+    # and GMRES stops short of its tolerance on each of the last three
+    rep = run(RunConfig(genus=2, resolution=3, target="rh3", data_spec="basis:0:1.75"),
+              write_files=False)
+    failed = rep["failed_at"]
+    assert (failed["stage"], failed["error"]) == ("germsolve", "StagnationError")
+    steps = failed["newton_steps"]
+    assert len(steps) == len(failed["trace"])
+    assert all(type(s["gmres_iterations"]) is int and s["gmres_iterations"] >= 1 for s in steps)
+    assert steps[0]["relative_residual"] <= germsolve._GMRES_RTOL
+    assert all(s["relative_residual"] > germsolve._GMRES_RTOL for s in steps[-3:])
+    json.dumps(failed, allow_nan=False)
 
 
 def test_kernel_factor_failure_ends_in_report(tmp_path, monkeypatch):

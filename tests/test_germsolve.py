@@ -175,18 +175,11 @@ def test_fixed_pattern_jacobian_equals_block_assembly(mesh_r3, target, vanish, o
     x = 0.3 * rng.standard_normal(lap.shape[0] * (2 if eqs.coupled else 1))
     J = jacobian(x)
     assert J.format == "csr"
-    # the block assembly every call used to run
+    # the block Laplacian minus the block reaction terms, assembled apart
     lap_x = sp.block_diag([lap] * (2 if eqs.coupled else 1), format="csr")
     df = eqs.df(*eqs.fields(x))
     ref = lap_x - sp.bmat([[sp.diags(weight * d) for d in row] for row in df], format="csr")
     assert np.array_equal(J.toarray(), ref.toarray())
-    if vanish is not None:
-        # the pattern keeps the coupling entries that are exactly zero
-        assert np.count_nonzero(J.data) < J.nnz
-        assert ref.nnz < J.nnz
-    # every Jacobian of the system shares the pattern
-    J2 = jacobian(0.3 * rng.standard_normal(len(x)))
-    assert np.shares_memory(J2.indices, J.indices) and np.shares_memory(J2.indptr, J.indptr)
 
 
 @pytest.mark.parametrize("target, vanish",
@@ -235,50 +228,6 @@ def test_polish_plan_is_the_band_plan_of_its_first_matrix(mesh_r3, target, vanis
     b = rng.standard_normal(A.shape[0])
     ref = spla.spsolve(A.tocsc(), b)
     assert np.linalg.norm(lu.solve(b) - ref) <= 1e-12 * np.linalg.norm(ref)
-
-
-def test_jacobian_pattern_built_once_per_mesh_and_operator(monkeypatch):
-    mesh = hypmesh.build_surface(2, 2)
-    built = []
-    pattern = germsolve._jacobian_pattern
-
-    def counting(lap, n):
-        built.append((id(lap), n))
-        return pattern(lap, n)
-
-    monkeypatch.setattr(germsolve, "_jacobian_pattern", counting)
-    t = germsolve.manufactured_forcing(mesh, 0.1)
-    rng = np.random.default_rng(3)
-    for data in (germsolve.GermData(mesh, t_field=t), _random_data(mesh, "rh4", rng)):
-        eqs = germsolve.CurvatureEquations(data)
-        for _ in range(2):
-            sol = (germsolve.solve_gauss3(data) if data.L is None
-                   else germsolve.solve_gauss_ricci4(data))
-            assert sol.converged
-            germsolve.polish_solution(data, sol)
-            # Newton reads no Jacobian matrix: the cotangent pattern is built
-            # when that system is asked for
-            eqs.system("cotangent", mesh.vertex_areas)
-    cot, fd = id(hypmesh.laplacian(mesh)), id(mesh.fd_laplacian_matrix(weighted=True))
-    assert built == [(fd, 1), (cot, 1), (fd, 2), (cot, 2)]
-
-
-def test_jacobian_pattern_places_entries_past_int32_keys():
-    # the block layout of two fields of size V = 30000, past the V at which
-    # entry keys row * 2V + col would overflow int32; scipy indexes the
-    # Laplacian, and the pattern, with int32 arrays
-    V = 30000
-    lap = sp.diags([np.ones(V - 1), np.full(V, -2.0), np.ones(V - 1)], [-1, 0, 1], format="csr")
-    assert lap.indices.dtype == np.int32
-    indices, indptr, base, diagonals = germsolve._jacobian_pattern(lap, 2)
-    J = sp.csr_matrix((base, indices, indptr), shape=(2 * V, 2 * V))
-    assert (J - sp.block_diag([lap] * 2, format="csr")).count_nonzero() == 0
-    rows = np.repeat(np.arange(2 * V), np.diff(indptr))
-    k = np.arange(V)
-    for i in range(2):
-        for j in range(2):
-            assert np.array_equal(rows[diagonals[i][j]], i * V + k)
-            assert np.array_equal(indices[diagonals[i][j]], j * V + k)
 
 
 def _rh4_r3_data(mesh_r3, basis_K2_r3, amplitudes=(0.3, 0.5)):
@@ -507,20 +456,29 @@ def test_baseline_datum_converges_in_three_factorizations(mesh_r4, L1_r4, basis_
         assert step["relative_residual"] <= germsolve._GMRES_RTOL
 
 
-def test_damped_normal_operator_applies_the_damped_normal_matrix(mesh_r3):
+def test_matrix_free_normal_operator_and_diagonal_match_the_damped_product(mesh_r3):
+    # the polish applies N + 0.03 (diag N + 1e-300), N = J^T W J, field by
+    # field, with diag N in closed form; the reference forms J by system
     rng = np.random.default_rng(5)
-    data = _random_data(mesh_r3, "rh4", rng)
-    eqs = germsolve.CurvatureEquations(data)
-    _, jacobian = eqs.system("patch_fit", 1.0)
     a = mesh_r3.vertex_areas
-    aa = np.concatenate([a, a])
-    J = jacobian(0.3 * rng.standard_normal(2 * mesh_r3.n_vertices))
-    N = (J.T @ sp.diags(aa) @ J).tocsc()
-    N = N + 0.03 * sp.diags(np.abs(N.diagonal()) + 1e-300)
-    v = rng.standard_normal(N.shape[0])
-    Nv = N @ v
-    op = germsolve._damped_normal_operator(J, aa, 0.03)
-    assert np.linalg.norm(op @ v - Nv) <= 1e-13 * np.linalg.norm(Nv)
+    normal = germsolve._PolishNormal(mesh_r3.fd_laplacian_matrix(weighted=True), a)
+    for target in ("rh3", "rh4"):
+        eqs = germsolve.CurvatureEquations(_random_data(mesh_r3, target, rng))
+        n = eqs.n
+        _, jacobian = eqs.system("patch_fit", 1.0)
+        x = 0.3 * rng.standard_normal(n * mesh_r3.n_vertices)
+        J = jacobian(x)
+        N = (J.T @ sp.diags(np.tile(a, n)) @ J).tocsc()
+        df = eqs.df(*eqs.fields(x))
+        diagonal = np.concatenate([normal.diagonal(df, j) for j in range(n)])
+        assert np.max(np.abs(diagonal - N.diagonal())) <= 1e-14 * np.max(N.diagonal())
+        N = N + 0.03 * sp.diags(np.abs(N.diagonal()) + 1e-300)
+        v = rng.standard_normal(N.shape[0])
+        Jv = normal.jacobian(df, np.split(v, n))
+        assert np.linalg.norm(np.concatenate(Jv) - J @ v) <= 1e-14 * np.linalg.norm(J @ v)
+        Nv = (np.concatenate(normal.jacobian_t(df, [a * r for r in Jv]))
+              + 0.03 * (diagonal + 1e-300) * v)
+        assert np.linalg.norm(Nv - N @ v) <= 1e-13 * np.linalg.norm(N @ v)
 
 
 @pytest.fixture(scope="module", params=["rh3", "rh4"])
@@ -641,12 +599,7 @@ def test_polish_preconditions_each_field_with_its_own_block(solved_r3, monkeypat
 def test_polish_cg_miss_is_a_linear_solve_error(solved_r3, monkeypatch):
     # CG capped at one iteration misses its tolerance at the first step
     data, sol = solved_r3
-    cg = spla.cg
-
-    def one_iteration(A, b, **kwargs):
-        return cg(A, b, **{**kwargs, "maxiter": 1})
-
-    monkeypatch.setattr(spla, "cg", one_iteration)
+    monkeypatch.setattr(germsolve, "_PCG_MAXITER", 1)
     with pytest.raises(LinearSolveError, match="polish solve failed") as failed:
         germsolve.polish_solution(data, _fresh(sol.u, sol.w))
     payload = failed.value.payload
