@@ -19,7 +19,6 @@ import hashlib
 import json
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import (
@@ -226,18 +225,13 @@ def _stencil_dbar_rows(mesh):
 
 def _stencil_pattern(stencil_class, V):
     """The pattern of the dbar stencil's normal matrices M^H M, which only
-    the mesh determines: the HermitianPattern of the stencil incidence
-    S^T S, and place, the place in it of each (face, a, b) pair of stencil
-    points, F x 6 x 6 flat, which holds the entry (class of a, class of
-    b)."""
-    F = len(stencil_class)
-    S = sp.csr_matrix((np.ones(6 * F, dtype=np.int32), stencil_class.ravel(),
-                       np.arange(0, 6 * F + 1, 6)), shape=(F, V))
-    P = (S.T @ S).tocsr()
-    P.sort_indices()
-    keys = np.repeat(np.arange(V, dtype=np.int64), np.diff(P.indptr)) * V + P.indices
+    the mesh determines: the HermitianPattern of the distinct (class of a,
+    class of b) entries of the (face, a, b) pairs of stencil points, in
+    CSR order, and place, the place in it of each pair, F x 6 x 6 flat."""
     pairs = stencil_class[:, :, None].astype(np.int64) * V + stencil_class[:, None, :]
-    return HermitianPattern(P.indptr, P.indices), np.searchsorted(keys, pairs.ravel())
+    keys, place = np.unique(pairs.ravel(), return_inverse=True)
+    indptr = np.searchsorted(keys, np.arange(0, V * V + 1, V)).astype(np.int32)
+    return HermitianPattern(indptr, (keys % V).astype(np.int32)), place
 
 
 def _stencil_normal(dbar, w, c=None):

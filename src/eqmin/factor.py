@@ -42,7 +42,7 @@ import functools
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import cho_solve_banded, cholesky_banded
+from scipy.linalg import cholesky_banded, get_lapack_funcs
 
 from .errors import ShapeError
 
@@ -53,7 +53,8 @@ class BandFactor:
     """Lower banded Cholesky factor of a matrix in band order; solve takes
     and returns vectors in the caller's order, b cast to the band's
     precision (keeping its kind, real or complex) and the result in
-    np.result_type(b, band)."""
+    np.result_type(b, band).  The solves call LAPACK's pbtrs of the band's
+    type, looked up once per factor, without scipy's wrapper."""
 
     def __init__(self, cb, perm):
         self.cb = cb
@@ -61,15 +62,15 @@ class BandFactor:
         # the half-bandwidth kd and the band's stored entries, (kd + 1) * n
         self.bandwidth = cb.shape[0] - 1
         self.nnz = int(cb.size)
+        self._pbtrs, = get_lapack_funcs(("pbtrs",), (cb,))
 
     def solve(self, b):
         b = np.asarray(b)
-        # the band's precision, and b's kind: a complex b on a real band
-        # stays complex
-        work = np.promote_types(self.cb.dtype, np.complex64 if np.iscomplexobj(b)
-                                else self.cb.dtype)
-        y = cho_solve_banded((self.cb, True), b[self.perm].astype(work, copy=False),
-                             check_finite=False)
+        # a complex b on a real band stays complex, its parts solved apart
+        if np.iscomplexobj(b) and not np.iscomplexobj(self.cb):
+            return self.solve(b.real) + 1j * self.solve(b.imag)
+        y, _ = self._pbtrs(self.cb, b[self.perm].astype(self.cb.dtype, copy=False),
+                           lower=1, overwrite_b=1)
         x = np.empty(y.shape, dtype=np.result_type(b, self.cb))
         x[self.perm] = y
         return x

@@ -221,12 +221,10 @@ class CurvatureEquations:
         kp = th2 - th1
         return [[d_uu, -e2u2 * kp], [e2u2 * kp, e2u2 * ii]]
 
-    def residual(self, operator, weight):
-        """Residual x -> lap x - weight f(x), lap acting on each field, as a
-        callable.  operator names the mesh's Laplacian lap: "cotangent"
-        (laplacian(mesh), the Newton solve's) or "patch_fit" (the weighted
-        patch-fit Laplacian, the polish's)."""
-        lap = _LAPLACIANS[operator](self.data.mesh)
+    def residual(self, lap, weight):
+        """Residual x -> lap x - weight f(x), the Laplacian matrix lap acting
+        on each field, as a callable: Newton's is laplacian(mesh), the
+        polish's the weighted patch-fit Laplacian."""
 
         def residual(x):
             xs = self.fields(x)
@@ -236,31 +234,21 @@ class CurvatureEquations:
 
         return residual
 
-    def system(self, operator, weight):
-        """The residual of residual(operator, weight) and its Jacobian
+    def system(self, lap, weight):
+        """The residual of residual(lap, weight) and its Jacobian
         x -> CSR matrix, as a pair of callables: block (i, j) of the
         Jacobian is lap - diag(weight df[i][i]) on the diagonal and
         -diag(weight df[i][j]) off it, assembled by scipy.sparse.bmat.
         Newton and the polish apply the Jacobian field by field without
         forming it; this matrix is the reference they are checked with.
         """
-        lap = _LAPLACIANS[operator](self.data.mesh)
 
         def jacobian(x):
             D = [[sp.diags(weight * d) for d in row] for row in self.df(*self.fields(x))]
             return sp.bmat([[lap - D_ij if i == j else -D_ij for j, D_ij in enumerate(row)]
                             for i, row in enumerate(D)], format="csr")
 
-        return self.residual(operator, weight), jacobian
-
-
-# the Laplacians the curvature equations are written with, each kept on
-# the mesh, by the operator name CurvatureEquations.residual and system
-# take
-_LAPLACIANS = {
-    "cotangent": laplacian,
-    "patch_fit": lambda mesh: mesh.fd_laplacian_matrix(weighted=True),
-}
+        return self.residual(lap, weight), jacobian
 
 
 def _flagged_union(parts):
@@ -343,14 +331,6 @@ _GMRES_RESTART = 50
 _GMRES_MAXITER = 4
 
 
-def _newton_block(lap):
-    """-lap, the cotangent Laplacian negated (positive semi-definite), and
-    the HermitianPattern of its entries, on which every Newton step
-    factors its diagonal block; lap stores its diagonal."""
-    neg = -lap
-    return neg, HermitianPattern(neg.indptr, neg.indices)
-
-
 def _gmres_step(eqs, records):
     """The Newton step of the cotangent discretization of eqs, as the
     solve_step(x, R) of _newton; each call appends to records its GMRES
@@ -379,7 +359,9 @@ def _gmres_step(eqs, records):
     and line search judge the step.
     """
     mesh = eqs.data.mesh
-    neg, pattern = mesh.memo("newton_block", lambda: _newton_block(laplacian(mesh)))
+    lap = laplacian(mesh)
+    # lap stores its diagonal, so its pattern holds Y's
+    pattern = mesh.memo("newton_pattern", lambda: HermitianPattern(lap.indptr, lap.indices))
     a, n = mesh.vertex_areas, eqs.n
     shape = (n * mesh.n_vertices,) * 2
 
@@ -395,13 +377,13 @@ def _gmres_step(eqs, records):
         else:
             c = [[a * df[0][0]]]
             b = R
-        values = neg.data.copy()
+        values = -lap.data
         values[pattern.diagonal] += np.abs(c[0][0])
         lu = factor_hpd(pattern, values)
 
         def matvec(z):
             zs = np.split(z, n)
-            return np.concatenate([neg @ z_i + sum(c_ij * z_j for c_ij, z_j in zip(row, zs))
+            return np.concatenate([-(lap @ z_i) + sum(c_ij * z_j for c_ij, z_j in zip(row, zs))
                                    for z_i, row in zip(zs, c)])
 
         def block_lower(r):
@@ -467,7 +449,7 @@ def _solve(data, tol, max_iter):
     if tol <= 0:
         raise InvalidParameterError("tol must be positive")
     eqs = CurvatureEquations(data)
-    residual = eqs.residual("cotangent", data.mesh.vertex_areas)
+    residual = eqs.residual(laplacian(data.mesh), data.mesh.vertex_areas)
     steps = []
     c = _constant_start(eqs)
     x0 = np.zeros(len(eqs.areas)) if c is None else np.repeat(c, data.mesh.n_vertices)
@@ -561,20 +543,21 @@ class _PolishNormal:
 
         Q - diag(a df[i][i]) lap - lap^T diag(a df[i][i]) + diag(sum_k a df[k][i]^2),
 
-    Q = lap^T W lap.  Q and the pattern of a block, the union of those of
-    Q, lap, lap^T and the identity, depend on the mesh alone and are kept,
-    with the places in it of each part's entries; block(df, i, damping)
-    writes Q, the reaction terms and the damping at those places, with no
-    sparse products, and returns the values.  pattern is the blocks'
-    HermitianPattern, on which every field's block is factored; it makes
-    its band plan at the first factorization, once the arrays that built
-    the pattern are freed.  The pattern is that of the product when no sum
-    in it cancels; stored entries that do cancel hold zeros, so the
+    Q = lap^T W lap.  The pattern of a block, the union of those of lap,
+    lap^T and Q, which holds the diagonal, depends on the mesh alone and
+    is kept, with Q's values on it and the places in it of the entries of
+    lap and lap^T; block(df, i, damping) starts from Q and writes the
+    reaction terms and the damping at those places and at the diagonal's,
+    with no sparse products, and returns the values.  pattern is the
+    blocks' HermitianPattern, on which every field's block is factored; it
+    makes its band plan at the first factorization, once the arrays that
+    built the pattern are freed.  The pattern is that of the product when
+    no sum in it cancels; stored entries that do cancel hold zeros, so the
     pattern, and a band plan made from it, serve every J.  diagonal(df, j)
-    is the diagonal of block j in closed form, from diag Q and the
-    diagonal of lap, also kept; jacobian and jacobian_t apply J and J^T
-    field by field, the latter through lap_t, a CSC view of lap that
-    copies nothing, so no step forms J.
+    is the diagonal of block j in closed form, from diag Q, read at the
+    pattern's diagonal, and the diagonal of lap, also kept; jacobian and
+    jacobian_t apply J and J^T field by field, the latter through lap_t, a
+    CSC view of lap that copies nothing, so no step forms J.
     """
 
     def __init__(self, lap, a):
@@ -590,19 +573,21 @@ class _PolishNormal:
         Q = (lap.T @ weighted).tocsr()
         # canonical, as every part of a flagged union is
         Q.sum_duplicates()
-        self.q = Q.data
-        self.q_diagonal, self.lap_diagonal = Q.diagonal(), lap.diagonal()
+        self.lap_diagonal = lap.diagonal()
         # a CSC view of lap, sharing its arrays; made once, as each .T
         # builds and checks a new matrix object
         self.lap_t = lap.T
-        union = _flagged_union([sp.identity(lap.shape[0], format="csr"), lap, number_t, Q])
+        # lap stores every diagonal entry and Q's diagonal is positive, so
+        # the union holds the diagonal
+        union = _flagged_union([lap, number_t, Q])
         self.pattern = HermitianPattern(union.indptr, union.indices)
-        # the places of the identity's and lap's entries and of lap's
-        # transposed entries, in the order of the entries of lap, and Q's
-        self.on_eye, self.on_lap, on_t, self.on_q = (
-            np.flatnonzero(union.data & 2**b) for b in range(4))
+        # the places of lap's entries and of lap's transposed entries, in
+        # the order of the entries of lap, and Q's values at their places
+        self.on_lap, on_t, on_q = (np.flatnonzero(union.data & 2**b) for b in range(3))
         self.on_t = np.empty_like(on_t)
         self.on_t[number_t.data] = on_t
+        self.q = np.zeros(len(union.indices))
+        self.q[on_q] = Q.data
 
     def block(self, df, i, damping):
         """Diagonal block i of N + damping (|diag N| + 1e-300) for the
@@ -612,12 +597,11 @@ class _PolishNormal:
         # a df[i][i] times lap's values, row by row: E's block (i, i) at
         # lap's places and E^T's at their transposes
         scaled = np.repeat(a * df[i][i], np.diff(lap.indptr)) * lap.data
-        data = np.zeros(len(self.pattern.indices))
-        data[self.on_q] = self.q
+        data = self.q.copy()
         data[self.on_lap] -= scaled
         data[self.on_t] -= scaled
-        data[self.on_eye] += sum(a * row[i] * row[i] for row in df)
         diagonal = self.pattern.diagonal
+        data[diagonal] += sum(a * row[i] * row[i] for row in df)
         data[diagonal] += damping * (np.abs(data[diagonal]) + 1e-300)
         return data
 
@@ -625,7 +609,7 @@ class _PolishNormal:
         """diag N of field j, in closed form: diag Q - 2 a lap_jj df[j][j]
         + sum_i a df[i][j]^2, lap_jj the diagonal of lap."""
         a = self.a
-        return (self.q_diagonal - 2.0 * a * self.lap_diagonal * df[j][j]
+        return (self.q[self.pattern.diagonal] - 2.0 * a * self.lap_diagonal * df[j][j]
                 + sum(a * row[j] * row[j] for row in df))
 
     def jacobian(self, df, v):
@@ -690,11 +674,11 @@ def polish_solution(data, sol, iterations=4):
     """
     mesh = data.mesh
     eqs = CurvatureEquations(data)
-    resid = eqs.residual("patch_fit", 1.0)
+    lap = mesh.fd_laplacian_matrix(weighted=True)
+    resid = eqs.residual(lap, 1.0)
     x = np.concatenate([sol.u, sol.w] if eqs.coupled else [sol.u])
     aa, a, n = eqs.areas, mesh.vertex_areas, eqs.n
-    normal = mesh.memo("polish_normal", lambda: _PolishNormal(
-        _LAPLACIANS["patch_fit"](mesh), mesh.vertex_areas))
+    normal = mesh.memo("polish_normal", lambda: _PolishNormal(lap, a))
 
     def wnorm(R):
         return float(np.sqrt(np.sum(aa * R**2)))
@@ -722,7 +706,7 @@ def polish_solution(data, sol, iterations=4):
             return np.concatenate(normal.jacobian_t(df, [a * r for r in Jv])) + d * v
 
         rhs = -np.concatenate(normal.jacobian_t(df, [a * r for r in R.reshape(n, -1)]))
-        step, cg_iterations = _pcg(apply, rhs, lus[0].solve if n == 1 else block_jacobi)
+        step, cg_iterations = _pcg(apply, rhs, block_jacobi)
         if cg_iterations == _PCG_MAXITER:
             reached = float(np.linalg.norm(rhs - apply(step)) / np.linalg.norm(rhs))
             raise LinearSolveError(

@@ -223,10 +223,10 @@ class SurfaceMesh:
     Operators and results that only the mesh determines are built on
     first use and kept on the mesh (see memo): the patch fits and both
     patch-fit Laplacians, the cotangent Laplacian, the dbar stencil rows,
-    the negated cotangent Laplacian with the pattern every Newton step
-    factors its block on (germsolve._newton_block), the one pattern of the
-    per-field blocks of the polish's normal matrices with the diagonals
-    their closed-form diagonal reads (germsolve._PolishNormal), the
+    the pattern of the cotangent Laplacian, on which every Newton step
+    factors its block (germsolve._gmres_step), the one pattern of the
+    per-field blocks of the polish's normal matrices with Q's values on it
+    and lap's diagonal (germsolve._PolishNormal), the
     pattern of the dbar stencil's normal matrices with the place in it of
     each stencil pair (bundles._stencil_pattern), each Hermitian pattern
     with the band plan of its first factorization (factor.HermitianPattern),

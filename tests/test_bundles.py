@@ -199,6 +199,31 @@ def test_stencil_normal_equals_the_sparse_product(request, r, bundle, metric):
     assert bundles._stencil_normal(dbar, np.ones(mesh.n_faces))[0] is pattern
 
 
+def _incidence_stencil_pattern(stencil_class, V):
+    """The stencil pattern as the sparse product S^T S of the F x V stencil
+    incidence S, and each stencil pair's place in it by searchsorted."""
+    F = len(stencil_class)
+    S = sp.csr_matrix((np.ones(6 * F, dtype=np.int32), stencil_class.ravel(),
+                       np.arange(0, 6 * F + 1, 6)), shape=(F, V))
+    P = (S.T @ S).tocsr()
+    P.sort_indices()
+    keys = np.repeat(np.arange(V, dtype=np.int64), np.diff(P.indptr)) * V + P.indices
+    pairs = stencil_class[:, :, None].astype(np.int64) * V + stencil_class[:, None, :]
+    return P.indptr, P.indices, np.searchsorted(keys, pairs.ravel())
+
+
+@pytest.mark.parametrize("genus, resolution", [(2, 1), (3, 2)])
+def test_stencil_pattern_equals_the_incidence_product(genus, resolution):
+    # at g=2, r=1 faces repeat a class in their stencil, so pairs coincide
+    mesh = hypmesh.build_surface(genus, resolution)
+    pattern, place = bundles._stencil_pattern(mesh.stencil_class, mesh.n_vertices)
+    indptr, indices, ref_place = _incidence_stencil_pattern(mesh.stencil_class,
+                                                            mesh.n_vertices)
+    for got, ref in ((pattern.indptr, indptr), (pattern.indices, indices)):
+        assert got.dtype == ref.dtype and np.array_equal(got, ref)
+    assert np.array_equal(place, ref_place)
+
+
 class _SuperLUFactor:
     """SuperLU in place of the band factor, for the shift-invert solves."""
 

@@ -29,7 +29,7 @@ def test_manufactured_constant_recovered(mesh_r3):
     assert len(sol.newton_trace) == 1
     assert sol.start["u"] == pytest.approx(u_star, abs=1e-14)
     eqs = germsolve.CurvatureEquations(data)
-    residual = eqs.residual("cotangent", mesh_r3.vertex_areas)
+    residual = eqs.residual(hypmesh.laplacian(mesh_r3), mesh_r3.vertex_areas)
     u, trace, ok = germsolve._newton(np.zeros(mesh_r3.n_vertices), residual,
                                      germsolve._gmres_step(eqs, []), eqs.areas, 1e-12, 30)
     assert ok and len(trace) > 2
@@ -130,7 +130,7 @@ def test_system_jacobian_matches_finite_differences(mesh_r2, target):
         L = bundles.make_line_bundle(mesh_r2, 1)
         data = germsolve.GermData(mesh_r2, L, [section(1), section(-1)])
     eqs = germsolve.CurvatureEquations(data)
-    residual, jacobian = eqs.system("cotangent", mesh_r2.vertex_areas)
+    residual, jacobian = eqs.system(hypmesh.laplacian(mesh_r2), mesh_r2.vertex_areas)
     x = 0.3 * rng.standard_normal(2 * V if eqs.coupled else V)
     J = jacobian(x)
     assert J.format == "csr"
@@ -171,7 +171,7 @@ def test_fixed_pattern_jacobian_equals_block_assembly(mesh_r3, target, vanish, o
         lap, weight = hypmesh.laplacian(mesh_r3), mesh_r3.vertex_areas
     else:
         lap, weight = mesh_r3.fd_laplacian_matrix(weighted=True), 1.0
-    _, jacobian = eqs.system(operator, weight)
+    _, jacobian = eqs.system(lap, weight)
     x = 0.3 * rng.standard_normal(lap.shape[0] * (2 if eqs.coupled else 1))
     J = jacobian(x)
     assert J.format == "csr"
@@ -189,10 +189,10 @@ def test_polish_normal_matrix_equals_the_damped_product(mesh_r3, target, vanish)
     data = _random_data(mesh_r3, target, rng, vanish)
     eqs = germsolve.CurvatureEquations(data)
     n = 2 if eqs.coupled else 1
-    _, jacobian = eqs.system("patch_fit", 1.0)
+    lap = mesh_r3.fd_laplacian_matrix(weighted=True)
+    _, jacobian = eqs.system(lap, 1.0)
     x = 0.3 * rng.standard_normal(n * mesh_r3.n_vertices)
-    normal = germsolve._PolishNormal(mesh_r3.fd_laplacian_matrix(weighted=True),
-                                     mesh_r3.vertex_areas)
+    normal = germsolve._PolishNormal(lap, mesh_r3.vertex_areas)
     # the product every factorization used to form
     J = jacobian(x)
     ref = (J.T @ sp.diags(np.tile(mesh_r3.vertex_areas, n)) @ J).tocsr()
@@ -205,6 +205,23 @@ def test_polish_normal_matrix_equals_the_damped_product(mesh_r3, target, vanish)
         # the entries that cancel where the sections vanish lie in the
         # coupling blocks, which no block holds
         assert N.nnz == ref_i.nnz
+
+
+@pytest.mark.parametrize("resolution", [1, 3])
+def test_polish_pattern_holds_the_identity(request, resolution):
+    # the union of lap, lap^T and Q is the union with the identity too: it
+    # stores all V diagonal places
+    mesh = request.getfixturevalue("mesh_r3") if resolution == 3 else hypmesh.build_surface(2, 1)
+    lap = mesh.fd_laplacian_matrix(weighted=True)
+    normal = germsolve._PolishNormal(lap, mesh.vertex_areas)
+    V = mesh.n_vertices
+    ref = germsolve._flagged_union([sp.identity(V, format="csr"), lap, lap.T.tocsr(),
+                                    (lap.T @ sp.diags(mesh.vertex_areas) @ lap).tocsr()])
+    assert np.array_equal(normal.pattern.indptr, ref.indptr)
+    assert np.array_equal(normal.pattern.indices, ref.indices)
+    diagonal = normal.pattern.diagonal
+    assert len(diagonal) == V
+    assert np.array_equal(normal.pattern.indices[diagonal], np.arange(V))
 
 
 @pytest.mark.parametrize("target, vanish", [("rh3", None), ("rh4", slice(0, None, 7))])
@@ -333,7 +350,7 @@ def test_rotated_jacobian_has_equal_spd_diagonal_blocks(mesh_r3):
     for l in (-1, 0, 1):
         data = _random_data(mesh_r3, "rh4", rng, l=l)
         eqs = germsolve.CurvatureEquations(data)
-        _, jacobian = eqs.system("cotangent", a)
+        _, jacobian = eqs.system(S, a)
         for _ in range(3):
             x = 0.5 * rng.standard_normal(2 * V)
             u, w = eqs.fields(x)
@@ -366,7 +383,8 @@ def test_newton_steps_record_their_gmres_solves(mesh_r3, basis_K2_r3):
 def _superlu_step(eqs, records):
     """The Newton step by SuperLU on the Jacobian matrix: the oracle for
     the GMRES step."""
-    _, jacobian = eqs.system("cotangent", eqs.data.mesh.vertex_areas)
+    _, jacobian = eqs.system(hypmesh.laplacian(eqs.data.mesh),
+                              eqs.data.mesh.vertex_areas)
     return lambda x, R: spla.splu(jacobian(x).tocsc()).solve(-R)
 
 
@@ -407,7 +425,7 @@ def test_constant_start_solves_the_integrated_equations(mesh_r3, target, l):
     eqs = germsolve.CurvatureEquations(data)
     c = germsolve._constant_start(eqs)
     assert c.shape == (eqs.n,)
-    residual, _ = eqs.system("cotangent", mesh_r3.vertex_areas)
+    residual, _ = eqs.system(hypmesh.laplacian(mesh_r3), mesh_r3.vertex_areas)
     R = residual(np.repeat(c, mesh_r3.n_vertices))
     a = mesh_r3.vertex_areas
     for field in eqs.fields(R)[:eqs.n]:
@@ -428,7 +446,7 @@ def test_data_without_a_constant_state_start_from_zero(mesh_r3, basis_K2_r3):
     assert a @ data.t[0] / a.sum() > 0.25
     eqs = germsolve.CurvatureEquations(data)
     assert germsolve._constant_start(eqs) is None
-    residual, _ = eqs.system("cotangent", a)
+    residual, _ = eqs.system(hypmesh.laplacian(mesh_r3), a)
     with pytest.raises(StagnationError) as failure:
         germsolve.solve_gauss3(data)
     R = residual(np.zeros(mesh_r3.n_vertices))
@@ -465,7 +483,7 @@ def test_matrix_free_normal_operator_and_diagonal_match_the_damped_product(mesh_
     for target in ("rh3", "rh4"):
         eqs = germsolve.CurvatureEquations(_random_data(mesh_r3, target, rng))
         n = eqs.n
-        _, jacobian = eqs.system("patch_fit", 1.0)
+        _, jacobian = eqs.system(normal.lap, 1.0)
         x = 0.3 * rng.standard_normal(n * mesh_r3.n_vertices)
         J = jacobian(x)
         N = (J.T @ sp.diags(np.tile(a, n)) @ J).tocsc()
@@ -707,7 +725,7 @@ def test_system_residual_is_the_newton_residual(solved_r3, mesh_r3):
     data, sol = solved_r3
     a = mesh_r3.vertex_areas
     eqs = germsolve.CurvatureEquations(data)
-    residual, _ = eqs.system("cotangent", a)
+    residual, _ = eqs.system(hypmesh.laplacian(mesh_r3), a)
     if eqs.coupled:
         R = residual(np.concatenate([sol.u, sol.w]))
         aa = np.concatenate([a, a])
